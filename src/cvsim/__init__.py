@@ -11,6 +11,7 @@ from .errors import (
     DegenerateInputError,
     InversionError,
     MalformedInputError,
+    NetworkRuntimeError,
     SpecValidationError,
     UnsupportedOrderingError,
 )

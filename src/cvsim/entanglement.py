@@ -172,10 +172,17 @@ def log_negativity(
     Raises:
         ValueError: if the input state itself is unphysical.
     """
+    return _log_negativity_and_spectrum(state, bipartition, tol)[0]
+
+
+def _log_negativity_and_spectrum(
+    state: GaussianState, bipartition: Bipartition, tol: float = VERDICT_TOL
+) -> tuple[float, np.ndarray]:
+    """E_N together with the spectrum nu_j it was computed from."""
     report = check_physicality(state, tol=max(tol, 1e-9))
     if not report.physical:
         raise ValueError(
             f"input state is unphysical (uncertainty margin {report.margin:.3e})"
         )
     nu = ptranspose_symplectic_spectrum(state, bipartition)
-    return float(np.sum(np.maximum(0.0, -np.log2(nu))))
+    return float(np.sum(np.maximum(0.0, -np.log2(nu)))), nu

@@ -32,3 +32,16 @@ class SpecValidationError(CVSimError):
     def __init__(self, pointer: str, message: str):
         self.pointer = pointer
         super().__init__(f"{pointer}: {message}")
+
+
+class NetworkRuntimeError(CVSimError, ValueError):
+    """A valid network description failed while it ran.
+
+    Attributes:
+        pointer: JSON-pointer path to the gate or analysis that failed,
+            e.g. "/gates/1".
+    """
+
+    def __init__(self, pointer: str, message: str):
+        self.pointer = pointer
+        super().__init__(f"{pointer}: {message}")

@@ -1,8 +1,12 @@
 """Symplectic gate builders and their action on Gaussian states.
 
-Every gate is a pair (S, d): a 2N x 2N symplectic matrix and a displacement
-vector, acting on moments as mean -> S @ mean + d, cov -> S @ cov @ S.T.
-Gates are built as full 2N x 2N embeddings in interleaved ordering.
+A gate is a small symplectic block B (2x2 for one mode, 4x4 for a beam
+splitter) and a shift d acting on the interleaved quadratures of the modes it
+touches, inside an N-mode system.  On the moments it acts as
+mean -> S @ mean + d, cov -> S @ cov @ S.T, where S is B embedded in the
+2N x 2N identity; only the touched rows and columns are computed, so a gate
+costs O(N) instead of O(N^3).  ``SymplecticGate.matrix`` and
+``SymplecticGate.displacement`` export the dense 2N x 2N pair.
 
 Conventions (matching the Strawberry Fields gate definitions):
   * displacement by alpha shifts the target mode mean by
@@ -16,62 +20,94 @@ Conventions (matching the Strawberry Fields gate definitions):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import MalformedInputError
-from .states import INTERLEAVED, GaussianState, symplectic_form
+from .states import INTERLEAVED, GaussianState, _freeze, symplectic_form
 
-#: tolerance on ||S Omega S^T - Omega||_F at gate construction
+#: tolerance on ||B Omega B^T - Omega||_F at gate construction
 SYMPLECTIC_TOL = 1e-10
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymplecticGate:
-    """A linear optical element: symplectic matrix plus displacement."""
+    """A linear optical element on a few modes of an N-mode system.
 
-    matrix: np.ndarray
-    displacement: np.ndarray
+    Attributes:
+        block: symplectic matrix on the interleaved quadratures of ``modes``.
+        shift: displacement of those quadratures.
+        modes: the touched modes, in the order the block uses them.
+        num_modes: number of modes N of the system the gate acts on.
+    """
 
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
-        disp = np.atleast_1d(np.asarray(self.displacement, dtype=float))
+    block: np.ndarray
+    shift: np.ndarray
+    modes: tuple[int, ...]
+    num_modes: int
+    _idx: np.ndarray = field(repr=False, compare=False)  # quadrature rows of ``modes``
+
+    def __init__(
+        self,
+        matrix,
+        displacement,
+        modes: Sequence[int] | None = None,
+        num_modes: int | None = None,
+    ) -> None:
+        """Build a gate from its block and shift on ``modes``.
+
+        Without ``modes``, ``matrix`` and ``displacement`` are a dense gate
+        over every mode: the block then covers all of them.
+        """
+        matrix = np.asarray(matrix, dtype=float)
+        disp = np.atleast_1d(np.asarray(displacement, dtype=float))
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
             raise MalformedInputError(f"matrix must be 2Nx2N, got {matrix.shape}")
         if disp.shape != (matrix.shape[0],):
             raise MalformedInputError(
                 f"displacement must have length {matrix.shape[0]}, got {disp.shape}"
             )
-        omega = symplectic_form(matrix.shape[0] // 2)
+        modes = tuple(range(matrix.shape[0] // 2)) if modes is None else tuple(modes)
+        num_modes = len(modes) if num_modes is None else num_modes
+        if len(modes) != matrix.shape[0] // 2:
+            raise MalformedInputError(
+                f"a {matrix.shape} block acts on {matrix.shape[0] // 2} modes, got {modes}"
+            )
+        if len(set(modes)) != len(modes) or not all(0 <= m < num_modes for m in modes):
+            raise MalformedInputError(f"modes {modes} invalid for {num_modes} modes")
+        omega = symplectic_form(len(modes))
         defect = np.linalg.norm(matrix @ omega @ matrix.T - omega)
         if defect > SYMPLECTIC_TOL:
             raise MalformedInputError(
                 f"matrix is not symplectic (||S Omega S^T - Omega||_F = {defect:.3e})"
             )
-        object.__setattr__(self, "matrix", _freeze(matrix))
-        object.__setattr__(self, "displacement", _freeze(disp))
+        object.__setattr__(self, "block", _freeze(matrix))
+        object.__setattr__(self, "shift", _freeze(disp))
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "num_modes", num_modes)
+        idx = np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
+        object.__setattr__(self, "_idx", idx)
 
     @property
-    def num_modes(self) -> int:
-        return self.matrix.shape[0] // 2
+    def matrix(self) -> np.ndarray:
+        """The dense 2N x 2N symplectic matrix (the block embedded in I)."""
+        S = np.eye(2 * self.num_modes)
+        S[np.ix_(self._idx, self._idx)] = self.block
+        return S
+
+    @property
+    def displacement(self) -> np.ndarray:
+        """The dense length-2N displacement vector."""
+        d = np.zeros(2 * self.num_modes)
+        d[self._idx] = self.shift
+        return d
 
 
 def _check_mode(mode: int, num_modes: int) -> None:
     if not 0 <= mode < num_modes:
         raise ValueError(f"mode {mode} out of range for {num_modes} modes")
-
-
-def _embed(block: np.ndarray, mode: int, num_modes: int) -> np.ndarray:
-    S = np.eye(2 * num_modes)
-    S[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = block
-    return S
 
 
 def displacement_gate(
@@ -85,11 +121,9 @@ def displacement_gate(
     if alpha_mag < 0:
         raise ValueError("alpha_mag must be >= 0 (fold the sign into alpha_phase)")
     _check_mode(mode, num_modes)
-    disp = np.zeros(2 * num_modes)
     scale = np.sqrt(2.0 * hbar) * alpha_mag
-    disp[2 * mode] = scale * np.cos(alpha_phase)
-    disp[2 * mode + 1] = scale * np.sin(alpha_phase)
-    return SymplecticGate(matrix=np.eye(2 * num_modes), displacement=disp)
+    shift = scale * np.array([np.cos(alpha_phase), np.sin(alpha_phase)])
+    return SymplecticGate(np.eye(2), shift, (mode,), num_modes)
 
 
 def squeeze_gate(r: float, theta: float, mode: int, num_modes: int) -> SymplecticGate:
@@ -104,9 +138,7 @@ def squeeze_gate(r: float, theta: float, mode: int, num_modes: int) -> Symplecti
             [-np.sin(theta) * sh, ch + np.cos(theta) * sh],
         ]
     )
-    return SymplecticGate(
-        matrix=_embed(block, mode, num_modes), displacement=np.zeros(2 * num_modes)
-    )
+    return SymplecticGate(block, np.zeros(2), (mode,), num_modes)
 
 
 def rotation_gate(phi: float, mode: int, num_modes: int) -> SymplecticGate:
@@ -115,9 +147,7 @@ def rotation_gate(phi: float, mode: int, num_modes: int) -> SymplecticGate:
     block = np.array(
         [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]
     )
-    return SymplecticGate(
-        matrix=_embed(block, mode, num_modes), displacement=np.zeros(2 * num_modes)
-    )
+    return SymplecticGate(block, np.zeros(2), (mode,), num_modes)
 
 
 def beamsplitter_gate(
@@ -133,13 +163,28 @@ def beamsplitter_gate(
     _check_mode(i, num_modes)
     _check_mode(j, num_modes)
     c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-    S = np.eye(2 * num_modes)
-    S[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = c * np.eye(2)
-    S[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = -s * rot.T
-    S[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = s * rot
-    S[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = c * np.eye(2)
-    return SymplecticGate(matrix=S, displacement=np.zeros(2 * num_modes))
+    sc, ss = s * np.cos(phi), s * np.sin(phi)
+    # [[c I, -s R^T], [s R, c I]] with R the rotation by phi
+    block = np.array(
+        [[c, 0.0, -sc, -ss], [0.0, c, ss, -sc], [sc, -ss, c, 0.0], [ss, sc, 0.0, c]]
+    )
+    return SymplecticGate(block, np.zeros(4), (i, j), num_modes)
+
+
+def _apply_in_place(gate: SymplecticGate, cov: np.ndarray, mean: np.ndarray) -> None:
+    """Overwrite cov with S cov S^T and mean with S mean + d.
+
+    Only the touched rows and columns change.  They are written from one
+    array into both triangles, with the touched diagonal block symmetrised,
+    so a symmetric cov stays exactly symmetric.
+    """
+    idx, B = gate._idx, gate.block
+    rows = B @ cov[idx, :]
+    inner = rows[:, idx] @ B.T
+    rows[:, idx] = (inner + inner.T) / 2.0
+    cov[idx, :] = rows
+    cov[:, idx] = rows.T
+    mean[idx] = B @ mean[idx] + gate.shift
 
 
 def apply_gate(gate: SymplecticGate, state: GaussianState) -> GaussianState:
@@ -152,15 +197,29 @@ def apply_gate(gate: SymplecticGate, state: GaussianState) -> GaussianState:
         raise MalformedInputError(
             f"gate is for {gate.num_modes} modes, state has {state.num_modes}"
         )
-    S = gate.matrix
-    cov = S @ state.cov @ S.T
-    cov = (cov + cov.T) / 2.0  # restore exact symmetry lost to rounding
-    return GaussianState(
-        mean=S @ state.mean + gate.displacement,
-        cov=cov,
-        hbar=state.hbar,
-        ordering=INTERLEAVED,
-    )
+    cov = (state.cov + state.cov.T) / 2.0  # a fresh, exactly symmetric copy
+    mean = np.array(state.mean, copy=True)
+    _apply_in_place(gate, cov, mean)
+    return GaussianState(mean=mean, cov=cov, hbar=state.hbar, ordering=INTERLEAVED)
+
+
+def _prepare_thermal_in_place(
+    n_bar: float, mode: int, cov: np.ndarray, mean: np.ndarray, hbar: float
+) -> None:
+    """Overwrite a vacuum mode of (cov, mean) with a thermal state."""
+    if n_bar < 0:
+        raise ValueError("n_bar must be >= 0")
+    _check_mode(mode, mean.size // 2)
+    sl = slice(2 * mode, 2 * mode + 2)
+    half = hbar / 2.0
+    cross = np.delete(cov[sl, :], [2 * mode, 2 * mode + 1], axis=1)
+    if (
+        np.abs(cov[sl, sl] - half * np.eye(2)).max() > 1e-10
+        or (cross.size and np.abs(cross).max() > 1e-10)
+        or np.abs(mean[sl]).max() > 1e-10
+    ):
+        raise ValueError(f"mode {mode} is not in the vacuum state")
+    cov[sl, sl] = (2.0 * n_bar + 1.0) * half * np.eye(2)
 
 
 def thermal_prepare(n_bar: float, mode: int, state: GaussianState) -> GaussianState:
@@ -169,23 +228,10 @@ def thermal_prepare(n_bar: float, mode: int, state: GaussianState) -> GaussianSt
     Not a symplectic gate (the map is not unitary); restricted to modes that
     are currently in the vacuum so the semantics stay unambiguous.
     """
-    if n_bar < 0:
-        raise ValueError("n_bar must be >= 0")
     if state.ordering != INTERLEAVED:
         raise MalformedInputError(
             "thermal_prepare acts on interleaved states; convert first"
         )
-    _check_mode(mode, state.num_modes)
-    sl = slice(2 * mode, 2 * mode + 2)
-    half = state.hbar / 2.0
-    block = state.cov[sl, sl]
-    cross = np.delete(state.cov[sl, :], [2 * mode, 2 * mode + 1], axis=1)
-    if (
-        np.abs(block - half * np.eye(2)).max() > 1e-10
-        or (cross.size and np.abs(cross).max() > 1e-10)
-        or np.abs(state.mean[sl]).max() > 1e-10
-    ):
-        raise ValueError(f"mode {mode} is not in the vacuum state")
     cov = np.array(state.cov, copy=True)
-    cov[sl, sl] = (2.0 * n_bar + 1.0) * half * np.eye(2)
+    _prepare_thermal_in_place(n_bar, mode, cov, state.mean, state.hbar)
     return GaussianState(mean=state.mean, cov=cov, hbar=state.hbar, ordering=INTERLEAVED)

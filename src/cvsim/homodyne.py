@@ -432,12 +432,15 @@ def theoretical_variance(model: SourceModel, phi: float) -> float:
         r = model.r
         return float(abs(np.exp(1j * phi) * np.cosh(r) - np.exp(-1j * phi) * np.sinh(r)) ** 2)
     if isinstance(model, CatState):
-        a = model.alpha
+        # first and second moments of the three Gaussian terms of the pdf
+        g = model.alpha * np.exp(1j * phi)
+        a = 2.0 * np.real(g)
+        b = 2.0 * np.imag(g)
+        damp = np.exp(-2.0 * abs(model.alpha) ** 2)
         norm = model.normalization()
-        k0 = a * np.exp(1j * phi)
-        k1 = 1.0 + (np.exp(-2.0 * abs(a) ** 2) * np.sin(model.theta) / norm) ** 2
-        k2 = 4.0 * abs(a) ** 2 / (norm / 2.0)
-        return float(np.real((2j * np.imag(k0)) ** 2 * k1 + k2 + 1.0))
+        m1 = 2.0 * b * damp * np.sin(model.theta) / norm
+        m2 = (2.0 * (1.0 + a**2) + 2.0 * damp * np.cos(model.theta) * (1.0 - b**2)) / norm
+        return float(m2 - m1**2)
     if isinstance(model, Thermal):
         return 2.0 * model.n_bar + 1.0
     raise TypeError(f"unknown source model {model!r}")

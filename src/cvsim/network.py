@@ -29,22 +29,21 @@ import numpy as np
 
 from .entanglement import (
     Bipartition,
-    log_negativity,
-    partial_transpose_cov,
+    _log_negativity_and_spectrum,
     reduced_state,
     simon_criterion,
 )
-from .errors import SpecValidationError
+from .errors import CVSimError, NetworkRuntimeError, SpecValidationError
 from .gates import (
-    apply_gate,
+    _apply_in_place,
+    _prepare_thermal_in_place,
     beamsplitter_gate,
     displacement_gate,
     rotation_gate,
     squeeze_gate,
-    thermal_prepare,
 )
 from .phase_space import PhaseSpaceGrid, wigner_gaussian
-from .states import GaussianState, clean_tiny, symplectic_eigenvalues, vacuum_state
+from .states import GaussianState, clean_tiny
 
 GATE_PARAM_NAMES = {
     "displace": ("alpha_mag", "alpha_phase"),
@@ -205,23 +204,24 @@ def parse_network_spec(doc) -> NetworkSpec:
     return NetworkSpec(num_modes=modes, hbar=hbar, gates=gates, analyses=analyses)
 
 
-def _apply_descriptor(state: GaussianState, desc: GateDescriptor) -> GaussianState:
-    n = state.num_modes
+def _run_gate(desc: GateDescriptor, cov: np.ndarray, mean: np.ndarray, hbar: float) -> None:
+    """Apply one gate to the network's covariance/mean buffer in place."""
+    n = mean.size // 2
+    p = desc.params
+    if desc.kind == "prepare_thermal":
+        _prepare_thermal_in_place(p["n_bar"], desc.modes[0], cov, mean, hbar)
+        return
     if desc.kind == "displace":
-        gate = displacement_gate(
-            desc.params["alpha_mag"], desc.params["alpha_phase"], desc.modes[0], n, state.hbar
-        )
+        gate = displacement_gate(p["alpha_mag"], p["alpha_phase"], desc.modes[0], n, hbar)
     elif desc.kind == "squeeze":
-        gate = squeeze_gate(desc.params["r"], desc.params["theta"], desc.modes[0], n)
+        gate = squeeze_gate(p["r"], p["theta"], desc.modes[0], n)
     elif desc.kind == "rotate":
-        gate = rotation_gate(desc.params["phi"], desc.modes[0], n)
+        gate = rotation_gate(p["phi"], desc.modes[0], n)
     elif desc.kind == "beamsplitter":
-        gate = beamsplitter_gate(desc.params["theta"], desc.params["phi"], desc.modes, n)
-    elif desc.kind == "prepare_thermal":
-        return thermal_prepare(desc.params["n_bar"], desc.modes[0], state)
+        gate = beamsplitter_gate(p["theta"], p["phi"], desc.modes, n)
     else:  # unreachable after validation
         raise ValueError(f"unknown gate kind {desc.kind!r}")
-    return apply_gate(gate, state)
+    _apply_in_place(gate, cov, mean)
 
 
 def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
@@ -250,10 +250,7 @@ def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
         bipartition = Bipartition(
             [positions[m] for m in req.part_a], [positions[m] for m in req.part_b]
         )
-        value = log_negativity(red, bipartition)
-        nu = symplectic_eigenvalues(
-            partial_transpose_cov(red.cov, bipartition.part_b)
-        ) / (red.hbar / 2.0)
+        value, nu = _log_negativity_and_spectrum(red, bipartition)
         return {
             "type": "log_negativity",
             "part_a": list(req.part_a),
@@ -288,9 +285,27 @@ class NetworkResult:
 
 def run_network(spec: NetworkSpec) -> NetworkResult:
     """Start from the N-mode vacuum, apply the gates in order and evaluate
-    every requested analysis.  Fully deterministic."""
-    state = vacuum_state(spec.num_modes, spec.hbar)
-    for desc in spec.gates:
-        state = _apply_descriptor(state, desc)
-    analyses = [_run_analysis(state, req) for req in spec.analyses]
+    every requested analysis.  Fully deterministic.
+
+    The gates update one covariance/mean buffer in place; the validated
+    state is built once, after the last gate.
+
+    Raises:
+        NetworkRuntimeError: a gate or an analysis failed; its ``pointer``
+            names it, e.g. "/gates/1".
+    """
+    mean = np.zeros(2 * spec.num_modes)
+    cov = (spec.hbar / 2.0) * np.eye(2 * spec.num_modes)
+    for i, desc in enumerate(spec.gates):
+        try:
+            _run_gate(desc, cov, mean, spec.hbar)
+        except (ValueError, CVSimError) as exc:
+            raise NetworkRuntimeError(f"/gates/{i}", str(exc)) from exc
+    state = GaussianState(mean=mean, cov=cov, hbar=spec.hbar)
+    analyses = []
+    for i, req in enumerate(spec.analyses):
+        try:
+            analyses.append(_run_analysis(state, req))
+        except (ValueError, CVSimError) as exc:
+            raise NetworkRuntimeError(f"/analyses/{i}", str(exc)) from exc
     return NetworkResult(state=state, analyses=analyses)

@@ -28,8 +28,6 @@ Ordering = Literal["interleaved", "xp_block"]
 SYMMETRY_TOL = 1e-10
 #: default tolerance for the Robertson-Schrodinger physicality margin
 PHYSICALITY_TOL = 1e-9
-#: moduli of iO*cov eigenvalues must pair up to this tolerance
-PAIRING_TOL = 1e-8
 
 
 def symplectic_form(num_modes: int) -> np.ndarray:
@@ -185,16 +183,16 @@ def check_physicality(state: GaussianState, tol: float = PHYSICALITY_TOL) -> Phy
     return PhysicalityReport(physical=margin >= -tol, margin=margin)
 
 
-def symplectic_eigenvalues(cov: np.ndarray, pairing_tol: float = PAIRING_TOL) -> np.ndarray:
+def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a positive-definite covariance matrix.
 
-    The eigenvalues of i*Omega*cov come in +/- pairs; the symplectic
-    eigenvalues are the N moduli, one per pair, returned sorted ascending.
-    Pure states have all of them equal to hbar/2.
+    With cov = L L^T (Cholesky), i*Omega*cov is similar to the Hermitian
+    matrix i L^T Omega L, whose eigenvalues come in exact +/- pairs; the
+    symplectic eigenvalues are the N positive ones, returned sorted
+    ascending.  Pure states have all of them equal to hbar/2.
 
     Args:
         cov: symmetric positive-definite 2N x 2N matrix, interleaved ordering.
-        pairing_tol: maximum allowed mismatch between paired moduli.
 
     Raises:
         DegenerateInputError: if cov is not positive definite.
@@ -202,21 +200,15 @@ def symplectic_eigenvalues(cov: np.ndarray, pairing_tol: float = PAIRING_TOL) ->
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
         raise MalformedInputError(f"cov must be 2Nx2N, got shape {cov.shape}")
-    min_eig = np.linalg.eigvalsh((cov + cov.T) / 2.0).min()
-    if min_eig <= 0:
+    try:
+        L = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
         raise DegenerateInputError(
-            f"cov is not positive definite (min eigenvalue {min_eig:.3e})"
-        )
+            "cov is not positive definite (Cholesky factorization failed)"
+        ) from None
     num_modes = cov.shape[0] // 2
-    moduli = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(num_modes) @ cov)))
-    pairs_lo = moduli[0::2]
-    pairs_hi = moduli[1::2]
-    mismatch = np.abs(pairs_hi - pairs_lo).max()
-    if mismatch > pairing_tol:
-        raise DegenerateInputError(
-            f"eigenvalue moduli do not pair up (mismatch {mismatch:.3e})"
-        )
-    return (pairs_lo + pairs_hi) / 2.0
+    eigvals = np.linalg.eigvalsh(1j * (L.T @ symplectic_form(num_modes) @ L))
+    return eigvals[num_modes:]
 
 
 def purity(state: GaussianState) -> float:

@@ -218,6 +218,22 @@ def test_network_schema_violation_exit2(runner, tmp_path):
     assert "/gates/0/params/r" in result.output
 
 
+def test_network_runtime_failure_names_gate_exit1(runner, tmp_path):
+    config = tmp_path / "used.json"
+    config.write_text(json.dumps({"modes": 1, "gates": [
+        {"kind": "squeeze", "modes": [0], "params": {"r": 0.5, "theta": 0.0}},
+        {"kind": "prepare_thermal", "modes": [0], "params": {"n_bar": 1.0}},
+    ]}))
+    out = tmp_path / "o.json"
+    result = runner.invoke(main, ["network", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a handled error, not a traceback
+    assert result.output.strip().splitlines() == [
+        "Error: /gates/1: mode 0 is not in the vacuum state"
+    ]
+    assert not out.exists()
+
+
 def test_fock_bs_hom(runner, tmp_path):
     out = tmp_path / "f.json"
     result = invoke(

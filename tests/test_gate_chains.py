@@ -1,0 +1,100 @@
+"""Property tests: random chains of all five gate kinds, applied as local
+blocks, against the dense 2N x 2N products they replace."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cvsim import (
+    apply_gate,
+    beamsplitter_gate,
+    check_physicality,
+    displacement_gate,
+    parse_network_spec,
+    purity,
+    rotation_gate,
+    run_network,
+    squeeze_gate,
+    thermal_prepare,
+    vacuum_state,
+)
+
+KINDS = ("displace", "squeeze", "rotate", "beamsplitter", "prepare_thermal")
+angle = st.floats(-np.pi, np.pi)
+
+
+@st.composite
+def chains(draw):
+    """(N, gate descriptors) in the network wire format.  prepare_thermal
+    targets only modes no earlier gate touched, so every chain is valid."""
+    n = draw(st.integers(1, 12))
+    touched = set()
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(KINDS if n > 1 else KINDS[:3] + KINDS[4:]))
+        mode = draw(st.integers(0, n - 1))
+        if kind == "displace":
+            params = {"alpha_mag": draw(st.floats(0, 2)), "alpha_phase": draw(angle)}
+            modes = [mode]
+        elif kind == "squeeze":
+            params = {"r": draw(st.floats(0, 0.4)), "theta": draw(angle)}
+            modes = [mode]
+        elif kind == "rotate":
+            params = {"phi": draw(angle)}
+            modes = [mode]
+        elif kind == "beamsplitter":
+            other = (mode + draw(st.integers(1, n - 1))) % n
+            params = {"theta": draw(st.floats(0, np.pi / 2)), "phi": draw(angle)}
+            modes = [mode, other]
+        else:
+            if mode in touched:
+                continue
+            params = {"n_bar": draw(st.floats(0, 3))}
+            modes = [mode]
+        touched.update(modes)
+        gates.append({"kind": kind, "modes": modes, "params": params})
+    return n, gates
+
+
+def _gate(desc, n):
+    p, m = desc["params"], desc["modes"]
+    if desc["kind"] == "displace":
+        return displacement_gate(p["alpha_mag"], p["alpha_phase"], m[0], n)
+    if desc["kind"] == "squeeze":
+        return squeeze_gate(p["r"], p["theta"], m[0], n)
+    if desc["kind"] == "rotate":
+        return rotation_gate(p["phi"], m[0], n)
+    return beamsplitter_gate(p["theta"], p["phi"], tuple(m), n)
+
+
+def _close(actual, expected):
+    scale = max(1.0, np.abs(expected).max())
+    return np.abs(actual - expected).max() <= 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(chains())
+def test_block_gates_match_dense_products(chain):
+    n, gates = chain
+    state = vacuum_state(n)
+    unitary = True
+    for desc in gates:
+        if desc["kind"] == "prepare_thermal":
+            state = thermal_prepare(desc["params"]["n_bar"], desc["modes"][0], state)
+            unitary = False
+        else:
+            gate = _gate(desc, n)
+            S, d = gate.matrix, gate.displacement
+            dense_cov = S @ state.cov @ S.T
+            dense_mean = S @ state.mean + d
+            state = apply_gate(gate, state)
+            assert _close(state.cov, dense_cov)
+            assert _close(state.mean, dense_mean)
+        assert np.array_equal(state.cov, state.cov.T)
+        assert check_physicality(state).physical
+    if unitary:
+        assert abs(purity(state) - 1.0) < 1e-9
+
+    result = run_network(parse_network_spec({"modes": n, "gates": gates}))
+    assert np.array_equal(result.state.cov, state.cov)
+    assert np.array_equal(result.state.mean, state.mean)

@@ -322,6 +322,20 @@ def test_cat_variance_matches_numeric_moments():
         assert theoretical_variance(model, phi) == pytest.approx(m2 - m1**2, abs=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [0.5j, 0.7 + 0.0j, 1.2 + 0.5j, 2.0 + 0.0j])
+@pytest.mark.parametrize("theta", [0.0, 1.0, np.pi / 2, np.pi, -2.3])
+@pytest.mark.parametrize("phi", [0.0, 1.3, np.pi / 2])
+def test_cat_variance_matches_numeric_moments_any_phase(alpha, theta, phi):
+    # the trapezoid rule is spectrally accurate for these Gaussian sums; adaptive
+    # quad misses the small odd part of the density that carries the mean
+    model = CatState(alpha, theta)
+    x = np.linspace(-30.0, 30.0, 6001)
+    p = quadrature_pdf(model, x, phi)
+    m1 = np.trapezoid(x * p, x)
+    m2 = np.trapezoid(x * x * p, x)
+    assert theoretical_variance(model, phi) == pytest.approx(m2 - m1**2, abs=1e-9)
+
+
 def test_squeezed_variance_consistent_with_pdf():
     model = SqueezedVacuum(0.6)
     for phi in (0.0, 0.5, 1.4):

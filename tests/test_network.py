@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cvsim import (
+    NetworkRuntimeError,
     SpecValidationError,
     check_physicality,
     parse_network_spec,
@@ -196,3 +197,18 @@ def test_thermal_prepare_on_used_mode_fails():
     }
     with pytest.raises(ValueError):
         run_network(parse_network_spec(doc))
+
+
+def test_runtime_failure_reports_gate_pointer():
+    doc = {
+        "modes": 2,
+        "gates": [
+            {"kind": "prepare_thermal", "modes": [1], "params": {"n_bar": 1.0}},
+            {**BS, "modes": [0, 1]},
+            {"kind": "prepare_thermal", "modes": [0], "params": {"n_bar": 1.0}},
+        ],
+    }
+    with pytest.raises(NetworkRuntimeError) as err:
+        run_network(parse_network_spec(doc))
+    assert err.value.pointer == "/gates/2"
+    assert "not in the vacuum state" in str(err.value)

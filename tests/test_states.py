@@ -143,6 +143,16 @@ def test_symplectic_eigenvalues_thermal():
     assert np.allclose(symplectic_eigenvalues(cov), [7.0])
 
 
+def test_symplectic_eigenvalues_match_moduli_of_i_omega_cov():
+    # reference: the moduli of the eigenvalues of i Omega cov, one per +/- pair
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 12):
+        a = rng.normal(size=(2 * n, 2 * n))
+        cov = a @ a.T + 0.1 * np.eye(2 * n)
+        moduli = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ cov)))
+        assert np.allclose(symplectic_eigenvalues(cov), moduli[1::2], rtol=1e-12, atol=0)
+
+
 def test_symplectic_eigenvalues_rejects_non_pd():
     cov = np.diag([1.0, -0.5])
     with pytest.raises(DegenerateInputError):
