@@ -67,7 +67,6 @@ from .fock import (
 from .homodyne import (
     CatState,
     Fock,
-    QuadratureRecord,
     SampleSet,
     SourceModel,
     Spats,

@@ -3,8 +3,15 @@
 Everything here uses the dimensionless quadrature convention in which the
 vacuum variance is 1 and Var[X_phi] Var[X_{phi+pi/2}] >= 1.  For each source
 model the characteristic function chi(beta), the quadrature density p(x, phi)
-and its antiderivative F(x, phi) are closed forms; sampling draws uniform
-phases on [-pi, pi) and uniform targets on (0, 1) and inverts F by bisection.
+and its antiderivative F(x, phi) are closed forms.  Sampling draws uniform
+phases on [-pi, pi) and uniform targets u on (0, 1) and solves F(x, phi) = u.
+For the Gaussian sources (vacuum, thermal, squeezed vacuum) the quantile is
+the closed form x = sqrt(Var[X_phi]) ndtri(u).  For the Fock, SPATS and cat
+sources each record runs a safeguarded Newton iteration inside a bisection
+bracket: Newton steps from the moment-matched Gaussian quantile, a midpoint
+step wherever Newton would leave the bracket or stall, and a stop once the
+bracket is narrower than the tolerance.  Records are solved in fixed-size blocks, and a
+record's value does not depend on the batch it is drawn in.
 
 The squeezed-vacuum family is squeezed along x at phi = 0:
 Var[X_phi] = e^{-2r} cos^2(phi) + e^{2r} sin^2(phi).
@@ -13,20 +20,25 @@ Var[X_phi] = e^{-2r} cos^2(phi) + e^{2r} sin^2(phi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import csv
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf, eval_laguerre
+from scipy.special import erf, eval_laguerre, ndtri
 
 from .errors import InversionError, MalformedInputError
 
-#: default bisection tolerance and half-width of the initial search bracket
+#: default quantile tolerance and half-width of the initial search bracket
 DEFAULT_TOL = 1e-12
 DEFAULT_BRACKET = 50.0
-#: Fock photon-number cap for the Hermite-series closed forms
+#: Fock photon-number cap for the Hermite-function closed forms
 MAX_FOCK_N = 10
+#: bracket doublings before a quantile counts as out of reach
+_WIDENINGS = 4
+#: cap on the Newton or bisection steps of one record
+_MAX_STEPS = 1100
+#: records inverted together, so the temporaries stay in cache
+_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -144,23 +156,23 @@ def characteristic_fn(model: SourceModel, beta: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _hermite_all(max_order: int, u: np.ndarray) -> list[np.ndarray]:
-    """Physicists' Hermite polynomials H_0..H_max_order at u, by the
-    three-term recurrence H_{k+1} = 2u H_k - 2k H_{k-1}."""
-    values = [np.ones_like(u), 2.0 * u]
-    for k in range(1, max_order):
-        values.append(2.0 * u * values[k] - 2.0 * k * values[k - 1])
-    return values[: max_order + 1]
+def _fock_cdf_pdf(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and p of |n> from the normalized Hermite functions psi_k(x / sqrt 2),
 
+        psi_k = sqrt(2/k) u psi_{k-1} - sqrt((k-1)/k) psi_{k-2},
+        F_n = 1/2 + erf(u)/2 - sum_{k=1..n} psi_k psi_{k-1} / sqrt(2k),
+        p_n = psi_n^2 / sqrt(2),
 
-def _fock_coeffs(n: int) -> list[float]:
-    """c_k = n! / (2^k (k!)^2 (n-k)!) for k = 0..n."""
-    from math import factorial
-
-    return [
-        factorial(n) / (2.0**k * factorial(k) ** 2 * factorial(n - k))
-        for k in range(n + 1)
-    ]
+    which stays accurate to a few ulp where the Hermite-polynomial sums cancel.
+    """
+    u = x / np.sqrt(2.0)
+    prev = np.zeros_like(u)
+    psi = np.pi**-0.25 * np.exp(-(u**2) / 2.0)
+    series = np.zeros_like(u)
+    for k in range(1, n + 1):
+        prev, psi = psi, np.sqrt(2.0 / k) * u * psi - np.sqrt((k - 1) / k) * prev
+        series = series + psi * prev / np.sqrt(2.0 * k)
+    return 0.5 + 0.5 * erf(u) - series, psi**2 / np.sqrt(2.0)
 
 
 def _sv_variance(r: float, phi: np.ndarray) -> np.ndarray:
@@ -175,10 +187,7 @@ def quadrature_pdf(model: SourceModel, x, phi):
     if isinstance(model, Vacuum):
         out = np.exp(-(x**2) / 2.0) / np.sqrt(2.0 * np.pi)
     elif isinstance(model, Fock):
-        u = x / np.sqrt(2.0)
-        herm = _hermite_all(max(2 * model.n, 1), u)
-        series = sum(c * herm[2 * k] for k, c in enumerate(_fock_coeffs(model.n)))
-        out = series * np.exp(-(x**2) / 2.0) / np.sqrt(2.0 * np.pi)
+        out = _fock_cdf_pdf(model.n, x)[1]
     elif isinstance(model, Spats):
         nb = model.n_bar
         s = 4.0 * nb + 2.0
@@ -214,15 +223,7 @@ def quadrature_cdf(model: SourceModel, x, phi):
     if isinstance(model, Vacuum):
         out = 0.5 + 0.5 * erf(x / np.sqrt(2.0))
     elif isinstance(model, Fock):
-        u = x / np.sqrt(2.0)
-        coeffs = _fock_coeffs(model.n)
-        herm = _hermite_all(max(2 * model.n, 1), u)
-        series = sum(coeffs[k] * herm[2 * k - 1] for k in range(1, model.n + 1))
-        out = (
-            0.5
-            + 0.5 * erf(u)
-            - np.exp(-(x**2) / 2.0) / np.sqrt(np.pi) * series
-        )
+        out = _fock_cdf_pdf(model.n, x)[0]
     elif isinstance(model, Spats):
         nb = model.n_bar
         s = 4.0 * nb + 2.0
@@ -238,22 +239,17 @@ def quadrature_cdf(model: SourceModel, x, phi):
         g = model.alpha * np.exp(1j * phi)
         a = 2.0 * np.real(g)
         b = 2.0 * np.imag(g)
-        damp = np.exp(-2.0 * abs(model.alpha) ** 2)
-        c1 = np.exp(1j * model.theta) * damp
-        c2 = np.exp(-1j * model.theta) * damp
+        c = np.exp(1j * model.theta) * np.exp(-2.0 * abs(model.alpha) ** 2)
         sqrt2 = np.sqrt(2.0)
         # Sum of the per-term antiderivatives (1 + erf)/2; the two
-        # complex-argument terms are conjugates, so the imaginary part cancels.
+        # complex-argument terms are conjugates, so they add up to twice the
+        # real part of one.
         total = (
             (1.0 + erf((x - a) / sqrt2))
             + (1.0 + erf((x + a) / sqrt2))
-            + c1 * (1.0 + erf((x + 1j * b) / sqrt2))
-            + c2 * (1.0 + erf((x - 1j * b) / sqrt2))
+            + 2.0 * np.real(c * (1.0 + erf((x + 1j * b) / sqrt2)))
         )
-        residue = float(np.max(np.abs(np.imag(total))))
-        if residue > 1e-10:
-            raise MalformedInputError(f"cat CDF imaginary residue {residue:.3e}")
-        out = np.real(total) / (2.0 * model.normalization())
+        out = total / (2.0 * model.normalization())
     elif isinstance(model, Thermal):
         out = 0.5 + 0.5 * erf(x / np.sqrt(4.0 * model.n_bar + 2.0))
     else:
@@ -269,6 +265,8 @@ def pdf_numeric_oracle(model: SourceModel, x: float, phi: float) -> float:
     by adaptive quadrature over [-Y, Y] with Y chosen so |chi| < 1e-14 at the
     cutoff.  Validation-only: independent of the closed forms above.
     """
+    from scipy.integrate import quad  # validation-only; kept off the import path
+
     cutoff = None
     for candidate in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0):
         ys = np.linspace(0.75 * candidate, candidate, 32)
@@ -297,45 +295,117 @@ def pdf_numeric_oracle(model: SourceModel, x: float, phi: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_cdf(
-    model: SourceModel,
-    phis: np.ndarray,
-    targets: np.ndarray,
-    tol: float,
-    bracket: float,
-) -> np.ndarray:
-    """Vectorized bisection solving F(x, phi) = u for every (phi, u) pair."""
+def _moments(model: SourceModel, phi: np.ndarray):
+    """Mean and variance of X_phi (scalars where they do not depend on phi)."""
+    if isinstance(model, SqueezedVacuum):
+        return 0.0, _sv_variance(model.r, phi)
+    if isinstance(model, CatState):
+        return _cat_moments(model, phi)
+    return 0.0, theoretical_variance(model, 0.0)
+
+
+def _cdf_and_pdf(model: SourceModel, x: np.ndarray, phi: np.ndarray):
+    """F and p at the same points; one recurrence gives both for Fock states."""
+    if isinstance(model, Fock):
+        return _fock_cdf_pdf(model.n, x)
+    return quadrature_cdf(model, x, phi), quadrature_pdf(model, x, phi)
+
+
+def _unbracketed(record: int, u: float, phi: float) -> InversionError:
+    return InversionError(
+        f"could not bracket the quantile for record {record} "
+        f"(u={float(u)!r}, phi={float(phi)!r}) after {_WIDENINGS} widenings"
+    )
+
+
+def _gaussian_quantiles(model, phis, targets, tol, bracket, first):
+    """Closed-form quantiles of a Gaussian source.  The reach is that of the
+    widest bracket, so a quantile at or past it fails as it would there."""
+    mean, var = _moments(model, phis)
+    x = mean + np.sqrt(var) * ndtri(targets)
+    far = ~(np.abs(x) < 2.0**_WIDENINGS * bracket)
+    if far.any():
+        i = int(np.argmax(far))
+        raise _unbracketed(first + i, targets[i], phis[i])
+    return x
+
+
+def _newton_quantiles(model, phis, targets, tol, bracket, first):
+    """Safeguarded Newton iteration for F(x, phi) = u, record by record.
+
+    Each record keeps a bracket with F(lo) < u <= F(hi), found as bisection
+    found it, and starts from the moment-matched Gaussian quantile.  A Newton
+    step, nudged tol/4 past the root so that the bracket closes from both
+    sides, is replaced by the bracket midpoint where it is not finite, leaves
+    the bracket, or is longer than half the bracket or half the step before
+    last (the last rule stops Newton from creeping where the computed F is
+    flat, as in saturated tails).  A record stops at the midpoint of its
+    bracket once the bracket is at most tol wide or cannot be split; only the
+    records still open are evaluated again.
+    """
     lo = np.full_like(targets, -bracket)
     hi = np.full_like(targets, bracket)
-    for _ in range(4):
-        bad = (quadrature_cdf(model, lo, phis) >= targets) | (
-            quadrature_cdf(model, hi, phis) <= targets
-        )
-        if not np.any(bad):
+    pending = np.arange(targets.size)
+    for widening in range(_WIDENINGS + 1):
+        u, phi = targets[pending], phis[pending]
+        pending = pending[
+            (quadrature_cdf(model, lo[pending], phi) >= u)
+            | (quadrature_cdf(model, hi[pending], phi) <= u)
+        ]
+        if not pending.size:
             break
-        lo[bad] *= 2.0
-        hi[bad] *= 2.0
-    else:
-        bad = (quadrature_cdf(model, lo, phis) >= targets) | (
-            quadrature_cdf(model, hi, phis) <= targets
-        )
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise InversionError(
-                f"could not bracket the quantile for record {idx} "
-                f"(u={targets[idx]!r}, phi={phis[idx]!r}) after 4 widenings"
-            )
-    # fixed iteration budget; also terminates for tolerances below the
-    # floating-point resolution of the bracket
-    max_iter = int(np.ceil(np.log2(max(float((hi - lo).max()) / max(tol, 1e-300), 2.0)))) + 2
-    for _ in range(min(max_iter, 1100)):
-        if not np.any(hi - lo > tol):
-            break
+        if widening == _WIDENINGS:
+            i = pending[0]
+            raise _unbracketed(first + i, targets[i], phis[i])
+        lo[pending] *= 2.0
+        hi[pending] *= 2.0
+
+    mean, var = _moments(model, phis)
+    x = mean + np.sqrt(var) * ndtri(targets)
+    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    out = np.empty_like(targets)
+    idx, u, phi = np.arange(targets.size), targets, phis
+    # lengths of the last two steps taken
+    d1 = d2 = np.full(targets.size, np.inf)
+    for _ in range(_MAX_STEPS):
+        cdf, pdf = _cdf_and_pdf(model, x, phi)
+        below = cdf < u
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
         mid = 0.5 * (lo + hi)
-        below = quadrature_cdf(model, mid, phis) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+        done = (hi - lo <= tol) | (mid <= lo) | (mid >= hi)
+        if done.any():
+            out[idx[done]] = mid[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            idx, u, phi, x, lo, hi, mid, cdf, pdf, below, d1, d2 = (
+                a[keep] for a in (idx, u, phi, x, lo, hi, mid, cdf, pdf, below, d1, d2)
+            )
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = (u - cdf) / pdf + np.where(below, 0.25 * tol, -0.25 * tol)
+            new = x + step
+            # NaN and inf fail these comparisons and fall back to the midpoint
+            newton = (lo < new) & (new < hi) & (np.abs(step) <= 0.5 * np.minimum(hi - lo, d2))
+        new = np.where(newton, new, mid)
+        d1, d2 = np.abs(new - x), d1
+        x = new
+    i = idx[0]
+    raise InversionError(
+        f"quantile for record {first + i} (u={float(targets[i])!r}, "
+        f"phi={float(phis[i])!r}) not within tol={tol!r} after {_MAX_STEPS} steps"
+    )
+
+
+def _invert(model, phis, targets, tol, bracket):
+    """Quantiles x with F(x, phi) = u for every (phi, u) pair, block by block."""
+    gaussian = isinstance(model, (Vacuum, Thermal, SqueezedVacuum))
+    solve = _gaussian_quantiles if gaussian else _newton_quantiles
+    out = np.empty_like(targets)
+    for first in range(0, targets.size, _BLOCK):
+        part = slice(first, first + _BLOCK)
+        out[part] = solve(model, phis[part], targets[part], tol, bracket, first)
+    return out
 
 
 def invert_cdf(
@@ -345,22 +415,14 @@ def invert_cdf(
     tol: float = DEFAULT_TOL,
     bracket: float = DEFAULT_BRACKET,
 ) -> float:
-    """Quantile x with F(x, phi) = u, found by bisection to absolute
-    tolerance tol.  The bracket is doubled up to 4 times if needed."""
+    """Quantile x with F(x, phi) = u: closed form for the Gaussian sources,
+    otherwise to absolute tolerance tol.  The search bracket [-bracket,
+    bracket] is doubled up to 4 times if needed; a quantile beyond the widest
+    bracket raises InversionError."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
-    out = _bisect_cdf(
-        model, np.array([float(phi)]), np.array([float(u)]), tol, float(bracket)
-    )
+    out = _invert(model, np.array([float(phi)]), np.array([float(u)]), tol, float(bracket))
     return float(out[0])
-
-
-@dataclass(frozen=True)
-class QuadratureRecord:
-    """One simulated homodyne outcome."""
-
-    phase: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -383,10 +445,6 @@ class SampleSet:
     def __len__(self) -> int:
         return self.phases.size
 
-    def records(self) -> Iterator[QuadratureRecord]:
-        for p, v in zip(self.phases, self.values):
-            yield QuadratureRecord(phase=float(p), value=float(v))
-
 
 def sample(
     model: SourceModel,
@@ -400,7 +458,8 @@ def sample(
 
     Phases are uniform on [-pi, pi) and CDF targets uniform on (0, 1), both
     from a seeded generator, so identical (model, seed, count) calls return
-    identical records.  ``sort_targets`` reproduces the variant that sorts
+    identical records, and each record equals ``invert_cdf`` at its own
+    (phase, target).  ``sort_targets`` reproduces the variant that sorts
     the targets before inversion; it is off by default because sorting
     correlates the quantile with the draw order.
     """
@@ -411,13 +470,25 @@ def sample(
     targets = np.maximum(rng.random(count), np.finfo(float).tiny)
     if sort_targets:
         targets = np.sort(targets)
-    values = _bisect_cdf(model, phases, targets, tol, bracket)
+    values = _invert(model, phases, targets, tol, bracket)
     return SampleSet(phases=phases, values=values, model=model, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # statistics
 # ---------------------------------------------------------------------------
+
+
+def _cat_moments(model: CatState, phi):
+    """Mean and variance of X_phi from the three Gaussian terms of the pdf."""
+    g = model.alpha * np.exp(1j * phi)
+    a = 2.0 * np.real(g)
+    b = 2.0 * np.imag(g)
+    damp = np.exp(-2.0 * abs(model.alpha) ** 2)
+    norm = model.normalization()
+    m1 = 2.0 * b * damp * np.sin(model.theta) / norm
+    m2 = (2.0 * (1.0 + a**2) + 2.0 * damp * np.cos(model.theta) * (1.0 - b**2)) / norm
+    return m1, m2 - m1**2
 
 
 def theoretical_variance(model: SourceModel, phi: float) -> float:
@@ -432,15 +503,7 @@ def theoretical_variance(model: SourceModel, phi: float) -> float:
         r = model.r
         return float(abs(np.exp(1j * phi) * np.cosh(r) - np.exp(-1j * phi) * np.sinh(r)) ** 2)
     if isinstance(model, CatState):
-        # first and second moments of the three Gaussian terms of the pdf
-        g = model.alpha * np.exp(1j * phi)
-        a = 2.0 * np.real(g)
-        b = 2.0 * np.imag(g)
-        damp = np.exp(-2.0 * abs(model.alpha) ** 2)
-        norm = model.normalization()
-        m1 = 2.0 * b * damp * np.sin(model.theta) / norm
-        m2 = (2.0 * (1.0 + a**2) + 2.0 * damp * np.cos(model.theta) * (1.0 - b**2)) / norm
-        return float(m2 - m1**2)
+        return float(_cat_moments(model, phi)[1])
     if isinstance(model, Thermal):
         return 2.0 * model.n_bar + 1.0
     raise TypeError(f"unknown source model {model!r}")

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cvsim
 from cvsim.cli import main
 from cvsim import read_samples_csv, read_wigner_csv
 from cvsim.homodyne import read_variance_csv
@@ -320,3 +325,13 @@ def test_wigner_byte_identical(runner, tmp_path):
     invoke(runner, args + ["--out", str(a)])
     invoke(runner, args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only the validation oracle integrates; it imports scipy.integrate itself
+    code = "import sys, cvsim.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cvsim.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -1,0 +1,104 @@
+"""Property tests for quantile inversion over each source's documented domain:
+the tolerance certificate, independence of a record from its batch and the
+closed-form quantile of the Gaussian sources."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cvsim import (
+    CatState,
+    Fock,
+    Spats,
+    SqueezedVacuum,
+    Thermal,
+    Vacuum,
+    invert_cdf,
+    quadrature_cdf,
+    sample,
+)
+from cvsim.homodyne import _BLOCK, DEFAULT_TOL, MAX_FOCK_N
+
+SWEEP = settings(derandomize=True, max_examples=60, deadline=None)
+COUNT = 300
+
+phases = st.floats(-np.pi, np.pi)
+targets = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def cats(draw):
+    """Any alpha with |alpha| <= 4 and any theta.  Odd cats whose
+    normalization falls below 0.25 are left out: the closed-form CDF loses
+    accuracy like 1/normalization there, whatever the inverter does."""
+    alpha = draw(st.complex_numbers(max_magnitude=4.0))
+    theta = draw(phases)
+    assume(2.0 + 2.0 * np.cos(theta) * np.exp(-2.0 * abs(alpha) ** 2) >= 0.25)
+    return CatState(alpha, theta)
+
+
+gaussian_models = st.one_of(
+    st.just(Vacuum()),
+    st.builds(Thermal, st.floats(0.0, 100.0)),
+    st.builds(SqueezedVacuum, st.floats(-2.0, 2.0)),
+)
+all_models = st.one_of(
+    st.builds(Fock, st.integers(0, MAX_FOCK_N)),
+    st.builds(Spats, st.floats(0.0, 100.0, exclude_min=True)),
+    cats(),
+    gaussian_models,
+)
+
+
+def _draws(seed, count):
+    """The (phase, target) pairs that sample(..., count, seed) inverts."""
+    rng = np.random.default_rng(seed)
+    phis = 2.0 * np.pi * rng.random(count) - np.pi
+    us = np.maximum(rng.random(count), np.finfo(float).tiny)
+    return phis, us
+
+
+@SWEEP
+@given(model=all_models, seed=seeds)
+def test_sampled_records_hold_the_tolerance_certificate(model, seed):
+    phis, us = _draws(seed, COUNT)
+    x = sample(model, COUNT, seed=seed).values
+    assert (quadrature_cdf(model, x - DEFAULT_TOL, phis) < us + 1e-15).all()
+    assert (quadrature_cdf(model, x + DEFAULT_TOL, phis) > us - 1e-15).all()
+
+
+@SWEEP
+@given(model=all_models, phi=phases, u=targets)
+def test_single_quantile_holds_the_tolerance_certificate(model, phi, u):
+    x = invert_cdf(model, phi, u)
+    assert quadrature_cdf(model, x - DEFAULT_TOL, phi) < u + 1e-15
+    assert quadrature_cdf(model, x + DEFAULT_TOL, phi) > u - 1e-15
+
+
+@SWEEP
+@given(model=all_models, seed=seeds)
+def test_record_does_not_depend_on_its_batch(model, seed):
+    phis, us = _draws(seed, COUNT)
+    values = sample(model, COUNT, seed=seed).values
+    for i in (0, 1, COUNT // 2, COUNT - 1):
+        assert invert_cdf(model, phis[i], us[i]) == values[i]
+
+
+@pytest.mark.parametrize(
+    "model", [Fock(10), Spats(3.0), CatState(2.0 + 0.0j, 0.0), SqueezedVacuum(1.0)]
+)
+def test_records_across_a_block_boundary_match_single_inversion(model):
+    count = _BLOCK + 40
+    phis, us = _draws(11, count)
+    values = sample(model, count, seed=11).values
+    for i in (0, _BLOCK - 1, _BLOCK, count - 1):
+        assert invert_cdf(model, phis[i], us[i]) == values[i]
+
+
+@SWEEP
+@given(model=gaussian_models, phi=phases, u=targets)
+def test_gaussian_closed_form_quantile_matches_cdf(model, phi, u):
+    x = invert_cdf(model, phi, u)
+    assert abs(quadrature_cdf(model, x, phi) - u) <= 1e-15
