@@ -19,10 +19,11 @@ Var[X_phi] = e^{-2r} cos^2(phi) + e^{2r} sin^2(phi).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import Union
 
-import csv
 import numpy as np
 from scipy.special import erf, eval_laguerre, ndtri
 
@@ -538,10 +539,15 @@ def binned_variance(samples: SampleSet, num_bins: int) -> VarianceReport:
     centers = 0.5 * (edges[:-1] + edges[1:])
     which = np.clip(np.digitize(samples.phases, edges) - 1, 0, num_bins - 1)
     counts = np.bincount(which, minlength=num_bins)
+    # a stable sort by bin makes each bin a contiguous slice holding its
+    # records in file order, so each variance is that of values[which == i];
+    # the narrowest integer type lets numpy use its radix sort
+    order = np.argsort(which.astype(np.min_scalar_type(num_bins - 1)), kind="stable")
+    by_bin = samples.values[order]
+    stops = np.cumsum(counts)
     est = np.full(num_bins, np.nan)
-    for i in range(num_bins):
-        if counts[i] >= 2:
-            est[i] = np.var(samples.values[which == i], ddof=1)
+    for i in np.flatnonzero(counts >= 2):
+        est[i] = np.var(by_bin[stops[i] - counts[i] : stops[i]], ddof=1)
     if samples.model is not None:
         theory = np.array([theoretical_variance(samples.model, c) for c in centers])
     else:
@@ -599,38 +605,102 @@ def heisenberg_violations(report: VarianceReport, sigma_level: float = 3.0) -> n
 # ---------------------------------------------------------------------------
 
 
-def write_samples_csv(samples: SampleSet, path: str) -> None:
-    """Write records as `phase,x` lines with 17 significant digits."""
+#: CSV number format, 17 significant digits, which round-trips every double
+_NUMBER = "%.17g"
+
+
+def _write_csv(path: str, header, fields, blocks) -> None:
+    """Write a CSV file: the header, then one LF-terminated line per row.
+
+    ``fields`` are the %-formats of the columns; ``blocks`` yields blocks of
+    row tuples, each formatted by a single join, so memory stays bounded by
+    one block whatever the file size.
+    """
+    line = ",".join(fields) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phase", "x"])
-        for p, v in zip(samples.phases, samples.values):
-            writer.writerow([format(p, ".17g"), format(v, ".17g")])
+        fh.write(",".join(header) + "\n")
+        for rows in blocks:
+            fh.write("".join(map(line.__mod__, rows)))
+
+
+def _row_blocks(*columns: np.ndarray):
+    """Rows of equal-length columns as tuples of Python scalars, _BLOCK at a time."""
+    for first in range(0, len(columns[0]), _BLOCK):
+        part = slice(first, first + _BLOCK)
+        yield zip(*(column[part].tolist() for column in columns))
+
+
+def _parse_block(lines: list[str], width: int, lineno: int) -> np.ndarray:
+    """One block of CSV lines as a (rows, width) float array; blank lines are
+    skipped.  ``lineno`` is the file line number of ``lines[0]``."""
+    try:
+        with warnings.catch_warnings():
+            # a block of blank lines holds no data; that is not an error here
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if rows.shape[1] == width or rows.size == 0:
+            return rows.reshape(-1, width)
+    except ValueError:
+        pass
+    # scan this block only, line by line, for the first bad line
+    for offset, line in enumerate(lines):
+        text = line.rstrip("\n")
+        if not text:
+            continue
+        fields = text.count(",") + 1
+        if fields != width:
+            raise MalformedInputError(
+                f"line {lineno + offset}: expected {width} fields, got {fields}: {text!r}"
+            )
+        try:
+            np.loadtxt([text], delimiter=",", comments=None)
+        except ValueError:
+            raise MalformedInputError(f"line {lineno + offset}: cannot parse {text!r}") from None
+    raise MalformedInputError(f"lines {lineno}-{lineno + len(lines) - 1}: cannot parse")
+
+
+def _read_csv(path: str, header, what: str) -> list[np.ndarray]:
+    """Columns of a CSV file written by _write_csv, as float arrays.
+
+    Lines are read and parsed _BLOCK at a time, so no more than one block of
+    text is held; the parsed blocks take as much memory as the columns
+    returned, until they are joined.  CRLF line ends and blank lines are accepted;
+    a wrong header, a row without exactly one field per header column, or a
+    file without data rows raises MalformedInputError naming the line.
+    """
+    width = len(header)
+    blocks = []
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+        if first.rstrip("\n").split(",") != header:
+            raise MalformedInputError(
+                f"line 1: expected header {','.join(header)}, got {first.rstrip()!r}"
+            )
+        lineno = 2
+        while lines := list(islice(fh, _BLOCK)):
+            blocks.append(_parse_block(lines, width, lineno))
+            lineno += len(lines)
+    if not sum(len(block) for block in blocks):
+        raise MalformedInputError(f"no data rows in {what} file")
+    return [np.concatenate([block[:, j] for block in blocks]) for j in range(width)]
+
+
+SAMPLES_CSV_HEADER = ["phase", "x"]
+
+
+def write_samples_csv(samples: SampleSet, path: str) -> None:
+    """Write records as `phase,x` lines with 17 significant digits, block by
+    block, so memory beyond the records stays bounded."""
+    _write_csv(
+        path, SAMPLES_CSV_HEADER, [_NUMBER] * 2, _row_blocks(samples.phases, samples.values)
+    )
 
 
 def read_samples_csv(path: str, model: SourceModel | None = None, seed: int = 0) -> SampleSet:
-    """Parse a `phase,x` file; raises on the first malformed line."""
-    phases: list[float] = []
-    values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["phase", "x"]:
-            raise MalformedInputError(f"line 1: expected header phase,x, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                p, v = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                raise MalformedInputError(f"line {lineno}: cannot parse {row!r}") from None
-            phases.append(p)
-            values.append(v)
-    if not phases:
-        raise MalformedInputError("no data rows in sample file")
-    return SampleSet(
-        phases=np.array(phases), values=np.array(values), model=model, seed=seed
-    )
+    """Parse a `phase,x` file block by block; raises on the first malformed
+    line, naming it."""
+    phases, values = _read_csv(path, SAMPLES_CSV_HEADER, "sample")
+    return SampleSet(phases=phases, values=values, model=model, seed=seed)
 
 
 VARIANCE_CSV_HEADER = [
@@ -645,39 +715,28 @@ VARIANCE_CSV_HEADER = [
 
 
 def write_variance_csv(report: VarianceReport, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(VARIANCE_CSV_HEADER)
-        for i in range(len(report.bin_centers)):
-            writer.writerow(
-                [
-                    format(report.bin_centers[i], ".17g"),
-                    int(report.counts[i]),
-                    format(report.estimated_variance[i], ".17g"),
-                    format(report.theoretical_variance[i], ".17g"),
-                    format(report.shifted_variance[i], ".17g"),
-                    format(report.variance_product[i], ".17g"),
-                    format(report.normally_ordered_variance[i], ".17g"),
-                ]
-            )
+    """Write one line per phase bin (see VARIANCE_CSV_HEADER), block by block."""
+    columns = (
+        report.bin_centers,
+        report.counts,
+        report.estimated_variance,
+        report.theoretical_variance,
+        report.shifted_variance,
+        report.variance_product,
+        report.normally_ordered_variance,
+    )
+    _write_csv(path, VARIANCE_CSV_HEADER, [_NUMBER, "%d"] + [_NUMBER] * 5, _row_blocks(*columns))
 
 
 def read_variance_csv(path: str) -> VarianceReport:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != VARIANCE_CSV_HEADER:
-            raise MalformedInputError(f"unexpected header {header}")
-        rows = list(reader)
-    if not rows:
-        raise MalformedInputError("no data rows in variance file")
-    cols = np.array([[float(v) for v in row] for row in rows])
+    """Parse a file written by write_variance_csv, block by block."""
+    cols = _read_csv(path, VARIANCE_CSV_HEADER, "variance")
     return VarianceReport(
-        bin_centers=cols[:, 0],
-        counts=cols[:, 1].astype(int),
-        estimated_variance=cols[:, 2],
-        theoretical_variance=cols[:, 3],
-        shifted_variance=cols[:, 4],
-        variance_product=cols[:, 5],
-        normally_ordered_variance=cols[:, 6],
+        bin_centers=cols[0],
+        counts=cols[1].astype(int),
+        estimated_variance=cols[2],
+        theoretical_variance=cols[3],
+        shifted_variance=cols[4],
+        variance_product=cols[5],
+        normally_ordered_variance=cols[6],
     )

@@ -16,12 +16,13 @@ s = -1 the Husimi Q; s = +1, the P function, is singular for squeezed light).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DegenerateInputError, MalformedInputError, UnsupportedOrderingError
+from .homodyne import _NUMBER, _read_csv, _write_csv
 from .states import GaussianState, symplectic_form, to_interleaved
 from .entanglement import reduced_state
 
@@ -151,34 +152,36 @@ def s_quasiprob_gaussian(state: GaussianState, alpha: complex, s: float) -> floa
     return float(2.0 * state.hbar * gauss)
 
 
+WIGNER_CSV_HEADER = ["x", "p", "w"]
+
+
 def write_wigner_csv(field: WignerField, path: str) -> None:
-    """Write a WignerField as `x,p,w` rows, row-major, 17 significant digits."""
-    xs = field.grid.x_axis()
-    ps = field.grid.p_axis()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "p", "w"])
-        for i, x in enumerate(xs):
-            for j, p in enumerate(ps):
-                writer.writerow(
-                    [format(x, ".17g"), format(p, ".17g"), format(field.values[i, j], ".17g")]
-                )
+    """Write a WignerField as `x,p,w` rows, row-major, 17 significant digits.
+
+    The axis labels are formatted once and the values one grid row at a
+    time, so memory beyond the field stays bounded by one grid row.
+    """
+    p_labels = [_NUMBER % p for p in field.grid.p_axis().tolist()]
+    blocks = (
+        zip(repeat(_NUMBER % x), p_labels, row.tolist())
+        for x, row in zip(field.grid.x_axis().tolist(), field.values)
+    )
+    _write_csv(path, WIGNER_CSV_HEADER, ["%s", "%s", _NUMBER], blocks)
 
 
 def read_wigner_csv(path: str) -> WignerField:
-    """Round-trip reader for files produced by write_wigner_csv."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "p", "w"]:
-            raise MalformedInputError(f"expected header x,p,w, got {header}")
-        rows = [(float(a), float(b), float(c)) for a, b, c in reader]
-    if not rows:
-        raise MalformedInputError("empty wigner file")
-    xs = sorted({r[0] for r in rows})
-    ps = sorted({r[1] for r in rows})
-    grid = PhaseSpaceGrid(
-        x_min=xs[0], x_max=xs[-1], p_min=ps[0], p_max=ps[-1], nx=len(xs), np=len(ps)
+    """Round-trip reader for files produced by write_wigner_csv, block by
+    block; the rows must form the row-major grid that the writer writes."""
+    x, p, w = _read_csv(path, WIGNER_CSV_HEADER, "wigner")
+    xs, ps = np.unique(x), np.unique(p)
+    row_major = np.array_equal(x, np.repeat(xs, ps.size)) and np.array_equal(
+        p, np.tile(ps, xs.size)
     )
-    values = np.array([r[2] for r in rows]).reshape(len(xs), len(ps))
-    return WignerField(grid=grid, values=values)
+    if not row_major:
+        raise MalformedInputError(
+            f"the {w.size} rows are not a row-major {xs.size} x {ps.size} grid"
+        )
+    grid = PhaseSpaceGrid(
+        x_min=xs[0], x_max=xs[-1], p_min=ps[0], p_max=ps[-1], nx=xs.size, np=ps.size
+    )
+    return WignerField(grid=grid, values=w.reshape(xs.size, ps.size))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -44,6 +45,54 @@ def test_sample_is_byte_identical(runner, tmp_path):
     assert invoke(runner, args + ["--out", str(a)]).exit_code == 0
     assert invoke(runner, args + ["--out", str(b)]).exit_code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of CLI outputs, pinned before the CSV writers and readers became
+# block-wise: 16389 = 2 * 8192 + 5 records cross block edges, and the
+# 1000-bin analyses of 16389 and of 1500 records (empty and singleton bins,
+# so NaN rows) cover the variance writer.
+SAMPLE_GOLDENS = {
+    ("squeezed", "--r", "1"): "f4dbec924aa9dd4fbfba9a23c455c566a87285a1b24b8d9c01b7bfcc425bf58f",
+    ("fock", "--n", "3"): "4204ec9319a86a418bc5576c6f5cdb58501b65f6c1db9aaa7f0de609ff1fbf3a",
+    ("cat", "--alpha-re", "2", "--alpha-im", "0", "--theta", "0"):
+        "0070f766f3c3d774b4f638b742bd650d21d441202d9ff622e59dd4d8f196f975",
+}
+ANALYZE_GOLDENS = {
+    16389: ("f4dbec924aa9dd4fbfba9a23c455c566a87285a1b24b8d9c01b7bfcc425bf58f",
+            "eb51bfe06c741ecb331af5fe6ee625814f629a0883bb665371501ea6a5999a0d"),
+    1500: ("dfbef927ba326397701f03f4def4d3f267604a4e7d4dfc37ab7d088e334674a2",
+           "d2393eb9b8bffab11659db2ea3324665ce70446ce82ab8de497ed47c6ddf306e"),
+}
+WIGNER_GOLDEN = "c469dbf8811fb4eb58964a52e86e0294019ff145aa267bb5f89bc007c2ebe564"
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("flags", list(SAMPLE_GOLDENS))
+def test_sample_output_matches_golden_digest(runner, tmp_path, flags):
+    out = tmp_path / "s.csv"
+    invoke(runner, ["sample", "--state", *flags, "--count", "16389", "--out", str(out)])
+    assert sha256(out) == SAMPLE_GOLDENS[flags]
+
+
+@pytest.mark.parametrize("count", list(ANALYZE_GOLDENS))
+def test_analyze_output_matches_golden_digest(runner, tmp_path, count):
+    data, rep = tmp_path / "s.csv", tmp_path / "v.csv"
+    model = ["--state", "squeezed", "--r", "1"]
+    invoke(runner, ["sample", *model, "--count", str(count), "--out", str(data)])
+    invoke(runner, ["analyze", "--in", str(data), "--bins", "1000", *model, "--out", str(rep)])
+    assert (sha256(data), sha256(rep)) == ANALYZE_GOLDENS[count]
+    if count == 1500:
+        assert np.isnan(read_variance_csv(str(rep)).estimated_variance).any()
+
+
+def test_wigner_output_matches_golden_digest(runner, tmp_path):
+    out = tmp_path / "w.csv"
+    invoke(runner, ["wigner", "--state", "squeezed", "--r", "0.5", "--theta", "0.3",
+                    "--nx", "37", "--np", "23", "--out", str(out)])
+    assert sha256(out) == WIGNER_GOLDEN
 
 
 def test_sample_rejects_out_of_range_fock(runner, tmp_path):

@@ -3,6 +3,8 @@ against theory, the Heisenberg product and squeezing certificates."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvsim import (
     Fock,
@@ -191,3 +193,32 @@ def test_squeezed_phase_bin_variance_tracks_formula(squeezed_samples):
         - np.exp(-1j * report.bin_centers) * np.sinh(r)
     ) ** 2
     assert np.allclose(report.theoretical_variance, formula, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 3000),
+    quarters=st.integers(1, 300),
+    extra=st.sampled_from([0, 1, 2, 3]),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+)
+def test_binned_variance_matches_per_bin_masks(seed, count, quarters, extra, scale):
+    # num_bins divisible by 4 (extra == 0) and not; phases include every bin
+    # edge and both ends of [-pi, pi]
+    num_bins = 4 * quarters + extra
+    rng = np.random.default_rng(seed)
+    edges = np.linspace(-np.pi, np.pi, num_bins + 1)
+    phases = np.concatenate([2.0 * np.pi * rng.random(count) - np.pi, edges])
+    values = scale * rng.standard_normal(phases.size) + rng.uniform(-5.0, 5.0)
+    report = binned_variance(
+        SampleSet(phases=phases, values=values, model=None, seed=seed), num_bins
+    )
+    which = np.clip(np.digitize(phases, edges) - 1, 0, num_bins - 1)
+    for i in range(num_bins):
+        members = values[which == i]
+        assert report.counts[i] == members.size
+        if members.size < 2:
+            assert np.isnan(report.estimated_variance[i])
+        else:
+            assert report.estimated_variance[i] == np.var(members, ddof=1)
