@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 import click
 import numpy as np
@@ -26,6 +29,87 @@ def _fail(message: str) -> "click.ClickException":
     exc = click.ClickException(message)
     exc.exit_code = 1
     return exc
+
+
+@contextmanager
+def _writing(path: str):
+    """Turn an OSError raised while writing ``path`` into a one-line exit 1."""
+    try:
+        yield
+    except OSError as exc:
+        raise _fail(f"cannot write {path}: {exc.strerror}") from None
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(obj) -> str | None:
+    """The JSON text of a scalar or an empty container, as json.dumps writes
+    it; None for a non-empty list, tuple, dict or numpy array."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    if isinstance(obj, (list, tuple, dict, np.ndarray)):
+        return None if len(obj) else ("{}" if isinstance(obj, dict) else "[]")
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_chunks(obj, indent: str = ""):
+    """Yield the text of ``json.dumps(obj, indent=2)`` piece by piece.
+
+    Dict keys must be strings; a numpy array is written as its ``tolist()``.
+    A list of finite floats is formatted by one join; other lists and dicts
+    join their scalars and recurse into their non-empty containers, so no
+    piece is longer than the scalars of one list or dict (one covariance or
+    Wigner row) and no whole-document string is built.
+    """
+    text = _json_scalar(obj)
+    if text is not None:
+        yield text
+        return
+    if isinstance(obj, np.ndarray):
+        # row by row, so that one row at a time exists as Python floats
+        obj = obj.tolist() if obj.ndim == 1 else list(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        prefixes = [encode_basestring_ascii(key) + ": " for key in obj]
+        values = obj.values()
+        brackets = "{}"
+    else:
+        if isinstance(obj[0], float):
+            try:
+                body = sep.join(map(float.__repr__, obj))
+            except TypeError:  # a later element is not a float
+                body = None
+            # finite float reprs hold no "n"; "nan" and "inf" do
+            if body is not None and "n" not in body:
+                yield "[\n" + inner + body + "\n" + indent + "]"
+                return
+        prefixes = repeat("")
+        values = obj
+        brackets = "[]"
+    pending = brackets[0] + "\n" + inner
+    for i, (prefix, value) in enumerate(zip(prefixes, values)):
+        pending += (sep + prefix) if i else prefix
+        text = _json_scalar(value)
+        if text is None:
+            yield pending
+            yield from _json_chunks(value, inner)
+            pending = ""
+        else:
+            pending += text
+    yield pending + "\n" + indent + brackets[1]
 
 
 _MODEL_CHOICES = ("fock", "spats", "squeezed", "cat", "thermal", "vacuum")
@@ -99,9 +183,10 @@ def cmd_sample(state, n, nbar, r, alpha_re, alpha_im, theta, count, seed, tol, s
         raise click.UsageError("--count must be >= 1")
     try:
         samples = homodyne.sample(model, count, seed=seed, tol=tol, sort_targets=sort_targets)
-        homodyne.write_samples_csv(samples, out)
     except CVSimError as exc:
         raise _fail(str(exc)) from None
+    with _writing(out):
+        homodyne.write_samples_csv(samples, out)
     click.echo(f"wrote {len(samples)} records to {out}")
     click.echo(f"mean {np.mean(samples.values):.6g}  variance {np.var(samples.values, ddof=1):.6g}")
 
@@ -124,9 +209,10 @@ def cmd_analyze(in_path, bins, sigma_level, state, n, nbar, r, alpha_re, alpha_i
     try:
         samples = homodyne.read_samples_csv(in_path, model=model)
         report = homodyne.binned_variance(samples, bins)
-        homodyne.write_variance_csv(report, out)
     except CVSimError as exc:
         raise _fail(str(exc)) from None
+    with _writing(out):
+        homodyne.write_variance_csv(report, out)
     violations = homodyne.heisenberg_violations(report, sigma_level)
     certified = homodyne.squeezing_certificate(report, sigma_level)
     click.echo(f"heisenberg violations: {int(violations.sum())}")
@@ -159,12 +245,12 @@ def cmd_network(config, out):
     payload = {
         "modes": spec.num_modes,
         "hbar": spec.hbar,
-        "mean": clean_tiny(result.state.mean).tolist(),
-        "cov": clean_tiny(result.state.cov).tolist(),
+        "mean": clean_tiny(result.state.mean),
+        "cov": clean_tiny(result.state.cov),
         "analyses": result.analyses,
     }
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+    with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_json_chunks(payload))
         fh.write("\n")
     click.echo(f"wrote network result to {out}")
 
@@ -195,8 +281,8 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
         "marginal_mode0": photon_number_distribution(result, 0).tolist(),
         "marginal_mode1": photon_number_distribution(result, 1).tolist(),
     }
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+    with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_json_chunks(payload))
         fh.write("\n")
     click.echo(f"wrote {len(amplitudes)} amplitudes to {out}")
 
@@ -238,9 +324,10 @@ def cmd_wigner(state, alpha_mag, alpha_phase, r, theta, nbar, hbar,
         elif state == "thermal":
             st = thermal_prepare(nbar, 0, st)
         fld = wigner_gaussian(st, grid, 0)
-        write_wigner_csv(fld, out)
     except CVSimError as exc:
         raise _fail(str(exc)) from None
+    with _writing(out):
+        write_wigner_csv(fld, out)
     click.echo(f"riemann normalization: {fld.riemann_sum():.6f}")
     click.echo(f"wrote {grid.nx * grid.np} grid points to {out}")
 

@@ -523,6 +523,28 @@ class VarianceReport:
     normally_ordered_variance: np.ndarray
 
 
+def _phase_bins(phases: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The bin of each phase, as ``clip(digitize(phases, edges) - 1, 0, n - 1)``
+    gives it for the n equal-width bins between ``edges``, NaN in the last.
+
+    The index comes from arithmetic, off by at most one next to an edge, and
+    one comparison with the edges on each side puts it right.
+    """
+    num_bins = edges.size - 1
+    # in place, so that no more than two record-sized arrays are alive
+    which = phases - edges[0]
+    which *= num_bins / (edges[-1] - edges[0])
+    np.floor(which, out=which)
+    # fmin takes num_bins - 1 for NaN, where digitize sorts NaN last
+    np.fmin(which, num_bins - 1, out=which)
+    which = np.maximum(which, 0, out=which).astype(np.intp)
+    # NaN bounds: nothing steps below the first bin or past the last
+    bounds = np.concatenate(([np.nan], edges[1:-1], [np.nan]))
+    which -= phases < bounds[which]
+    which += phases >= bounds[which + 1]
+    return which
+
+
 def binned_variance(samples: SampleSet, num_bins: int) -> VarianceReport:
     """Equal-width phase bins over [-pi, pi) with per-bin sample variance.
 
@@ -537,7 +559,7 @@ def binned_variance(samples: SampleSet, num_bins: int) -> VarianceReport:
         raise ValueError("sample set is empty")
     edges = np.linspace(-np.pi, np.pi, num_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    which = np.clip(np.digitize(samples.phases, edges) - 1, 0, num_bins - 1)
+    which = _phase_bins(samples.phases, edges)
     counts = np.bincount(which, minlength=num_bins)
     # a stable sort by bin makes each bin a contiguous slice holding its
     # records in file order, so each variance is that of values[which == i];

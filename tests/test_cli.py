@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import cvsim
-from cvsim.cli import main
+from cvsim.cli import _json_chunks, main
 from cvsim import read_samples_csv, read_wigner_csv
 from cvsim.homodyne import read_variance_csv
 
@@ -93,6 +98,125 @@ def test_wigner_output_matches_golden_digest(runner, tmp_path):
     invoke(runner, ["wigner", "--state", "squeezed", "--r", "0.5", "--theta", "0.3",
                     "--nx", "37", "--np", "23", "--out", str(out)])
     assert sha256(out) == WIGNER_GOLDEN
+
+
+README_NETWORK = {
+    "modes": 4,
+    "hbar": 2.0,
+    "gates": [
+        {"kind": "squeeze", "modes": [0], "params": {"r": 0.5, "theta": 0.0}},
+        {"kind": "squeeze", "modes": [1], "params": {"r": 0.5, "theta": 3.141592653589793}},
+        {"kind": "beamsplitter", "modes": [0, 1], "params": {"theta": 0.7853981633974483, "phi": 0.0}},
+        {"kind": "beamsplitter", "modes": [0, 2], "params": {"theta": 0.7853981633974483, "phi": 0.0}},
+        {"kind": "beamsplitter", "modes": [1, 3], "params": {"theta": 0.7853981633974483, "phi": 0.0}},
+    ],
+    "analyses": [
+        {"type": "simon", "modes": [0, 3]},
+        {"type": "log_negativity", "part_a": [0], "part_b": [3]},
+        {"type": "reduced", "modes": [0]},
+        {"type": "wigner", "mode": 0, "grid": {"nx": 101, "np": 101}},
+    ],
+}
+
+
+def chain16_network():
+    """16 modes: a thermal mode, squeezers, two beam-splitter layers, rotations
+    and displacements, and all four analyses.  The stdlib generator keeps the
+    parameters the same on every platform."""
+    rng = random.Random(16)
+    u = rng.uniform
+    gates = [{"kind": "prepare_thermal", "modes": [5], "params": {"n_bar": u(0.1, 1.0)}}]
+    gates += [{"kind": "squeeze", "modes": [m], "params": {"r": u(0.1, 0.6), "theta": u(0, 6.28)}}
+              for m in range(16)]
+    for start in (0, 1):
+        gates += [{"kind": "beamsplitter", "modes": [m, m + 1],
+                   "params": {"theta": u(0, 1.57), "phi": u(0, 6.28)}}
+                  for m in range(start, 15, 2)]
+    gates += [{"kind": "rotate", "modes": [m], "params": {"phi": u(0, 6.28)}} for m in (2, 9)]
+    gates += [{"kind": "displace", "modes": [m],
+               "params": {"alpha_mag": u(0, 1), "alpha_phase": u(0, 6.28)}} for m in (4, 13)]
+    analyses = [
+        {"type": "reduced", "modes": [3]},
+        {"type": "simon", "modes": [7, 8]},
+        {"type": "log_negativity", "part_a": list(range(8)), "part_b": list(range(8, 16))},
+        {"type": "wigner", "mode": 11, "grid": {"nx": 101, "np": 101}},
+    ]
+    return {"modes": 16, "hbar": 2.0, "gates": gates, "analyses": analyses}
+
+
+# SHA-256 of the JSON outputs, pinned while they were written by
+# json.dump(payload, indent=2)
+NETWORK_GOLDENS = {
+    "readme": "759c10b82ee1217a78dd33661a294d7d2236a261c7ff7af8eda1e21e52feb154",
+    "chain16": "86e909a6063a2e7a3da0e8ff9535d05464e2b2d065823059b0056613bd6965d4",
+}
+FOCK_BS_GOLDENS = {
+    ("--n1", "1", "--n2", "1"):
+        "6b005af3955052cd139d0ac74a09188e9adcf8c1ecf78aeba15eb80d7e79e3d7",
+    ("--n1", "15", "--n2", "16", "--theta", "0.8853981633974483", "--phi", "0.3"):
+        "a897c84f5ef47fb07bdec6e64b4b59f8639d82e979e09c4e38deee8abe02a50f",
+}
+
+
+@pytest.mark.parametrize("name", list(NETWORK_GOLDENS))
+def test_network_output_matches_golden_digest(runner, tmp_path, name):
+    config, out = tmp_path / "net.json", tmp_path / "o.json"
+    config.write_text(json.dumps(README_NETWORK if name == "readme" else chain16_network()))
+    invoke(runner, ["network", "--config", str(config), "--out", str(out)])
+    assert sha256(out) == NETWORK_GOLDENS[name]
+
+
+@pytest.mark.parametrize("flags", list(FOCK_BS_GOLDENS))
+def test_fock_bs_output_matches_golden_digest(runner, tmp_path, flags):
+    out = tmp_path / "f.json"
+    invoke(runner, ["fock-bs", *flags, "--out", str(out)])
+    assert sha256(out) == FOCK_BS_GOLDENS[flags]
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308]
+JSON_FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+JSON_TEXT = st.text(max_size=8) | st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7fé€中😀'), max_size=8)
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**200, 2**200) | JSON_FLOATS
+                | JSON_TEXT)
+FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0),
+                      elements=JSON_FLOATS)
+JSON_TREES = st.recursive(
+    JSON_SCALARS | st.lists(JSON_FLOATS, min_size=1) | FLOAT_ARRAYS,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children)),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(JSON_TREES)
+@example([1.5, [], {}, [2.0, math.nan], {"k": (1, [-0.0])}, "x", None, True, 3])
+@example({"cov": [[1.0, 5e-324], [-math.inf, 1.7976931348623157e308]], "n": 2**100})
+@example({"cov": np.array([[1.0, math.nan], [-0.0, 5e-324]]), "empty": np.zeros((2, 0))})
+def test_json_chunks_match_json_dumps(obj):
+    expected = json.dumps(obj, indent=2, default=np.ndarray.tolist)
+    assert "".join(_json_chunks(obj)) == expected
+
+
+@pytest.mark.parametrize("command", ["sample", "analyze", "network", "fock-bs", "wigner"])
+def test_unwritable_out_exits_1_with_one_line(runner, tmp_path, command):
+    data, config = tmp_path / "s.csv", tmp_path / "net.json"
+    invoke(runner, ["sample", "--state", "vacuum", "--count", "100", "--out", str(data)])
+    config.write_text(json.dumps(README_NETWORK))
+    args = {
+        "sample": ["--state", "vacuum", "--count", "10"],
+        "analyze": ["--in", str(data)],
+        "network": ["--config", str(config)],
+        "fock-bs": ["--n1", "1", "--n2", "1"],
+        "wigner": ["--state", "vacuum"],
+    }[command]
+    out = tmp_path / "missing" / "out"
+    result = runner.invoke(main, [command, *args, "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a handled error, not a traceback
+    assert result.output.strip().splitlines() == [
+        f"Error: cannot write {out}: No such file or directory"
+    ]
 
 
 def test_sample_rejects_out_of_range_fock(runner, tmp_path):

@@ -205,11 +205,16 @@ def test_squeezed_phase_bin_variance_tracks_formula(squeezed_samples):
 )
 def test_binned_variance_matches_per_bin_masks(seed, count, quarters, extra, scale):
     # num_bins divisible by 4 (extra == 0) and not; phases include every bin
-    # edge and both ends of [-pi, pi]
+    # edge and both its floating-point neighbours, both ends of [-pi, pi],
+    # +-inf and NaN
     num_bins = 4 * quarters + extra
     rng = np.random.default_rng(seed)
     edges = np.linspace(-np.pi, np.pi, num_bins + 1)
-    phases = np.concatenate([2.0 * np.pi * rng.random(count) - np.pi, edges])
+    phases = np.concatenate([
+        2.0 * np.pi * rng.random(count) - np.pi,
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [-np.inf, np.inf, np.nan],
+    ])
     values = scale * rng.standard_normal(phases.size) + rng.uniform(-5.0, 5.0)
     report = binned_variance(
         SampleSet(phases=phases, values=values, model=None, seed=seed), num_bins
