@@ -18,7 +18,7 @@ import numpy as np
 
 from . import homodyne
 from .errors import CVSimError, SpecValidationError
-from .fock import bs_output_from_angle, photon_number_distribution
+from .fock import MAX_TOTAL_PHOTONS, bs_output_from_angle, photon_number_distribution
 from .gates import apply_gate, displacement_gate, squeeze_gate, thermal_prepare
 from .network import parse_network_spec, run_network
 from .phase_space import PhaseSpaceGrid, wigner_gaussian, write_wigner_csv
@@ -265,8 +265,8 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
     """Fock-basis beam-splitter output amplitudes and marginals."""
     if n1 < 0 or n2 < 0:
         raise click.UsageError("photon numbers must be non-negative")
-    if n1 + n2 > 40:
-        raise click.UsageError("n1 + n2 must not exceed 40")
+    if n1 + n2 > MAX_TOTAL_PHOTONS:
+        raise click.UsageError(f"n1 + n2 must not exceed {MAX_TOTAL_PHOTONS}")
     try:
         result = bs_output_from_angle(n1, n2, theta, phi)
     except (ValueError, CVSimError) as exc:

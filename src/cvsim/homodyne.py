@@ -15,18 +15,20 @@ record's value does not depend on the batch it is drawn in.
 
 The squeezed-vacuum family is squeezed along x at phi = 0:
 Var[X_phi] = e^{-2r} cos^2(phi) + e^{2r} sin^2(phi).
+
+scipy.special is imported inside the functions that evaluate erf, ndtri or
+eval_laguerre, so that importing cvsim does not load it: that import takes
+about as long as the rest of the package's imports together.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from itertools import islice
 from typing import Union
 
 import numpy as np
-from scipy.special import erf, eval_laguerre, ndtri
 
+from ._csvio import _NUMBER, _read_csv, _row_blocks, _write_csv
 from .errors import InversionError, MalformedInputError
 
 #: default quantile tolerance and half-width of the initial search bracket
@@ -121,6 +123,8 @@ def characteristic_fn(model: SourceModel, beta: complex) -> complex:
     if isinstance(model, Vacuum):
         return complex(np.exp(-ab2 / 2.0))
     if isinstance(model, Fock):
+        from scipy.special import eval_laguerre
+
         return complex(np.exp(-ab2 / 2.0) * eval_laguerre(model.n, ab2))
     if isinstance(model, Spats):
         return complex(
@@ -166,6 +170,8 @@ def _fock_cdf_pdf(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     which stays accurate to a few ulp where the Hermite-polynomial sums cancel.
     """
+    from scipy.special import erf
+
     u = x / np.sqrt(2.0)
     prev = np.zeros_like(u)
     psi = np.pi**-0.25 * np.exp(-(u**2) / 2.0)
@@ -219,6 +225,8 @@ def quadrature_pdf(model: SourceModel, x, phi):
 def quadrature_cdf(model: SourceModel, x, phi):
     """Closed-form cumulative distribution F(x, phi); monotone in x with
     limits 0 and 1.  Accepts scalars or arrays."""
+    from scipy.special import erf
+
     x = np.asarray(x, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if isinstance(model, Vacuum):
@@ -322,6 +330,8 @@ def _unbracketed(record: int, u: float, phi: float) -> InversionError:
 def _gaussian_quantiles(model, phis, targets, tol, bracket, first):
     """Closed-form quantiles of a Gaussian source.  The reach is that of the
     widest bracket, so a quantile at or past it fails as it would there."""
+    from scipy.special import ndtri
+
     mean, var = _moments(model, phis)
     x = mean + np.sqrt(var) * ndtri(targets)
     far = ~(np.abs(x) < 2.0**_WIDENINGS * bracket)
@@ -344,6 +354,8 @@ def _newton_quantiles(model, phis, targets, tol, bracket, first):
     bracket once the bracket is at most tol wide or cannot be split; only the
     records still open are evaluated again.
     """
+    from scipy.special import ndtri
+
     lo = np.full_like(targets, -bracket)
     hi = np.full_like(targets, bracket)
     pending = np.arange(targets.size)
@@ -625,86 +637,6 @@ def heisenberg_violations(report: VarianceReport, sigma_level: float = 3.0) -> n
 # ---------------------------------------------------------------------------
 # CSV interfaces
 # ---------------------------------------------------------------------------
-
-
-#: CSV number format, 17 significant digits, which round-trips every double
-_NUMBER = "%.17g"
-
-
-def _write_csv(path: str, header, fields, blocks) -> None:
-    """Write a CSV file: the header, then one LF-terminated line per row.
-
-    ``fields`` are the %-formats of the columns; ``blocks`` yields blocks of
-    row tuples, each formatted by a single join, so memory stays bounded by
-    one block whatever the file size.
-    """
-    line = ",".join(fields) + "\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for rows in blocks:
-            fh.write("".join(map(line.__mod__, rows)))
-
-
-def _row_blocks(*columns: np.ndarray):
-    """Rows of equal-length columns as tuples of Python scalars, _BLOCK at a time."""
-    for first in range(0, len(columns[0]), _BLOCK):
-        part = slice(first, first + _BLOCK)
-        yield zip(*(column[part].tolist() for column in columns))
-
-
-def _parse_block(lines: list[str], width: int, lineno: int) -> np.ndarray:
-    """One block of CSV lines as a (rows, width) float array; blank lines are
-    skipped.  ``lineno`` is the file line number of ``lines[0]``."""
-    try:
-        with warnings.catch_warnings():
-            # a block of blank lines holds no data; that is not an error here
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        if rows.shape[1] == width or rows.size == 0:
-            return rows.reshape(-1, width)
-    except ValueError:
-        pass
-    # scan this block only, line by line, for the first bad line
-    for offset, line in enumerate(lines):
-        text = line.rstrip("\n")
-        if not text:
-            continue
-        fields = text.count(",") + 1
-        if fields != width:
-            raise MalformedInputError(
-                f"line {lineno + offset}: expected {width} fields, got {fields}: {text!r}"
-            )
-        try:
-            np.loadtxt([text], delimiter=",", comments=None)
-        except ValueError:
-            raise MalformedInputError(f"line {lineno + offset}: cannot parse {text!r}") from None
-    raise MalformedInputError(f"lines {lineno}-{lineno + len(lines) - 1}: cannot parse")
-
-
-def _read_csv(path: str, header, what: str) -> list[np.ndarray]:
-    """Columns of a CSV file written by _write_csv, as float arrays.
-
-    Lines are read and parsed _BLOCK at a time, so no more than one block of
-    text is held; the parsed blocks take as much memory as the columns
-    returned, until they are joined.  CRLF line ends and blank lines are accepted;
-    a wrong header, a row without exactly one field per header column, or a
-    file without data rows raises MalformedInputError naming the line.
-    """
-    width = len(header)
-    blocks = []
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if first.rstrip("\n").split(",") != header:
-            raise MalformedInputError(
-                f"line 1: expected header {','.join(header)}, got {first.rstrip()!r}"
-            )
-        lineno = 2
-        while lines := list(islice(fh, _BLOCK)):
-            blocks.append(_parse_block(lines, width, lineno))
-            lineno += len(lines)
-    if not sum(len(block) for block in blocks):
-        raise MalformedInputError(f"no data rows in {what} file")
-    return [np.concatenate([block[:, j] for block in blocks]) for j in range(width)]
 
 
 SAMPLES_CSV_HEADER = ["phase", "x"]

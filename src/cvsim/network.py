@@ -230,8 +230,8 @@ def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
         return {
             "type": "reduced",
             "modes": list(req.modes),
-            "mean": clean_tiny(red.mean).tolist(),
-            "cov": clean_tiny(red.cov).tolist(),
+            "mean": clean_tiny(red.mean),
+            "cov": clean_tiny(red.cov),
         }
     if req.type == "simon":
         red = reduced_state(state, list(req.modes))
@@ -256,7 +256,7 @@ def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
             "part_a": list(req.part_a),
             "part_b": list(req.part_b),
             "value": value,
-            "nu_tilde": nu.tolist(),
+            "nu_tilde": nu,
         }
     if req.type == "wigner":
         fld = wigner_gaussian(state, req.grid, req.mode)
@@ -272,7 +272,7 @@ def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
                 "np": req.grid.np,
             },
             "normalization": fld.riemann_sum(),
-            "values": fld.values.tolist(),
+            "values": fld.values,
         }
     raise ValueError(f"unknown analysis type {req.type!r}")
 

@@ -21,8 +21,8 @@ from itertools import repeat
 
 import numpy as np
 
+from ._csvio import _NUMBER, _read_csv, _write_csv
 from .errors import DegenerateInputError, MalformedInputError, UnsupportedOrderingError
-from .homodyne import _NUMBER, _read_csv, _write_csv
 from .states import GaussianState, symplectic_form, to_interleaved
 from .entanglement import reduced_state
 

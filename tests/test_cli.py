@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import cvsim
 from cvsim.cli import _json_chunks, main
-from cvsim import read_samples_csv, read_wigner_csv
+from cvsim import SampleSet, read_samples_csv, read_wigner_csv, write_samples_csv
 from cvsim.homodyne import read_variance_csv
 
 
@@ -500,11 +500,44 @@ def test_wigner_byte_identical(runner, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # only the validation oracle integrates; it imports scipy.integrate itself
-    code = "import sys, cvsim.cli; print('scipy.integrate' in sys.modules)"
+def run_fresh(code):
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    this checkout's cvsim."""
     env = dict(os.environ, PYTHONPATH=str(Path(cvsim.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+# only the validation oracle integrates, and only homodyne evaluates the
+# special functions; each imports its scipy module itself
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special"])
+def test_cli_import_leaves_out(module):
+    code = f"import sys, cvsim.cli; print({module!r} in sys.modules)"
+    assert run_fresh(code).strip() == "False"
+
+
+def test_commands_other_than_sample_leave_out_scipy_special(tmp_path):
+    config = tmp_path / "net.json"
+    config.write_text(json.dumps(README_NETWORK))
+    rng = np.random.default_rng(0)
+    write_samples_csv(SampleSet(rng.uniform(-np.pi, np.pi, 400), rng.normal(size=400), None, 0),
+                      str(tmp_path / "s.csv"))
+    commands = [
+        ["fock-bs", "--n1", "3", "--n2", "2", "--out", str(tmp_path / "f.json")],
+        ["network", "--config", str(config), "--out", str(tmp_path / "n.json")],
+        ["wigner", "--state", "squeezed", "--r", "0.5", "--out", str(tmp_path / "w.csv")],
+        ["analyze", "--in", str(tmp_path / "s.csv"), "--state", "squeezed", "--r", "1",
+         "--out", str(tmp_path / "v.csv")],
+    ]
+    code = (
+        "import sys\n"
+        "from cvsim.cli import main\n"
+        f"for args in {commands!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    assert run_fresh(code).splitlines()[-1] == "False"
+    outputs = ("f.json", "n.json", "w.csv", "v.csv")
+    assert all((tmp_path / name).stat().st_size for name in outputs)

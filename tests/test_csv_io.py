@@ -21,7 +21,8 @@ from cvsim import (
     write_samples_csv,
     write_wigner_csv,
 )
-from cvsim.homodyne import _BLOCK, read_variance_csv, write_variance_csv
+from cvsim._csvio import _BLOCK
+from cvsim.homodyne import read_variance_csv, write_variance_csv
 from cvsim.states import vacuum_state
 
 SPECIAL = [

@@ -75,7 +75,7 @@ def test_network_analyses_wire_format():
     assert len(en03["nu_tilde"]) == 2
     assert en02["value"] == 0.0
     assert red["cov"][0][0] == pytest.approx(1.27154, abs=1e-5)
-    assert red["mean"] == [0.0, 0.0]
+    assert red["mean"].tolist() == [0.0, 0.0]
     assert wig["normalization"] == pytest.approx(1.0, abs=0.05)
     assert len(wig["values"]) == 21
 
@@ -146,7 +146,7 @@ def test_network_determinism():
     a = run_network(parse_network_spec(doc))
     b = run_network(parse_network_spec(doc))
     assert np.array_equal(a.state.cov, b.state.cov)
-    assert a.analyses == b.analyses
+    np.testing.assert_equal(a.analyses, b.analyses)
 
 
 @pytest.mark.parametrize(
