@@ -12,13 +12,14 @@ import sys
 from contextlib import contextmanager
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 import click
 import numpy as np
 
 from . import homodyne
 from .errors import CVSimError, SpecValidationError
-from .fock import MAX_TOTAL_PHOTONS, bs_output_from_angle, photon_number_distribution
+from .fock import MAX_TOTAL_PHOTONS, bs_output_from_angle
 from .gates import apply_gate, displacement_gate, squeeze_gate, thermal_prepare
 from .network import parse_network_spec, run_network
 from .phase_space import PhaseSpaceGrid, wigner_gaussian, write_wigner_csv
@@ -112,6 +113,27 @@ def _json_chunks(obj, indent: str = ""):
     yield pending + "\n" + indent + brackets[1]
 
 
+_FOCK_BS_DOCUMENT = (
+    '{\n  "total_photons": %d,\n  "amplitudes": [\n%s\n  ],\n'
+    '  "marginal_mode0": [\n    %s\n  ],\n  "marginal_mode1": [\n    %s\n  ]\n}\n'
+)
+_FOCK_BS_AMPLITUDE = ('    {\n      "basis": [\n        %d,\n        %d\n      ],\n'
+                      '      "re": %r,\n      "im": %r\n    }')
+
+
+def _fock_bs_json(state) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"`` of the fock-bs payload of a
+    (finite, ascending-k) ``bs_output`` state: its {basis, re, im} records,
+    then the marginals |c_k|^2 of mode 0 and, reversed, of mode 1."""
+    probs = [0.0] * (state.total_photons + 1)
+    records = []
+    for (k, m), amp in state.amplitudes.items():
+        probs[k] = abs(amp) ** 2
+        records.append(_FOCK_BS_AMPLITUDE % (k, m, amp.real, amp.imag))
+    marginals = [",\n    ".join(map(float.__repr__, p)) for p in (probs, probs[::-1])]
+    return _FOCK_BS_DOCUMENT % (state.total_photons, ",\n".join(records), *marginals)
+
+
 _MODEL_CHOICES = ("fock", "spats", "squeezed", "cat", "thermal", "vacuum")
 
 
@@ -174,15 +196,14 @@ def main() -> None:
 @click.option("--count", type=int, required=True, help="number of records")
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--tol", type=float, default=homodyne.DEFAULT_TOL, show_default=True)
-@click.option("--sort-targets", is_flag=True, help="sort CDF targets before inversion")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def cmd_sample(state, n, nbar, r, alpha_re, alpha_im, theta, count, seed, tol, sort_targets, out):
+def cmd_sample(state, n, nbar, r, alpha_re, alpha_im, theta, count, seed, tol, out):
     """Generate homodyne records by inverse-CDF sampling and write phase,x CSV."""
     model = _build_model(state, n, nbar, r, alpha_re, alpha_im, theta)
     if count < 1:
         raise click.UsageError("--count must be >= 1")
     try:
-        samples = homodyne.sample(model, count, seed=seed, tol=tol, sort_targets=sort_targets)
+        samples = homodyne.sample(model, count, seed=seed, tol=tol)
     except CVSimError as exc:
         raise _fail(str(exc)) from None
     with _writing(out):
@@ -267,24 +288,16 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
         raise click.UsageError("photon numbers must be non-negative")
     if n1 + n2 > MAX_TOTAL_PHOTONS:
         raise click.UsageError(f"n1 + n2 must not exceed {MAX_TOTAL_PHOTONS}")
+    for option, value in (("--theta", theta), ("--phi", phi)):
+        if not isfinite(value):
+            raise click.UsageError(f"{option} must be finite, got {value!r}")
     try:
         result = bs_output_from_angle(n1, n2, theta, phi)
     except (ValueError, CVSimError) as exc:
         raise _fail(str(exc)) from None
-    amplitudes = [
-        {"basis": [k, m], "re": amp.real, "im": amp.imag}
-        for (k, m), amp in sorted(result.amplitudes.items())
-    ]
-    payload = {
-        "total_photons": result.total_photons,
-        "amplitudes": amplitudes,
-        "marginal_mode0": photon_number_distribution(result, 0).tolist(),
-        "marginal_mode1": photon_number_distribution(result, 1).tolist(),
-    }
     with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_json_chunks(payload))
-        fh.write("\n")
-    click.echo(f"wrote {len(amplitudes)} amplitudes to {out}")
+        fh.write(_fock_bs_json(result))
+    click.echo(f"wrote {len(result.amplitudes)} amplitudes to {out}")
 
 
 @main.command("wigner")

@@ -465,24 +465,19 @@ def sample(
     seed: int = 42,
     tol: float = DEFAULT_TOL,
     bracket: float = DEFAULT_BRACKET,
-    sort_targets: bool = False,
 ) -> SampleSet:
     """Draw homodyne records by inverse-CDF sampling.
 
     Phases are uniform on [-pi, pi) and CDF targets uniform on (0, 1), both
     from a seeded generator, so identical (model, seed, count) calls return
     identical records, and each record equals ``invert_cdf`` at its own
-    (phase, target).  ``sort_targets`` reproduces the variant that sorts
-    the targets before inversion; it is off by default because sorting
-    correlates the quantile with the draw order.
+    (phase, target).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     phases = 2.0 * np.pi * rng.random(count) - np.pi
     targets = np.maximum(rng.random(count), np.finfo(float).tiny)
-    if sort_targets:
-        targets = np.sort(targets)
     values = _invert(model, phases, targets, tol, bracket)
     return SampleSet(phases=phases, values=values, model=model, seed=seed)
 

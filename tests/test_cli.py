@@ -15,8 +15,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import cvsim
-from cvsim.cli import _json_chunks, main
-from cvsim import SampleSet, read_samples_csv, read_wigner_csv, write_samples_csv
+from cvsim.cli import _fock_bs_json, _json_chunks, main
+from cvsim import (
+    SampleSet,
+    bs_output_from_angle,
+    photon_number_distribution,
+    read_samples_csv,
+    read_wigner_csv,
+    write_samples_csv,
+)
 from cvsim.homodyne import read_variance_csv
 
 
@@ -145,16 +152,17 @@ def chain16_network():
 
 
 # SHA-256 of the JSON outputs, pinned while they were written by
-# json.dump(payload, indent=2)
+# json.dump(payload, indent=2); the fock-bs amplitudes are those that
+# tests/test_fock.py checks against a 50-digit reference
 NETWORK_GOLDENS = {
     "readme": "759c10b82ee1217a78dd33661a294d7d2236a261c7ff7af8eda1e21e52feb154",
     "chain16": "86e909a6063a2e7a3da0e8ff9535d05464e2b2d065823059b0056613bd6965d4",
 }
 FOCK_BS_GOLDENS = {
     ("--n1", "1", "--n2", "1"):
-        "6b005af3955052cd139d0ac74a09188e9adcf8c1ecf78aeba15eb80d7e79e3d7",
+        "5d5ca0011b02ace264d6afcae44931fe9d1159d10a006e6abd4f3d3ce3b803d6",
     ("--n1", "15", "--n2", "16", "--theta", "0.8853981633974483", "--phi", "0.3"):
-        "a897c84f5ef47fb07bdec6e64b4b59f8639d82e979e09c4e38deee8abe02a50f",
+        "e1dcfe4862e52bd0d30e82f3dafcf269aae40678e0f7ebade2d6bf61e06b7d27",
 }
 
 
@@ -196,6 +204,26 @@ JSON_TREES = st.recursive(
 def test_json_chunks_match_json_dumps(obj):
     expected = json.dumps(obj, indent=2, default=np.ndarray.tolist)
     assert "".join(_json_chunks(obj)) == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda total: st.tuples(st.integers(0, total),
+                                                          st.just(total))),
+       st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+@example((1, 2), math.pi / 4, math.pi)
+@example((0, 0), 0.0, 0.0)
+@example((20, 40), math.pi / 2, -math.pi)
+def test_fock_bs_json_matches_json_dumps(pair, theta, phi):
+    n1, total = pair
+    state = bs_output_from_angle(n1, total - n1, theta, phi)
+    payload = {
+        "total_photons": state.total_photons,
+        "amplitudes": [{"basis": [k, m], "re": amp.real, "im": amp.imag}
+                       for (k, m), amp in sorted(state.amplitudes.items())],
+        "marginal_mode0": photon_number_distribution(state, 0).tolist(),
+        "marginal_mode1": photon_number_distribution(state, 1).tolist(),
+    }
+    assert _fock_bs_json(state) == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("command", ["sample", "analyze", "network", "fock-bs", "wigner"])
@@ -442,6 +470,18 @@ def test_fock_bs_vacuum(runner, tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["amplitudes"]) == 1
     assert doc["amplitudes"][0]["re"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--theta", "nan"), ("--theta", "inf"), ("--phi", "nan"), ("--phi", "inf"), ("--phi", "-inf"),
+])
+def test_fock_bs_non_finite_angle_exit2(runner, tmp_path, option, value):
+    out = tmp_path / "f.json"
+    result = runner.invoke(main, ["fock-bs", "--n1", "2", "--n2", "1", option, value,
+                                  "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"{option} must be finite" in result.output
+    assert not out.exists()
 
 
 def test_fock_bs_cap_exit2(runner, tmp_path):

@@ -1,5 +1,10 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
 from cvsim import (
@@ -9,8 +14,11 @@ from cvsim import (
     bs_output_from_angle,
     photon_number_distribution,
 )
+from cvsim.fock import MAX_TOTAL_PHOTONS, NORM_TOL
 
 BAL = 1.0 / np.sqrt(2.0)
+#: every input pair inside the photon cap
+ALL_PAIRS = [(n1, total - n1) for total in range(MAX_TOTAL_PHOTONS + 1) for n1 in range(total + 1)]
 
 
 def oracle_amplitudes(n1, n2, T, R, phi):
@@ -141,16 +149,31 @@ def test_marginals():
 
 
 def test_large_input_stays_finite():
-    # at the photon cap the interference roundoff grows; contract is 1e-11 there
+    # the 1e-12 norm contract holds at the photon cap too
     st = bs_output(20, 20, BAL, BAL, 0.3)
     norm = sum(abs(a) ** 2 for a in st.amplitudes.values())
-    assert norm == pytest.approx(1.0, abs=1e-11)
+    assert norm == pytest.approx(1.0, abs=1e-12)
     assert all(np.isfinite([a.real, a.imag]).all() for a in st.amplitudes.values())
 
 
 def test_rejects_nonunitary_pair():
     with pytest.raises(ValueError):
         bs_output(1, 0, 0.9, 0.9, 0.0)
+
+
+@pytest.mark.parametrize("T, R, phi", [
+    (math.nan, BAL, 0.0), (BAL, math.nan, 0.0), (BAL, BAL, math.nan),
+    (math.inf, 0.0, 0.0), (BAL, BAL, math.inf), (BAL, BAL, -math.inf),
+])
+def test_rejects_non_finite_parameters(T, R, phi):
+    with pytest.raises(ValueError, match="finite"):
+        bs_output(2, 1, T, R, phi)
+
+
+@pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (math.inf, 0.0), (0.3, math.nan)])
+def test_angle_wrapper_rejects_non_finite(theta, phi):
+    with pytest.raises(ValueError):
+        bs_output_from_angle(2, 1, theta, phi)
 
 
 def test_rejects_photon_cap():
@@ -168,3 +191,83 @@ def test_state_validation():
         TwoModeFockState(amplitudes={(0, 0): 0.5}, total_photons=0)
     with pytest.raises(MalformedInputError):
         TwoModeFockState(amplitudes={(1, 0): 1.0}, total_photons=3)
+    with pytest.raises(MalformedInputError):
+        TwoModeFockState(amplitudes={(1, 0): complex(math.nan, 0.0)}, total_photons=1)
+
+
+def mpmath_amplitudes(n1, n2, theta, phi, dps=50):
+    """The binomial double sum of (T a1+ - R e^{-i phi} a2+)^n1
+    (R e^{i phi} a1+ + T a2+)^n2 |0> / sqrt(n1! n2!), at ``dps`` digits;
+    entry k is the amplitude on |k, n1+n2-k>."""
+    with mpmath.workdps(dps):
+        T, R = mpmath.cos(theta), mpmath.sin(theta)
+        total = n1 + n2
+        norm = mpmath.factorial(n1) * mpmath.factorial(n2)
+        out = [mpmath.mpc(0)] * (total + 1)
+        for k1 in range(n1 + 1):
+            for k2 in range(n2 + 1):
+                k = k1 + k2
+                term = (mpmath.binomial(n1, k1) * mpmath.binomial(n2, k2)
+                        * mpmath.sqrt(mpmath.factorial(k) * mpmath.factorial(total - k) / norm)
+                        * T ** (k1 + n2 - k2) * R ** (n1 - k1 + k2)
+                        * mpmath.expj(phi * (k - n1)))
+                out[k] += -term if (n1 - k1) % 2 else term
+        return [complex(a) for a in out]
+
+
+# mid-sector inputs near the cap, where the double sum cancels most, both
+# one-arm inputs at the cap, and the short-commands benchmark's seed-42 angle
+@pytest.mark.parametrize("n1, n2, theta, phi", [
+    (1, 1, math.pi / 4, math.pi),
+    (3, 2, 0.7, -0.9),
+    (15, 16, 0.8853981633974483, 0.3),
+    (16, 24, 0.885, 0.3),
+    (17, 23, math.pi / 4, math.pi),
+    (20, 20, math.pi / 4, math.pi),
+    (20, 20, 0.8675849779642373, -0.38403808930179695),
+    (40, 0, 0.885, 0.3),
+    (0, 40, 0.885, 0.3),
+    (7, 33, 1.5, 2.5),
+])
+def test_matches_50_digit_reference(n1, n2, theta, phi):
+    st = bs_output_from_angle(n1, n2, theta, phi)
+    ref = mpmath_amplitudes(n1, n2, theta, phi)
+    worst = max(abs(st.amplitude(k, n1 + n2 - k) - a) for k, a in enumerate(ref))
+    assert worst <= 1e-13
+
+
+ANGLES = st.floats(0.0, math.pi / 2)
+PHASES = st.floats(-math.pi, math.pi)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(ANGLES, PHASES)
+@example(math.pi / 4, 0.0)
+@example(math.pi / 4, math.pi)
+@example(math.pi / 4, 0.3)
+@example(0.3, 0.0)
+@example(0.3, math.pi)
+@example(0.3, 0.3)
+@example(1.1, 0.0)
+@example(1.1, math.pi)
+@example(1.1, 0.3)
+@example(0.885, 0.0)
+@example(0.885, math.pi)
+@example(0.885, 0.3)
+@example(0.0, -math.pi)
+@example(math.pi / 2, math.pi)
+def test_every_sector_is_normalized(theta, phi):
+    for n1, n2 in ALL_PAIRS:
+        total = n1 + n2
+        st = bs_output_from_angle(n1, n2, theta, phi)
+        assert all(k + m == total and k >= 0 and m >= 0 for k, m in st.amplitudes)
+        norm = math.fsum(abs(a) ** 2 for a in st.amplitudes.values())
+        assert abs(norm - 1.0) <= NORM_TOL, (n1, n2, norm)
+        for arm in (0, 1):
+            marginal = photon_number_distribution(st, arm)
+            assert marginal.size == total + 1
+            assert abs(math.fsum(marginal) - 1.0) <= NORM_TOL
+    # two-photon interference: the |1,1> amplitude is T^2 - R^2 = cos(2 theta),
+    # which is the Hong-Ou-Mandel zero at theta = pi/4
+    hom = bs_output_from_angle(1, 1, theta, phi).amplitude(1, 1)
+    assert abs(hom - math.cos(2 * theta)) <= 1e-15

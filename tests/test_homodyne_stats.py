@@ -71,13 +71,6 @@ def test_phases_cover_expected_range(squeezed_samples):
     assert squeezed_samples.phases.max() < np.pi
 
 
-def test_sorted_mode_changes_pairing_only():
-    plain = sample(Vacuum(), 500, seed=3)
-    sorted_run = sample(Vacuum(), 500, seed=3, sort_targets=True)
-    assert np.array_equal(plain.phases, sorted_run.phases)
-    assert np.array_equal(np.sort(plain.values), sorted_run.values)
-
-
 def test_vacuum_overall_variance(vacuum_samples):
     assert np.var(vacuum_samples.values, ddof=1) == pytest.approx(1.0, abs=0.02)
 
