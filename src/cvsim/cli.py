@@ -134,6 +134,13 @@ def _fock_bs_json(state) -> str:
     return _FOCK_BS_DOCUMENT % (state.total_photons, ",\n".join(records), *marginals)
 
 
+def _require_finite(**options: float) -> None:
+    """Exit 2 naming the first option whose value is NaN or infinite."""
+    for name, value in options.items():
+        if not isfinite(value):
+            raise click.UsageError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
+
+
 _MODEL_CHOICES = ("fock", "spats", "squeezed", "cat", "thermal", "vacuum")
 
 
@@ -194,7 +201,7 @@ def main() -> None:
 @main.command("sample")
 @_model_options()
 @click.option("--count", type=int, required=True, help="number of records")
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
 @click.option("--tol", type=float, default=homodyne.DEFAULT_TOL, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_sample(state, n, nbar, r, alpha_re, alpha_im, theta, count, seed, tol, out):
@@ -202,6 +209,9 @@ def cmd_sample(state, n, nbar, r, alpha_re, alpha_im, theta, count, seed, tol, o
     model = _build_model(state, n, nbar, r, alpha_re, alpha_im, theta)
     if count < 1:
         raise click.UsageError("--count must be >= 1")
+    _require_finite(tol=tol)
+    if tol <= 0:
+        raise click.UsageError(f"--tol must be > 0, got {tol!r}")
     try:
         samples = homodyne.sample(model, count, seed=seed, tol=tol)
     except CVSimError as exc:
@@ -227,6 +237,9 @@ def cmd_analyze(in_path, bins, sigma_level, state, n, nbar, r, alpha_re, alpha_i
         model = _build_model(state, n, nbar, r, alpha_re, alpha_im, theta)
     if bins < 4:
         raise click.UsageError("--bins must be >= 4")
+    _require_finite(sigma_level=sigma_level)
+    if sigma_level < 0:
+        raise click.UsageError(f"--sigma-level must be >= 0, got {sigma_level!r}")
     try:
         samples = homodyne.read_samples_csv(in_path, model=model)
         report = homodyne.binned_variance(samples, bins)
@@ -288,9 +301,7 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
         raise click.UsageError("photon numbers must be non-negative")
     if n1 + n2 > MAX_TOTAL_PHOTONS:
         raise click.UsageError(f"n1 + n2 must not exceed {MAX_TOTAL_PHOTONS}")
-    for option, value in (("--theta", theta), ("--phi", phi)):
-        if not isfinite(value):
-            raise click.UsageError(f"{option} must be finite, got {value!r}")
+    _require_finite(theta=theta, phi=phi)
     try:
         result = bs_output_from_angle(n1, n2, theta, phi)
     except (ValueError, CVSimError) as exc:
@@ -322,6 +333,10 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
 def cmd_wigner(state, alpha_mag, alpha_phase, r, theta, nbar, hbar,
                xmin, xmax, pmin, pmax, nx, npts, out):
     """Evaluate a single-mode Gaussian Wigner function on a grid, write x,p,w CSV."""
+    _require_finite(alpha_mag=alpha_mag, alpha_phase=alpha_phase, r=r, theta=theta, nbar=nbar,
+                    hbar=hbar, xmin=xmin, xmax=xmax, pmin=pmin, pmax=pmax)
+    if hbar <= 0:
+        raise click.UsageError(f"--hbar must be > 0, got {hbar!r}")
     try:
         grid = PhaseSpaceGrid(x_min=xmin, x_max=xmax, p_min=pmin, p_max=pmax, nx=nx, np=npts)
     except ValueError as exc:

@@ -8,10 +8,18 @@ phases on [-pi, pi) and uniform targets u on (0, 1) and solves F(x, phi) = u.
 For the Gaussian sources (vacuum, thermal, squeezed vacuum) the quantile is
 the closed form x = sqrt(Var[X_phi]) ndtri(u).  For the Fock, SPATS and cat
 sources each record runs a safeguarded Newton iteration inside a bisection
-bracket: Newton steps from the moment-matched Gaussian quantile, a midpoint
-step wherever Newton would leave the bracket or stall, and a stop once the
-bracket is narrower than the tolerance.  Records are solved in fixed-size blocks, and a
-record's value does not depend on the batch it is drawn in.
+bracket: Newton steps from a start read off a quantile table, a midpoint step
+wherever Newton would leave the bracket or stall, and a stop once the bracket
+is narrower than the tolerance.  The table is built once per call from the
+model alone: F and p on a fixed x grid (one row, or one row per phase node
+for a cat), inverted to quantiles on a uniform u grid by cubic Hermite
+interpolation.  A record starts from it linearly in u and, for a cat,
+cubically in phi.  Records start on [-bracket, bracket] without evaluating F
+at its ends; one that ends within tol of an end is solved again inside a
+bracket checked at its ends and doubled up to 4 times.  Records are solved in
+fixed-size blocks, and a record's value does not depend on the batch it is
+drawn in.  Source parameters must be finite, and tol and bracket finite and
+> 0; anything else raises ValueError.
 
 The squeezed-vacuum family is squeezed along x at phi = 0:
 Var[X_phi] = e^{-2r} cos^2(phi) + e^{2r} sin^2(phi).
@@ -42,6 +50,10 @@ _WIDENINGS = 4
 _MAX_STEPS = 1100
 #: records inverted together, so the temporaries stay in cache
 _BLOCK = 8192
+#: start table: x points per row, u intervals and cat phase rows
+_TABLE_X = 256
+_TABLE_U = 2048
+_TABLE_PHI = 128
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +79,8 @@ class Spats:
     n_bar: float
 
     def __post_init__(self) -> None:
-        if self.n_bar <= 0:
-            raise ValueError("SPATS n_bar must be > 0")
+        if not (np.isfinite(self.n_bar) and self.n_bar > 0):
+            raise ValueError(f"SPATS n_bar must be finite and > 0, got {self.n_bar!r}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +88,10 @@ class SqueezedVacuum:
     """Squeezed vacuum with real squeezing parameter r (x squeezed for r > 0)."""
 
     r: float
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.r):
+            raise ValueError(f"squeezing r must be finite, got {self.r!r}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +102,10 @@ class CatState:
     theta: float
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.alpha) and np.isfinite(self.theta)):
+            raise ValueError(
+                f"cat alpha and theta must be finite, got {self.alpha!r} and {self.theta!r}"
+            )
         if self.normalization() <= 0:
             raise ValueError("cat state normalization must be positive")
 
@@ -100,8 +120,8 @@ class Thermal:
     n_bar: float
 
     def __post_init__(self) -> None:
-        if self.n_bar < 0:
-            raise ValueError("thermal n_bar must be >= 0")
+        if not (np.isfinite(self.n_bar) and self.n_bar >= 0):
+            raise ValueError(f"thermal n_bar must be finite and >= 0, got {self.n_bar!r}")
 
 
 @dataclass(frozen=True)
@@ -327,7 +347,7 @@ def _unbracketed(record: int, u: float, phi: float) -> InversionError:
     )
 
 
-def _gaussian_quantiles(model, phis, targets, tol, bracket, first):
+def _gaussian_quantiles(model, phis, targets, records, tol, bracket):
     """Closed-form quantiles of a Gaussian source.  The reach is that of the
     widest bracket, so a quantile at or past it fails as it would there."""
     from scipy.special import ndtri
@@ -337,25 +357,80 @@ def _gaussian_quantiles(model, phis, targets, tol, bracket, first):
     far = ~(np.abs(x) < 2.0**_WIDENINGS * bracket)
     if far.any():
         i = int(np.argmax(far))
-        raise _unbracketed(first + i, targets[i], phis[i])
+        raise _unbracketed(records[i], targets[i], phis[i])
     return x
 
 
-def _newton_quantiles(model, phis, targets, tol, bracket, first):
-    """Safeguarded Newton iteration for F(x, phi) = u, record by record.
+def _quantile_row(x, cdf, pdf, u):
+    """Quantiles at u of one row of F and p on the uniform grid x, by the
+    cubic Hermite interpolant of the inverse, x(F), whose end slopes 1/p are
+    clipped to at most 3 times the secant slope so that it stays monotone
+    (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 238 (1980))."""
+    # rounding can make F step back by an ulp where the density vanishes
+    cdf = np.maximum.accumulate(cdf)
+    df, dx = np.diff(cdf), x[1] - x[0]
+    j = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, x.size - 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s0 = np.fmin(df / (dx * pdf[:-1]), 3.0)[j]
+        s1 = np.fmin(df / (dx * pdf[1:]), 3.0)[j]
+        t = np.clip((u - cdf[j]) / df[j], 0.0, 1.0)
+    return x[j] + dx * (t * t * (3.0 - 2.0 * t) + t * (1.0 - t) * ((1.0 - t) * s0 - t * s1))
 
-    Each record keeps a bracket with F(lo) < u <= F(hi), found as bisection
-    found it, and starts from the moment-matched Gaussian quantile.  A Newton
-    step, nudged tol/4 past the root so that the bracket closes from both
-    sides, is replaced by the bracket midpoint where it is not finite, leaves
-    the bracket, or is longer than half the bracket or half the step before
-    last (the last rule stops Newton from creeping where the computed F is
-    flat, as in saturated tails).  A record stops at the midpoint of its
-    bracket once the bracket is at most tol wide or cannot be split; only the
-    records still open are evaluated again.
+
+def _start_table(model):
+    """Quantiles of the model at u = k / _TABLE_U, k = 0 .. _TABLE_U, one
+    row per phase node.
+
+    F and p are evaluated on _TABLE_X points spanning the mean +- (2 sd + 5)
+    of each row; the columns u = 0 and 1 hold the ends of the span.  The
+    Fock and SPATS densities do not depend on phi and have one row; a cat has
+    _TABLE_PHI rows at phi = -pi + 2 pi m / _TABLE_PHI.  Since a cat's
+    p(x, phi + pi) = p(-x, phi), its quantile at (u, phi + pi) is minus that
+    at (1 - u, phi), and only the rows with phi < 0 are evaluated.
     """
-    from scipy.special import ndtri
+    phased = isinstance(model, CatState)
+    rows = _TABLE_PHI // 2 if phased else 1
+    nodes = np.linspace(-np.pi, 0.0, rows, endpoint=False)[:, None]
+    mean, var = _moments(model, nodes)
+    span = (2.0 * np.sqrt(var) + 5.0) * np.linspace(-1.0, 1.0, _TABLE_X)
+    x = np.broadcast_to(mean + span, (rows, _TABLE_X))
+    cdf, pdf = _cdf_and_pdf(model, x, nodes)
+    u = np.arange(1, _TABLE_U) / _TABLE_U
+    inner = [_quantile_row(*row, u) for row in zip(x, cdf, pdf)]
+    table = np.column_stack((x[:, 0], inner, x[:, -1]))
+    return np.concatenate((table, -table[:, ::-1])) if phased else table
 
+
+def _table_start(table, phis, targets):
+    """Start of each record: the table's quantile at its u, linear between u
+    nodes and, for a cat, cubic (four-point Lagrange) between phase nodes."""
+    rows, cols = table.shape[0], table.shape[1] - 1
+    s = targets * cols
+    k = np.minimum(s.astype(np.intp), cols - 1)
+    w = s - k
+    flat = table.ravel()
+
+    def at(row):
+        i = row * (cols + 1) + k
+        return flat[i] + w * (flat[i + 1] - flat[i])
+
+    if rows == 1:
+        return at(0)
+    r = np.mod(phis + np.pi, 2.0 * np.pi) * (rows / (2.0 * np.pi))
+    m = np.floor(r)
+    f = r - m
+    m = m.astype(np.intp)
+    return (
+        (f * (1.0 - f) * (f - 2.0) / 6.0) * at((m - 1) % rows)
+        + ((f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0) * at(m % rows)
+        + ((f + 1.0) * f * (2.0 - f) / 2.0) * at((m + 1) % rows)
+        + ((f + 1.0) * f * (f - 1.0) / 6.0) * at((m + 2) % rows)
+    )
+
+
+def _bracket(model, phis, targets, records, bracket):
+    """[lo, hi] with F(lo) < u <= F(hi) for each record, doubling the bracket
+    up to _WIDENINGS times where it does not hold."""
     lo = np.full_like(targets, -bracket)
     hi = np.full_like(targets, bracket)
     pending = np.arange(targets.size)
@@ -369,12 +444,24 @@ def _newton_quantiles(model, phis, targets, tol, bracket, first):
             break
         if widening == _WIDENINGS:
             i = pending[0]
-            raise _unbracketed(first + i, targets[i], phis[i])
+            raise _unbracketed(records[i], targets[i], phis[i])
         lo[pending] *= 2.0
         hi[pending] *= 2.0
+    return lo, hi
 
-    mean, var = _moments(model, phis)
-    x = mean + np.sqrt(var) * ndtri(targets)
+
+def _newton(model, phis, targets, records, tol, x, lo, hi):
+    """Safeguarded Newton iteration for F(x, phi) = u, record by record,
+    from x (or the bracket midpoint where x is outside [lo, hi]).
+
+    A Newton step, nudged tol/4 past the root so that the bracket closes from
+    both sides, is replaced by the bracket midpoint where it is not finite,
+    leaves the bracket, or is longer than half the bracket or half the step
+    before last (the last rule stops Newton from creeping where the computed
+    F is flat, as in saturated tails).  A record stops at the midpoint of its
+    bracket once the bracket is at most tol wide or cannot be split; only the
+    records still open are evaluated again.
+    """
     x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
     out = np.empty_like(targets)
     idx, u, phi = np.arange(targets.size), targets, phis
@@ -405,19 +492,44 @@ def _newton_quantiles(model, phis, targets, tol, bracket, first):
         x = new
     i = idx[0]
     raise InversionError(
-        f"quantile for record {first + i} (u={float(targets[i])!r}, "
+        f"quantile for record {records[i]} (u={float(targets[i])!r}, "
         f"phi={float(phis[i])!r}) not within tol={tol!r} after {_MAX_STEPS} steps"
     )
 
 
+def _newton_quantiles(model, phis, targets, records, tol, bracket, table):
+    """Quantiles of a Fock, SPATS or cat source from the start table.
+
+    Each record first runs on [-bracket, bracket] unchecked.  Where the root
+    lies inside, the iteration ends there holding F(lo) < u <= F(hi) from its
+    own evaluations; where it lies outside, the bracket collapses onto the end
+    nearest to it.  So a record that ends within tol of either end is solved
+    again inside a checked, and if need be widened, bracket.
+    """
+    start = _table_start(table, phis, targets)
+    out = _newton(model, phis, targets, records, tol, start, -bracket, bracket)
+    edge = ~((tol - bracket < out) & (out < bracket - tol))
+    if edge.any():
+        part = (phis[edge], targets[edge], records[edge])
+        lo, hi = _bracket(model, *part, bracket)
+        out[edge] = _newton(model, *part, tol, start[edge], lo, hi)
+    return out
+
+
 def _invert(model, phis, targets, tol, bracket):
     """Quantiles x with F(x, phi) = u for every (phi, u) pair, block by block."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if not (np.isfinite(bracket) and bracket > 0.0):
+        raise ValueError(f"bracket must be finite and > 0, got {bracket!r}")
     gaussian = isinstance(model, (Vacuum, Thermal, SqueezedVacuum))
-    solve = _gaussian_quantiles if gaussian else _newton_quantiles
+    table = None if gaussian else _start_table(model)
     out = np.empty_like(targets)
+    records = np.arange(targets.size)
     for first in range(0, targets.size, _BLOCK):
         part = slice(first, first + _BLOCK)
-        out[part] = solve(model, phis[part], targets[part], tol, bracket, first)
+        block = (model, phis[part], targets[part], records[part], tol, bracket)
+        out[part] = _gaussian_quantiles(*block) if gaussian else _newton_quantiles(*block, table)
     return out
 
 
@@ -431,7 +543,7 @@ def invert_cdf(
     """Quantile x with F(x, phi) = u: closed form for the Gaussian sources,
     otherwise to absolute tolerance tol.  The search bracket [-bracket,
     bracket] is doubled up to 4 times if needed; a quantile beyond the widest
-    bracket raises InversionError."""
+    bracket raises InversionError.  tol and bracket must be finite and > 0."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
     out = _invert(model, np.array([float(phi)]), np.array([float(u)]), tol, float(bracket))

@@ -62,12 +62,15 @@ def test_sample_is_byte_identical(runner, tmp_path):
 # SHA-256 of CLI outputs, pinned before the CSV writers and readers became
 # block-wise: 16389 = 2 * 8192 + 5 records cross block edges, and the
 # 1000-bin analyses of 16389 and of 1500 records (empty and singleton bins,
-# so NaN rows) cover the variance writer.
+# so NaN rows) cover the variance writer.  A Fock(3) or cat record is any x
+# within tol of its quantile, so those two digests follow the start of the
+# Newton iteration; test_inversion_properties checks their records against
+# the tolerance certificate at 50 digits.
 SAMPLE_GOLDENS = {
     ("squeezed", "--r", "1"): "f4dbec924aa9dd4fbfba9a23c455c566a87285a1b24b8d9c01b7bfcc425bf58f",
-    ("fock", "--n", "3"): "4204ec9319a86a418bc5576c6f5cdb58501b65f6c1db9aaa7f0de609ff1fbf3a",
+    ("fock", "--n", "3"): "d53dd8ba078e1dcb9b7f20a1314138a7be6f83e5f9807aa5cd88f35360b641af",
     ("cat", "--alpha-re", "2", "--alpha-im", "0", "--theta", "0"):
-        "0070f766f3c3d774b4f638b742bd650d21d441202d9ff622e59dd4d8f196f975",
+        "699724b935becf3ec37214aad32e7c3ced03df8f0ca18726a4880f1cbf8f0227",
 }
 ANALYZE_GOLDENS = {
     16389: ("f4dbec924aa9dd4fbfba9a23c455c566a87285a1b24b8d9c01b7bfcc425bf58f",
@@ -261,6 +264,40 @@ def test_sample_requires_model_params(runner, tmp_path):
         main, ["sample", "--state", "squeezed", "--count", "10", "--out", str(tmp_path / "x.csv")]
     )
     assert result.exit_code == 2
+
+
+SAMPLE = ["sample", "--count", "5", "--state"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (SAMPLE + ["spats", "--nbar", "nan"], "SPATS n_bar must be finite"),
+    (SAMPLE + ["thermal", "--nbar", "inf"], "thermal n_bar must be finite"),
+    (SAMPLE + ["squeezed", "--r", "nan"], "squeezing r must be finite"),
+    (SAMPLE + ["cat", "--alpha-re", "nan", "--alpha-im", "0", "--theta", "0"], "cat alpha"),
+    (SAMPLE + ["cat", "--alpha-re", "1", "--alpha-im", "0", "--theta", "nan"],
+     "cat alpha and theta must be finite"),
+    (SAMPLE + ["vacuum", "--tol", "inf"], "--tol must be finite, got inf"),
+    (SAMPLE + ["fock", "--n", "2", "--tol", "nan"], "--tol must be finite, got nan"),
+    (SAMPLE + ["fock", "--n", "2", "--tol", "0"], "--tol must be > 0, got 0.0"),
+    (SAMPLE + ["vacuum", "--tol", "-1"], "--tol must be > 0, got -1.0"),
+    (SAMPLE + ["vacuum", "--seed", "-1"], "'--seed'"),
+    (["wigner", "--state", "vacuum", "--hbar", "0"], "--hbar must be > 0, got 0.0"),
+    (["wigner", "--state", "vacuum", "--hbar", "-2"], "--hbar must be > 0, got -2.0"),
+    (["wigner", "--state", "coherent", "--alpha-mag", "nan"], "--alpha-mag must be finite"),
+    (["wigner", "--state", "vacuum", "--xmax", "inf"], "--xmax must be finite"),
+    (["analyze", "--in", "{data}", "--sigma-level", "-3"], "--sigma-level must be >= 0"),
+    (["analyze", "--in", "{data}", "--sigma-level", "nan"], "--sigma-level must be finite"),
+])
+def test_out_of_domain_option_exits_2_with_one_line(runner, tmp_path, args, message):
+    data, out = tmp_path / "s.csv", tmp_path / "out"
+    invoke(runner, ["sample", "--state", "squeezed", "--r", "1", "--count", "100",
+                    "--out", str(data)])
+    args = [arg.format(data=data) for arg in args]
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error")]
+    assert len(errors) == 1 and message in errors[0]
+    assert not out.exists()
 
 
 def test_analyze_squeezed_run(runner, tmp_path):

@@ -55,6 +55,34 @@ def test_model_parameter_validation():
     SqueezedVacuum(-0.8)  # negative r squeezes p instead; allowed
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_spats_rejects_non_finite_n_bar(value):
+    with pytest.raises(ValueError, match="finite"):
+        Spats(value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_thermal_rejects_non_finite_n_bar(value):
+    with pytest.raises(ValueError, match="finite"):
+        Thermal(value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_squeezed_vacuum_rejects_non_finite_r(value):
+    with pytest.raises(ValueError, match="finite"):
+        SqueezedVacuum(value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_cat_rejects_non_finite_alpha_or_theta(value):
+    for alpha, theta in ((complex(value, 0.0), 0.0), (complex(1.0, value), 0.0), (1.0, value)):
+        with pytest.raises(ValueError, match="finite"):
+            CatState(alpha, theta)
+
+
 # --- characteristic functions -----------------------------------------------
 
 
@@ -307,6 +335,16 @@ def test_invert_rejects_bad_u():
         invert_cdf(Vacuum(), 0.0, 0.0)
     with pytest.raises(ValueError):
         invert_cdf(Vacuum(), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("model", [Fock(2), Vacuum()])
+def test_sample_and_invert_reject_bad_tol_and_bracket(model, bad):
+    for name in ("tol", "bracket"):
+        with pytest.raises(ValueError, match=name):
+            sample(model, 5, **{name: bad})
+        with pytest.raises(ValueError, match=name):
+            invert_cdf(model, 0.0, 0.5, **{name: bad})
 
 
 def test_invert_bracket_widening():

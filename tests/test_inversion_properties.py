@@ -1,7 +1,8 @@
 """Property tests for quantile inversion over each source's documented domain:
-the tolerance certificate, independence of a record from its batch and the
-closed-form quantile of the Gaussian sources."""
+the tolerance certificate, independence of a record from its batch, the
+closed-form quantile of the Gaussian sources and the cost of a record."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +19,7 @@ from cvsim import (
     quadrature_cdf,
     sample,
 )
+from cvsim import homodyne
 from cvsim.homodyne import _BLOCK, DEFAULT_TOL, MAX_FOCK_N
 
 SWEEP = settings(derandomize=True, max_examples=60, deadline=None)
@@ -102,3 +104,74 @@ def test_records_across_a_block_boundary_match_single_inversion(model):
 def test_gaussian_closed_form_quantile_matches_cdf(model, phi, u):
     x = invert_cdf(model, phi, u)
     assert abs(quadrature_cdf(model, x, phi) - u) <= 1e-15
+
+
+#: the non-Gaussian sources of the homodyne-nongaussian benchmark workload
+BENCHMARK_SOURCES = [
+    Fock(10), Spats(3.0), CatState(2.0 + 0.0j, 0.0), CatState(0.7 + 0.0j, np.pi / 2)
+]
+
+
+@pytest.mark.parametrize("model", BENCHMARK_SOURCES)
+def test_record_costs_at_most_five_cdf_evaluations(model, monkeypatch):
+    """Every point at which F is evaluated while 1e5 records are sampled
+    counts: the start table, the Newton passes and any re-bracketing."""
+    evaluated, depth = [0], [0]
+
+    def counting(fn):
+        def wrapper(model, x, phi):
+            # F calls made inside another counted call are not counted again
+            evaluated[0] += 0 if depth[0] else np.size(x)
+            depth[0] += 1
+            try:
+                return fn(model, x, phi)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in ("_cdf_and_pdf", "quadrature_cdf"):
+        monkeypatch.setattr(homodyne, name, counting(getattr(homodyne, name)))
+    count = 100_000
+    sample(model, count, seed=42)
+    assert evaluated[0] <= 5.0 * count
+
+
+def _mp_cdf(model, x, phi):
+    """F(x, phi) of a Fock or cat source at mpmath's working precision: the
+    Hermite-polynomial series for Fock states, the three error functions of
+    the cat's Gaussian terms otherwise."""
+    if isinstance(model, Fock):
+        n, u = model.n, x / mpmath.sqrt(2)
+        series = mpmath.fsum(
+            mpmath.binomial(n, k) / (2**k * mpmath.factorial(k)) * mpmath.hermite(2 * k - 1, u)
+            for k in range(1, n + 1)
+        )
+        return (1 + mpmath.erf(u)) / 2 - mpmath.exp(-u * u) / mpmath.sqrt(mpmath.pi) * series
+    alpha = mpmath.mpc(model.alpha.real, model.alpha.imag)
+    g = alpha * mpmath.expj(phi)
+    a, b = 2 * g.real, 2 * g.imag
+    damp = mpmath.exp(-2 * abs(alpha) ** 2)
+    c = mpmath.expj(model.theta) * damp
+    root2 = mpmath.sqrt(2)
+    total = (
+        2 + mpmath.erf((x - a) / root2) + mpmath.erf((x + a) / root2)
+        + 2 * (c * (1 + mpmath.erf((x + 1j * b) / root2))).real
+    )
+    return total / (4 + 4 * mpmath.cos(model.theta) * damp)
+
+
+@pytest.mark.parametrize("model", [Fock(3), CatState(2.0 + 0.0j, 0.0)])
+def test_pinned_records_hold_the_tolerance_certificate_at_50_digits(model):
+    """The records behind test_cli's pinned Fock(3) and cat `sample` digests
+    (16389 records at seed 42) satisfy F(x - tol) < u <= F(x + tol) with F
+    evaluated to 50 digits, on every 16th record and at every block edge."""
+    count = 16389
+    phis, us = _draws(42, count)
+    values = sample(model, count, seed=42).values
+    edges = {0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, count - 1}
+    with mpmath.workdps(50):
+        tol = mpmath.mpf(DEFAULT_TOL)
+        for i in sorted(set(range(0, count, 16)) | edges):
+            x, phi, u = (mpmath.mpf(float(v)) for v in (values[i], phis[i], us[i]))
+            assert _mp_cdf(model, x - tol, phi) < u <= _mp_cdf(model, x + tol, phi), i
