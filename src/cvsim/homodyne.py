@@ -36,7 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from ._csvio import _NUMBER, _read_csv, _row_blocks, _write_csv
+from ._csvio import _read_csv, _write_csv
 from .errors import InversionError, MalformedInputError
 
 #: default quantile tolerance and half-width of the initial search bracket
@@ -334,10 +334,13 @@ def _moments(model: SourceModel, phi: np.ndarray):
 
 
 def _cdf_and_pdf(model: SourceModel, x: np.ndarray, phi: np.ndarray):
-    """F and p at the same points; one recurrence gives both for Fock states."""
+    """F and p at the same points; one recurrence gives both for Fock states.
+    A NaN F, which a large cat's 0 * inf cross term gives, raises in _newton
+    instead of warning here."""
     if isinstance(model, Fock):
         return _fock_cdf_pdf(model.n, x)
-    return quadrature_cdf(model, x, phi), quadrature_pdf(model, x, phi)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return quadrature_cdf(model, x, phi), quadrature_pdf(model, x, phi)
 
 
 def _unbracketed(record: int, u: float, phi: float) -> InversionError:
@@ -377,7 +380,15 @@ def _quantile_row(x, cdf, pdf, u):
     return x[j] + dx * (t * t * (3.0 - 2.0 * t) + t * (1.0 - t) * ((1.0 - t) * s0 - t * s1))
 
 
-def _start_table(model):
+def _phase_nodes(phis):
+    """Index m of the cat phase node at or below each phi, and the fraction f
+    of the way to node m + 1 (m may be _TABLE_PHI, the wrap of node 0)."""
+    r = np.mod(phis + np.pi, 2.0 * np.pi) * (_TABLE_PHI / (2.0 * np.pi))
+    m = np.floor(r)
+    return m.astype(np.intp), r - m
+
+
+def _start_table(model, phis):
     """Quantiles of the model at u = k / _TABLE_U, k = 0 .. _TABLE_U, one
     row per phase node.
 
@@ -386,19 +397,28 @@ def _start_table(model):
     Fock and SPATS densities do not depend on phi and have one row; a cat has
     _TABLE_PHI rows at phi = -pi + 2 pi m / _TABLE_PHI.  Since a cat's
     p(x, phi + pi) = p(-x, phi), its quantile at (u, phi + pi) is minus that
-    at (1 - u, phi), and only the rows with phi < 0 are evaluated.
+    at (1 - u, phi), and only rows with phi < 0 are evaluated: those that the
+    records at phis start from (_table_start), or whose mirror they start
+    from.  The other rows are NaN.  Each row is computed element by element,
+    so a row does not depend on which others are evaluated.
     """
     phased = isinstance(model, CatState)
-    rows = _TABLE_PHI // 2 if phased else 1
-    nodes = np.linspace(-np.pi, 0.0, rows, endpoint=False)[:, None]
+    half = _TABLE_PHI // 2
+    rows = np.unique((_phase_nodes(phis)[0][:, None] + np.arange(-1, 3)) % half) if phased else [0]
+    nodes = np.linspace(-np.pi, 0.0, half if phased else 1, endpoint=False)[rows][:, None]
     mean, var = _moments(model, nodes)
     span = (2.0 * np.sqrt(var) + 5.0) * np.linspace(-1.0, 1.0, _TABLE_X)
-    x = np.broadcast_to(mean + span, (rows, _TABLE_X))
+    x = np.broadcast_to(mean + span, (len(rows), _TABLE_X))
     cdf, pdf = _cdf_and_pdf(model, x, nodes)
     u = np.arange(1, _TABLE_U) / _TABLE_U
     inner = [_quantile_row(*row, u) for row in zip(x, cdf, pdf)]
-    table = np.column_stack((x[:, 0], inner, x[:, -1]))
-    return np.concatenate((table, -table[:, ::-1])) if phased else table
+    evaluated = np.column_stack((x[:, 0], inner, x[:, -1]))
+    if not phased:
+        return evaluated
+    table = np.full((_TABLE_PHI, _TABLE_U + 1), np.nan)
+    table[rows] = evaluated
+    table[rows + half] = -evaluated[:, ::-1]
+    return table
 
 
 def _table_start(table, phis, targets):
@@ -416,10 +436,7 @@ def _table_start(table, phis, targets):
 
     if rows == 1:
         return at(0)
-    r = np.mod(phis + np.pi, 2.0 * np.pi) * (rows / (2.0 * np.pi))
-    m = np.floor(r)
-    f = r - m
-    m = m.astype(np.intp)
+    m, f = _phase_nodes(phis)
     return (
         (f * (1.0 - f) * (f - 2.0) / 6.0) * at((m - 1) % rows)
         + ((f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0) * at(m % rows)
@@ -469,6 +486,12 @@ def _newton(model, phis, targets, records, tol, x, lo, hi):
     d1 = d2 = np.full(targets.size, np.inf)
     for _ in range(_MAX_STEPS):
         cdf, pdf = _cdf_and_pdf(model, x, phi)
+        if np.isnan(cdf).any():
+            i = idx[np.argmax(np.isnan(cdf))]
+            raise InversionError(
+                f"CDF is NaN for record {records[i]} (u={float(targets[i])!r}, "
+                f"phi={float(phis[i])!r})"
+            )
         below = cdf < u
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
@@ -523,7 +546,7 @@ def _invert(model, phis, targets, tol, bracket):
     if not (np.isfinite(bracket) and bracket > 0.0):
         raise ValueError(f"bracket must be finite and > 0, got {bracket!r}")
     gaussian = isinstance(model, (Vacuum, Thermal, SqueezedVacuum))
-    table = None if gaussian else _start_table(model)
+    table = None if gaussian else _start_table(model, phis)
     out = np.empty_like(targets)
     records = np.arange(targets.size)
     for first in range(0, targets.size, _BLOCK):
@@ -543,9 +566,12 @@ def invert_cdf(
     """Quantile x with F(x, phi) = u: closed form for the Gaussian sources,
     otherwise to absolute tolerance tol.  The search bracket [-bracket,
     bracket] is doubled up to 4 times if needed; a quantile beyond the widest
-    bracket raises InversionError.  tol and bracket must be finite and > 0."""
+    bracket raises InversionError.  phi must be finite, and tol and bracket
+    finite and > 0."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
+    if not np.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     out = _invert(model, np.array([float(phi)]), np.array([float(u)]), tol, float(bracket))
     return float(out[0])
 
@@ -752,9 +778,7 @@ SAMPLES_CSV_HEADER = ["phase", "x"]
 def write_samples_csv(samples: SampleSet, path: str) -> None:
     """Write records as `phase,x` lines with 17 significant digits, block by
     block, so memory beyond the records stays bounded."""
-    _write_csv(
-        path, SAMPLES_CSV_HEADER, [_NUMBER] * 2, _row_blocks(samples.phases, samples.values)
-    )
+    _write_csv(path, SAMPLES_CSV_HEADER, [samples.phases, samples.values])
 
 
 def read_samples_csv(path: str, model: SourceModel | None = None, seed: int = 0) -> SampleSet:
@@ -777,7 +801,7 @@ VARIANCE_CSV_HEADER = [
 
 def write_variance_csv(report: VarianceReport, path: str) -> None:
     """Write one line per phase bin (see VARIANCE_CSV_HEADER), block by block."""
-    columns = (
+    columns = [
         report.bin_centers,
         report.counts,
         report.estimated_variance,
@@ -785,8 +809,8 @@ def write_variance_csv(report: VarianceReport, path: str) -> None:
         report.shifted_variance,
         report.variance_product,
         report.normally_ordered_variance,
-    )
-    _write_csv(path, VARIANCE_CSV_HEADER, [_NUMBER, "%d"] + [_NUMBER] * 5, _row_blocks(*columns))
+    ]
+    _write_csv(path, VARIANCE_CSV_HEADER, columns)
 
 
 def read_variance_csv(path: str) -> VarianceReport:

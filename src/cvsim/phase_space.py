@@ -17,7 +17,6 @@ s = -1 the Husimi Q; s = +1, the P function, is singular for squeezed light).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -158,15 +157,13 @@ WIGNER_CSV_HEADER = ["x", "p", "w"]
 def write_wigner_csv(field: WignerField, path: str) -> None:
     """Write a WignerField as `x,p,w` rows, row-major, 17 significant digits.
 
-    The axis labels are formatted once and the values one grid row at a
-    time, so memory beyond the field stays bounded by one grid row.
+    The axis labels are formatted once and repeated as text columns.
     """
-    p_labels = [_NUMBER % p for p in field.grid.p_axis().tolist()]
-    blocks = (
-        zip(repeat(_NUMBER % x), p_labels, row.tolist())
-        for x, row in zip(field.grid.x_axis().tolist(), field.values)
-    )
-    _write_csv(path, WIGNER_CSV_HEADER, ["%s", "%s", _NUMBER], blocks)
+    nx, n_p = field.values.shape
+    x_labels = np.array([_NUMBER % x for x in field.grid.x_axis().tolist()], dtype=object)
+    p_labels = np.array([_NUMBER % p for p in field.grid.p_axis().tolist()], dtype=object)
+    columns = [np.repeat(x_labels, n_p), np.tile(p_labels, nx), field.values.ravel()]
+    _write_csv(path, WIGNER_CSV_HEADER, columns)
 
 
 def read_wigner_csv(path: str) -> WignerField:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -257,6 +258,22 @@ def test_sample_rejects_out_of_range_fock(runner, tmp_path):
          "--out", str(tmp_path / "x.csv")],
     )
     assert result.exit_code == 2
+
+
+def test_sample_with_nan_cdf_exits_1_naming_the_record(runner, tmp_path):
+    # at |alpha| = 20 the cat's cross term is 0 * inf = NaN on part of the line
+    out = tmp_path / "cat.csv"
+    result = runner.invoke(
+        main,
+        ["sample", "--state", "cat", "--alpha-re", "20", "--alpha-im", "0", "--theta", "0",
+         "--count", "2000", "--out", str(out)],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"Error: CDF is NaN for record \d+ \(u=[-+.e\d]+, phi=[-+.e\d]+\)", lines[0])
+    assert not out.exists()
 
 
 def test_sample_requires_model_params(runner, tmp_path):
@@ -588,11 +605,26 @@ def run_fresh(code):
 
 
 # only the validation oracle integrates, and only homodyne evaluates the
-# special functions; each imports its scipy module itself
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special"])
+# special functions; each imports its scipy module itself.  The CSV writer's
+# power-of-ten table is built from ints, without fractions or decimal.
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special", "fractions", "decimal"])
 def test_cli_import_leaves_out(module):
     code = f"import sys, cvsim.cli; print({module!r} in sys.modules)"
     assert run_fresh(code).strip() == "False"
+
+
+def test_csv_power_table_is_built_on_first_write_not_at_import(tmp_path):
+    out = str(tmp_path / "s.csv")
+    code = (
+        "from cvsim.cli import main\n"
+        "from cvsim._csvio import _pow10_table\n"
+        "print('tables', _pow10_table.cache_info().currsize)\n"
+        f"main(['sample', '--state', 'vacuum', '--count', '3', '--out', {out!r}],"
+        " standalone_mode=False)\n"
+        "print('tables', _pow10_table.cache_info().currsize)\n"
+    )
+    counts = [line.split()[1] for line in run_fresh(code).splitlines() if line.startswith("tables")]
+    assert counts == ["0", "1"]
 
 
 def test_commands_other_than_sample_leave_out_scipy_special(tmp_path):

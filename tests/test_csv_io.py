@@ -1,11 +1,13 @@
 """CSV readers and writers of the three file formats: number format, field
 counts, line numbers past the first block, CRLF and blank lines, and grids
-larger than one block."""
+larger than one block; the writer's numbers against '%.17g' byte for byte."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvsim import (
     MalformedInputError,
@@ -21,7 +23,7 @@ from cvsim import (
     write_samples_csv,
     write_wigner_csv,
 )
-from cvsim._csvio import _BLOCK
+from cvsim._csvio import _BLOCK, _decimal_digits
 from cvsim.homodyne import read_variance_csv, write_variance_csv
 from cvsim.states import vacuum_state
 
@@ -65,6 +67,94 @@ def test_number_format_round_trips_special_values(tmp_path):
     back = read_samples_csv(str(path))
     assert np.array_equal(bits(back.values), bits(values))
     assert np.array_equal(bits(back.phases), bits(values[::-1]))
+
+
+def as_g17(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def assert_written_as_g17(tmp_path, values):
+    """write_samples_csv writes every value as '%.17g' does, byte for byte."""
+    half = len(values) // 2
+    ss = SampleSet(phases=values[:half], values=values[half : 2 * half], model=None, seed=0)
+    path = tmp_path / "g17.csv"
+    write_samples_csv(ss, str(path))
+    lines = path.read_bytes().decode("ascii").split("\n")
+    expected = [f"{p},{v}" for p, v in zip(as_g17(ss.phases), as_g17(ss.values))]
+    assert lines[0] == "phase,x" and lines[-1] == "" and len(lines) == half + 2
+    wrong = [(got, want) for got, want in zip(lines[1:-1], expected) if got != want]
+    assert not wrong, wrong[:5]
+
+
+def powers_of_ten():
+    """The doubles nearest 10**d, d = -323 .. 308."""
+    return np.array([float(f"1e{d}") for d in range(-323, 309)])
+
+
+def fuzz_values(rng):
+    """Seeded values over the whole double range, about 2.05 million."""
+    signs = lambda n: rng.choice([-1.0, 1.0], n)  # noqa: E731
+    decades = np.arange(-320, 309)
+    neighbours = powers_of_ten().view(np.int64)[:, None] + np.arange(-8, 9)
+    odd = 2 * rng.integers(2**16, 5 * 2**17, 200_000) + 1
+    parts = [
+        # random bit patterns: every exponent, both signs, NaN, inf, subnormals
+        rng.integers(0, 2**64, 800_000, dtype=np.uint64).view(np.float64),
+        # every decade from 1e-320 to 1e308, 1000 values each
+        signs(decades.size * 1000) * 10.0 ** (np.repeat(decades, 1000) + rng.random(decades.size * 1000)),
+        # the nextafter neighbours of each power of ten, 8 ulps either way
+        np.concatenate([neighbours.ravel(), neighbours.ravel()]).view(np.float64)
+        * np.repeat([1.0, -1.0], neighbours.size),
+        # exact ties at 17 digits: odd M / 2**17 in [1, 10) has 18 digits ending in 5
+        signs(odd.size) * odd / 2.0**17,
+        # dyadic values M / 2**j over the whole exponent range
+        signs(400_000)
+        * np.ldexp(rng.integers(1, 2**53, 400_000).astype(float), rng.integers(-1126, 971, 400_000)),
+        np.array(SPECIAL + [-x for x in SPECIAL] + [1e-320, 3e-310, -1e-315, 1e16, 1e17, 1e-5]),
+    ]
+    values = np.concatenate(parts)
+    return values[rng.permutation(values.size)]
+
+
+def test_writer_matches_g17_on_two_million_fuzzed_values(tmp_path):
+    with np.errstate(over="ignore", under="ignore"):
+        values = fuzz_values(np.random.default_rng(20240917))
+    assert values.size >= 2_000_000
+    assert_written_as_g17(tmp_path, values)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=2, max_size=50))
+def test_writer_matches_g17_on_any_floats(tmp_path_factory, values):
+    assert_written_as_g17(tmp_path_factory.mktemp("g17"), np.array(values, dtype=float))
+
+
+def test_decimal_digits_are_exact_where_certain():
+    rng = np.random.default_rng(5)
+    with np.errstate(over="ignore"):
+        values = np.concatenate(
+            [10.0 ** rng.uniform(-307, 308, 20_000), rng.normal(size=20_000), odd_ties(rng)]
+        )
+    digits, k, certain = _decimal_digits(values)
+    # all but a few values near powers of ten and ties are certain, and
+    # certain digits are those of '%.16e'
+    assert certain.mean() > 0.999
+    for v, d, e in zip(values[certain].tolist(), digits[certain].tolist(), k[certain].tolist()):
+        mantissa, exponent = ("%.16e" % abs(v)).split("e")
+        assert (int(mantissa.replace(".", "")), int(exponent)) == (d, e), v
+
+
+def odd_ties(rng):
+    return (2 * rng.integers(2**16, 5 * 2**17, 2000) + 1) / 2.0**17
+
+
+def test_decimal_digits_round_exact_ties_half_even_and_leave_inexact_ones():
+    # 10**16 is a double, so ties at |x| in [1, 10) are resolved exactly
+    digits, _, certain = _decimal_digits(np.array([131073 / 2**17, 131075 / 2**17]))
+    assert certain.all() and digits.tolist() == [10000076293945312, 10000228881835938]
+    # 10**23 is not: 3 / 2**24 * 10**23 ends in .5 and is left to '%.17g'
+    _, _, certain = _decimal_digits(np.array([3 / 2**24, 0.0, np.nan, 5e-324, 1.0]))
+    assert not certain.any()
 
 
 def test_variance_file_round_trips_nan_rows(tmp_path):

@@ -2,6 +2,8 @@
 functions, densities, CDFs and the inversion machinery.  Statistical tests
 on full sample sets live in test_homodyne_stats.py."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -328,6 +330,15 @@ def test_invert_monotone_in_u():
     phi = 0.4
     xs = [invert_cdf(model, phi, u, tol=1e-10) for u in us]
     assert (np.diff(xs) >= -1e-9).all()
+
+
+@pytest.mark.parametrize("phi", NON_FINITE)
+@pytest.mark.parametrize("model", [CatState(2.0, 0.0), Fock(2), Vacuum()])
+def test_invert_rejects_non_finite_phi(model, phi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phi must be finite"):
+            invert_cdf(model, phi, 0.3)
 
 
 def test_invert_rejects_bad_u():
