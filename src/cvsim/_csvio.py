@@ -168,38 +168,43 @@ def _float_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray) -> np.ndarra
     return cells
 
 
+def _format_block(part: list[np.ndarray]) -> str:
+    """One block of rows as text: a template joined from each cell's piece,
+    filled by one %-format of all the cells' integer arguments."""
+    rows, width = part[0].size, len(part)
+    template = np.empty((rows, 2 * width), dtype=object)
+    template[:, 1::2] = ","
+    template[:, -1] = "\n"
+    args = np.zeros((rows, width, 3), dtype=np.int64)
+    used = np.zeros((rows, width, 3), dtype=bool)
+    for j, cells in enumerate(part):
+        if cells.dtype.kind == "f":
+            cells = cells.astype(np.float64, copy=False)
+            template[:, 2 * j] = _float_cells(cells, args[:, j], used[:, j])
+        elif cells.dtype.kind in "iu":
+            template[:, 2 * j] = "%d"
+            args[:, j, 0] = cells
+            used[:, j, 0] = True
+        else:
+            template[:, 2 * j] = cells
+    values = tuple(args[used].tolist())
+    del args, used  # keep only the template and the values while formatting
+    return "".join(template.ravel().tolist()) % values
+
+
 def _write_csv(path: str, header, columns) -> None:
     """Write a CSV file: the header, then one LF-terminated line per row.
 
-    ``columns`` are equal-length float arrays, written as '%.17g' writes
-    each number; integer arrays, written as '%d'; or sequences of labels,
-    written verbatim (they must not hold '%').  Rows are formatted _BLOCK at
-    a time, each block by one %-format, so memory stays bounded by one block
-    whatever the file size.
+    ``columns`` are arrays of one shape, read in C order (broadcast views
+    too): float arrays are written as '%.17g' writes each number, integer
+    arrays as '%d' and object arrays of labels verbatim (they must not hold
+    '%').  Rows are formatted _BLOCK at a time, so memory stays bounded by
+    one block whatever the file size.
     """
-    width = len(columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for first in range(0, len(columns[0]), _BLOCK):
-            part = [column[first : first + _BLOCK] for column in columns]
-            rows = len(part[0])
-            template = np.empty((rows, 2 * width), dtype=object)
-            template[:, 1::2] = ","
-            template[:, -1] = "\n"
-            args = np.zeros((rows, width, 3), dtype=np.int64)
-            used = np.zeros((rows, width, 3), dtype=bool)
-            for j, cells in enumerate(part):
-                kind = cells.dtype.kind if isinstance(cells, np.ndarray) else ""
-                if kind == "f":
-                    cells = cells.astype(np.float64, copy=False)
-                    template[:, 2 * j] = _float_cells(cells, args[:, j], used[:, j])
-                elif kind in ("i", "u"):
-                    template[:, 2 * j] = "%d"
-                    args[:, j, 0] = cells
-                    used[:, j, 0] = True
-                else:
-                    template[:, 2 * j] = cells
-            fh.write("".join(template.ravel().tolist()) % tuple(args[used].tolist()))
+        for first in range(0, columns[0].size, _BLOCK):
+            fh.write(_format_block([column.flat[first : first + _BLOCK] for column in columns]))
 
 
 def _parse_block(lines: list[str], width: int, lineno: int) -> np.ndarray:

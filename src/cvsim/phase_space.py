@@ -157,13 +157,14 @@ WIGNER_CSV_HEADER = ["x", "p", "w"]
 def write_wigner_csv(field: WignerField, path: str) -> None:
     """Write a WignerField as `x,p,w` rows, row-major, 17 significant digits.
 
-    The axis labels are formatted once and repeated as text columns.
+    The axis labels are formatted once and broadcast over the grid, so
+    memory beyond the field stays bounded by one block of rows.
     """
-    nx, n_p = field.values.shape
+    shape = field.values.shape
     x_labels = np.array([_NUMBER % x for x in field.grid.x_axis().tolist()], dtype=object)
     p_labels = np.array([_NUMBER % p for p in field.grid.p_axis().tolist()], dtype=object)
-    columns = [np.repeat(x_labels, n_p), np.tile(p_labels, nx), field.values.ravel()]
-    _write_csv(path, WIGNER_CSV_HEADER, columns)
+    columns = [np.broadcast_to(x_labels[:, None], shape), np.broadcast_to(p_labels, shape)]
+    _write_csv(path, WIGNER_CSV_HEADER, columns + [field.values])
 
 
 def read_wigner_csv(path: str) -> WignerField:
