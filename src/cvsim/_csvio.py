@@ -3,7 +3,7 @@ then one LF-terminated line of numbers per row, written and parsed in
 blocks of rows so that memory stays bounded whatever the file size.
 
 Numbers are written as '%.17g' writes them, byte for byte, but without
-formatting each float in Python: '%.17g' % x is the integer D = |x|·10**(16-k)
+formatting each float in Python: '%.17g' % x is the integer D = |x| * 10**(16-k)
 rounded half-even to 17 digits, with k the decimal exponent, plus a sign, a
 decimal point, trailing zeros dropped and an exponent for k < -4 or k > 16.
 D and k are computed for a whole block in numpy (`_decimal_digits`), and the
@@ -56,12 +56,11 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
     rows = []
     for q in range(_Q_MIN, _Q_MAX + 1):
         if q >= 0:
-            num, den = 10**q, 1 << (10**q).bit_length() - 1
-            s = den.bit_length() - 1
+            s = (10**q).bit_length() - 1
+            num, den = 10**q, 1 << s
         else:
-            den = 10**-q
-            num = 1 << den.bit_length()
-            s = -den.bit_length()
+            s = -(10**-q).bit_length()
+            num, den = 1 << -s, 10**-q
         th = num / den
         tl = ((num << 52) - int(th * 2**52) * den) / (den << 52)
         c = _SPLIT * th
@@ -83,12 +82,13 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and th + tl errs by 2**-106 * y, so hi + lo, the two scaled by 2**(e+s),
     is y to within 2**-104 * y < 2**-47 for y < 2**57.  Where tl == 0 (q in
     [0, 22], |x| in [1e-6, 1e17)) hi + lo is y exactly.  D = hi + rint(lo)
-    is then y rounded half-even, since hi > 2**53 is an even integer, unless
-    tl != 0 and lo lies within _TIE_MARGIN of a tie.  k comes from log10,
-    which may be one off next to a power of ten; D then falls out of
-    (10**16, 10**17), a test that also leaves powers of ten and values that
-    round up to one to Python, with zeros, subnormals, infinities and NaN.
-    (D > 10**16 needs hi > 2**53.)
+    is then y rounded half-even, unless tl != 0 and lo lies within
+    _TIE_MARGIN of a tie: hi < 2**53 gives |lo| < 2 and D < 10**16, so
+    D > 10**16 holds only where hi >= 2**53 is an even integer.  k comes
+    from log10, which may be one off next to a power of ten; D then falls
+    out of (10**16, 10**17), a test that also leaves powers of ten and values
+    that round up to one to Python, with zeros, subnormals, infinities and
+    NaN.
     """
     ax = np.abs(x)
     certain = (ax >= sys.float_info.min) & (ax <= sys.float_info.max)

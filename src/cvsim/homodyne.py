@@ -404,7 +404,12 @@ def _start_table(model, phis):
     """
     phased = isinstance(model, CatState)
     half = _TABLE_PHI // 2
-    rows = np.unique((_phase_nodes(phis)[0][:, None] + np.arange(-1, 3)) % half) if phased else [0]
+    rows = [0]
+    if phased:
+        # a record at node m starts from rows m - 1 .. m + 2, mirrored or not
+        hit = np.zeros(half, dtype=bool)
+        hit[_phase_nodes(phis)[0] % half] = True
+        rows = np.flatnonzero(hit | np.roll(hit, 1) | np.roll(hit, -1) | np.roll(hit, 2))
     nodes = np.linspace(-np.pi, 0.0, half if phased else 1, endpoint=False)[rows][:, None]
     mean, var = _moments(model, nodes)
     span = (2.0 * np.sqrt(var) + 5.0) * np.linspace(-1.0, 1.0, _TABLE_X)

@@ -272,7 +272,8 @@ def test_sample_with_nan_cdf_exits_1_naming_the_record(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)
     lines = result.output.strip().splitlines()
     assert len(lines) == 1
-    assert re.fullmatch(r"Error: CDF is NaN for record \d+ \(u=[-+.e\d]+, phi=[-+.e\d]+\)", lines[0])
+    number = r"[-+.e\d]+"
+    assert re.fullmatch(rf"Error: CDF is NaN for record \d+ \(u={number}, phi={number}\)", lines[0])
     assert not out.exists()
 
 

@@ -93,26 +93,28 @@ def powers_of_ten():
 
 def fuzz_values(rng):
     """Seeded values over the whole double range, about 2.05 million."""
-    signs = lambda n: rng.choice([-1.0, 1.0], n)  # noqa: E731
-    decades = np.arange(-320, 309)
-    neighbours = powers_of_ten().view(np.int64)[:, None] + np.arange(-8, 9)
+
+    def signed(values):
+        return rng.choice([-1.0, 1.0], values.size) * values
+
+    decades = np.repeat(np.arange(-320, 309), 1000)
+    neighbours = (powers_of_ten().view(np.int64)[:, None] + np.arange(-8, 9)).view(np.float64)
     odd = 2 * rng.integers(2**16, 5 * 2**17, 200_000) + 1
-    parts = [
+    mantissas = rng.integers(1, 2**53, 400_000).astype(float)
+    values = np.concatenate([
         # random bit patterns: every exponent, both signs, NaN, inf, subnormals
         rng.integers(0, 2**64, 800_000, dtype=np.uint64).view(np.float64),
         # every decade from 1e-320 to 1e308, 1000 values each
-        signs(decades.size * 1000) * 10.0 ** (np.repeat(decades, 1000) + rng.random(decades.size * 1000)),
+        signed(10.0 ** (decades + rng.random(decades.size))),
         # the nextafter neighbours of each power of ten, 8 ulps either way
-        np.concatenate([neighbours.ravel(), neighbours.ravel()]).view(np.float64)
-        * np.repeat([1.0, -1.0], neighbours.size),
-        # exact ties at 17 digits: odd M / 2**17 in [1, 10) has 18 digits ending in 5
-        signs(odd.size) * odd / 2.0**17,
+        neighbours.ravel(),
+        -neighbours.ravel(),
+        # exact ties: odd M / 2**17 in [1, 10) has 18 digits, the last a 5
+        signed(odd / 2.0**17),
         # dyadic values M / 2**j over the whole exponent range
-        signs(400_000)
-        * np.ldexp(rng.integers(1, 2**53, 400_000).astype(float), rng.integers(-1126, 971, 400_000)),
-        np.array(SPECIAL + [-x for x in SPECIAL] + [1e-320, 3e-310, -1e-315, 1e16, 1e17, 1e-5]),
-    ]
-    values = np.concatenate(parts)
+        signed(np.ldexp(mantissas, rng.integers(-1126, 971, mantissas.size))),
+        np.array(SPECIAL + [-x for x in SPECIAL] + [1e-320, -3e-310, 1e16, 1e17, 1e-5]),
+    ])
     return values[rng.permutation(values.size)]
 
 
