@@ -86,6 +86,12 @@ def assert_written_as_g17(tmp_path, values):
     assert not wrong, wrong[:5]
 
 
+#: short decimals, the fraction of 0.5 losing 16 trailing zeros
+SHORT = [0.5, 0.25, 2.0, 1.5, 123456.0, 1e16, 1e17, 1e22, 1e23, 1e-5]
+#: every tie of the double-double path: M / 2**24 * 10**23 and M / 2**25 * 10**24 end in .5
+INEXACT_TIES = [m / 2.0**24 for m in range(3, 17, 2)] + [1 / 2.0**25, 3 / 2.0**25]
+
+
 def powers_of_ten():
     """The doubles nearest 10**d, d = -323 .. 308."""
     return np.array([float(f"1e{d}") for d in range(-323, 309)])
@@ -113,7 +119,7 @@ def fuzz_values(rng):
         signed(odd / 2.0**17),
         # dyadic values M / 2**j over the whole exponent range
         signed(np.ldexp(mantissas, rng.integers(-1126, 971, mantissas.size))),
-        np.array(SPECIAL + [-x for x in SPECIAL] + [1e-320, -3e-310, 1e16, 1e17, 1e-5]),
+        signed(np.array(SPECIAL + SHORT + INEXACT_TIES + [1e-320, 3e-310])),
     ])
     return values[rng.permutation(values.size)]
 
