@@ -491,8 +491,9 @@ def _newton(model, phis, targets, records, tol, x, lo, hi):
     d1 = d2 = np.full(targets.size, np.inf)
     for _ in range(_MAX_STEPS):
         cdf, pdf = _cdf_and_pdf(model, x, phi)
-        if np.isnan(cdf).any():
-            i = idx[np.argmax(np.isnan(cdf))]
+        nan = np.isnan(cdf)
+        if nan.any():
+            i = idx[np.argmax(nan)]
             raise InversionError(
                 f"CDF is NaN for record {records[i]} (u={float(targets[i])!r}, "
                 f"phi={float(phis[i])!r})"
@@ -806,7 +807,7 @@ VARIANCE_CSV_HEADER = [
 
 def write_variance_csv(report: VarianceReport, path: str) -> None:
     """Write one line per phase bin (see VARIANCE_CSV_HEADER), block by block."""
-    columns = [
+    columns = (
         report.bin_centers,
         report.counts,
         report.estimated_variance,
@@ -814,7 +815,7 @@ def write_variance_csv(report: VarianceReport, path: str) -> None:
         report.shifted_variance,
         report.variance_product,
         report.normally_ordered_variance,
-    ]
+    )
     _write_csv(path, VARIANCE_CSV_HEADER, columns)
 
 
