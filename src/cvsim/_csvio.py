@@ -28,8 +28,8 @@ _NUMBER = "%.17g"
 _BLOCK = 8192
 #: rows formatted together; with 8192-row blocks the writer's buffers left the
 #: heap such that a later 1e6-row read in the same process peaked 8 MB higher
-#: in 4 of 14 benchmark runs (homodyne-gaussian-1e6, seed 9001), in 0 of 12
-#: with 4096, at a cost of ~5% of the writer's time
+#: in 4 of 14 benchmark runs (homodyne-gaussian-1e6, seed 9001, 2-vCPU VM),
+#: in 0 of 22 with 4096, which costs 5-8% of the writer's time
 _WRITE_BLOCK = 4096
 
 #: 10**0 .. 10**17, exact in int64

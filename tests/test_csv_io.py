@@ -92,6 +92,11 @@ SHORT = [0.5, 0.25, 2.0, 1.5, 123456.0, 1e16, 1e17, 1e22, 1e23, 1e-5]
 INEXACT_TIES = [m / 2.0**24 for m in range(3, 17, 2)] + [1 / 2.0**25, 3 / 2.0**25]
 
 
+def odd_ties(rng, count):
+    """Exact ties at 17 digits: odd M / 2**17 in [1, 10) has 18 digits, the last a 5."""
+    return (2 * rng.integers(2**16, 5 * 2**17, count) + 1) / 2.0**17
+
+
 def powers_of_ten():
     """The doubles nearest 10**d, d = -323 .. 308."""
     return np.array([float(f"1e{d}") for d in range(-323, 309)])
@@ -105,7 +110,6 @@ def fuzz_values(rng):
 
     decades = np.repeat(np.arange(-320, 309), 1000)
     neighbours = (powers_of_ten().view(np.int64)[:, None] + np.arange(-8, 9)).view(np.float64)
-    odd = 2 * rng.integers(2**16, 5 * 2**17, 200_000) + 1
     mantissas = rng.integers(1, 2**53, 400_000).astype(float)
     values = np.concatenate([
         # random bit patterns: every exponent, both signs, NaN, inf, subnormals
@@ -115,8 +119,7 @@ def fuzz_values(rng):
         # the nextafter neighbours of each power of ten, 8 ulps either way
         neighbours.ravel(),
         -neighbours.ravel(),
-        # exact ties: odd M / 2**17 in [1, 10) has 18 digits, the last a 5
-        signed(odd / 2.0**17),
+        signed(odd_ties(rng, 200_000)),
         # dyadic values M / 2**j over the whole exponent range
         signed(np.ldexp(mantissas, rng.integers(-1126, 971, mantissas.size))),
         signed(np.array(SPECIAL + SHORT + INEXACT_TIES + [1e-320, 3e-310])),
@@ -141,7 +144,7 @@ def test_decimal_digits_are_exact_where_certain():
     rng = np.random.default_rng(5)
     with np.errstate(over="ignore"):
         values = np.concatenate(
-            [10.0 ** rng.uniform(-307, 308, 20_000), rng.normal(size=20_000), odd_ties(rng)]
+            [10.0 ** rng.uniform(-307, 308, 20_000), rng.normal(size=20_000), odd_ties(rng, 2000)]
         )
     digits, k, certain = _decimal_digits(values)
     # all but a few values near powers of ten and ties are certain, and
@@ -150,10 +153,6 @@ def test_decimal_digits_are_exact_where_certain():
     for v, d, e in zip(values[certain].tolist(), digits[certain].tolist(), k[certain].tolist()):
         mantissa, exponent = ("%.16e" % abs(v)).split("e")
         assert (int(mantissa.replace(".", "")), int(exponent)) == (d, e), v
-
-
-def odd_ties(rng):
-    return (2 * rng.integers(2**16, 5 * 2**17, 2000) + 1) / 2.0**17
 
 
 def test_decimal_digits_round_exact_ties_half_even_and_leave_inexact_ones():
