@@ -16,8 +16,6 @@ from .errors import (
     UnsupportedOrderingError,
 )
 from .states import (
-    INTERLEAVED,
-    XP_BLOCK,
     GaussianState,
     PhysicalityReport,
     check_physicality,
@@ -25,8 +23,6 @@ from .states import (
     purity,
     symplectic_eigenvalues,
     symplectic_form,
-    to_interleaved,
-    to_xp_block,
     vacuum_state,
 )
 from .gates import (

@@ -141,34 +141,30 @@ def _require_finite(**options: float) -> None:
             raise click.UsageError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
 
 
-_MODEL_CHOICES = ("fock", "spats", "squeezed", "cat", "thermal", "vacuum")
+#: --state -> (source model constructor, the options it takes in order)
+_MODELS = {
+    "fock": (homodyne.Fock, ("n",)),
+    "spats": (homodyne.Spats, ("nbar",)),
+    "squeezed": (homodyne.SqueezedVacuum, ("r",)),
+    "cat": (lambda re, im, theta: homodyne.CatState(complex(re, im), theta),
+            ("alpha_re", "alpha_im", "theta")),
+    "thermal": (homodyne.Thermal, ("nbar",)),
+    "vacuum": (homodyne.Vacuum, ()),
+}
 
 
 def _build_model(state, n, nbar, r, alpha_re, alpha_im, theta) -> homodyne.SourceModel:
+    build, names = _MODELS[state]
+    given = dict(n=n, nbar=nbar, r=r, alpha_re=alpha_re, alpha_im=alpha_im, theta=theta)
+    values = [given[name] for name in names]
+    if None in values:
+        flags = ["--" + name.replace("_", "-") for name in names]
+        if len(flags) == 1:
+            raise click.UsageError(f"{flags[0]} is required for --state {state}")
+        listed = ", ".join(flags[:-1]) + " and " + flags[-1]
+        raise click.UsageError(f"{listed} are required for --state {state}")
     try:
-        if state == "fock":
-            if n is None:
-                raise ValueError("--n is required for --state fock")
-            return homodyne.Fock(n)
-        if state == "spats":
-            if nbar is None:
-                raise ValueError("--nbar is required for --state spats")
-            return homodyne.Spats(nbar)
-        if state == "squeezed":
-            if r is None:
-                raise ValueError("--r is required for --state squeezed")
-            return homodyne.SqueezedVacuum(r)
-        if state == "cat":
-            if alpha_re is None or alpha_im is None or theta is None:
-                raise ValueError(
-                    "--alpha-re, --alpha-im and --theta are required for --state cat"
-                )
-            return homodyne.CatState(complex(alpha_re, alpha_im), theta)
-        if state == "thermal":
-            if nbar is None:
-                raise ValueError("--nbar is required for --state thermal")
-            return homodyne.Thermal(nbar)
-        return homodyne.Vacuum()
+        return build(*values)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
 
@@ -183,7 +179,7 @@ def _model_options(required=True):
         fn = click.option("--n", type=int, default=None, help="Fock photon number (0..10)")(fn)
         fn = click.option(
             "--state",
-            type=click.Choice(_MODEL_CHOICES),
+            type=click.Choice(tuple(_MODELS)),
             required=required,
             default=None,
             help="source family",

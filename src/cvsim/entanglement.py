@@ -17,12 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MalformedInputError
-from .states import (
-    GaussianState,
-    check_physicality,
-    symplectic_eigenvalues,
-    to_interleaved,
-)
+from .states import GaussianState, check_physicality, symplectic_eigenvalues
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -51,7 +46,6 @@ def reduced_state(state: GaussianState, modes: Sequence[int]) -> GaussianState:
     The kept modes appear in the order given; mean and covariance are simply
     restricted to the corresponding interleaved rows and columns.
     """
-    state = to_interleaved(state)
     modes = _check_modes(modes, state.num_modes)
     idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
     return GaussianState(
@@ -124,7 +118,6 @@ def simon_criterion(state: GaussianState, tol: float = VERDICT_TOL) -> SimonRepo
     with J = [[0, 1], [-1, 0]].  Violation certifies entanglement, and for
     two-mode Gaussian states the test is also sufficient.
     """
-    state = to_interleaved(state)
     if state.num_modes != 2:
         raise ValueError(
             f"the Simon criterion applies to two-mode states, got {state.num_modes}"
@@ -150,7 +143,6 @@ def ptranspose_symplectic_spectrum(
 ) -> np.ndarray:
     """Symplectic eigenvalues of the partially transposed covariance,
     normalized by hbar/2 so the vacuum gives 1."""
-    state = to_interleaved(state)
     if bipartition.modes() != tuple(range(state.num_modes)):
         raise ValueError(
             "bipartition must cover exactly the state's modes "

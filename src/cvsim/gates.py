@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MalformedInputError
-from .states import INTERLEAVED, GaussianState, _freeze, symplectic_form
+from .states import GaussianState, _freeze, symplectic_form
 
 #: tolerance on ||B Omega B^T - Omega||_F at gate construction
 SYMPLECTIC_TOL = 1e-10
@@ -189,10 +189,6 @@ def _apply_in_place(gate: SymplecticGate, cov: np.ndarray, mean: np.ndarray) -> 
 
 def apply_gate(gate: SymplecticGate, state: GaussianState) -> GaussianState:
     """Transform a state's moments: mean -> S mean + d, cov -> S cov S^T."""
-    if state.ordering != INTERLEAVED:
-        raise MalformedInputError(
-            "gates act on interleaved states; convert with to_interleaved first"
-        )
     if gate.num_modes != state.num_modes:
         raise MalformedInputError(
             f"gate is for {gate.num_modes} modes, state has {state.num_modes}"
@@ -200,7 +196,7 @@ def apply_gate(gate: SymplecticGate, state: GaussianState) -> GaussianState:
     cov = (state.cov + state.cov.T) / 2.0  # a fresh, exactly symmetric copy
     mean = np.array(state.mean, copy=True)
     _apply_in_place(gate, cov, mean)
-    return GaussianState(mean=mean, cov=cov, hbar=state.hbar, ordering=INTERLEAVED)
+    return GaussianState(mean=mean, cov=cov, hbar=state.hbar)
 
 
 def _prepare_thermal_in_place(
@@ -228,10 +224,6 @@ def thermal_prepare(n_bar: float, mode: int, state: GaussianState) -> GaussianSt
     Not a symplectic gate (the map is not unitary); restricted to modes that
     are currently in the vacuum so the semantics stay unambiguous.
     """
-    if state.ordering != INTERLEAVED:
-        raise MalformedInputError(
-            "thermal_prepare acts on interleaved states; convert first"
-        )
     cov = np.array(state.cov, copy=True)
     _prepare_thermal_in_place(n_bar, mode, cov, state.mean, state.hbar)
-    return GaussianState(mean=state.mean, cov=cov, hbar=state.hbar, ordering=INTERLEAVED)
+    return GaussianState(mean=state.mean, cov=cov, hbar=state.hbar)

@@ -1,12 +1,16 @@
 """Simulated balanced-homodyne-detection data for nonclassical state families.
 
 Everything here uses the dimensionless quadrature convention in which the
-vacuum variance is 1 and Var[X_phi] Var[X_{phi+pi/2}] >= 1.  For each source
-model the characteristic function chi(beta), the quadrature density p(x, phi)
-and its antiderivative F(x, phi) are closed forms.  Sampling draws uniform
+vacuum variance is 1 and Var[X_phi] Var[X_{phi+pi/2}] >= 1.  Each source
+model is a class that owns its closed forms as methods: the characteristic
+function chi(beta), the quadrature density p(x, phi), its antiderivative
+F(x, phi) and the mean and variance of X_phi.  The public functions below
+delegate to them.  The Gaussian sources (vacuum, thermal, squeezed vacuum)
+share one base that derives p, F, chi and the quantile from their
+Var[X_phi] (Lvovsky & Raymer, RMP 81, 299 (2009)).  Sampling draws uniform
 phases on [-pi, pi) and uniform targets u on (0, 1) and solves F(x, phi) = u.
-For the Gaussian sources (vacuum, thermal, squeezed vacuum) the quantile is
-the closed form x = sqrt(Var[X_phi]) ndtri(u).  For the Fock, SPATS and cat
+For the Gaussian sources the quantile is the closed form
+x = sqrt(Var[X_phi]) ndtri(u).  For the Fock, SPATS and cat
 sources each record runs a safeguarded Newton iteration inside a bisection
 bracket: Newton steps from a start read off a quantile table, a midpoint step
 wherever Newton would leave the bracket or stall, and a stop once the bracket
@@ -24,7 +28,7 @@ drawn in.  Source parameters must be finite, and tol and bracket finite and
 The squeezed-vacuum family is squeezed along x at phi = 0:
 Var[X_phi] = e^{-2r} cos^2(phi) + e^{2r} sin^2(phi).
 
-scipy.special is imported inside the functions that evaluate erf, ndtri or
+scipy.special is imported inside the methods that evaluate erf, ndtri or
 eval_laguerre, so that importing cvsim does not load it: that import takes
 about as long as the rest of the package's imports together.
 """
@@ -32,7 +36,6 @@ about as long as the rest of the package's imports together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -61,8 +64,50 @@ _TABLE_PHI = 128
 # ---------------------------------------------------------------------------
 
 
+class SourceModel:
+    """A source family with its closed forms, each a method: ``chi(beta)``,
+    ``pdf(x, phi)``, ``cdf(x, phi)``, ``variance(phi)`` and ``moments(phi)``
+    of X_phi, and ``cdf_pdf(x, phi)`` for both at once.  x and phi are float
+    arrays that broadcast; a family whose density does not depend on phi
+    returns arrays shaped like x."""
+
+    #: whether p(x, phi) depends on phi
+    phase_sensitive = False
+
+    def cdf_pdf(self, x, phi):
+        return self.cdf(x, phi), self.pdf(x, phi)
+
+    def moments(self, phi):
+        """Mean and variance of X_phi (scalars where they do not depend on phi)."""
+        return 0.0, self.variance(phi)
+
+
+class _GaussianSource(SourceModel):
+    """A zero-mean Gaussian source: X_phi is normal with variance(phi), which
+    gives p, F, chi and the quantile in closed form."""
+
+    def chi(self, beta: complex) -> complex:
+        # chi(i y e^{-i phi}) is the characteristic function of X_phi at y
+        ab2 = abs(beta) ** 2
+        return complex(np.exp(-ab2 * self.variance(np.pi / 2.0 - np.angle(beta)) / 2.0))
+
+    def pdf(self, x, phi):
+        v = self.variance(phi)
+        return np.exp(-(x**2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
+
+    def cdf(self, x, phi):
+        from scipy.special import erf
+
+        return 0.5 + 0.5 * erf(x / np.sqrt(2.0 * self.variance(phi)))
+
+    def quantile(self, phi, u):
+        from scipy.special import ndtri
+
+        return np.sqrt(self.variance(phi)) * ndtri(u)
+
+
 @dataclass(frozen=True)
-class Fock:
+class Fock(SourceModel):
     """Photon-number state |n>, 0 <= n <= 10."""
 
     n: int
@@ -71,9 +116,45 @@ class Fock:
         if not 0 <= self.n <= MAX_FOCK_N:
             raise ValueError(f"Fock n must be in 0..{MAX_FOCK_N}, got {self.n}")
 
+    def chi(self, beta: complex) -> complex:
+        from scipy.special import eval_laguerre
+
+        ab2 = abs(beta) ** 2
+        return complex(np.exp(-ab2 / 2.0) * eval_laguerre(self.n, ab2))
+
+    def cdf_pdf(self, x, phi):
+        """F and p from the normalized Hermite functions psi_k(x / sqrt 2),
+
+            psi_k = sqrt(2/k) u psi_{k-1} - sqrt((k-1)/k) psi_{k-2},
+            F_n = 1/2 + erf(u)/2 - sum_{k=1..n} psi_k psi_{k-1} / sqrt(2k),
+            p_n = psi_n^2 / sqrt(2),
+
+        which stays accurate to a few ulp where the Hermite-polynomial sums
+        cancel.
+        """
+        from scipy.special import erf
+
+        u = x / np.sqrt(2.0)
+        prev = np.zeros_like(u)
+        psi = np.pi**-0.25 * np.exp(-(u**2) / 2.0)
+        series = np.zeros_like(u)
+        for k in range(1, self.n + 1):
+            prev, psi = psi, np.sqrt(2.0 / k) * u * psi - np.sqrt((k - 1) / k) * prev
+            series = series + psi * prev / np.sqrt(2.0 * k)
+        return 0.5 + 0.5 * erf(u) - series, psi**2 / np.sqrt(2.0)
+
+    def pdf(self, x, phi):
+        return self.cdf_pdf(x, phi)[1]
+
+    def cdf(self, x, phi):
+        return self.cdf_pdf(x, phi)[0]
+
+    def variance(self, phi):
+        return 2.0 * self.n + 1.0
+
 
 @dataclass(frozen=True)
-class Spats:
+class Spats(SourceModel):
     """Single-photon-added thermal state with mean thermal photon number n_bar."""
 
     n_bar: float
@@ -82,24 +163,56 @@ class Spats:
         if not (np.isfinite(self.n_bar) and self.n_bar > 0):
             raise ValueError(f"SPATS n_bar must be finite and > 0, got {self.n_bar!r}")
 
+    def chi(self, beta: complex) -> complex:
+        nb, ab2 = self.n_bar, abs(beta) ** 2
+        return complex(np.exp(-ab2 / 2.0) * (1.0 - (1.0 + nb) * ab2) * np.exp(-nb * ab2))
+
+    def pdf(self, x, phi):
+        nb = self.n_bar
+        s = 4.0 * nb + 2.0
+        bracket = 1.0 - (1.0 + nb) / (1.0 + 2.0 * nb) * (1.0 - x**2 / (1.0 + 2.0 * nb))
+        return np.exp(-(x**2) / s) / np.sqrt(np.pi * s) * bracket
+
+    def cdf(self, x, phi):
+        from scipy.special import erf
+
+        nb = self.n_bar
+        s = 4.0 * nb + 2.0
+        return (
+            0.5
+            + 0.5 * erf(x / np.sqrt(s))
+            - x / np.sqrt(np.pi * s) * (1.0 + nb) / (1.0 + 2.0 * nb) * np.exp(-(x**2) / s)
+        )
+
+    def variance(self, phi):
+        return 4.0 * self.n_bar + 3.0
+
 
 @dataclass(frozen=True)
-class SqueezedVacuum:
+class SqueezedVacuum(_GaussianSource):
     """Squeezed vacuum with real squeezing parameter r (x squeezed for r > 0)."""
 
     r: float
+
+    phase_sensitive = True
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.r):
             raise ValueError(f"squeezing r must be finite, got {self.r!r}")
 
+    def variance(self, phi):
+        # two positive terms, so no cancellation at any r
+        return np.exp(-2.0 * self.r) * np.cos(phi) ** 2 + np.exp(2.0 * self.r) * np.sin(phi) ** 2
+
 
 @dataclass(frozen=True)
-class CatState:
+class CatState(SourceModel):
     """Normalized superposition (|alpha> + e^{i theta} |-alpha>) / sqrt(N)."""
 
     alpha: complex
     theta: float
+
+    phase_sensitive = True
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.alpha) and np.isfinite(self.theta)):
@@ -112,163 +225,37 @@ class CatState:
     def normalization(self) -> float:
         return 2.0 + 2.0 * np.cos(self.theta) * np.exp(-2.0 * abs(self.alpha) ** 2)
 
+    def _terms(self, phi):
+        """Centres 2 Re(alpha e^{i phi}) and shift 2 Im(alpha e^{i phi}) of the
+        Gaussian terms of p(x, phi), and the damping exp(-2 |alpha|^2)."""
+        g = self.alpha * np.exp(1j * phi)
+        return 2.0 * np.real(g), 2.0 * np.imag(g), np.exp(-2.0 * abs(self.alpha) ** 2)
 
-@dataclass(frozen=True)
-class Thermal:
-    """Thermal state with mean photon number n_bar."""
-
-    n_bar: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.n_bar) and self.n_bar >= 0):
-            raise ValueError(f"thermal n_bar must be finite and >= 0, got {self.n_bar!r}")
-
-
-@dataclass(frozen=True)
-class Vacuum:
-    """The vacuum state."""
-
-
-SourceModel = Union[Fock, Spats, SqueezedVacuum, CatState, Thermal, Vacuum]
-
-
-# ---------------------------------------------------------------------------
-# characteristic functions
-# ---------------------------------------------------------------------------
-
-
-def characteristic_fn(model: SourceModel, beta: complex) -> complex:
-    """Closed-form characteristic function chi(beta); chi(0) = 1 for all models."""
-    ab2 = abs(beta) ** 2
-    if isinstance(model, Vacuum):
-        return complex(np.exp(-ab2 / 2.0))
-    if isinstance(model, Fock):
-        from scipy.special import eval_laguerre
-
-        return complex(np.exp(-ab2 / 2.0) * eval_laguerre(model.n, ab2))
-    if isinstance(model, Spats):
-        return complex(
-            np.exp(-ab2 / 2.0) * (1.0 - (1.0 + model.n_bar) * ab2) * np.exp(-model.n_bar * ab2)
-        )
-    if isinstance(model, SqueezedVacuum):
-        r = model.r
-        bc = np.conj(beta)
-        return complex(
-            np.exp(
-                -((beta + bc) ** 2) * np.exp(2.0 * r) / 8.0
-                + (beta - bc) ** 2 * np.exp(-2.0 * r) / 8.0
-            )
-        )
-    if isinstance(model, CatState):
-        a = model.alpha
+    def chi(self, beta: complex) -> complex:
+        a = self.alpha
         ac = np.conj(a)
         bc = np.conj(beta)
         damp = np.exp(-2.0 * abs(a) ** 2)
         terms = (
             np.exp(beta * ac - bc * a)
-            + np.exp(1j * model.theta) * np.exp(beta * ac + bc * a) * damp
-            + np.exp(-1j * model.theta) * np.exp(-beta * ac - bc * a) * damp
+            + np.exp(1j * self.theta) * np.exp(beta * ac + bc * a) * damp
+            + np.exp(-1j * self.theta) * np.exp(-beta * ac - bc * a) * damp
             + np.exp(-beta * ac + bc * a)
         )
-        return complex(np.exp(-ab2 / 2.0) * terms / model.normalization())
-    if isinstance(model, Thermal):
-        return complex(np.exp(-(model.n_bar + 0.5) * ab2))
-    raise TypeError(f"unknown source model {model!r}")
+        return complex(np.exp(-abs(beta) ** 2 / 2.0) * terms / self.normalization())
 
-
-# ---------------------------------------------------------------------------
-# probability densities and cumulative distributions
-# ---------------------------------------------------------------------------
-
-
-def _fock_cdf_pdf(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F and p of |n> from the normalized Hermite functions psi_k(x / sqrt 2),
-
-        psi_k = sqrt(2/k) u psi_{k-1} - sqrt((k-1)/k) psi_{k-2},
-        F_n = 1/2 + erf(u)/2 - sum_{k=1..n} psi_k psi_{k-1} / sqrt(2k),
-        p_n = psi_n^2 / sqrt(2),
-
-    which stays accurate to a few ulp where the Hermite-polynomial sums cancel.
-    """
-    from scipy.special import erf
-
-    u = x / np.sqrt(2.0)
-    prev = np.zeros_like(u)
-    psi = np.pi**-0.25 * np.exp(-(u**2) / 2.0)
-    series = np.zeros_like(u)
-    for k in range(1, n + 1):
-        prev, psi = psi, np.sqrt(2.0 / k) * u * psi - np.sqrt((k - 1) / k) * prev
-        series = series + psi * prev / np.sqrt(2.0 * k)
-    return 0.5 + 0.5 * erf(u) - series, psi**2 / np.sqrt(2.0)
-
-
-def _sv_variance(r: float, phi: np.ndarray) -> np.ndarray:
-    return np.exp(-2.0 * r) * np.cos(phi) ** 2 + np.exp(2.0 * r) * np.sin(phi) ** 2
-
-
-def quadrature_pdf(model: SourceModel, x, phi):
-    """Closed-form quadrature density p(x, phi); phase-independent for the
-    Fock, SPATS, thermal and vacuum models.  Accepts scalars or arrays."""
-    x = np.asarray(x, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if isinstance(model, Vacuum):
-        out = np.exp(-(x**2) / 2.0) / np.sqrt(2.0 * np.pi)
-    elif isinstance(model, Fock):
-        out = _fock_cdf_pdf(model.n, x)[1]
-    elif isinstance(model, Spats):
-        nb = model.n_bar
-        s = 4.0 * nb + 2.0
-        bracket = 1.0 - (1.0 + nb) / (1.0 + 2.0 * nb) * (1.0 - x**2 / (1.0 + 2.0 * nb))
-        out = np.exp(-(x**2) / s) / np.sqrt(np.pi * s) * bracket
-    elif isinstance(model, SqueezedVacuum):
-        v = _sv_variance(model.r, phi)
-        out = np.exp(-(x**2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
-    elif isinstance(model, CatState):
-        g = model.alpha * np.exp(1j * phi)
-        a = 2.0 * np.real(g)
-        b = 2.0 * np.imag(g)
-        damp = np.exp(-2.0 * abs(model.alpha) ** 2)
-        cross = (
-            np.exp(1j * model.theta) * damp * np.exp(-((x + 1j * b) ** 2) / 2.0)
-        ).real * 2.0
+    def pdf(self, x, phi):
+        a, b, damp = self._terms(phi)
+        cross = (np.exp(1j * self.theta) * damp * np.exp(-((x + 1j * b) ** 2) / 2.0)).real * 2.0
         total = np.exp(-((x - a) ** 2) / 2.0) + np.exp(-((x + a) ** 2) / 2.0) + cross
-        out = total / (model.normalization() * np.sqrt(2.0 * np.pi))
-    elif isinstance(model, Thermal):
-        s = 4.0 * model.n_bar + 2.0
-        out = np.exp(-(x**2) / s) / np.sqrt(np.pi * s)
-    else:
-        raise TypeError(f"unknown source model {model!r}")
-    out = np.maximum(out, 0.0)  # clip -eps rounding at density zeros
-    return float(out) if out.ndim == 0 else out
+        # clip -eps rounding at density zeros
+        return np.maximum(total / (self.normalization() * np.sqrt(2.0 * np.pi)), 0.0)
 
+    def cdf(self, x, phi):
+        from scipy.special import erf
 
-def quadrature_cdf(model: SourceModel, x, phi):
-    """Closed-form cumulative distribution F(x, phi); monotone in x with
-    limits 0 and 1.  Accepts scalars or arrays."""
-    from scipy.special import erf
-
-    x = np.asarray(x, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if isinstance(model, Vacuum):
-        out = 0.5 + 0.5 * erf(x / np.sqrt(2.0))
-    elif isinstance(model, Fock):
-        out = _fock_cdf_pdf(model.n, x)[0]
-    elif isinstance(model, Spats):
-        nb = model.n_bar
-        s = 4.0 * nb + 2.0
-        out = (
-            0.5
-            + 0.5 * erf(x / np.sqrt(s))
-            - x / np.sqrt(np.pi * s) * (1.0 + nb) / (1.0 + 2.0 * nb) * np.exp(-(x**2) / s)
-        )
-    elif isinstance(model, SqueezedVacuum):
-        v = _sv_variance(model.r, phi)
-        out = 0.5 + 0.5 * erf(x / np.sqrt(2.0 * v))
-    elif isinstance(model, CatState):
-        g = model.alpha * np.exp(1j * phi)
-        a = 2.0 * np.real(g)
-        b = 2.0 * np.imag(g)
-        c = np.exp(1j * model.theta) * np.exp(-2.0 * abs(model.alpha) ** 2)
+        a, b, damp = self._terms(phi)
+        c = np.exp(1j * self.theta) * damp
         sqrt2 = np.sqrt(2.0)
         # Sum of the per-term antiderivatives (1 + erf)/2; the two
         # complex-argument terms are conjugates, so they add up to twice the
@@ -278,11 +265,63 @@ def quadrature_cdf(model: SourceModel, x, phi):
             + (1.0 + erf((x + a) / sqrt2))
             + 2.0 * np.real(c * (1.0 + erf((x + 1j * b) / sqrt2)))
         )
-        out = total / (2.0 * model.normalization())
-    elif isinstance(model, Thermal):
-        out = 0.5 + 0.5 * erf(x / np.sqrt(4.0 * model.n_bar + 2.0))
-    else:
-        raise TypeError(f"unknown source model {model!r}")
+        return total / (2.0 * self.normalization())
+
+    def moments(self, phi):
+        """Mean and variance of X_phi from the three Gaussian terms of the pdf."""
+        a, b, damp = self._terms(phi)
+        norm = self.normalization()
+        m1 = 2.0 * b * damp * np.sin(self.theta) / norm
+        m2 = (2.0 * (1.0 + a**2) + 2.0 * damp * np.cos(self.theta) * (1.0 - b**2)) / norm
+        return m1, m2 - m1**2
+
+    def variance(self, phi):
+        return self.moments(phi)[1]
+
+
+@dataclass(frozen=True)
+class Thermal(_GaussianSource):
+    """Thermal state with mean photon number n_bar."""
+
+    n_bar: float
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.n_bar) and self.n_bar >= 0):
+            raise ValueError(f"thermal n_bar must be finite and >= 0, got {self.n_bar!r}")
+
+    def variance(self, phi):
+        return 2.0 * self.n_bar + 1.0
+
+
+@dataclass(frozen=True)
+class Vacuum(_GaussianSource):
+    """The vacuum state."""
+
+    def variance(self, phi):
+        return 1.0
+
+
+# ---------------------------------------------------------------------------
+# characteristic functions, densities and cumulative distributions
+# ---------------------------------------------------------------------------
+
+
+def characteristic_fn(model: SourceModel, beta: complex) -> complex:
+    """Closed-form characteristic function chi(beta); chi(0) = 1 for all models."""
+    return model.chi(beta)
+
+
+def quadrature_pdf(model: SourceModel, x, phi):
+    """Closed-form quadrature density p(x, phi); phase-independent for the
+    Fock, SPATS, thermal and vacuum models.  Accepts scalars or arrays."""
+    out = model.pdf(np.asarray(x, dtype=float), np.asarray(phi, dtype=float))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def quadrature_cdf(model: SourceModel, x, phi):
+    """Closed-form cumulative distribution F(x, phi); monotone in x with
+    limits 0 and 1.  Accepts scalars or arrays."""
+    out = model.cdf(np.asarray(x, dtype=float), np.asarray(phi, dtype=float))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -324,23 +363,11 @@ def pdf_numeric_oracle(model: SourceModel, x: float, phi: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _moments(model: SourceModel, phi: np.ndarray):
-    """Mean and variance of X_phi (scalars where they do not depend on phi)."""
-    if isinstance(model, SqueezedVacuum):
-        return 0.0, _sv_variance(model.r, phi)
-    if isinstance(model, CatState):
-        return _cat_moments(model, phi)
-    return 0.0, theoretical_variance(model, 0.0)
-
-
 def _cdf_and_pdf(model: SourceModel, x: np.ndarray, phi: np.ndarray):
-    """F and p at the same points; one recurrence gives both for Fock states.
-    A NaN F, which a large cat's 0 * inf cross term gives, raises in _newton
-    instead of warning here."""
-    if isinstance(model, Fock):
-        return _fock_cdf_pdf(model.n, x)
+    """F and p at the same points.  A NaN F, which a large cat's 0 * inf
+    cross term gives, raises in _newton instead of warning here."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return quadrature_cdf(model, x, phi), quadrature_pdf(model, x, phi)
+        return model.cdf_pdf(x, phi)
 
 
 def _unbracketed(record: int, u: float, phi: float) -> InversionError:
@@ -353,10 +380,7 @@ def _unbracketed(record: int, u: float, phi: float) -> InversionError:
 def _gaussian_quantiles(model, phis, targets, records, tol, bracket):
     """Closed-form quantiles of a Gaussian source.  The reach is that of the
     widest bracket, so a quantile at or past it fails as it would there."""
-    from scipy.special import ndtri
-
-    mean, var = _moments(model, phis)
-    x = mean + np.sqrt(var) * ndtri(targets)
+    x = model.quantile(phis, targets)
     far = ~(np.abs(x) < 2.0**_WIDENINGS * bracket)
     if far.any():
         i = int(np.argmax(far))
@@ -402,7 +426,7 @@ def _start_table(model, phis):
     from.  The other rows are NaN.  Each row is computed element by element,
     so a row does not depend on which others are evaluated.
     """
-    phased = isinstance(model, CatState)
+    phased = model.phase_sensitive
     half = _TABLE_PHI // 2
     rows = [0]
     if phased:
@@ -411,7 +435,7 @@ def _start_table(model, phis):
         hit[_phase_nodes(phis)[0] % half] = True
         rows = np.flatnonzero(hit | np.roll(hit, 1) | np.roll(hit, -1) | np.roll(hit, 2))
     nodes = np.linspace(-np.pi, 0.0, half if phased else 1, endpoint=False)[rows][:, None]
-    mean, var = _moments(model, nodes)
+    mean, var = model.moments(nodes)
     span = (2.0 * np.sqrt(var) + 5.0) * np.linspace(-1.0, 1.0, _TABLE_X)
     x = np.broadcast_to(mean + span, (len(rows), _TABLE_X))
     cdf, pdf = _cdf_and_pdf(model, x, nodes)
@@ -551,7 +575,7 @@ def _invert(model, phis, targets, tol, bracket):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if not (np.isfinite(bracket) and bracket > 0.0):
         raise ValueError(f"bracket must be finite and > 0, got {bracket!r}")
-    gaussian = isinstance(model, (Vacuum, Thermal, SqueezedVacuum))
+    gaussian = isinstance(model, _GaussianSource)
     table = None if gaussian else _start_table(model, phis)
     out = np.empty_like(targets)
     records = np.arange(targets.size)
@@ -631,34 +655,9 @@ def sample(
 # ---------------------------------------------------------------------------
 
 
-def _cat_moments(model: CatState, phi):
-    """Mean and variance of X_phi from the three Gaussian terms of the pdf."""
-    g = model.alpha * np.exp(1j * phi)
-    a = 2.0 * np.real(g)
-    b = 2.0 * np.imag(g)
-    damp = np.exp(-2.0 * abs(model.alpha) ** 2)
-    norm = model.normalization()
-    m1 = 2.0 * b * damp * np.sin(model.theta) / norm
-    m2 = (2.0 * (1.0 + a**2) + 2.0 * damp * np.cos(model.theta) * (1.0 - b**2)) / norm
-    return m1, m2 - m1**2
-
-
 def theoretical_variance(model: SourceModel, phi: float) -> float:
     """Analytic Var[X_phi] for each model (vacuum variance 1)."""
-    if isinstance(model, Vacuum):
-        return 1.0
-    if isinstance(model, Fock):
-        return 2.0 * model.n + 1.0
-    if isinstance(model, Spats):
-        return 4.0 * model.n_bar + 3.0
-    if isinstance(model, SqueezedVacuum):
-        r = model.r
-        return float(abs(np.exp(1j * phi) * np.cosh(r) - np.exp(-1j * phi) * np.sinh(r)) ** 2)
-    if isinstance(model, CatState):
-        return float(_cat_moments(model, phi)[1])
-    if isinstance(model, Thermal):
-        return 2.0 * model.n_bar + 1.0
-    raise TypeError(f"unknown source model {model!r}")
+    return float(model.variance(phi))
 
 
 @dataclass(frozen=True)

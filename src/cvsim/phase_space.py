@@ -22,7 +22,7 @@ import numpy as np
 
 from ._csvio import _NUMBER, _read_csv, _write_csv
 from .errors import DegenerateInputError, MalformedInputError, UnsupportedOrderingError
-from .states import GaussianState, symplectic_form, to_interleaved
+from .states import GaussianState, symplectic_form
 from .entanglement import reduced_state
 
 
@@ -77,7 +77,6 @@ class WignerField:
 
 
 def _single_mode_moments(state: GaussianState, mode: int) -> tuple[np.ndarray, np.ndarray]:
-    state = to_interleaved(state)
     if not 0 <= mode < state.num_modes:
         raise ValueError(f"mode {mode} out of range for {state.num_modes} modes")
     if state.num_modes > 1:
@@ -108,7 +107,6 @@ def characteristic_gaussian(state: GaussianState, r: np.ndarray) -> complex:
 
     ``r`` is a real phase-space vector of length 2N in interleaved ordering.
     """
-    state = to_interleaved(state)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.shape != (2 * state.num_modes,):
         raise MalformedInputError(
@@ -132,7 +130,6 @@ def s_quasiprob_gaussian(state: GaussianState, alpha: complex, s: float) -> floa
             definite, i.e. the requested ordering is in the singular regime
             (never extrapolated).
     """
-    state = to_interleaved(state)
     if state.num_modes != 1:
         raise ValueError("s_quasiprob_gaussian expects a single-mode state; reduce first")
     cov_s = state.cov - s * (state.hbar / 2.0) * np.eye(2)

@@ -2,10 +2,10 @@
 
 A state of N modes is described by the expectation values of the 2N quadrature
 operators and their symmetrized covariance matrix sigma_kl =
-(<{r_k, r_l}> - 2<r_k><r_l>)/2.  The canonical ordering throughout the package
-is the interleaved one, r = (x1, p1, ..., xN, pN); the block ordering
-(x1..xN, p1..pN) is supported only for interoperability (Strawberry Fields
-prints it) and is tagged explicitly on the state.
+(<{r_k, r_l}> - 2<r_k><r_l>)/2.  Every state is in the interleaved ordering,
+r = (x1, p1, ..., xN, pN).  The block ordering (x1..xN, p1..pN), which
+Strawberry Fields prints, is one index permutation away
+(xp_to_interleaved_permutation).
 
 With hbar = 2 (the default, matching the Strawberry Fields convention) the
 vacuum covariance matrix is the identity.
@@ -14,15 +14,11 @@ vacuum covariance matrix is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateInputError, MalformedInputError
-
-INTERLEAVED = "interleaved"
-XP_BLOCK = "xp_block"
-Ordering = Literal["interleaved", "xp_block"]
 
 #: tolerance for |cov - cov.T| at construction
 SYMMETRY_TOL = 1e-10
@@ -49,7 +45,8 @@ def xp_to_interleaved_permutation(num_modes: int) -> np.ndarray:
     """Index permutation mapping an xp-block vector onto an interleaved one.
 
     ``interleaved_vec = xp_vec[perm]`` where perm[2k] = k and
-    perm[2k+1] = N + k.
+    perm[2k+1] = N + k; ``xp_vec = interleaved_vec[np.argsort(perm)]``, and a
+    covariance permutes as ``cov[np.ix_(perm, perm)]``.
     """
     perm = np.empty(2 * num_modes, dtype=int)
     perm[0::2] = np.arange(num_modes)
@@ -68,16 +65,14 @@ class GaussianState:
     """Immutable first- and second-moment description of an N-mode state.
 
     Attributes:
-        mean: quadrature expectation values, length 2N.
-        cov: symmetric 2N x 2N covariance matrix.
+        mean: quadrature expectation values (x1, p1, ..., xN, pN).
+        cov: symmetric 2N x 2N covariance matrix in the same ordering.
         hbar: value of hbar fixing the vacuum noise hbar/2 (default 2).
-        ordering: "interleaved" (x1, p1, ...) or "xp_block" (x1..xN, p1..pN).
     """
 
     mean: np.ndarray
     cov: np.ndarray
     hbar: float = 2.0
-    ordering: Ordering = INTERLEAVED
 
     def __post_init__(self) -> None:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -97,8 +92,6 @@ class GaussianState:
             )
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        if self.ordering not in (INTERLEAVED, XP_BLOCK):
-            raise ValueError(f"unknown ordering {self.ordering!r}")
         object.__setattr__(self, "mean", _freeze(mean))
         object.__setattr__(self, "cov", _freeze(cov))
 
@@ -115,33 +108,6 @@ def vacuum_state(num_modes: int, hbar: float = 2.0) -> GaussianState:
         mean=np.zeros(2 * num_modes),
         cov=(hbar / 2.0) * np.eye(2 * num_modes),
         hbar=hbar,
-    )
-
-
-def to_interleaved(state: GaussianState) -> GaussianState:
-    """Permute an xp-block state into interleaved ordering (no-op otherwise)."""
-    if state.ordering == INTERLEAVED:
-        return state
-    perm = xp_to_interleaved_permutation(state.num_modes)
-    return GaussianState(
-        mean=state.mean[perm],
-        cov=state.cov[np.ix_(perm, perm)],
-        hbar=state.hbar,
-        ordering=INTERLEAVED,
-    )
-
-
-def to_xp_block(state: GaussianState) -> GaussianState:
-    """Permute an interleaved state into xp-block ordering (no-op otherwise)."""
-    if state.ordering == XP_BLOCK:
-        return state
-    perm = xp_to_interleaved_permutation(state.num_modes)
-    inv = np.argsort(perm)
-    return GaussianState(
-        mean=state.mean[inv],
-        cov=state.cov[np.ix_(inv, inv)],
-        hbar=state.hbar,
-        ordering=XP_BLOCK,
     )
 
 
@@ -178,8 +144,7 @@ def check_physicality(state: GaussianState, tol: float = PHYSICALITY_TOL) -> Phy
         eigenvalue of the Hermitian test matrix (0 for states that saturate
         the bound, e.g. the vacuum).
     """
-    interleaved = to_interleaved(state)
-    margin = physicality_margin(interleaved.cov, interleaved.hbar)
+    margin = physicality_margin(state.cov, state.hbar)
     return PhysicalityReport(physical=margin >= -tol, margin=margin)
 
 

@@ -75,9 +75,9 @@ SAMPLE_GOLDENS = {
 }
 ANALYZE_GOLDENS = {
     16389: ("f4dbec924aa9dd4fbfba9a23c455c566a87285a1b24b8d9c01b7bfcc425bf58f",
-            "eb51bfe06c741ecb331af5fe6ee625814f629a0883bb665371501ea6a5999a0d"),
+            "e1f75cd736e6cd1b80b32826973b02eaa3d52afe22cd3f30f7c9453e17f7e1da"),
     1500: ("dfbef927ba326397701f03f4def4d3f267604a4e7d4dfc37ab7d088e334674a2",
-           "d2393eb9b8bffab11659db2ea3324665ce70446ce82ab8de497ed47c6ddf306e"),
+           "704c3c16f9d1262ddc1524fbebbf932e04ca6d2e1290f1a95a9c899afeeba3ce"),
 }
 WIGNER_GOLDEN = "c469dbf8811fb4eb58964a52e86e0294019ff145aa267bb5f89bc007c2ebe564"
 
@@ -285,6 +285,25 @@ def test_sample_requires_model_params(runner, tmp_path):
 
 
 SAMPLE = ["sample", "--count", "5", "--state"]
+CAT_REQUIRED = "--alpha-re, --alpha-im and --theta are required for --state cat"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fock"], "--n is required for --state fock"),
+    (["spats"], "--nbar is required for --state spats"),
+    (["squeezed"], "--r is required for --state squeezed"),
+    (["thermal"], "--nbar is required for --state thermal"),
+    (["cat", "--alpha-im", "0", "--theta", "0"], CAT_REQUIRED),
+    (["cat", "--alpha-re", "1", "--theta", "0"], CAT_REQUIRED),
+    (["cat", "--alpha-re", "1", "--alpha-im", "0"], CAT_REQUIRED),
+])
+def test_sample_names_each_missing_model_option(runner, tmp_path, args, message):
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, [*SAMPLE, *args, "--out", str(out)])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error")]
+    assert errors == [f"Error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, message", [

@@ -4,6 +4,7 @@ on full sample sets live in test_homodyne_stats.py."""
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -404,18 +405,53 @@ def test_variance_table():
     assert theoretical_variance(Thermal(2.0), 0.1) == 5.0
 
 
+#: trapezoid grid for numeric moments; +-80 is > 10 sd of every swept model
+MOMENT_GRID = np.linspace(-80.0, 80.0, 16001)
+
+
+def _assert_moments_match_pdf(model, phi):
+    # the trapezoid rule is spectrally accurate for these Gaussian sums; adaptive
+    # quad misses the small odd part of the density that carries the mean
+    x = MOMENT_GRID
+    p = quadrature_pdf(model, x, phi)
+    m1 = np.trapezoid(x * p, x)
+    m2 = np.trapezoid(x * x * p, x)
+    assert model.moments(phi)[0] == pytest.approx(m1, abs=1e-9)
+    assert theoretical_variance(model, phi) == pytest.approx(m2 - m1**2, abs=1e-9)
+
+
 @pytest.mark.parametrize("alpha", [0.5j, 0.7 + 0.0j, 1.2 + 0.5j, 2.0 + 0.0j])
 @pytest.mark.parametrize("theta", [0.0, 1.0, np.pi / 2, np.pi, -2.3])
 @pytest.mark.parametrize("phi", [0.0, 0.9, 1.3, np.pi / 2])
 def test_cat_variance_matches_numeric_moments_any_phase(alpha, theta, phi):
-    # the trapezoid rule is spectrally accurate for these Gaussian sums; adaptive
-    # quad misses the small odd part of the density that carries the mean
-    model = CatState(alpha, theta)
-    x = np.linspace(-30.0, 30.0, 6001)
-    p = quadrature_pdf(model, x, phi)
-    m1 = np.trapezoid(x * p, x)
-    m2 = np.trapezoid(x * x * p, x)
-    assert theoretical_variance(model, phi) == pytest.approx(m2 - m1**2, abs=1e-9)
+    _assert_moments_match_pdf(CatState(alpha, theta), phi)
+
+
+@pytest.mark.parametrize("model", [
+    *(Fock(n) for n in range(11)),
+    *(Spats(n_bar) for n_bar in (0.1, 1.0, 3.0, 10.0)),
+    *(Thermal(n_bar) for n_bar in (0.0, 0.3, 2.5, 10.0)),
+    Vacuum(),
+    *(SqueezedVacuum(r) for r in (-2.0, -0.7, 0.0, 0.4, 2.0)),
+], ids=repr)
+@pytest.mark.parametrize("phi", [0.0, 0.9, 1.3, np.pi / 2])
+def test_variance_matches_numeric_moments_every_family(model, phi):
+    _assert_moments_match_pdf(model, phi)
+
+
+@pytest.mark.parametrize("r", np.linspace(-15.0, 15.0, 31))
+def test_squeezed_variance_matches_40_digits(r):
+    # the form |e^{i phi} cosh r - e^{-i phi} sinh r|^2 cancels at phi = 0,
+    # losing 2.4e-4 of the value at r = 15
+    for phi in (0.0, 0.3, np.pi / 4, 1.0, np.pi / 2, 2.0, np.pi, -np.pi / 2, -2.5):
+        with mpmath.workdps(40):
+            rm, pm = mpmath.mpf(float(r)), mpmath.mpf(phi)
+            exact = float(mpmath.exp(-2 * rm) * mpmath.cos(pm) ** 2
+                          + mpmath.exp(2 * rm) * mpmath.sin(pm) ** 2)
+        # abs=0: approx's default 1e-12 floor would hide the error at large r
+        assert theoretical_variance(SqueezedVacuum(r), phi) == pytest.approx(
+            exact, rel=1e-15, abs=0.0
+        ), phi
 
 
 def test_squeezed_variance_consistent_with_pdf():

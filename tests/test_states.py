@@ -9,11 +9,9 @@ from cvsim import (
     purity,
     symplectic_eigenvalues,
     symplectic_form,
-    to_interleaved,
-    to_xp_block,
     vacuum_state,
 )
-from cvsim.states import XP_BLOCK, clean_tiny, xp_to_interleaved_permutation
+from cvsim.states import clean_tiny, xp_to_interleaved_permutation
 
 
 def test_symplectic_form_properties():
@@ -65,39 +63,22 @@ def test_state_is_immutable():
         st.cov[0, 0] = 5.0
 
 
-def test_to_interleaved_squeezed_tensor_vacuum():
+def test_xp_to_interleaved_permutation_matches_index_arithmetic():
+    for n in (1, 2, 3, 7):
+        perm = xp_to_interleaved_permutation(n)
+        assert perm.shape == (2 * n,)
+        for k in range(n):
+            assert perm[2 * k] == k
+            assert perm[2 * k + 1] == n + k
+
+
+def test_xp_to_interleaved_squeezed_tensor_vacuum():
     # xp-block diag(e^-1, 1, e, 1) reorders to interleaved diag(e^-1, e, 1, 1)
-    xp = GaussianState(
-        mean=np.zeros(4),
-        cov=np.diag([np.exp(-1), 1.0, np.exp(1), 1.0]),
-        ordering=XP_BLOCK,
-    )
-    inter = to_interleaved(xp)
-    assert np.allclose(np.diag(inter.cov), [np.exp(-1), np.exp(1), 1.0, 1.0])
-    assert inter.ordering == "interleaved"
-
-
-def test_to_interleaved_single_mode_is_identity():
-    xp = GaussianState(mean=np.array([1.0, 2.0]), cov=np.eye(2), ordering=XP_BLOCK)
-    inter = to_interleaved(xp)
-    assert np.array_equal(inter.mean, xp.mean)
-    assert np.array_equal(inter.cov, xp.cov)
-
-
-def test_to_interleaved_matches_element_shuffle_oracle():
-    rng = np.random.default_rng(3)
-    n = 3
-    sym = rng.normal(size=(2 * n, 2 * n))
-    sym = sym + sym.T
-    mean = rng.normal(size=2 * n)
-    xp = GaussianState(mean=mean, cov=sym, ordering=XP_BLOCK)
-    inter = to_interleaved(xp)
-    # oracle: move entry (a, b) by explicit index arithmetic
-    perm = xp_to_interleaved_permutation(n)
-    for i in range(2 * n):
-        assert inter.mean[i] == mean[perm[i]]
-        for j in range(2 * n):
-            assert inter.cov[i, j] == sym[perm[i], perm[j]]
+    xp_cov = np.diag([np.exp(-1), 1.0, np.exp(1), 1.0])
+    perm = xp_to_interleaved_permutation(2)
+    state = GaussianState(mean=np.zeros(4), cov=xp_cov[np.ix_(perm, perm)])
+    assert np.array_equal(np.diag(state.cov), [np.exp(-1), np.exp(1), 1.0, 1.0])
+    assert check_physicality(state).physical
 
 
 def test_ordering_round_trip_exact():
@@ -105,10 +86,13 @@ def test_ordering_round_trip_exact():
     n = 4
     sym = rng.normal(size=(2 * n, 2 * n))
     sym = sym + sym.T
-    st = GaussianState(mean=rng.normal(size=2 * n), cov=sym)
-    back = to_interleaved(to_xp_block(st))
-    assert np.array_equal(back.mean, st.mean)
-    assert np.array_equal(back.cov, st.cov)
+    mean = rng.normal(size=2 * n)
+    perm = xp_to_interleaved_permutation(n)
+    inv = np.argsort(perm)
+    xp_mean, xp_cov = mean[inv], sym[np.ix_(inv, inv)]
+    assert np.array_equal(xp_mean, np.concatenate((mean[0::2], mean[1::2])))
+    assert np.array_equal(xp_mean[perm], mean)
+    assert np.array_equal(xp_cov[np.ix_(perm, perm)], sym)
 
 
 def test_physicality_vacuum_saturates():
