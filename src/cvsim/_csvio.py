@@ -9,6 +9,9 @@ decimal point, trailing zeros dropped and an exponent for k < -4 or k > 16.
 D and k are computed for a whole block in numpy (`_decimal_digits`), and the
 block is written by one %-format of a template of integer fields.  The few
 cells whose digits cannot be certain that way go through '%.17g' itself.
+
+The same digits give the JSON writer float.__repr__, the shortest decimal
+that reads back to x (`_repr_cells`).
 """
 
 from __future__ import annotations
@@ -36,9 +39,12 @@ _WRITE_BLOCK = 4096
 _POW10 = np.array([10**i for i in range(18)], dtype=np.int64)
 #: decimal scalings q = 16 - k of the normal doubles, k from 308 down to -308
 _Q_MIN, _Q_MAX = -292, 324
-#: how close to a rounding tie a scaled value may come before it is left to
-#: Python; the double-double product errs by less than 2**-47 (see below)
-_TIE_MARGIN = 2.0**-30
+#: how close to a rounding tie or to the end of a rounding interval a scaled
+#: value may come before it is left to Python; the double-double product errs
+#: by less than 2**-47 (see below), the scaled half-ulp by less than 2**-49
+_MARGIN = 2.0**-30
+#: the 52 fraction bits of a double
+_FRACTION_BITS = (1 << 52) - 1
 #: Veltkamp's splitting constant 2**27 + 1
 _SPLIT = 134217729.0
 #: a cell's template is _pieces()[((2 * sign + exponent form) * _HEADS + head)
@@ -75,10 +81,11 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
     return (*(np.ascontiguousarray(table[:, j]) for j in range(4)), table[:, 4].astype(np.int64))
 
 
-def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(D, k, certain): |x| rounded half-even to 17 significant digits is
-    D * 10**(k-16) with 10**16 < D < 10**17, where `certain`; elsewhere D and
-    k are junk.
+def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(D, k, certain, residual, half_ulp): |x| rounded half-even to 17
+    significant digits is D * 10**(k-16) with 10**16 < D < 10**17, where
+    `certain`; elsewhere all five are junk.  With y = |x| * 10**(16-k),
+    residual is y - D and half_ulp is half an ulp of x times 10**(16-k).
 
     With |x| = m * 2**e (frexp) and q = 16 - k, the scaled value is
     y = |x| * 10**q = m * (th + tl) * 2**(e+s).  Dekker's TwoProduct gives
@@ -86,14 +93,15 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rounded twice, each time by at most 2**-53 of a term below 2**-52 * y,
     and th + tl errs by 2**-106 * y, so hi + lo, the two scaled by 2**(e+s),
     is y to within 2**-104 * y < 2**-47 for y < 2**57.  Where tl == 0 (q in
-    [0, 22], |x| in [1e-6, 1e17)) hi + lo is y exactly.  D = hi + rint(lo)
-    is then y rounded half-even, unless tl != 0 and lo lies within
-    _TIE_MARGIN of a tie: hi < 2**53 gives |lo| < 2 and D < 10**16, so
+    [0, 22], k in [-6, 16]) hi + lo, residual and half_ulp are exact.
+    D = hi + rint(lo) is then y rounded half-even, unless tl != 0 and lo lies
+    within _MARGIN of a tie: hi < 2**53 gives |lo| < 2 and D < 10**16, so
     D > 10**16 holds only where hi >= 2**53 is an even integer.  k comes
     from log10, which may be one off next to a power of ten; D then falls
     out of (10**16, 10**17), a test that also leaves powers of ten and values
     that round up to one to Python, with zeros, subnormals, infinities and
-    NaN.
+    NaN.  half_ulp = th * 2**(e+s-54) lies in [0.55, 11.2] and errs by
+    less than 2**-49 where tl != 0.
     """
     ax = np.abs(x)
     certain = (ax >= sys.float_info.min) & (ax <= sys.float_info.max)
@@ -103,30 +111,84 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     row = 16 - _Q_MIN - k
     th, thh, thl, tl, s = (column[row] for column in _pow10_table())
     m, e = np.frexp(ax)
-    c = _SPLIT * m
-    mh = c - (c - m)
+    # each temporary is dropped once used: the peak is ~15 doubles a cell
+    del ax, row
+    mh = _SPLIT * m
+    mh -= mh - m
     ml = m - mh
     p = m * th
     err = ((mh * thh - p) + mh * thl + ml * thh) + ml * thl + m * tl
+    del m, mh, ml, thh, thl
     e += s
     hi = np.ldexp(p, e)
-    lo = np.ldexp(err, e)
-    rounded = np.rint(lo)
-    certain &= (tl == 0) | (np.abs(np.abs(lo - rounded) - 0.5) > _TIE_MARGIN)
+    residual = np.ldexp(err, e)
+    del p, err
+    rounded = np.rint(residual)
+    residual -= rounded
+    certain &= (tl == 0) | (np.abs(np.abs(residual) - 0.5) > _MARGIN)
     # hi < 2**60 as k is at most one off, so the cast is exact where it counts
     digits = hi.astype(np.int64) + rounded.astype(np.int64)
+    del hi, rounded
     certain &= (digits > _POW10[16]) & (digits < _POW10[17])
-    return digits, k, certain
+    return digits, k, certain, residual, np.ldexp(th, e - 54)
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(S, length, k, certain): float.__repr__(x) has the `length` (15, 16
+    or 17) significant digits of S // 10**(17 - length), decimal exponent k,
+    where `certain`; elsewhere all four are junk.
+
+    repr's digits are the shortest that read back to x, the closest to x
+    among them, a tie going to the even one (Steele & White, PLDI 1990).
+    They read back where they lie inside the rounding interval y +- half_ulp
+    (scaled as in _decimal_digits), closed for an even mantissa.  D itself is
+    inside, as half_ulp > 0.55.  The nearest multiple of 10 and of 100 to y
+    are the 16- and 15-digit candidates: a candidate is kept if it is inside
+    by more than _MARGIN, and beaten by a shorter one inside.  The interval
+    is narrower than 23, so at most one multiple of 100 lies in it, and a
+    15-digit candidate ending in 0 means a shorter form (a rounding up to
+    10**17 among them); it goes to Python, with every candidate within
+    _MARGIN of an interval end or of a tie and power-of-two mantissas, whose
+    interval is not symmetric.  Where y and half_ulp are exact and y is an
+    integer, as for |x| in [2**54, 1e17), the only doubles whose interval
+    ends can be 15- or 16-digit decimals there, an interval end is decided
+    exactly, by the parity of the mantissa.
+    """
+    digits, k, certain, residual, half_ulp = _decimal_digits(x)
+    bits = x.view(np.int64)
+    certain &= (bits & _FRACTION_BITS) != 0
+    shortest = digits
+    length = np.full(x.shape, 17)
+    inner, outer = half_ulp - _MARGIN, half_ulp + _MARGIN
+    for step, size in ((10, 16), (100, 15)):
+        tail = digits % step
+        offset = tail + residual  # y minus the multiple of step below it
+        up = offset > step // 2
+        distance = np.where(up, step - offset, offset)
+        inside = distance < inner
+        near_end = ~inside & (distance <= outer)
+        if near_end.any():
+            exact = near_end & (residual == 0) & (k >= -6) & (k <= 16)
+            closed = (bits & 1) == 0
+            inside |= exact & ((distance < half_ulp) | (closed & (distance == half_ulp)))
+            near_end &= ~exact
+        certain &= ~near_end & (~inside | (np.abs(offset - step // 2) > _MARGIN))
+        shortest = np.where(inside, digits - tail + step * up, shortest)
+        length[inside] = size
+    certain &= (shortest % 1000 != 0) | (length > 15)
+    return shortest, length, k, certain
 
 
 @functools.cache
-def _pieces() -> np.ndarray:
-    """The %-template of each cell code (see _HEADS): sign, integer part,
-    point, leading zeros of the fraction, its %d, and the exponent."""
+def _pieces(integral: str = "", prefix: str = "") -> np.ndarray:
+    """The %-template of each cell code (see _HEADS): `prefix`, sign,
+    integer part, point, leading zeros of the fraction, its %d, and the
+    exponent; `integral` ends a positional number without a fraction."""
     heads = [str(d) for d in range(10)] + ["%d"]
     return np.array(
         [
-            sign + head + ("" if zeros == _NO_FRACTION else "." + "0" * zeros + "%d") + tail
+            prefix + sign + head + (("" if tail else integral) if zeros == _NO_FRACTION
+                                    else "." + "0" * zeros + "%d") + tail
             for sign in ("", "-")
             for tail in ("", "e%+03d")
             for head in heads
@@ -136,40 +198,64 @@ def _pieces() -> np.ndarray:
     )
 
 
-def _float_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """Templates of a block of doubles as '%.17g' writes them; fills the
-    (rows, 3) `args` with their %-arguments (integer part, fraction,
-    exponent) and `used` with which of the three each template takes.
+def _layout(x, digits, k, positional, args, used, trailing=None) -> np.ndarray:
+    """Cell codes of the 17-digit integers `digits`, decimal exponent k, as
+    the signs of x; fills the (cells, 3) `args` with their %-arguments
+    (integer part, fraction, exponent) and `used` with which of the three
+    each template takes.
 
-    The positional form (-4 <= k <= 16) has cut = 16 - k digits after the
-    point, the exponent form 16.  The fraction is written as an integer
-    after its leading zeros, without its trailing ones; an integer part of
+    The positional form has cut = 16 - k digits after the point, the
+    exponent form 16.  The fraction is written as an integer after its
+    leading zeros, without its trailing ones; `trailing`, where given, is
+    the number of trailing zeros of each of `digits`.  An integer part of
     one digit is part of the template.
     """
-    digits, k, certain = _decimal_digits(x)
-    positional = (k >= -4) & (k <= 16)
     cut = np.where(positional, 16 - k, 16)
     scale = _POW10[np.minimum(cut, 17)]
     whole = digits // scale
     fraction = digits - whole * scale
     zeros = cut - np.searchsorted(_POW10, fraction, side="right")
     zeros[fraction == 0] = _NO_FRACTION
-    # drop the fraction's trailing zeros; about one cell in ten has any
-    tens = np.flatnonzero(fraction // 10 * 10 == fraction)
-    for step in (16, 8, 4, 2, 1):
-        part = fraction[tens]
-        shorter = part // _POW10[step]
-        fraction[tens] = np.where(shorter * _POW10[step] == part, shorter, part)
+    if trailing is not None:
+        fraction //= _POW10[trailing]
+    else:
+        # drop the fraction's trailing zeros; about one cell in ten has any
+        tens = np.flatnonzero(fraction // 10 * 10 == fraction)
+        for step in (16, 8, 4, 2, 1):
+            part = fraction[tens]
+            shorter = part // _POW10[step]
+            fraction[tens] = np.where(shorter * _POW10[step] == part, shorter, part)
     head = np.minimum(whole, _HEAD_INT)
-    code = ((2 * np.signbit(x) + ~positional) * _HEADS + head) * _ZEROS + zeros
     args[:, 0], args[:, 1], args[:, 2] = whole, fraction, k
     used[:, 0] = head == _HEAD_INT
     used[:, 1] = zeros != _NO_FRACTION
     used[:, 2] = ~positional
+    return ((2 * np.signbit(x) + ~positional) * _HEADS + head) * _ZEROS + zeros
+
+
+def _float_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Templates of a block of doubles as '%.17g' writes them, positional
+    for -4 <= k <= 16; fills `args` and `used` as _layout does."""
+    digits, k, certain, _, _ = _decimal_digits(x)
+    code = _layout(x, digits, k, (k >= -4) & (k <= 16), args, used)
     used[~certain] = False
     cells = _pieces()[np.where(certain, code, 0)]
     for i in np.flatnonzero(~certain).tolist():
         cells[i] = _NUMBER % x[i]
+    return cells
+
+
+def _repr_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray, prefix: str = "") -> np.ndarray:
+    """Templates of a block of doubles as float.__repr__ writes them, each
+    after `prefix` (which must not hold '%'): positional for -4 <= k <= 15,
+    with ".0" after an integral value; fills `args` and `used` as _layout
+    does."""
+    digits, length, k, certain = _shortest_digits(x)
+    code = _layout(x, digits, k, (k >= -4) & (k <= 15), args, used, 17 - length)
+    used[~certain] = False
+    cells = _pieces(".0", prefix)[np.where(certain, code, 0)]
+    for i in np.flatnonzero(~certain).tolist():
+        cells[i] = prefix + float.__repr__(x[i])
     return cells
 
 
@@ -248,12 +334,14 @@ def _read_csv(path: str, header, what: str) -> list[np.ndarray]:
     Lines are read and parsed _BLOCK at a time, so no more than one block of
     text is held; the parsed blocks take as much memory as the columns
     returned, until they are joined.  CRLF line ends and blank lines are accepted;
-    a wrong header, a row without exactly one field per header column, or a
-    file without data rows raises MalformedInputError naming the line.
+    a wrong header, a row without exactly one field per header column, bytes
+    that are not UTF-8, or a file without data rows raises
+    MalformedInputError naming the line.
     """
     width = len(header)
     blocks = []
-    with open(path, encoding="utf-8") as fh:
+    # bytes that are not UTF-8 become lone surrogates, which do not parse
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline()
         if first.rstrip("\n").split(",") != header:
             raise MalformedInputError(

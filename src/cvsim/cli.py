@@ -18,6 +18,7 @@ import click
 import numpy as np
 
 from . import homodyne
+from ._csvio import _repr_cells
 from .errors import CVSimError, SpecValidationError
 from .fock import MAX_TOTAL_PHOTONS, bs_output_from_angle
 from .gates import apply_gate, displacement_gate, squeeze_gate, thermal_prepare
@@ -60,25 +61,102 @@ def _json_scalar(obj) -> str | None:
     if isinstance(obj, float):
         text = float.__repr__(obj)
         return _NON_FINITE.get(text, text)
+    if isinstance(obj, np.ndarray) and obj.ndim == 0:
+        return _json_scalar(obj.tolist())
     if isinstance(obj, (list, tuple, dict, np.ndarray)):
         return None if len(obj) else ("{}" if isinstance(obj, dict) else "[]")
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+#: nonzero cells per call of the digit kernel: a call costs ~150 us plus
+#: ~0.1 us a cell, and its temporaries peak at ~110 bytes a cell
+_KERNEL_CELLS = 2048
+#: cells per block of text, and per scan for nonzero cells; writing the
+#: N=192 network-chain output peaks at 0.4 MB of traced allocations
+_TEXT_CELLS = 1024
+#: arrays with fewer cells are written through float.__repr__: through the
+#: kernel a 256-cell array took 1.2x as long, a 384-cell one 0.83x and a
+#: 32x32 one 0.64x (medians of 400 alternated runs, 2-vCPU VM)
+_KERNEL_MIN_CELLS = 384
+
+
+def _nonzero_batches(flat: np.ndarray):
+    """Yield (positions, end): the positions of the nonzero cells of `flat`,
+    _KERNEL_CELLS at a time, and the end of the cells that each batch
+    covers, one past its last position and flat.size for the last batch."""
+    found, count = [], 0
+    for first in range(0, flat.size, _TEXT_CELLS):
+        found.append(np.flatnonzero(flat[first:first + _TEXT_CELLS]) + first)
+        count += found[-1].size
+        while count >= _KERNEL_CELLS:
+            pending = np.concatenate(found)
+            batch = pending[:_KERNEL_CELLS]
+            found, count = [pending[_KERNEL_CELLS:]], count - _KERNEL_CELLS
+            yield batch, int(batch[-1]) + 1
+    yield np.concatenate(found), flat.size
+
+
+def _json_float_array(a: np.ndarray, indent: str):
+    """Yield the text of ``json.dumps(a.tolist(), indent=2)`` nested at
+    `indent`, for a C-contiguous array of finite doubles with one or two
+    dimensions and at least one column.
+
+    The text is written in blocks of _TEXT_CELLS cells: a template of each
+    cell's piece after its separator, filled by one %-format of the block's
+    integer fields.  Zeros are the pieces "0.0" and "-0.0"; the nonzero cells
+    are formatted by the digit kernel, _KERNEL_CELLS at a time.
+    """
+    inner = indent + "  "
+    cell_indent = inner + "  " if a.ndim == 2 else inner
+    cols = a.shape[-1]
+    separator = ",\n" + cell_indent
+    row_break = "\n" + inner + "],\n" + inner + "[\n" + cell_indent
+    opening = "[\n" + (inner + "[\n" + cell_indent if a.ndim == 2 else cell_indent)
+    flat = a.reshape(-1)
+    start = 0
+    for positions, end in _nonzero_batches(flat):
+        args = np.zeros((positions.size, 3), dtype=np.int64)
+        used = np.zeros((positions.size, 3), dtype=bool)
+        cells = _repr_cells(flat[positions], args, used, separator)
+        for first in range(start, end, _TEXT_CELLS):
+            last = min(first + _TEXT_CELLS, end)
+            i, j = np.searchsorted(positions, (first, last)).tolist()
+            values = flat[first:last]
+            template = np.empty(last - first, dtype=object)
+            template.fill(separator + "0.0")  # np.full takes ~10x as long
+            template[np.signbit(values) & (values == 0)] = separator + "-0.0"
+            template[positions[i:j] - first] = cells[i:j]
+            for row in range(-first % cols, last - first, cols):
+                head = opening if first + row == 0 else row_break
+                template[row] = head + template[row][len(separator):]
+            text = "".join(template.tolist()) % tuple(args[i:j][used[i:j]].tolist())
+            del template  # while the block is written
+            yield text
+        start = end
+        del cells, args, used  # before the next batch is formatted
+    yield ("\n" + inner + "]" if a.ndim == 2 else "") + "\n" + indent + "]"
 
 
 def _json_chunks(obj, indent: str = ""):
     """Yield the text of ``json.dumps(obj, indent=2)`` piece by piece.
 
     Dict keys must be strings; a numpy array is written as its ``tolist()``.
-    A list of finite floats is formatted by one join; other lists and dicts
-    join their scalars and recurse into their non-empty containers, so no
-    piece is longer than the scalars of one list or dict (one covariance or
-    Wigner row) and no whole-document string is built.
+    A C-contiguous array of finite doubles with one or two dimensions and at
+    least _KERNEL_MIN_CELLS cells is written by _json_float_array.  A list
+    of finite floats is formatted by one join; other lists and dicts join
+    their scalars and recurse into their non-empty containers, so no piece
+    is longer than the scalars of one list or dict or one block of an array
+    and no whole-document string is built.
     """
     text = _json_scalar(obj)
     if text is not None:
         yield text
         return
     if isinstance(obj, np.ndarray):
+        if (obj.dtype == np.float64 and obj.ndim <= 2 and obj.size >= _KERNEL_MIN_CELLS
+                and obj.flags.c_contiguous and np.isfinite(obj.min()) and np.isfinite(obj.max())):
+            yield from _json_float_array(obj, indent)
+            return
         # row by row, so that one row at a time exists as Python floats
         obj = obj.tolist() if obj.ndim == 1 else list(obj)
     inner = indent + "  "
@@ -262,7 +340,7 @@ def cmd_network(config, out):
     with open(config, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise click.UsageError(f"config is not valid JSON: {exc}") from None
     try:
         spec = parse_network_spec(doc)

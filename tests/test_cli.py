@@ -190,8 +190,33 @@ JSON_FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
 JSON_TEXT = st.text(max_size=8) | st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7fé€中😀'), max_size=8)
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**200, 2**200) | JSON_FLOATS
                 | JSON_TEXT)
+#: values from every decade, subnormals included
+DECADE_FLOATS = st.builds(lambda m, d: m * 10.0**d, st.floats(-9.99, 9.99), st.integers(-323, 307))
+
+
+def dense_array(seed, shape, zero_runs):
+    """Nonzero values from every decade, then runs of 0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-320, 308, shape)
+    flat = a.reshape(-1)
+    for start, length, sign in zero_runs:
+        flat[start % flat.size:][:length] = sign * 0.0
+    return a
+
+
+#: arrays past the digit kernel's size crossover: sparse ones with a zero
+#: fill, and dense ones over several kernel batches and text blocks
+LARGE_SHAPES = st.integers(600, 5000).map(lambda n: (n,)) | st.tuples(st.integers(1, 90),
+                                                                      st.integers(9, 90))
+LARGE_ARRAYS = (
+    arrays(np.float64, LARGE_SHAPES, elements=JSON_FLOATS | DECADE_FLOATS,
+           fill=st.sampled_from([0.0, -0.0]))
+    | st.builds(dense_array, st.integers(0, 2**32 - 1), LARGE_SHAPES,
+                st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 3000),
+                                   st.sampled_from([1.0, -1.0])), max_size=4))
+)
 FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0),
-                      elements=JSON_FLOATS)
+                      elements=JSON_FLOATS) | LARGE_ARRAYS
 JSON_TREES = st.recursive(
     JSON_SCALARS | st.lists(JSON_FLOATS, min_size=1) | FLOAT_ARRAYS,
     lambda children: (st.lists(children) | st.lists(children).map(tuple)
@@ -205,6 +230,13 @@ JSON_TREES = st.recursive(
 @example([1.5, [], {}, [2.0, math.nan], {"k": (1, [-0.0])}, "x", None, True, 3])
 @example({"cov": [[1.0, 5e-324], [-math.inf, 1.7976931348623157e308]], "n": 2**100})
 @example({"cov": np.array([[1.0, math.nan], [-0.0, 5e-324]]), "empty": np.zeros((2, 0))})
+@example(np.array(2.0))
+@example({"w": dense_array(1, (101, 101), [(0, 3000, -1.0)]), "v": dense_array(2, (4097,), [])})
+@example([dense_array(3, (1, 2500), []), dense_array(4, (2500, 1), [(7, 2048, 1.0)])])
+@example(np.where(np.arange(3000.0) % 7 == 0, np.arange(3000.0) * 0.1, 0.0).reshape(30, 100))
+@example(dense_array(5, (40, 40), [(100, 1, 1.0)]) * np.array([math.inf] + [1.0] * 39))
+@example(dense_array(6, (30, 40), [(0, 500, 1.0)]).T)
+@example(-np.zeros((40, 30)))
 def test_json_chunks_match_json_dumps(obj):
     expected = json.dumps(obj, indent=2, default=np.ndarray.tolist)
     assert "".join(_json_chunks(obj)) == expected
@@ -401,6 +433,30 @@ def test_analyze_malformed_line_names_line(runner, tmp_path):
     )
     assert result.exit_code == 1
     assert "line 3" in result.output
+
+
+def test_analyze_input_not_utf8_names_line(runner, tmp_path):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"phase,x\n0.0,1.0\n0.5,\xe91.0\n")
+    result = runner.invoke(
+        main,
+        ["analyze", "--in", str(bad), "--state", "vacuum", "--out", str(tmp_path / "o.csv")],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a handled error, not a traceback
+    assert result.output.strip().splitlines() == [
+        "Error: line 3: cannot parse '0.5,\\udce91.0'"
+    ]
+
+
+def test_network_config_not_utf8_exits_2_with_one_line(runner, tmp_path):
+    config = tmp_path / "latin1.json"
+    config.write_bytes(b'{"modes": 1, "gates": [], "analyses": [], "hbar": 2.0, "note": "\xe9"}')
+    result = runner.invoke(main, ["network", "--config", str(config),
+                                  "--out", str(tmp_path / "o.json")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip().splitlines()[-1].startswith("Error: config is not valid JSON: ")
 
 
 def test_network_three_bs_config(runner, tmp_path):
