@@ -134,9 +134,9 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(S, length, k, certain): float.__repr__(x) has the `length` (15, 16
-    or 17) significant digits of S // 10**(17 - length), decimal exponent k,
-    where `certain`; elsewhere all four are junk.
+    """(S, k, certain): float.__repr__(x) has the significant digits of the
+    17-digit integer S without its trailing zeros, decimal exponent k, where
+    `certain`; elsewhere all three are junk.
 
     repr's digits are the shortest that read back to x, the closest to x
     among them, a tie going to the even one (Steele & White, PLDI 1990).
@@ -145,50 +145,38 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
     inside, as half_ulp > 0.55.  The nearest multiple of 10 and of 100 to y
     are the 16- and 15-digit candidates: a candidate is kept if it is inside
     by more than _MARGIN, and beaten by a shorter one inside.  The interval
-    is narrower than 23, so at most one multiple of 100 lies in it, and a
-    15-digit candidate ending in 0 means a shorter form (a rounding up to
-    10**17 among them); it goes to Python, with every candidate within
-    _MARGIN of an interval end or of a tie and power-of-two mantissas, whose
-    interval is not symmetric.  Where y and half_ulp are exact and y is an
-    integer, as for |x| in [2**54, 1e17), the only doubles whose interval
-    ends can be 15- or 16-digit decimals there, an interval end is decided
-    exactly, by the parity of the mantissa.
+    is narrower than 23, so it holds at most one multiple of 100, or of any
+    higher power of ten: a 15-digit candidate that ends in zeros is the
+    shorter form, written without them.  Candidates within _MARGIN of an
+    interval end or of a tie go to Python, with power-of-two mantissas,
+    whose interval is not symmetric, and a rounding up to 10**17.
     """
     digits, k, certain, residual, half_ulp = _decimal_digits(x)
-    bits = x.view(np.int64)
-    certain &= (bits & _FRACTION_BITS) != 0
+    certain &= (x.view(np.int64) & _FRACTION_BITS) != 0
     shortest = digits
-    length = np.full(x.shape, 17)
-    inner, outer = half_ulp - _MARGIN, half_ulp + _MARGIN
-    for step, size in ((10, 16), (100, 15)):
+    for step in (10, 100):
         tail = digits % step
         offset = tail + residual  # y minus the multiple of step below it
         up = offset > step // 2
         distance = np.where(up, step - offset, offset)
-        inside = distance < inner
-        near_end = ~inside & (distance <= outer)
-        if near_end.any():
-            exact = near_end & (residual == 0) & (k >= -6) & (k <= 16)
-            closed = (bits & 1) == 0
-            inside |= exact & ((distance < half_ulp) | (closed & (distance == half_ulp)))
-            near_end &= ~exact
-        certain &= ~near_end & (~inside | (np.abs(offset - step // 2) > _MARGIN))
+        inside = distance < half_ulp
+        certain &= np.abs(distance - half_ulp) > _MARGIN
+        certain &= ~inside | (np.abs(offset - step // 2) > _MARGIN)
         shortest = np.where(inside, digits - tail + step * up, shortest)
-        length[inside] = size
-    certain &= (shortest % 1000 != 0) | (length > 15)
-    return shortest, length, k, certain
+    certain &= shortest < _POW10[17]
+    return shortest, k, certain
 
 
 @functools.cache
-def _pieces(integral: str = "", prefix: str = "") -> np.ndarray:
-    """The %-template of each cell code (see _HEADS): `prefix`, sign,
-    integer part, point, leading zeros of the fraction, its %d, and the
-    exponent; `integral` ends a positional number without a fraction."""
+def _pieces(integral: str = "") -> np.ndarray:
+    """The %-template of each cell code (see _HEADS): sign, integer part,
+    point, leading zeros of the fraction, its %d, and the exponent;
+    `integral` ends a positional number without a fraction."""
     heads = [str(d) for d in range(10)] + ["%d"]
     return np.array(
         [
-            prefix + sign + head + (("" if tail else integral) if zeros == _NO_FRACTION
-                                    else "." + "0" * zeros + "%d") + tail
+            sign + head + (("" if tail else integral) if zeros == _NO_FRACTION
+                           else "." + "0" * zeros + "%d") + tail
             for sign in ("", "-")
             for tail in ("", "e%+03d")
             for head in heads
@@ -198,7 +186,7 @@ def _pieces(integral: str = "", prefix: str = "") -> np.ndarray:
     )
 
 
-def _layout(x, digits, k, positional, args, used, trailing=None) -> np.ndarray:
+def _layout(x, digits, k, positional, args, used) -> np.ndarray:
     """Cell codes of the 17-digit integers `digits`, decimal exponent k, as
     the signs of x; fills the (cells, 3) `args` with their %-arguments
     (integer part, fraction, exponent) and `used` with which of the three
@@ -206,9 +194,8 @@ def _layout(x, digits, k, positional, args, used, trailing=None) -> np.ndarray:
 
     The positional form has cut = 16 - k digits after the point, the
     exponent form 16.  The fraction is written as an integer after its
-    leading zeros, without its trailing ones; `trailing`, where given, is
-    the number of trailing zeros of each of `digits`.  An integer part of
-    one digit is part of the template.
+    leading zeros, without its trailing ones.  An integer part of one digit
+    is part of the template.
     """
     cut = np.where(positional, 16 - k, 16)
     scale = _POW10[np.minimum(cut, 17)]
@@ -216,15 +203,12 @@ def _layout(x, digits, k, positional, args, used, trailing=None) -> np.ndarray:
     fraction = digits - whole * scale
     zeros = cut - np.searchsorted(_POW10, fraction, side="right")
     zeros[fraction == 0] = _NO_FRACTION
-    if trailing is not None:
-        fraction //= _POW10[trailing]
-    else:
-        # drop the fraction's trailing zeros; about one cell in ten has any
-        tens = np.flatnonzero(fraction // 10 * 10 == fraction)
-        for step in (16, 8, 4, 2, 1):
-            part = fraction[tens]
-            shorter = part // _POW10[step]
-            fraction[tens] = np.where(shorter * _POW10[step] == part, shorter, part)
+    # drop the fraction's trailing zeros; about one cell in ten has any
+    tens = np.flatnonzero(fraction // 10 * 10 == fraction)
+    for step in (16, 8, 4, 2, 1):
+        part = fraction[tens]
+        shorter = part // _POW10[step]
+        fraction[tens] = np.where(shorter * _POW10[step] == part, shorter, part)
     head = np.minimum(whole, _HEAD_INT)
     args[:, 0], args[:, 1], args[:, 2] = whole, fraction, k
     used[:, 0] = head == _HEAD_INT
@@ -245,17 +229,16 @@ def _float_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray) -> np.ndarra
     return cells
 
 
-def _repr_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray, prefix: str = "") -> np.ndarray:
-    """Templates of a block of doubles as float.__repr__ writes them, each
-    after `prefix` (which must not hold '%'): positional for -4 <= k <= 15,
-    with ".0" after an integral value; fills `args` and `used` as _layout
-    does."""
-    digits, length, k, certain = _shortest_digits(x)
-    code = _layout(x, digits, k, (k >= -4) & (k <= 15), args, used, 17 - length)
+def _repr_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Templates of a block of doubles as float.__repr__ writes them,
+    positional for -4 <= k <= 15, with ".0" after an integral value; fills
+    `args` and `used` as _layout does."""
+    digits, k, certain = _shortest_digits(x)
+    code = _layout(x, digits, k, (k >= -4) & (k <= 15), args, used)
     used[~certain] = False
-    cells = _pieces(".0", prefix)[np.where(certain, code, 0)]
+    cells = _pieces(".0")[np.where(certain, code, 0)]
     for i in np.flatnonzero(~certain).tolist():
-        cells[i] = prefix + float.__repr__(x[i])
+        cells[i] = float.__repr__(x[i])
     return cells
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from cvsim import _csvio
 from cvsim._csvio import _decimal_digits, _repr_cells, _shortest_digits
 
 #: values per kernel call, as the JSON writer's batches
@@ -118,42 +119,45 @@ def test_residual_and_half_ulp_are_exact_where_the_product_is():
         assert Fraction(np.spacing(x)) / 2 * scale == Fraction(h)
 
 
-def test_repr_kernel_decides_exact_interval_ends_by_mantissa_parity():
+def test_repr_kernel_matches_python_at_interval_ends():
     # 2**54 + 8 has an even mantissa, so 18014398509481990 reads back to it;
     # 2**54 + 4 is odd, and its interval end 18014398509481990 does not
     values = np.array([2.0**54 + 8, 2.0**54 + 4, 2.0**54 + 12])
     assert kernel_reprs(values) == ["1.801439850948199e+16", "1.8014398509481988e+16",
                                     "1.8014398509481996e+16"]
-    assert _shortest_digits(values)[3].all()
-    exact = np.array(interval_ends(random.Random(7), 4000))
-    exact = exact[exact < 1e17]
-    assert exact.size > 1000 and _shortest_digits(exact)[3].all()
-    assert_reprs(exact)
-
-
-def significant_digits(value):
-    mantissa = float.__repr__(value).split("e")[0].replace("-", "").replace(".", "")
-    return len(mantissa.strip("0"))
+    assert_reprs(interval_ends(random.Random(7), 4000))
 
 
 def test_repr_kernel_leaves_few_values_to_python():
     rng = np.random.default_rng(11)
-    # a Wigner grid: only its values of 14 digits or fewer fall back
+    # a Wigner grid and normal deviates: none falls back
     grid = np.linspace(-5, 5, 101)
     wigner = np.exp(-(grid[:, None] ** 2 + grid[None, :] ** 2) / 2).ravel() / (2 * np.pi)
-    certain = _shortest_digits(wigner)[3]
-    assert certain.mean() > 0.99
-    assert max(significant_digits(v) for v in wigner[~certain].tolist()) <= 14
-    assert _shortest_digits(rng.normal(size=20_000))[3].mean() > 0.98
-    # random bit patterns: of the finite, normal ones ~1% fall back
+    assert _shortest_digits(wigner)[2].all()
+    assert _shortest_digits(rng.normal(size=20_000))[2].mean() > 0.999
+    # random bit patterns: of the finite, normal ones ~0.1% fall back
     bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
     normal = bits[np.isfinite(bits) & (np.abs(bits) >= 2.2250738585072014e-308)]
-    assert _shortest_digits(normal)[3].mean() > 0.98
+    assert _shortest_digits(normal)[2].mean() > 0.995
 
 
-def test_repr_kernel_leaves_short_ties_and_asymmetric_intervals_to_python():
-    values = np.array([562949953421312.25, 562949953421312.75, 0.5, 1.0, 2.0**-1000, 0.1, 1e-5])
-    certain = _shortest_digits(values)[3]
-    # 16-digit ties, power-of-two mantissas and short decimals go to Python
-    assert not certain.any()
+def test_repr_kernel_leaves_ties_and_asymmetric_intervals_to_python():
+    values = np.array([562949953421312.25, 562949953421312.75, 0.5, 1.0, 2.0**-1000])
+    # 16-digit ties and power-of-two mantissas go to Python
+    assert not _shortest_digits(values)[2].any()
     assert_reprs(values)
+
+
+def test_repr_kernel_writes_short_decimals_itself():
+    values = np.array([0.3, -1e-5, 2.5e-7, 123.456, 7e15, 1.5e300, 0.002])
+    assert _shortest_digits(values)[2].all()
+    assert_reprs(values)
+
+
+def test_repr_kernel_leaves_a_rounding_up_to_10_17_to_python(monkeypatch):
+    # log10 puts every double whose interval holds 10**(k+1) a decade up,
+    # where D < 10**16 fails; with k right, the candidates would carry
+    fields = ([99999999999999995], [5], [True], [0.1], [8.0])
+    monkeypatch.setattr(_csvio, "_decimal_digits", lambda x: tuple(map(np.array, fields)))
+    shortest, _, certain = _shortest_digits(np.array([3.0]))
+    assert shortest[0] == 10**17 and not certain[0]
