@@ -7,14 +7,16 @@ plotting is deliberately out of scope.
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
+from functools import cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 
-import click
 import numpy as np
 
 from . import homodyne
@@ -27,10 +29,15 @@ from .phase_space import PhaseSpaceGrid, wigner_gaussian, write_wigner_csv
 from .states import clean_tiny, vacuum_state
 
 
-def _fail(message: str) -> "click.ClickException":
-    exc = click.ClickException(message)
-    exc.exit_code = 1
-    return exc
+class CLIError(Exception):
+    """A failed command: one ``Error:`` line and exit code 1 (a runtime or
+    numerical failure) or 2 (a usage or validation failure)."""
+
+    usage = ""  # printed before the error line, for a command line that did not parse
+
+    def __init__(self, message: str, exit_code: int) -> None:
+        super().__init__(message)
+        self.exit_code = exit_code
 
 
 @contextmanager
@@ -39,7 +46,7 @@ def _writing(path: str):
     try:
         yield
     except OSError as exc:
-        raise _fail(f"cannot write {path}: {exc.strerror}") from None
+        raise CLIError(f"cannot write {path}: {exc.strerror}", 1) from None
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -226,7 +233,7 @@ def _require_finite(**options: float) -> None:
     """Exit 2 naming the first option whose value is NaN or infinite."""
     for name, value in options.items():
         if not isfinite(value):
-            raise click.UsageError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
+            raise CLIError(f"--{name.replace('_', '-')} must be finite, got {value!r}", 2)
 
 
 #: --state -> (source model constructor, the options it takes in order)
@@ -248,70 +255,37 @@ def _build_model(state, n, nbar, r, alpha_re, alpha_im, theta) -> homodyne.Sourc
     if None in values:
         flags = ["--" + name.replace("_", "-") for name in names]
         if len(flags) == 1:
-            raise click.UsageError(f"{flags[0]} is required for --state {state}")
+            raise CLIError(f"{flags[0]} is required for --state {state}", 2)
         listed = ", ".join(flags[:-1]) + " and " + flags[-1]
-        raise click.UsageError(f"{listed} are required for --state {state}")
+        raise CLIError(f"{listed} are required for --state {state}", 2)
     try:
         return build(*values)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise CLIError(str(exc), 2) from None
 
 
-def _model_options(required=True):
-    def wrap(fn):
-        fn = click.option("--theta", type=float, default=None, help="cat superposition phase")(fn)
-        fn = click.option("--alpha-im", type=float, default=None, help="cat Im(alpha)")(fn)
-        fn = click.option("--alpha-re", type=float, default=None, help="cat Re(alpha)")(fn)
-        fn = click.option("--r", type=float, default=None, help="squeezing parameter")(fn)
-        fn = click.option("--nbar", type=float, default=None, help="mean photon number")(fn)
-        fn = click.option("--n", type=int, default=None, help="Fock photon number (0..10)")(fn)
-        fn = click.option(
-            "--state",
-            type=click.Choice(tuple(_MODELS)),
-            required=required,
-            default=None,
-            help="source family",
-        )(fn)
-        return fn
-
-    return wrap
-
-
-@click.group()
-def main() -> None:
-    """Gaussian-optics simulation toolkit."""
-
-
-@main.command("sample")
-@_model_options()
-@click.option("--count", type=int, required=True, help="number of records")
-@click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
-@click.option("--tol", type=float, default=homodyne.DEFAULT_TOL, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_sample(state, n, nbar, r, alpha_re, alpha_im, theta, count, seed, tol, out):
     """Generate homodyne records by inverse-CDF sampling and write phase,x CSV."""
+    if seed < 0:
+        raise CLIError(f"Invalid value for '--seed': {seed} is not in the range x>=0.", 2)
     model = _build_model(state, n, nbar, r, alpha_re, alpha_im, theta)
     if count < 1:
-        raise click.UsageError("--count must be >= 1")
+        raise CLIError("--count must be >= 1", 2)
     _require_finite(tol=tol)
     if tol <= 0:
-        raise click.UsageError(f"--tol must be > 0, got {tol!r}")
+        raise CLIError(f"--tol must be > 0, got {tol!r}", 2)
     try:
         samples = homodyne.sample(model, count, seed=seed, tol=tol)
     except CVSimError as exc:
-        raise _fail(str(exc)) from None
+        raise CLIError(str(exc), 1) from None
     with _writing(out):
         homodyne.write_samples_csv(samples, out)
-    click.echo(f"wrote {len(samples)} records to {out}")
-    click.echo(f"mean {np.mean(samples.values):.6g}  variance {np.var(samples.values, ddof=1):.6g}")
+    print(f"wrote {len(samples)} records to {out}")
+    # one record has no sample variance; np.var would warn on stderr
+    variance = np.var(samples.values, ddof=1) if len(samples) > 1 else np.nan
+    print(f"mean {np.mean(samples.values):.6g}  variance {variance:.6g}")
 
 
-@main.command("analyze")
-@click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--bins", type=int, default=50, show_default=True)
-@click.option("--sigma-level", type=float, default=3.0, show_default=True)
-@_model_options(required=False)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_analyze(in_path, bins, sigma_level, state, n, nbar, r, alpha_re, alpha_im, theta, out):
     """Bin a phase,x CSV, test the Heisenberg product and certify squeezing.
 
@@ -320,46 +294,43 @@ def cmd_analyze(in_path, bins, sigma_level, state, n, nbar, r, alpha_re, alpha_i
     if state is not None:
         model = _build_model(state, n, nbar, r, alpha_re, alpha_im, theta)
     if bins < 4:
-        raise click.UsageError("--bins must be >= 4")
+        raise CLIError("--bins must be >= 4", 2)
     _require_finite(sigma_level=sigma_level)
     if sigma_level < 0:
-        raise click.UsageError(f"--sigma-level must be >= 0, got {sigma_level!r}")
+        raise CLIError(f"--sigma-level must be >= 0, got {sigma_level!r}", 2)
     try:
         samples = homodyne.read_samples_csv(in_path, model=model)
         report = homodyne.binned_variance(samples, bins)
     except CVSimError as exc:
-        raise _fail(str(exc)) from None
+        raise CLIError(str(exc), 1) from None
     with _writing(out):
         homodyne.write_variance_csv(report, out)
     violations = homodyne.heisenberg_violations(report, sigma_level)
     certified = homodyne.squeezing_certificate(report, sigma_level)
-    click.echo(f"heisenberg violations: {int(violations.sum())}")
+    print(f"heisenberg violations: {int(violations.sum())}")
     idx = np.flatnonzero(certified)
     if idx.size:
         centers = ", ".join(f"{report.bin_centers[i]:.4f}" for i in idx)
-        click.echo(f"squeezing certified in {idx.size} bins at phi = {centers}")
+        print(f"squeezing certified in {idx.size} bins at phi = {centers}")
     else:
-        click.echo("squeezing certified in 0 bins")
+        print("squeezing certified in 0 bins")
 
 
-@main.command("network")
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_network(config, out):
     """Run a JSON network description and write the final state + analyses."""
     with open(config, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise click.UsageError(f"config is not valid JSON: {exc}") from None
+            raise CLIError(f"config is not valid JSON: {exc}", 2) from None
     try:
         spec = parse_network_spec(doc)
     except SpecValidationError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise CLIError(str(exc), 2) from None
     try:
         result = run_network(spec)
     except CVSimError as exc:
-        raise _fail(str(exc)) from None
+        raise CLIError(str(exc), 1) from None
     payload = {
         "modes": spec.num_modes,
         "hbar": spec.hbar,
@@ -370,63 +341,38 @@ def cmd_network(config, out):
     with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_json_chunks(payload))
         fh.write("\n")
-    click.echo(f"wrote network result to {out}")
+    print(f"wrote network result to {out}")
 
 
-@main.command("fock-bs")
-@click.option("--n1", type=int, required=True)
-@click.option("--n2", type=int, required=True)
-@click.option("--theta", type=float, default=np.pi / 4, show_default=True)
-@click.option("--phi", type=float, default=np.pi, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_fock_bs(n1, n2, theta, phi, out):
     """Fock-basis beam-splitter output amplitudes and marginals."""
     if n1 < 0 or n2 < 0:
-        raise click.UsageError("photon numbers must be non-negative")
+        raise CLIError("photon numbers must be non-negative", 2)
     if n1 + n2 > MAX_TOTAL_PHOTONS:
-        raise click.UsageError(f"n1 + n2 must not exceed {MAX_TOTAL_PHOTONS}")
+        raise CLIError(f"n1 + n2 must not exceed {MAX_TOTAL_PHOTONS}", 2)
     _require_finite(theta=theta, phi=phi)
     try:
         result = bs_output_from_angle(n1, n2, theta, phi)
     except (ValueError, CVSimError) as exc:
-        raise _fail(str(exc)) from None
+        raise CLIError(str(exc), 1) from None
     with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_fock_bs_json(result))
-    click.echo(f"wrote {len(result.amplitudes)} amplitudes to {out}")
+    print(f"wrote {len(result.amplitudes)} amplitudes to {out}")
 
 
-@main.command("wigner")
-@click.option(
-    "--state",
-    type=click.Choice(("vacuum", "coherent", "squeezed", "thermal")),
-    required=True,
-)
-@click.option("--alpha-mag", type=float, default=0.0, show_default=True)
-@click.option("--alpha-phase", type=float, default=0.0, show_default=True)
-@click.option("--r", type=float, default=0.0, show_default=True)
-@click.option("--theta", type=float, default=0.0, show_default=True)
-@click.option("--nbar", type=float, default=0.0, show_default=True)
-@click.option("--hbar", type=float, default=2.0, show_default=True)
-@click.option("--xmin", type=float, default=-5.0, show_default=True)
-@click.option("--xmax", type=float, default=5.0, show_default=True)
-@click.option("--pmin", type=float, default=-5.0, show_default=True)
-@click.option("--pmax", type=float, default=5.0, show_default=True)
-@click.option("--nx", type=int, default=100, show_default=True)
-@click.option("--np", "npts", type=int, default=100, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_wigner(state, alpha_mag, alpha_phase, r, theta, nbar, hbar,
                xmin, xmax, pmin, pmax, nx, npts, out):
     """Evaluate a single-mode Gaussian Wigner function on a grid, write x,p,w CSV."""
     _require_finite(alpha_mag=alpha_mag, alpha_phase=alpha_phase, r=r, theta=theta, nbar=nbar,
                     hbar=hbar, xmin=xmin, xmax=xmax, pmin=pmin, pmax=pmax)
     if hbar <= 0:
-        raise click.UsageError(f"--hbar must be > 0, got {hbar!r}")
+        raise CLIError(f"--hbar must be > 0, got {hbar!r}", 2)
     try:
         grid = PhaseSpaceGrid(x_min=xmin, x_max=xmax, p_min=pmin, p_max=pmax, nx=nx, np=npts)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise CLIError(str(exc), 2) from None
     if r < 0 or nbar < 0 or alpha_mag < 0:
-        raise click.UsageError("state parameters must be non-negative")
+        raise CLIError("state parameters must be non-negative", 2)
     st = vacuum_state(1, hbar)
     try:
         if state == "coherent":
@@ -437,12 +383,125 @@ def cmd_wigner(state, alpha_mag, alpha_phase, r, theta, nbar, hbar,
             st = thermal_prepare(nbar, 0, st)
         fld = wigner_gaussian(st, grid, 0)
     except CVSimError as exc:
-        raise _fail(str(exc)) from None
+        raise CLIError(str(exc), 1) from None
     with _writing(out):
         write_wigner_csv(fld, out)
-    click.echo(f"riemann normalization: {fld.riemann_sum():.6f}")
-    click.echo(f"wrote {grid.nx * grid.np} grid points to {out}")
+    print(f"riemann normalization: {fld.riemann_sum():.6f}")
+    print(f"wrote {grid.nx * grid.np} grid points to {out}")
+
+
+def _file(path: str) -> str:
+    """--out: a path that is not a directory."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file '{path}' is a directory")
+    return path
+
+
+def _existing_file(path: str) -> str:
+    """--in and --config: a readable path that is not a directory."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file '{path}' does not exist")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"file '{path}' is not readable")
+    return _file(path)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Raise CLIError with the usage, in place of printing and exiting 2."""
+        exc = CLIError(message, 2)
+        exc.usage = self.format_usage()
+        raise exc
+
+
+#: the help of an option whose default is shown
+_DEFAULT = "[default: %(default)s]"
+
+
+@cache
+def _parser() -> _Parser:
+    """The cvsim parser, built on the first command of a process (~4 ms)."""
+    parser = _Parser(prog="cvsim", description="Gaussian-optics simulation toolkit.",
+                     add_help=False, allow_abbrev=False)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+
+    def command(name: str, run) -> _Parser:
+        sub = commands.add_parser(name, help=run.__doc__.split("\n")[0], description=run.__doc__,
+                                  add_help=False, allow_abbrev=False)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.set_defaults(run=run)
+        return sub
+
+    sample, analyze, network, fock_bs, wigner = (
+        command("sample", cmd_sample), command("analyze", cmd_analyze),
+        command("network", cmd_network), command("fock-bs", cmd_fock_bs),
+        command("wigner", cmd_wigner))
+    for sub, required in ((sample, True), (analyze, False)):
+        sub.add_argument("--state", choices=tuple(_MODELS), required=required, help="source family")
+        sub.add_argument("--n", type=int, help="Fock photon number (0..10)")
+        sub.add_argument("--nbar", type=float, help="mean photon number")
+        sub.add_argument("--r", type=float, help="squeezing parameter")
+        sub.add_argument("--alpha-re", type=float, help="cat Re(alpha)")
+        sub.add_argument("--alpha-im", type=float, help="cat Im(alpha)")
+        sub.add_argument("--theta", type=float, help="cat superposition phase")
+    sample.add_argument("--count", type=int, required=True, help="number of records")
+    sample.add_argument("--seed", type=int, default=42, help=_DEFAULT)
+    sample.add_argument("--tol", type=float, default=homodyne.DEFAULT_TOL, help=_DEFAULT)
+
+    analyze.add_argument("--in", type=_existing_file, dest="in_path", metavar="IN", required=True)
+    analyze.add_argument("--bins", type=int, default=50, help=_DEFAULT)
+    analyze.add_argument("--sigma-level", type=float, default=3.0, help=_DEFAULT)
+
+    network.add_argument("--config", type=_existing_file, required=True)
+
+    fock_bs.add_argument("--n1", type=int, required=True)
+    fock_bs.add_argument("--n2", type=int, required=True)
+    fock_bs.add_argument("--theta", type=float, default=np.pi / 4, help=_DEFAULT)
+    fock_bs.add_argument("--phi", type=float, default=np.pi, help=_DEFAULT)
+
+    wigner.add_argument("--state", choices=("vacuum", "coherent", "squeezed", "thermal"),
+                        required=True)
+    for flag, default in (("--alpha-mag", 0.0), ("--alpha-phase", 0.0), ("--r", 0.0),
+                          ("--theta", 0.0), ("--nbar", 0.0), ("--hbar", 2.0), ("--xmin", -5.0),
+                          ("--xmax", 5.0), ("--pmin", -5.0), ("--pmax", 5.0)):
+        wigner.add_argument(flag, type=float, default=default, help=_DEFAULT)
+    wigner.add_argument("--nx", type=int, default=100, help=_DEFAULT)
+    wigner.add_argument("--np", type=int, dest="npts", metavar="NP", default=100, help=_DEFAULT)
+    for sub in (sample, analyze, network, fock_bs, wigner):
+        sub.add_argument("--out", type=_file, required=True)
+    return parser
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each option joined to a next word that starts with "-", as
+    in ``--xmin=-1e-3``: every option but --help takes one value, and
+    argparse would read such a word as an option."""
+    joined = []
+    for word in argv:
+        last = joined[-1] if joined else ""
+        if word.startswith("-") and last.startswith("--") and "=" not in last and last != "--help":
+            joined[-1] = f"{last}={word}"
+        else:
+            joined.append(word)
+    return joined
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run one command line, ``sys.argv[1:]`` by default.  A failure raises
+    CLIError; in standalone mode (the ``cvsim`` console script) it prints
+    one ``Error:`` line on stderr, after the usage of a command line that
+    did not parse, and exits with the error's code."""
+    try:
+        options = vars(_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv)))
+        del options["command"]
+        options.pop("run")(**options)
+    except CLIError as exc:
+        if not standalone_mode:
+            raise
+        print(f"{exc.usage}Error: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,11 +7,12 @@ import random
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -25,22 +27,30 @@ from cvsim import (
     read_wigner_csv,
     write_samples_csv,
 )
-from cvsim.homodyne import read_variance_csv
+from cvsim.homodyne import DEFAULT_TOL, read_variance_csv
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+class Result(NamedTuple):
+    exit_code: int
+    output: str
+    exception: SystemExit | None
 
 
-def invoke(runner, args):
-    return runner.invoke(main, args, catch_exceptions=False)
+def run_cli(args):
+    """Run ``main(args)`` as the ``cvsim`` console script runs it, with
+    stdout and stderr captured together; any other exception propagates."""
+    output = io.StringIO()
+    with redirect_stdout(output), redirect_stderr(output):
+        try:
+            main(args)
+        except SystemExit as exc:
+            return Result(exc.code or 0, output.getvalue(), exc)
+    return Result(0, output.getvalue(), None)
 
 
-def test_sample_writes_csv_and_summary(runner, tmp_path):
+def test_sample_writes_csv_and_summary(tmp_path):
     out = tmp_path / "s.csv"
-    result = invoke(
-        runner,
+    result = run_cli(
         ["sample", "--state", "squeezed", "--r", "1", "--count", "5000",
          "--seed", "42", "--out", str(out)],
     )
@@ -52,11 +62,11 @@ def test_sample_writes_csv_and_summary(runner, tmp_path):
     assert np.var(ss.values, ddof=1) == pytest.approx(np.cosh(2.0), rel=0.1)
 
 
-def test_sample_is_byte_identical(runner, tmp_path):
+def test_sample_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sample", "--state", "vacuum", "--count", "10", "--seed", "7"]
-    assert invoke(runner, args + ["--out", str(a)]).exit_code == 0
-    assert invoke(runner, args + ["--out", str(b)]).exit_code == 0
+    assert run_cli(args + ["--out", str(a)]).exit_code == 0
+    assert run_cli(args + ["--out", str(b)]).exit_code == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -87,27 +97,27 @@ def sha256(path):
 
 
 @pytest.mark.parametrize("flags", list(SAMPLE_GOLDENS))
-def test_sample_output_matches_golden_digest(runner, tmp_path, flags):
+def test_sample_output_matches_golden_digest(tmp_path, flags):
     out = tmp_path / "s.csv"
-    invoke(runner, ["sample", "--state", *flags, "--count", "16389", "--out", str(out)])
+    run_cli(["sample", "--state", *flags, "--count", "16389", "--out", str(out)])
     assert sha256(out) == SAMPLE_GOLDENS[flags]
 
 
 @pytest.mark.parametrize("count", list(ANALYZE_GOLDENS))
-def test_analyze_output_matches_golden_digest(runner, tmp_path, count):
+def test_analyze_output_matches_golden_digest(tmp_path, count):
     data, rep = tmp_path / "s.csv", tmp_path / "v.csv"
     model = ["--state", "squeezed", "--r", "1"]
-    invoke(runner, ["sample", *model, "--count", str(count), "--out", str(data)])
-    invoke(runner, ["analyze", "--in", str(data), "--bins", "1000", *model, "--out", str(rep)])
+    run_cli(["sample", *model, "--count", str(count), "--out", str(data)])
+    run_cli(["analyze", "--in", str(data), "--bins", "1000", *model, "--out", str(rep)])
     assert (sha256(data), sha256(rep)) == ANALYZE_GOLDENS[count]
     if count == 1500:
         assert np.isnan(read_variance_csv(str(rep)).estimated_variance).any()
 
 
-def test_wigner_output_matches_golden_digest(runner, tmp_path):
+def test_wigner_output_matches_golden_digest(tmp_path):
     out = tmp_path / "w.csv"
-    invoke(runner, ["wigner", "--state", "squeezed", "--r", "0.5", "--theta", "0.3",
-                    "--nx", "37", "--np", "23", "--out", str(out)])
+    run_cli(["wigner", "--state", "squeezed", "--r", "0.5", "--theta", "0.3",
+             "--nx", "37", "--np", "23", "--out", str(out)])
     assert sha256(out) == WIGNER_GOLDEN
 
 
@@ -171,17 +181,17 @@ FOCK_BS_GOLDENS = {
 
 
 @pytest.mark.parametrize("name", list(NETWORK_GOLDENS))
-def test_network_output_matches_golden_digest(runner, tmp_path, name):
+def test_network_output_matches_golden_digest(tmp_path, name):
     config, out = tmp_path / "net.json", tmp_path / "o.json"
     config.write_text(json.dumps(README_NETWORK if name == "readme" else chain16_network()))
-    invoke(runner, ["network", "--config", str(config), "--out", str(out)])
+    run_cli(["network", "--config", str(config), "--out", str(out)])
     assert sha256(out) == NETWORK_GOLDENS[name]
 
 
 @pytest.mark.parametrize("flags", list(FOCK_BS_GOLDENS))
-def test_fock_bs_output_matches_golden_digest(runner, tmp_path, flags):
+def test_fock_bs_output_matches_golden_digest(tmp_path, flags):
     out = tmp_path / "f.json"
-    invoke(runner, ["fock-bs", *flags, "--out", str(out)])
+    run_cli(["fock-bs", *flags, "--out", str(out)])
     assert sha256(out) == FOCK_BS_GOLDENS[flags]
 
 
@@ -263,9 +273,9 @@ def test_fock_bs_json_matches_json_dumps(pair, theta, phi):
 
 
 @pytest.mark.parametrize("command", ["sample", "analyze", "network", "fock-bs", "wigner"])
-def test_unwritable_out_exits_1_with_one_line(runner, tmp_path, command):
+def test_unwritable_out_exits_1_with_one_line(tmp_path, command):
     data, config = tmp_path / "s.csv", tmp_path / "net.json"
-    invoke(runner, ["sample", "--state", "vacuum", "--count", "100", "--out", str(data)])
+    run_cli(["sample", "--state", "vacuum", "--count", "100", "--out", str(data)])
     config.write_text(json.dumps(README_NETWORK))
     args = {
         "sample": ["--state", "vacuum", "--count", "10"],
@@ -275,7 +285,7 @@ def test_unwritable_out_exits_1_with_one_line(runner, tmp_path, command):
         "wigner": ["--state", "vacuum"],
     }[command]
     out = tmp_path / "missing" / "out"
-    result = runner.invoke(main, [command, *args, "--out", str(out)])
+    result = run_cli([command, *args, "--out", str(out)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # a handled error, not a traceback
     assert result.output.strip().splitlines() == [
@@ -283,20 +293,18 @@ def test_unwritable_out_exits_1_with_one_line(runner, tmp_path, command):
     ]
 
 
-def test_sample_rejects_out_of_range_fock(runner, tmp_path):
-    result = runner.invoke(
-        main,
+def test_sample_rejects_out_of_range_fock(tmp_path):
+    result = run_cli(
         ["sample", "--state", "fock", "--n", "12", "--count", "10",
          "--out", str(tmp_path / "x.csv")],
     )
     assert result.exit_code == 2
 
 
-def test_sample_with_nan_cdf_exits_1_naming_the_record(runner, tmp_path):
+def test_sample_with_nan_cdf_exits_1_naming_the_record(tmp_path):
     # at |alpha| = 20 the cat's cross term is 0 * inf = NaN on part of the line
     out = tmp_path / "cat.csv"
-    result = runner.invoke(
-        main,
+    result = run_cli(
         ["sample", "--state", "cat", "--alpha-re", "20", "--alpha-im", "0", "--theta", "0",
          "--count", "2000", "--out", str(out)],
     )
@@ -309,9 +317,9 @@ def test_sample_with_nan_cdf_exits_1_naming_the_record(runner, tmp_path):
     assert not out.exists()
 
 
-def test_sample_requires_model_params(runner, tmp_path):
-    result = runner.invoke(
-        main, ["sample", "--state", "squeezed", "--count", "10", "--out", str(tmp_path / "x.csv")]
+def test_sample_requires_model_params(tmp_path):
+    result = run_cli(
+        ["sample", "--state", "squeezed", "--count", "10", "--out", str(tmp_path / "x.csv")]
     )
     assert result.exit_code == 2
 
@@ -329,9 +337,9 @@ CAT_REQUIRED = "--alpha-re, --alpha-im and --theta are required for --state cat"
     (["cat", "--alpha-re", "1", "--theta", "0"], CAT_REQUIRED),
     (["cat", "--alpha-re", "1", "--alpha-im", "0"], CAT_REQUIRED),
 ])
-def test_sample_names_each_missing_model_option(runner, tmp_path, args, message):
+def test_sample_names_each_missing_model_option(tmp_path, args, message):
     out = tmp_path / "x.csv"
-    result = runner.invoke(main, [*SAMPLE, *args, "--out", str(out)])
+    result = run_cli([*SAMPLE, *args, "--out", str(out)])
     assert result.exit_code == 2
     errors = [line for line in result.output.splitlines() if line.startswith("Error")]
     assert errors == [f"Error: {message}"]
@@ -357,28 +365,26 @@ def test_sample_names_each_missing_model_option(runner, tmp_path, args, message)
     (["analyze", "--in", "{data}", "--sigma-level", "-3"], "--sigma-level must be >= 0"),
     (["analyze", "--in", "{data}", "--sigma-level", "nan"], "--sigma-level must be finite"),
 ])
-def test_out_of_domain_option_exits_2_with_one_line(runner, tmp_path, args, message):
+def test_out_of_domain_option_exits_2_with_one_line(tmp_path, args, message):
     data, out = tmp_path / "s.csv", tmp_path / "out"
-    invoke(runner, ["sample", "--state", "squeezed", "--r", "1", "--count", "100",
-                    "--out", str(data)])
+    run_cli(["sample", "--state", "squeezed", "--r", "1", "--count", "100",
+             "--out", str(data)])
     args = [arg.format(data=data) for arg in args]
-    result = runner.invoke(main, [*args, "--out", str(out)])
+    result = run_cli([*args, "--out", str(out)])
     assert result.exit_code == 2
     errors = [line for line in result.output.splitlines() if line.startswith("Error")]
     assert len(errors) == 1 and message in errors[0]
     assert not out.exists()
 
 
-def test_analyze_squeezed_run(runner, tmp_path):
+def test_analyze_squeezed_run(tmp_path):
     data = tmp_path / "s.csv"
     rep = tmp_path / "v.csv"
-    invoke(
-        runner,
+    run_cli(
         ["sample", "--state", "squeezed", "--r", "1", "--count", "40000",
          "--seed", "42", "--out", str(data)],
     )
-    result = invoke(
-        runner,
+    result = run_cli(
         ["analyze", "--in", str(data), "--bins", "20", "--sigma-level", "3",
          "--state", "squeezed", "--r", "1", "--out", str(rep)],
     )
@@ -390,12 +396,11 @@ def test_analyze_squeezed_run(runner, tmp_path):
     assert report.counts.sum() == 40000
 
 
-def test_analyze_vacuum_certifies_nothing(runner, tmp_path):
+def test_analyze_vacuum_certifies_nothing(tmp_path):
     data = tmp_path / "v.csv"
     rep = tmp_path / "r.csv"
-    invoke(runner, ["sample", "--state", "vacuum", "--count", "20000", "--out", str(data)])
-    result = invoke(
-        runner,
+    run_cli(["sample", "--state", "vacuum", "--count", "20000", "--out", str(data)])
+    result = run_cli(
         ["analyze", "--in", str(data), "--bins", "16", "--state", "vacuum", "--out", str(rep)],
     )
     assert result.exit_code == 0
@@ -403,43 +408,40 @@ def test_analyze_vacuum_certifies_nothing(runner, tmp_path):
     assert "certified in 0 bins" in result.output
 
 
-def test_analyze_empty_file_fails(runner, tmp_path):
+def test_analyze_empty_file_fails(tmp_path):
     bad = tmp_path / "empty.csv"
     bad.write_text("")
-    result = runner.invoke(
-        main,
+    result = run_cli(
         ["analyze", "--in", str(bad), "--state", "vacuum", "--out", str(tmp_path / "o.csv")],
     )
     assert result.exit_code == 1
 
 
-def test_analyze_without_model_flags(runner, tmp_path):
+def test_analyze_without_model_flags(tmp_path):
     data = tmp_path / "s.csv"
     rep = tmp_path / "v.csv"
-    invoke(runner, ["sample", "--state", "vacuum", "--count", "8000", "--out", str(data)])
-    result = invoke(runner, ["analyze", "--in", str(data), "--bins", "8", "--out", str(rep)])
+    run_cli(["sample", "--state", "vacuum", "--count", "8000", "--out", str(data)])
+    result = run_cli(["analyze", "--in", str(data), "--bins", "8", "--out", str(rep)])
     assert result.exit_code == 0
     report = read_variance_csv(str(rep))
     assert np.isnan(report.theoretical_variance).all()
     assert np.isfinite(report.estimated_variance).all()
 
 
-def test_analyze_malformed_line_names_line(runner, tmp_path):
+def test_analyze_malformed_line_names_line(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("phase,x\n0.0,1.0\noops,2\n")
-    result = runner.invoke(
-        main,
+    result = run_cli(
         ["analyze", "--in", str(bad), "--state", "vacuum", "--out", str(tmp_path / "o.csv")],
     )
     assert result.exit_code == 1
     assert "line 3" in result.output
 
 
-def test_analyze_input_not_utf8_names_line(runner, tmp_path):
+def test_analyze_input_not_utf8_names_line(tmp_path):
     bad = tmp_path / "latin1.csv"
     bad.write_bytes(b"phase,x\n0.0,1.0\n0.5,\xe91.0\n")
-    result = runner.invoke(
-        main,
+    result = run_cli(
         ["analyze", "--in", str(bad), "--state", "vacuum", "--out", str(tmp_path / "o.csv")],
     )
     assert result.exit_code == 1
@@ -449,17 +451,17 @@ def test_analyze_input_not_utf8_names_line(runner, tmp_path):
     ]
 
 
-def test_network_config_not_utf8_exits_2_with_one_line(runner, tmp_path):
+def test_network_config_not_utf8_exits_2_with_one_line(tmp_path):
     config = tmp_path / "latin1.json"
     config.write_bytes(b'{"modes": 1, "gates": [], "analyses": [], "hbar": 2.0, "note": "\xe9"}')
-    result = runner.invoke(main, ["network", "--config", str(config),
-                                  "--out", str(tmp_path / "o.json")])
+    result = run_cli(["network", "--config", str(config),
+                      "--out", str(tmp_path / "o.json")])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert result.output.strip().splitlines()[-1].startswith("Error: config is not valid JSON: ")
 
 
-def test_network_three_bs_config(runner, tmp_path):
+def test_network_three_bs_config(tmp_path):
     config = tmp_path / "net.json"
     config.write_text(
         json.dumps(
@@ -481,7 +483,7 @@ def test_network_three_bs_config(runner, tmp_path):
         )
     )
     out = tmp_path / "out.json"
-    result = invoke(runner, ["network", "--config", str(config), "--out", str(out)])
+    result = run_cli(["network", "--config", str(config), "--out", str(out)])
     assert result.exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["analyses"][0]["value"] == pytest.approx(0.5480589169169516, abs=1e-9)
@@ -492,7 +494,7 @@ def test_network_three_bs_config(runner, tmp_path):
     assert all(v == 0.0 or abs(v) > 1e-11 for v in flat)
 
 
-def test_network_simon_pair(runner, tmp_path):
+def test_network_simon_pair(tmp_path):
     config = tmp_path / "pair.json"
     config.write_text(
         json.dumps(
@@ -511,13 +513,13 @@ def test_network_simon_pair(runner, tmp_path):
         )
     )
     out = tmp_path / "o.json"
-    assert invoke(runner, ["network", "--config", str(config), "--out", str(out)]).exit_code == 0
+    assert run_cli(["network", "--config", str(config), "--out", str(out)]).exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["analyses"][0]["verdict"] == "entangled"
     assert doc["analyses"][1]["value"] == pytest.approx(1.4426950408889623, abs=1e-9)
 
 
-def test_network_output_byte_identical(runner, tmp_path):
+def test_network_output_byte_identical(tmp_path):
     config = tmp_path / "net.json"
     config.write_text(
         json.dumps(
@@ -532,36 +534,36 @@ def test_network_output_byte_identical(runner, tmp_path):
         )
     )
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    invoke(runner, ["network", "--config", str(config), "--out", str(a)])
-    invoke(runner, ["network", "--config", str(config), "--out", str(b)])
+    run_cli(["network", "--config", str(config), "--out", str(a)])
+    run_cli(["network", "--config", str(config), "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_network_zero_gates_identity(runner, tmp_path):
+def test_network_zero_gates_identity(tmp_path):
     config = tmp_path / "id.json"
     config.write_text(json.dumps({"modes": 2, "gates": []}))
     out = tmp_path / "o.json"
-    assert invoke(runner, ["network", "--config", str(config), "--out", str(out)]).exit_code == 0
+    assert run_cli(["network", "--config", str(config), "--out", str(out)]).exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["cov"] == np.eye(4).tolist()
 
 
-def test_network_schema_violation_exit2(runner, tmp_path):
+def test_network_schema_violation_exit2(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"modes": 2, "gates": [{"kind": "squeeze", "modes": [0], "params": {"r": -1, "theta": 0}}]}))
-    result = runner.invoke(main, ["network", "--config", str(config), "--out", str(tmp_path / "o.json")])
+    result = run_cli(["network", "--config", str(config), "--out", str(tmp_path / "o.json")])
     assert result.exit_code == 2
     assert "/gates/0/params/r" in result.output
 
 
-def test_network_runtime_failure_names_gate_exit1(runner, tmp_path):
+def test_network_runtime_failure_names_gate_exit1(tmp_path):
     config = tmp_path / "used.json"
     config.write_text(json.dumps({"modes": 1, "gates": [
         {"kind": "squeeze", "modes": [0], "params": {"r": 0.5, "theta": 0.0}},
         {"kind": "prepare_thermal", "modes": [0], "params": {"n_bar": 1.0}},
     ]}))
     out = tmp_path / "o.json"
-    result = runner.invoke(main, ["network", "--config", str(config), "--out", str(out)])
+    result = run_cli(["network", "--config", str(config), "--out", str(out)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # a handled error, not a traceback
     assert result.output.strip().splitlines() == [
@@ -570,10 +572,9 @@ def test_network_runtime_failure_names_gate_exit1(runner, tmp_path):
     assert not out.exists()
 
 
-def test_fock_bs_hom(runner, tmp_path):
+def test_fock_bs_hom(tmp_path):
     out = tmp_path / "f.json"
-    result = invoke(
-        runner,
+    result = run_cli(
         ["fock-bs", "--n1", "1", "--n2", "1", "--theta", str(np.pi / 4),
          "--phi", str(np.pi), "--out", str(out)],
     )
@@ -584,9 +585,9 @@ def test_fock_bs_hom(runner, tmp_path):
     assert doc["marginal_mode0"] == pytest.approx([0.5, 0.0, 0.5], abs=1e-12)
 
 
-def test_fock_bs_single_photon(runner, tmp_path):
+def test_fock_bs_single_photon(tmp_path):
     out = tmp_path / "f.json"
-    invoke(runner, ["fock-bs", "--n1", "1", "--n2", "0", "--out", str(out)])
+    run_cli(["fock-bs", "--n1", "1", "--n2", "0", "--out", str(out)])
     doc = json.loads(out.read_text())
     amps = {tuple(a["basis"]): complex(a["re"], a["im"]) for a in doc["amplitudes"]}
     assert amps[(0, 1)] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
@@ -594,9 +595,9 @@ def test_fock_bs_single_photon(runner, tmp_path):
     assert [tuple(a["basis"]) for a in doc["amplitudes"]] == [(0, 1), (1, 0)]
 
 
-def test_fock_bs_vacuum(runner, tmp_path):
+def test_fock_bs_vacuum(tmp_path):
     out = tmp_path / "f.json"
-    invoke(runner, ["fock-bs", "--n1", "0", "--n2", "0", "--out", str(out)])
+    run_cli(["fock-bs", "--n1", "0", "--n2", "0", "--out", str(out)])
     doc = json.loads(out.read_text())
     assert len(doc["amplitudes"]) == 1
     assert doc["amplitudes"][0]["re"] == pytest.approx(1.0)
@@ -605,26 +606,127 @@ def test_fock_bs_vacuum(runner, tmp_path):
 @pytest.mark.parametrize("option, value", [
     ("--theta", "nan"), ("--theta", "inf"), ("--phi", "nan"), ("--phi", "inf"), ("--phi", "-inf"),
 ])
-def test_fock_bs_non_finite_angle_exit2(runner, tmp_path, option, value):
+def test_fock_bs_non_finite_angle_exit2(tmp_path, option, value):
     out = tmp_path / "f.json"
-    result = runner.invoke(main, ["fock-bs", "--n1", "2", "--n2", "1", option, value,
-                                  "--out", str(out)])
+    result = run_cli(["fock-bs", "--n1", "2", "--n2", "1", option, value,
+                      "--out", str(out)])
     assert result.exit_code == 2
     assert f"{option} must be finite" in result.output
     assert not out.exists()
 
 
-def test_fock_bs_cap_exit2(runner, tmp_path):
-    result = runner.invoke(
-        main, ["fock-bs", "--n1", "30", "--n2", "20", "--out", str(tmp_path / "f.json")]
+def test_fock_bs_cap_exit2(tmp_path):
+    result = run_cli(
+        ["fock-bs", "--n1", "30", "--n2", "20", "--out", str(tmp_path / "f.json")]
     )
     assert result.exit_code == 2
 
 
-def test_wigner_vacuum(runner, tmp_path):
+FOCK_BS = ["fock-bs", "--n1", "1", "--n2", "1"]
+OUT = ["--out", "{out}"]
+
+
+@pytest.mark.parametrize("args, code, error", [
+    (["fock-bs", "--n1", "x", "--n2", "1", *OUT], 2, "--n1"),
+    ([*SAMPLE, "vacuum", "--seed", "-1", *OUT], 2, "--seed"),
+    ([*SAMPLE, "bogus", *OUT], 2, "--state"),
+    (FOCK_BS, 2, "--out"),
+    ([*FOCK_BS, "--out", "{dir}"], 2, "--out"),
+    (["analyze", "--in", "{missing}", *OUT], 2, "--in"),
+    (["analyze", "--in", "{dir}", *OUT], 2, "--in"),
+    (["network", "--config", "{missing}", *OUT], 2, "--config"),
+    (["network", "--config", "{dir}", *OUT], 2, "--config"),
+    ([*FOCK_BS, "--bogus", "1", *OUT], 2, "--bogus"),
+    (["fock-bs", "--n2", "1", *OUT, "--n1"], 2, "--n1"),
+    ([*FOCK_BS, "--th", "0.3", *OUT], 2, "--th"),
+    (["bogus", *OUT], 2, "bogus"),
+    ([], 2, None),
+    # a value that starts with "-" is the option's value
+    (["wigner", "--state", "vacuum", "--xmin", "-1e-3", "--nx", "3", "--np", "3", *OUT], 0, None),
+    ([*FOCK_BS, "--phi", "-2.5e-05", *OUT], 0, None),
+    (["wigner", "--state", "vacuum", "--xmin", "-inf", *OUT], 2,
+     "Error: --xmin must be finite, got -inf"),
+])
+def test_command_line_that_does_not_parse_exits_2_naming_the_option(tmp_path, args, code, error):
+    paths = {"out": tmp_path / "o", "dir": tmp_path / "d", "missing": tmp_path / "missing.csv"}
+    paths["dir"].mkdir()
+    result = run_cli([arg.format(**paths) for arg in args])
+    assert result.exit_code == code
+    errors = [line for line in result.output.splitlines() if line.startswith("Error")]
+    if code == 0:
+        assert errors == [] and paths["out"].exists()
+        return
+    assert list(tmp_path.rglob("*")) == [paths["dir"]]
+    if error is not None:
+        assert len(errors) == 1 and error in errors[0]
+
+
+MODEL_OPTIONS = ["--state", "--n", "--nbar", "--r", "--alpha-re", "--alpha-im", "--theta"]
+#: command -> (its options, the defaults its help shows)
+HELP = {
+    "sample": (MODEL_OPTIONS + ["--count", "--seed", "--tol", "--out"],
+               {"--seed": "42", "--tol": repr(DEFAULT_TOL)}),
+    "analyze": (["--in", "--bins", "--sigma-level", *MODEL_OPTIONS, "--out"],
+                {"--bins": "50", "--sigma-level": "3.0"}),
+    "network": (["--config", "--out"], {}),
+    "fock-bs": (["--n1", "--n2", "--theta", "--phi", "--out"],
+                {"--theta": repr(math.pi / 4), "--phi": repr(math.pi)}),
+    "wigner": (["--state", "--alpha-mag", "--alpha-phase", "--r", "--theta", "--nbar", "--hbar",
+                "--xmin", "--xmax", "--pmin", "--pmax", "--nx", "--np", "--out"],
+               {"--xmin": "-5.0", "--xmax": "5.0", "--pmin": "-5.0", "--pmax": "5.0",
+                "--nx": "100", "--np": "100"}),
+}
+
+
+def option_entries(text):
+    """Option -> its entry in the options section of a help text, with the
+    whitespace of wrapped lines collapsed."""
+    entries, name = {}, None
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.lower() == "options:")
+    for line in lines[start + 1:]:
+        if line.lstrip().startswith("--"):
+            name = line.split()[0].rstrip(",")
+            entries[name] = ""
+        if name is not None:
+            entries[name] += " " + line
+    return {name: " ".join(entry.split()) for name, entry in entries.items()}
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_lists_every_option_and_its_default(command):
+    options, defaults = HELP[command]
+    result = run_cli([command, "--help"])
+    assert result.exit_code == 0
+    entries = option_entries(result.output)
+    assert set(options) <= set(entries)
+    for option, default in defaults.items():
+        assert f"default: {default}" in entries[option]
+
+
+def test_top_level_help_lists_every_command():
+    result = run_cli(["--help"])
+    assert result.exit_code == 0
+    assert all(command in result.output for command in HELP)
+
+
+def test_sample_of_one_record_prints_nan_variance_without_warnings(tmp_path):
+    out = tmp_path / "one.csv"
+    code = (
+        "import sys\n"
+        "sys.stderr = sys.stdout\n"
+        "from cvsim.cli import main\n"
+        f"main(['sample', '--state', 'vacuum', '--count', '1', '--out', {str(out)!r}])\n"
+    )
+    lines = run_fresh(code).splitlines()
+    assert lines[0] == f"wrote 1 records to {out}"
+    assert re.fullmatch(r"mean \S+  variance nan", lines[1])
+    assert len(lines) == 2  # no RuntimeWarning from a one-record variance
+
+
+def test_wigner_vacuum(tmp_path):
     out = tmp_path / "w.csv"
-    result = invoke(
-        runner,
+    result = run_cli(
         ["wigner", "--state", "vacuum", "--xmin", "-5", "--xmax", "5",
          "--pmin", "-5", "--pmax", "5", "--nx", "101", "--np", "101", "--out", str(out)],
     )
@@ -634,10 +736,9 @@ def test_wigner_vacuum(runner, tmp_path):
     assert fld.values.max() == pytest.approx(1 / (2 * np.pi), abs=1e-9)
 
 
-def test_wigner_coherent_peak(runner, tmp_path):
+def test_wigner_coherent_peak(tmp_path):
     out = tmp_path / "w.csv"
-    invoke(
-        runner,
+    run_cli(
         ["wigner", "--state", "coherent", "--alpha-mag", "1.6", "--xmin", "-2",
          "--xmax", "8", "--pmin", "-5", "--pmax", "5", "--nx", "101", "--np", "101",
          "--out", str(out)],
@@ -648,10 +749,9 @@ def test_wigner_coherent_peak(runner, tmp_path):
     assert fld.grid.p_axis()[j] == pytest.approx(0.0, abs=0.06)
 
 
-def test_wigner_squeezed_marginal_variance(runner, tmp_path):
+def test_wigner_squeezed_marginal_variance(tmp_path):
     out = tmp_path / "w.csv"
-    invoke(
-        runner,
+    run_cli(
         ["wigner", "--state", "squeezed", "--r", "0.5", "--xmin", "-4", "--xmax", "4",
          "--pmin", "-8", "--pmax", "8", "--nx", "161", "--np", "161", "--out", str(out)],
     )
@@ -662,11 +762,11 @@ def test_wigner_squeezed_marginal_variance(runner, tmp_path):
     assert var_x == pytest.approx(0.36787944, rel=1e-3)
 
 
-def test_wigner_byte_identical(runner, tmp_path):
+def test_wigner_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["wigner", "--state", "thermal", "--nbar", "1.0", "--nx", "21", "--np", "21"]
-    invoke(runner, args + ["--out", str(a)])
-    invoke(runner, args + ["--out", str(b)])
+    run_cli(args + ["--out", str(a)])
+    run_cli(args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -682,8 +782,10 @@ def run_fresh(code):
 
 # only the validation oracle integrates, and only homodyne evaluates the
 # special functions; each imports its scipy module itself.  The CSV writer's
-# power-of-ten table is built from ints, without fractions or decimal.
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special", "fractions", "decimal"])
+# power-of-ten table is built from ints, without fractions or decimal.  The
+# command line is parsed by argparse.
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special", "fractions", "decimal",
+                                    "click"])
 def test_cli_import_leaves_out(module):
     code = f"import sys, cvsim.cli; print({module!r} in sys.modules)"
     assert run_fresh(code).strip() == "False"
@@ -725,4 +827,26 @@ def test_commands_other_than_sample_leave_out_scipy_special(tmp_path):
     )
     assert run_fresh(code).splitlines()[-1] == "False"
     outputs = ("f.json", "n.json", "w.csv", "v.csv")
+    assert all((tmp_path / name).stat().st_size for name in outputs)
+
+
+def test_commands_run_without_click(tmp_path):
+    config = tmp_path / "net.json"
+    config.write_text(json.dumps(README_NETWORK))
+    commands = [
+        ["sample", "--state", "vacuum", "--count", "50", "--out", str(tmp_path / "s.csv")],
+        ["analyze", "--in", str(tmp_path / "s.csv"), "--bins", "4", "--out", str(tmp_path / "v.csv")],
+        ["network", "--config", str(config), "--out", str(tmp_path / "n.json")],
+        ["fock-bs", "--n1", "3", "--n2", "2", "--out", str(tmp_path / "f.json")],
+        ["wigner", "--state", "squeezed", "--r", "0.5", "--out", str(tmp_path / "w.csv")],
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['click'] = None  # import click raises ImportError\n"
+        "from cvsim.cli import main\n"
+        f"for args in {commands!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+    )
+    run_fresh(code)
+    outputs = ("s.csv", "v.csv", "n.json", "f.json", "w.csv")
     assert all((tmp_path / name).stat().st_size for name in outputs)
