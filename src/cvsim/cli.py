@@ -13,8 +13,6 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import cache
-from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from math import isfinite
 
 import numpy as np
@@ -47,32 +45,6 @@ def _writing(path: str):
         yield
     except OSError as exc:
         raise CLIError(f"cannot write {path}: {exc.strerror}", 1) from None
-
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_scalar(obj) -> str | None:
-    """The JSON text of a scalar or an empty container, as json.dumps writes
-    it; None for a non-empty list, tuple, dict or numpy array."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _NON_FINITE.get(text, text)
-    if isinstance(obj, np.ndarray) and obj.ndim == 0:
-        return _json_scalar(obj.tolist())
-    if isinstance(obj, (list, tuple, dict, np.ndarray)):
-        return None if len(obj) else ("{}" if isinstance(obj, dict) else "[]")
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 #: nonzero cells per call of the digit kernel: a call costs ~150 us plus
@@ -154,58 +126,42 @@ def _json_float_array(a: np.ndarray, indent: str):
     yield ("\n" + inner + "]" if a.ndim == 2 else "") + "\n" + indent + "]"
 
 
-def _json_chunks(obj, indent: str = ""):
-    """Yield the text of ``json.dumps(obj, indent=2)`` piece by piece.
+#: the JSON string that stands for an array written by _json_float_array;
+#: no network payload string holds a NUL
+_ARRAY_MARK = "\0cvsim array\0"
 
-    Dict keys must be strings; a numpy array is written as its ``tolist()``.
+
+def _json_text(payload):
+    """Yield the text of ``json.dumps(payload, indent=2, default=np.ndarray.tolist)``.
+
     A C-contiguous array of finite doubles with one or two dimensions and at
-    least _KERNEL_MIN_CELLS cells is written by _json_float_array.  A list
-    of finite floats is formatted by one join; other lists and dicts join
-    their scalars and recurse into their non-empty containers, so no piece
-    is longer than the scalars of one list or dict or one block of an array
-    and no whole-document string is built.
+    least _KERNEL_MIN_CELLS cells is written by _json_float_array, at the
+    indent of the line that it starts on: json.dumps writes _ARRAY_MARK in
+    its place, and its text is cut at each mark.
     """
-    text = _json_scalar(obj)
-    if text is not None:
-        yield text
-        return
-    if isinstance(obj, np.ndarray):
-        if (obj.dtype == np.float64 and obj.ndim <= 2 and obj.size >= _KERNEL_MIN_CELLS
-                and obj.flags.c_contiguous and np.isfinite(obj.min()) and np.isfinite(obj.max())):
-            yield from _json_float_array(obj, indent)
-            return
-        # row by row, so that one row at a time exists as Python floats
-        obj = obj.tolist() if obj.ndim == 1 else list(obj)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        prefixes = [encode_basestring_ascii(key) + ": " for key in obj]
-        values = obj.values()
-        brackets = "{}"
-    else:
-        if isinstance(obj[0], float):
-            try:
-                body = sep.join(map(float.__repr__, obj))
-            except TypeError:  # a later element is not a float
-                body = None
-            # finite float reprs hold no "n"; "nan" and "inf" do
-            if body is not None and "n" not in body:
-                yield "[\n" + inner + body + "\n" + indent + "]"
-                return
-        prefixes = repeat("")
-        values = obj
-        brackets = "[]"
-    pending = brackets[0] + "\n" + inner
-    for i, (prefix, value) in enumerate(zip(prefixes, values)):
-        pending += (sep + prefix) if i else prefix
-        text = _json_scalar(value)
-        if text is None:
-            yield pending
-            yield from _json_chunks(value, inner)
-            pending = ""
-        else:
-            pending += text
-    yield pending + "\n" + indent + brackets[1]
+    taken = []
+
+    def default(a):
+        if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim <= 2
+                and a.size >= _KERNEL_MIN_CELLS and a.flags.c_contiguous
+                and np.isfinite(a.min()) and np.isfinite(a.max())):
+            taken.append(a)
+            return _ARRAY_MARK
+        return np.ndarray.tolist(a)
+
+    pieces = json.dumps(payload, indent=2, default=default).split(json.dumps(_ARRAY_MARK))
+    # the encoder's closures hold `default` in a reference cycle, which only
+    # the cyclic garbage collector frees: empty `taken` so that the arrays go
+    # with the payload
+    arrays = taken.copy()
+    taken.clear()
+    if len(arrays) != len(pieces) - 1:
+        raise ValueError(f"{len(pieces) - 1} array marks in the JSON text of {len(arrays)} arrays")
+    yield pieces[0]
+    for a, head, tail in zip(arrays, pieces, pieces[1:]):
+        line = head[head.rfind("\n") + 1:]
+        yield from _json_float_array(a, line[:len(line) - len(line.lstrip(" "))])
+        yield tail
 
 
 _FOCK_BS_DOCUMENT = (
@@ -339,7 +295,7 @@ def cmd_network(config, out):
         "analyses": result.analyses,
     }
     with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_json_chunks(payload))
+        fh.writelines(_json_text(payload))
         fh.write("\n")
     print(f"wrote network result to {out}")
 

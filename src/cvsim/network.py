@@ -23,6 +23,7 @@ prepare_thermal {n_bar}.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,9 @@ def _expect(cond: bool, pointer: str, message: str) -> None:
 def _number(value, pointer: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             pointer, f"expected a number, got {value!r}")
+    # json.load reads NaN, Infinity and -Infinity; an int past the float range
+    # would overflow float()
+    _expect(abs(value) <= sys.float_info.max, pointer, f"expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import cvsim
-from cvsim.cli import _fock_bs_json, _json_chunks, main
+from cvsim.cli import _ARRAY_MARK, _fock_bs_json, _json_text, main
 from cvsim import (
     SampleSet,
     bs_output_from_angle,
@@ -247,9 +249,30 @@ JSON_TREES = st.recursive(
 @example(dense_array(5, (40, 40), [(100, 1, 1.0)]) * np.array([math.inf] + [1.0] * 39))
 @example(dense_array(6, (30, 40), [(0, 500, 1.0)]).T)
 @example(-np.zeros((40, 30)))
-def test_json_chunks_match_json_dumps(obj):
+@example({"k": [dense_array(7, (20, 20), []), dense_array(8, (384,), [(5, 50, -1.0)])],
+          "w": dense_array(9, (12, 40), [])})
+def test_json_text_matches_json_dumps(obj):
     expected = json.dumps(obj, indent=2, default=np.ndarray.tolist)
-    assert "".join(_json_chunks(obj)) == expected
+    assert "".join(_json_text(obj)) == expected
+
+
+def test_json_text_frees_its_arrays_without_the_garbage_collector():
+    array = dense_array(10, (32, 32), [])
+    alive = weakref.ref(array)
+    payload = {"cov": array}
+    del array
+    gc.disable()
+    try:
+        "".join(_json_text(payload))
+        del payload
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_json_text_reads_no_string_as_an_array():
+    with pytest.raises(ValueError, match="2 array marks in the JSON text of 1 arrays"):
+        "".join(_json_text({"s": _ARRAY_MARK, "a": dense_array(11, (400,), [])}))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -554,6 +577,38 @@ def test_network_schema_violation_exit2(tmp_path):
     result = run_cli(["network", "--config", str(config), "--out", str(tmp_path / "o.json")])
     assert result.exit_code == 2
     assert "/gates/0/params/r" in result.output
+
+
+def one_gate(kind, modes, **params):
+    return {"modes": 2, "gates": [{"kind": kind, "modes": modes, "params": params}],
+            "analyses": [{"type": "log_negativity", "part_a": [0], "part_b": [1]}]}
+
+
+def one_wigner(**grid):
+    return {"modes": 1, "analyses": [{"type": "wigner", "mode": 0, "grid": grid}]}
+
+
+@pytest.mark.parametrize("config, pointer", [
+    (one_gate("displace", [0], alpha_mag=1.0, alpha_phase=math.nan), "/gates/0/params/alpha_phase"),
+    (one_gate("displace", [0], alpha_mag=math.inf, alpha_phase=0.0), "/gates/0/params/alpha_mag"),
+    (one_gate("squeeze", [0], r=0.5, theta=math.nan), "/gates/0/params/theta"),
+    (one_gate("squeeze", [0], r=math.inf, theta=0.0), "/gates/0/params/r"),
+    (one_gate("rotate", [1], phi=math.nan), "/gates/0/params/phi"),
+    (one_gate("beamsplitter", [0, 1], theta=0.5, phi=math.nan), "/gates/0/params/phi"),
+    (one_gate("prepare_thermal", [1], n_bar=math.inf), "/gates/0/params/n_bar"),
+    ({"modes": 1, "hbar": math.inf}, "/hbar"),
+    ({"modes": 1, "hbar": 10**400}, "/hbar"),  # an int that float() cannot hold
+    (one_wigner(x_max=math.inf), "/analyses/0/grid/x_max"),
+    (one_wigner(p_min=-math.inf), "/analyses/0/grid/p_min"),
+])
+def test_network_non_finite_number_exits_2_naming_it(tmp_path, config, pointer):
+    path, out = tmp_path / "net.json", tmp_path / "o.json"
+    path.write_text(json.dumps(config))  # NaN and Infinity, which json.load reads
+    result = run_cli(["network", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert line.startswith(f"Error: {pointer}: expected a finite number, got ")
+    assert not out.exists()
 
 
 def test_network_runtime_failure_names_gate_exit1(tmp_path):
