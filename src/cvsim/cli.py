@@ -277,7 +277,7 @@ def cmd_network(config, out):
     with open(config, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, bytes or int; deep nesting
             raise CLIError(f"config is not valid JSON: {exc}", 2) from None
     try:
         spec = parse_network_spec(doc)

@@ -21,7 +21,6 @@ Conventions (matching the Strawberry Fields gate definitions):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .states import GaussianState, _freeze, symplectic_form
 SYMPLECTIC_TOL = 1e-10
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SymplecticGate:
     """A linear optical element on a few modes of an N-mode system.
 
@@ -41,54 +40,39 @@ class SymplecticGate:
         shift: displacement of those quadratures.
         modes: the touched modes, in the order the block uses them.
         num_modes: number of modes N of the system the gate acts on.
+
+    Raises:
+        MalformedInputError: the block or shift does not fit ``modes``, or the
+            block is not symplectic to within ``SYMPLECTIC_TOL``.
+        ValueError: the modes repeat or lie outside ``range(num_modes)``.
     """
 
     block: np.ndarray
     shift: np.ndarray
     modes: tuple[int, ...]
     num_modes: int
-    _idx: np.ndarray = field(repr=False, compare=False)  # quadrature rows of ``modes``
+    _idx: np.ndarray = field(init=False, repr=False, compare=False)  # quadrature rows of ``modes``
 
-    def __init__(
-        self,
-        matrix,
-        displacement,
-        modes: Sequence[int] | None = None,
-        num_modes: int | None = None,
-    ) -> None:
-        """Build a gate from its block and shift on ``modes``.
-
-        Without ``modes``, ``matrix`` and ``displacement`` are a dense gate
-        over every mode: the block then covers all of them.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        disp = np.atleast_1d(np.asarray(displacement, dtype=float))
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
-            raise MalformedInputError(f"matrix must be 2Nx2N, got {matrix.shape}")
-        if disp.shape != (matrix.shape[0],):
+    def __post_init__(self) -> None:
+        block, shift, modes = _freeze(self.block), _freeze(self.shift), tuple(self.modes)
+        k = 2 * len(modes)
+        if block.shape != (k, k) or shift.shape != (k,):
             raise MalformedInputError(
-                f"displacement must have length {matrix.shape[0]}, got {disp.shape}"
+                f"modes {modes} need a {k}x{k} block and a length-{k} shift, "
+                f"got {block.shape} and {shift.shape}"
             )
-        modes = tuple(range(matrix.shape[0] // 2)) if modes is None else tuple(modes)
-        num_modes = len(modes) if num_modes is None else num_modes
-        if len(modes) != matrix.shape[0] // 2:
-            raise MalformedInputError(
-                f"a {matrix.shape} block acts on {matrix.shape[0] // 2} modes, got {modes}"
-            )
-        if len(set(modes)) != len(modes) or not all(0 <= m < num_modes for m in modes):
-            raise MalformedInputError(f"modes {modes} invalid for {num_modes} modes")
+        if len(set(modes)) != len(modes) or not all(0 <= m < self.num_modes for m in modes):
+            raise ValueError(f"modes {modes} must be distinct and in range for {self.num_modes} modes")
         omega = symplectic_form(len(modes))
-        defect = np.linalg.norm(matrix @ omega @ matrix.T - omega)
+        defect = np.linalg.norm(block @ omega @ block.T - omega)
         if defect > SYMPLECTIC_TOL:
             raise MalformedInputError(
                 f"matrix is not symplectic (||S Omega S^T - Omega||_F = {defect:.3e})"
             )
-        object.__setattr__(self, "block", _freeze(matrix))
-        object.__setattr__(self, "shift", _freeze(disp))
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "num_modes", num_modes)
-        idx = np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
-        object.__setattr__(self, "_idx", idx)
+        object.__setattr__(self, "_idx", np.array([q for m in modes for q in (2 * m, 2 * m + 1)]))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -105,11 +89,6 @@ class SymplecticGate:
         return d
 
 
-def _check_mode(mode: int, num_modes: int) -> None:
-    if not 0 <= mode < num_modes:
-        raise ValueError(f"mode {mode} out of range for {num_modes} modes")
-
-
 def displacement_gate(
     alpha_mag: float, alpha_phase: float, mode: int, num_modes: int, hbar: float = 2.0
 ) -> SymplecticGate:
@@ -120,7 +99,6 @@ def displacement_gate(
     """
     if alpha_mag < 0:
         raise ValueError("alpha_mag must be >= 0 (fold the sign into alpha_phase)")
-    _check_mode(mode, num_modes)
     scale = np.sqrt(2.0 * hbar) * alpha_mag
     shift = scale * np.array([np.cos(alpha_phase), np.sin(alpha_phase)])
     return SymplecticGate(np.eye(2), shift, (mode,), num_modes)
@@ -130,7 +108,6 @@ def squeeze_gate(r: float, theta: float, mode: int, num_modes: int) -> Symplecti
     """Single-mode squeezer S(r e^{i theta}), r >= 0."""
     if r < 0:
         raise ValueError("r must be >= 0 (fold the sign into theta)")
-    _check_mode(mode, num_modes)
     ch, sh = np.cosh(r), np.sinh(r)
     block = np.array(
         [
@@ -143,7 +120,6 @@ def squeeze_gate(r: float, theta: float, mode: int, num_modes: int) -> Symplecti
 
 def rotation_gate(phi: float, mode: int, num_modes: int) -> SymplecticGate:
     """Phase-space rotation of the target mode by phi."""
-    _check_mode(mode, num_modes)
     block = np.array(
         [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]
     )
@@ -158,10 +134,6 @@ def beamsplitter_gate(
     theta = pi/4, phi = 0 is the balanced 50:50 splitter.
     """
     i, j = modes
-    if i == j:
-        raise ValueError("beam splitter modes must be distinct")
-    _check_mode(i, num_modes)
-    _check_mode(j, num_modes)
     c, s = np.cos(theta), np.sin(theta)
     sc, ss = s * np.cos(phi), s * np.sin(phi)
     # [[c I, -s R^T], [s R, c I]] with R the rotation by phi
@@ -205,7 +177,8 @@ def _prepare_thermal_in_place(
     """Overwrite a vacuum mode of (cov, mean) with a thermal state."""
     if n_bar < 0:
         raise ValueError("n_bar must be >= 0")
-    _check_mode(mode, mean.size // 2)
+    if not 0 <= mode < mean.size // 2:
+        raise ValueError(f"mode {mode} out of range for {mean.size // 2} modes")
     sl = slice(2 * mode, 2 * mode + 2)
     half = hbar / 2.0
     cross = np.delete(cov[sl, :], [2 * mode, 2 * mode + 1], axis=1)

@@ -24,7 +24,7 @@ prepare_thermal {n_bar}.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,20 +46,16 @@ from .gates import (
 from .phase_space import PhaseSpaceGrid, wigner_gaussian
 from .states import GaussianState, clean_tiny
 
-GATE_PARAM_NAMES = {
-    "displace": ("alpha_mag", "alpha_phase"),
-    "squeeze": ("r", "theta"),
-    "rotate": ("phi",),
-    "beamsplitter": ("theta", "phi"),
-    "prepare_thermal": ("n_bar",),
+#: gate kind -> (parameter names, number of modes)
+GATES = {
+    "displace": (("alpha_mag", "alpha_phase"), 1),
+    "squeeze": (("r", "theta"), 1),
+    "rotate": (("phi",), 1),
+    "beamsplitter": (("theta", "phi"), 2),
+    "prepare_thermal": (("n_bar",), 1),
 }
-GATE_MODE_COUNT = {
-    "displace": 1,
-    "squeeze": 1,
-    "rotate": 1,
-    "beamsplitter": 2,
-    "prepare_thermal": 1,
-}
+#: parameters that must be >= 0
+NON_NEGATIVE = ("alpha_mag", "r", "n_bar")
 ANALYSIS_TYPES = ("reduced", "simon", "log_negativity", "wigner")
 
 DEFAULT_GRID = {"x_min": -5.0, "x_max": 5.0, "p_min": -5.0, "p_max": 5.0, "nx": 100, "np": 100}
@@ -123,24 +119,20 @@ def _parse_gate(entry, idx: int, num_modes: int) -> GateDescriptor:
     ptr = f"/gates/{idx}"
     _expect(isinstance(entry, dict), ptr, "expected an object")
     kind = entry.get("kind")
-    _expect(kind in GATE_PARAM_NAMES, f"{ptr}/kind",
-            f"unknown gate kind {kind!r}; expected one of {sorted(GATE_PARAM_NAMES)}")
-    modes = _mode_list(entry.get("modes"), f"{ptr}/modes", num_modes, GATE_MODE_COUNT[kind])
+    _expect(kind in GATES, f"{ptr}/kind",
+            f"unknown gate kind {kind!r}; expected one of {sorted(GATES)}")
+    names, mode_count = GATES[kind]
+    modes = _mode_list(entry.get("modes"), f"{ptr}/modes", num_modes, mode_count)
     raw = entry.get("params")
     _expect(isinstance(raw, dict), f"{ptr}/params", "expected an object")
     params: dict[str, float] = {}
-    for name in GATE_PARAM_NAMES[kind]:
+    for name in names:
         _expect(name in raw, f"{ptr}/params/{name}", "missing required parameter")
         params[name] = _number(raw[name], f"{ptr}/params/{name}")
     for name in raw:
-        _expect(name in GATE_PARAM_NAMES[kind], f"{ptr}/params/{name}",
-                f"unexpected parameter for kind {kind!r}")
-    if kind == "displace":
-        _expect(params["alpha_mag"] >= 0, f"{ptr}/params/alpha_mag", "must be >= 0")
-    if kind == "squeeze":
-        _expect(params["r"] >= 0, f"{ptr}/params/r", "must be >= 0")
-    if kind == "prepare_thermal":
-        _expect(params["n_bar"] >= 0, f"{ptr}/params/n_bar", "must be >= 0")
+        _expect(name in names, f"{ptr}/params/{name}", f"unexpected parameter for kind {kind!r}")
+    for name, value in params.items():
+        _expect(name not in NON_NEGATIVE or value >= 0, f"{ptr}/params/{name}", "must be >= 0")
     if kind == "beamsplitter":
         _expect(0 <= params["theta"] <= np.pi / 2, f"{ptr}/params/theta",
                 "must lie in [0, pi/2]")
@@ -267,14 +259,7 @@ def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
         return {
             "type": "wigner",
             "mode": req.mode,
-            "grid": {
-                "x_min": req.grid.x_min,
-                "x_max": req.grid.x_max,
-                "p_min": req.grid.p_min,
-                "p_max": req.grid.p_max,
-                "nx": req.grid.nx,
-                "np": req.grid.np,
-            },
+            "grid": asdict(req.grid),
             "normalization": fld.riemann_sum(),
             "values": fld.values,
         }

@@ -76,28 +76,20 @@ class WignerField:
         return float(self.values.sum() * self.grid.cell_area())
 
 
-def _single_mode_moments(state: GaussianState, mode: int) -> tuple[np.ndarray, np.ndarray]:
-    if not 0 <= mode < state.num_modes:
-        raise ValueError(f"mode {mode} out of range for {state.num_modes} modes")
-    if state.num_modes > 1:
-        state = reduced_state(state, [mode])
-    return state.mean, state.cov
-
-
 def wigner_gaussian(state: GaussianState, grid: PhaseSpaceGrid, mode: int = 0) -> WignerField:
     """Evaluate the (reduced) single-mode Gaussian Wigner function on a grid.
 
     Raises:
         DegenerateInputError: if the reduced covariance is singular.
     """
-    mean, cov = _single_mode_moments(state, mode)
-    det = np.linalg.det(cov)
+    red = reduced_state(state, [mode])
+    det = np.linalg.det(red.cov)
     if det <= 0 or not np.isfinite(det):
         raise DegenerateInputError(f"covariance is singular (det = {det:.3e})")
-    inv = np.linalg.inv(cov)
+    inv = np.linalg.inv(red.cov)
     norm = 1.0 / (2.0 * np.pi * np.sqrt(det))
-    dx = grid.x_axis()[:, None] - mean[0]
-    dp = grid.p_axis()[None, :] - mean[1]
+    dx = grid.x_axis()[:, None] - red.mean[0]
+    dp = grid.p_axis()[None, :] - red.mean[1]
     quad = inv[0, 0] * dx**2 + 2.0 * inv[0, 1] * dx * dp + inv[1, 1] * dp**2
     return WignerField(grid=grid, values=norm * np.exp(-quad / 2.0))
 

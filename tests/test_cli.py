@@ -484,6 +484,21 @@ def test_network_config_not_utf8_exits_2_with_one_line(tmp_path):
     assert result.output.strip().splitlines()[-1].startswith("Error: config is not valid JSON: ")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+    ids=["int-past-the-digit-limit", "array-nested-too-deep"],
+)
+def test_network_config_json_load_failure_exits_2_with_one_line(tmp_path, text):
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    result = run_cli(["network", "--config", str(config),
+                      "--out", str(tmp_path / "o.json")])
+    assert result.exit_code == 2
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: config is not valid JSON: ")
+
+
 def test_network_three_bs_config(tmp_path):
     config = tmp_path / "net.json"
     config.write_text(

@@ -28,7 +28,26 @@ def _sympl_defect(gate):
 
 def test_gate_constructor_rejects_nonsymplectic():
     with pytest.raises(MalformedInputError):
-        SymplecticGate(matrix=2.0 * np.eye(2), displacement=np.zeros(2))
+        SymplecticGate(2.0 * np.eye(2), np.zeros(2), (0,), 1)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: displacement_gate(1.0, 0.0, 2, 2), ValueError),
+        (lambda: squeeze_gate(0.5, 0.0, -1, 2), ValueError),
+        (lambda: rotation_gate(0.3, 3, 3), ValueError),
+        (lambda: beamsplitter_gate(np.pi / 4, 0.0, (0, 2), 2), ValueError),
+        (lambda: beamsplitter_gate(np.pi / 4, 0.0, (1, 1), 2), ValueError),
+        (lambda: SymplecticGate(np.eye(4), np.zeros(4), (0,), 2), MalformedInputError),
+        (lambda: SymplecticGate(np.eye(2), np.zeros(4), (0,), 2), MalformedInputError),
+    ],
+    ids=["displace-mode", "squeeze-mode", "rotate-mode", "bs-mode", "bs-repeated-mode",
+         "block-shape", "shift-shape"],
+)
+def test_gate_rejects_bad_modes_and_shapes(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_all_builders_are_symplectic():
