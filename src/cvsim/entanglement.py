@@ -47,6 +47,8 @@ def reduced_state(state: GaussianState, modes: Sequence[int]) -> GaussianState:
     restricted to the corresponding interleaved rows and columns.
     """
     modes = _check_modes(modes, state.num_modes)
+    if modes == list(range(state.num_modes)):
+        return state  # immutable, so the state itself is its own reduction
     idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
     return GaussianState(
         mean=state.mean[idx],
@@ -152,6 +154,21 @@ def ptranspose_symplectic_spectrum(
     return symplectic_eigenvalues(cov_pt) / (state.hbar / 2.0)
 
 
+def _robertson_schrodinger_holds(cov: np.ndarray, hbar: float, tol: float) -> bool:
+    """Whether the Hermitian cov + i(hbar/2)Omega + tol*I is positive definite,
+    by a Cholesky factorisation of it built as one complex array."""
+    n = cov.shape[0]
+    herm = cov.astype(complex)
+    herm.flat[:: n + 1] += tol
+    herm.imag.flat[1 :: 2 * n + 2] = hbar / 2.0  # Omega[2k, 2k + 1] = 1
+    herm.imag.flat[n :: 2 * n + 2] = -hbar / 2.0  # Omega[2k + 1, 2k] = -1
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def log_negativity(
     state: GaussianState, bipartition: Bipartition, tol: float = VERDICT_TOL
 ) -> float:
@@ -170,11 +187,19 @@ def log_negativity(
 def _log_negativity_and_spectrum(
     state: GaussianState, bipartition: Bipartition, tol: float = VERDICT_TOL
 ) -> tuple[float, np.ndarray]:
-    """E_N together with the spectrum nu_j it was computed from."""
-    report = check_physicality(state, tol=max(tol, 1e-9))
-    if not report.physical:
-        raise ValueError(
-            f"input state is unphysical (uncertainty margin {report.margin:.3e})"
-        )
+    """E_N together with the spectrum nu_j it was computed from.
+
+    The state is physical when cov + i(hbar/2)Omega >= -tol, which holds,
+    up to rounding, exactly when cov + i(hbar/2)Omega + tol*I has a Cholesky
+    factorisation; only a failed factorisation pays for the eigenvalues
+    that ``check_physicality`` computes to give the margin.
+    """
+    tol = max(tol, 1e-9)
+    if not _robertson_schrodinger_holds(state.cov, state.hbar, tol):
+        report = check_physicality(state, tol=tol)
+        if not report.physical:
+            raise ValueError(
+                f"input state is unphysical (uncertainty margin {report.margin:.3e})"
+            )
     nu = ptranspose_symplectic_spectrum(state, bipartition)
     return float(np.sum(np.maximum(0.0, -np.log2(nu)))), nu

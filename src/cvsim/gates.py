@@ -31,6 +31,33 @@ from .states import GaussianState, _freeze, symplectic_form
 SYMPLECTIC_TOL = 1e-10
 
 
+def _quadratures(modes: tuple[int, ...]) -> slice | np.ndarray:
+    """The interleaved rows of ``modes``: a slice when the modes are
+    consecutive and ascending (every single-mode gate, a beam splitter on
+    (m, m + 1)), else an index array."""
+    first = modes[0]
+    if modes == tuple(range(first, first + len(modes))):
+        return slice(2 * first, 2 * first + 2 * len(modes))
+    return np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
+
+
+def _first_invalid(blocks: np.ndarray, shifts: np.ndarray) -> tuple[int, str] | None:
+    """The first gate of a stack of G blocks (G, k, k) and shifts (G, k)
+    whose block is not symplectic to within ``SYMPLECTIC_TOL`` or whose
+    block or shift is not finite, with the reason; None if every gate passes.
+    """
+    omega = symplectic_form(blocks.shape[-1] // 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = np.linalg.norm(blocks @ omega @ blocks.swapaxes(-1, -2) - omega, axis=(-2, -1))
+    bad = ~(defects <= SYMPLECTIC_TOL) | ~np.isfinite(shifts).all(axis=-1)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if not defects[i] <= SYMPLECTIC_TOL:
+        return i, f"matrix is not symplectic (||S Omega S^T - Omega||_F = {defects[i]:.3e})"
+    return i, f"shift {shifts[i]} is not finite"
+
+
 @dataclass(frozen=True)
 class SymplecticGate:
     """A linear optical element on a few modes of an N-mode system.
@@ -42,16 +69,18 @@ class SymplecticGate:
         num_modes: number of modes N of the system the gate acts on.
 
     Raises:
-        MalformedInputError: the block or shift does not fit ``modes``, or the
-            block is not symplectic to within ``SYMPLECTIC_TOL``.
-        ValueError: the modes repeat or lie outside ``range(num_modes)``.
+        MalformedInputError: the block or shift does not fit ``modes``, the
+            block is not symplectic to within ``SYMPLECTIC_TOL``, or the block
+            or shift is not finite.
+        ValueError: the modes are not integers, repeat or lie outside
+            ``range(num_modes)``.
     """
 
     block: np.ndarray
     shift: np.ndarray
     modes: tuple[int, ...]
     num_modes: int
-    _idx: np.ndarray = field(init=False, repr=False, compare=False)  # quadrature rows of ``modes``
+    _idx: slice | np.ndarray = field(init=False, repr=False, compare=False)  # rows of ``modes``
 
     def __post_init__(self) -> None:
         block, shift, modes = _freeze(self.block), _freeze(self.shift), tuple(self.modes)
@@ -61,24 +90,26 @@ class SymplecticGate:
                 f"modes {modes} need a {k}x{k} block and a length-{k} shift, "
                 f"got {block.shape} and {shift.shape}"
             )
-        if len(set(modes)) != len(modes) or not all(0 <= m < self.num_modes for m in modes):
-            raise ValueError(f"modes {modes} must be distinct and in range for {self.num_modes} modes")
-        omega = symplectic_form(len(modes))
-        defect = np.linalg.norm(block @ omega @ block.T - omega)
-        if defect > SYMPLECTIC_TOL:
-            raise MalformedInputError(
-                f"matrix is not symplectic (||S Omega S^T - Omega||_F = {defect:.3e})"
+        if (not all(isinstance(m, (int, np.integer)) and 0 <= m < self.num_modes for m in modes)
+                or len(set(modes)) != len(modes)):
+            raise ValueError(
+                f"modes {modes} must be distinct integers in range for {self.num_modes} modes"
             )
+        invalid = _first_invalid(block[None], shift[None])
+        if invalid is not None:
+            raise MalformedInputError(invalid[1])
+        modes = tuple(int(m) for m in modes)
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "_idx", np.array([q for m in modes for q in (2 * m, 2 * m + 1)]))
+        object.__setattr__(self, "_idx", _quadratures(modes))
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense 2N x 2N symplectic matrix (the block embedded in I)."""
         S = np.eye(2 * self.num_modes)
-        S[np.ix_(self._idx, self._idx)] = self.block
+        idx = np.arange(2 * self.num_modes)[self._idx]
+        S[np.ix_(idx, idx)] = self.block
         return S
 
     @property
@@ -87,6 +118,47 @@ class SymplecticGate:
         d = np.zeros(2 * self.num_modes)
         d[self._idx] = self.shift
         return d
+
+
+# One formula per gate kind.  Each takes floats, or equal-length arrays for a
+# stack of G gates of that kind, and returns the blocks, (k, k) or (G, k, k),
+# and the shifts, (k,) or (G, k); the builders and the network runner both
+# call them.
+
+def _stack(entries: list, k: int) -> np.ndarray:
+    """The k x k blocks whose row-major entries are ``entries``, C-contiguous."""
+    return np.stack(entries, axis=-1).reshape(np.shape(entries[0]) + (k, k))
+
+
+def _displacement_blocks(alpha_mag, alpha_phase, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.sqrt(2.0 * hbar) * alpha_mag
+        shifts = np.stack([scale * np.cos(alpha_phase), scale * np.sin(alpha_phase)], axis=-1)
+    one, zero = np.ones_like(scale), np.zeros_like(scale)
+    return _stack([one, zero, zero, one], 2), shifts
+
+
+def _squeeze_blocks(r, theta) -> tuple[np.ndarray, np.ndarray]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch, sh = np.cosh(r), np.sinh(r)
+        c, s = np.cos(theta) * sh, np.sin(theta) * sh
+        blocks = _stack([ch - c, -s, -s, ch + c], 2)
+    return blocks, np.zeros(blocks.shape[:-1])
+
+
+def _rotation_blocks(phi) -> tuple[np.ndarray, np.ndarray]:
+    c, s = np.cos(phi), np.sin(phi)
+    blocks = _stack([c, -s, s, c], 2)
+    return blocks, np.zeros(blocks.shape[:-1])
+
+
+def _beamsplitter_blocks(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    c, s = np.cos(theta), np.sin(theta)
+    sc, ss = s * np.cos(phi), s * np.sin(phi)
+    z = np.zeros_like(c)
+    # [[c I, -s R^T], [s R, c I]] with R the rotation by phi
+    blocks = _stack([c, z, -sc, -ss, z, c, ss, -sc, sc, -ss, c, z, ss, sc, z, c], 4)
+    return blocks, np.zeros(blocks.shape[:-1])
 
 
 def displacement_gate(
@@ -99,31 +171,19 @@ def displacement_gate(
     """
     if alpha_mag < 0:
         raise ValueError("alpha_mag must be >= 0 (fold the sign into alpha_phase)")
-    scale = np.sqrt(2.0 * hbar) * alpha_mag
-    shift = scale * np.array([np.cos(alpha_phase), np.sin(alpha_phase)])
-    return SymplecticGate(np.eye(2), shift, (mode,), num_modes)
+    return SymplecticGate(*_displacement_blocks(alpha_mag, alpha_phase, hbar), (mode,), num_modes)
 
 
 def squeeze_gate(r: float, theta: float, mode: int, num_modes: int) -> SymplecticGate:
     """Single-mode squeezer S(r e^{i theta}), r >= 0."""
     if r < 0:
         raise ValueError("r must be >= 0 (fold the sign into theta)")
-    ch, sh = np.cosh(r), np.sinh(r)
-    block = np.array(
-        [
-            [ch - np.cos(theta) * sh, -np.sin(theta) * sh],
-            [-np.sin(theta) * sh, ch + np.cos(theta) * sh],
-        ]
-    )
-    return SymplecticGate(block, np.zeros(2), (mode,), num_modes)
+    return SymplecticGate(*_squeeze_blocks(r, theta), (mode,), num_modes)
 
 
 def rotation_gate(phi: float, mode: int, num_modes: int) -> SymplecticGate:
     """Phase-space rotation of the target mode by phi."""
-    block = np.array(
-        [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]
-    )
-    return SymplecticGate(block, np.zeros(2), (mode,), num_modes)
+    return SymplecticGate(*_rotation_blocks(phi), (mode,), num_modes)
 
 
 def beamsplitter_gate(
@@ -133,30 +193,25 @@ def beamsplitter_gate(
 
     theta = pi/4, phi = 0 is the balanced 50:50 splitter.
     """
-    i, j = modes
-    c, s = np.cos(theta), np.sin(theta)
-    sc, ss = s * np.cos(phi), s * np.sin(phi)
-    # [[c I, -s R^T], [s R, c I]] with R the rotation by phi
-    block = np.array(
-        [[c, 0.0, -sc, -ss], [0.0, c, ss, -sc], [sc, -ss, c, 0.0], [ss, sc, 0.0, c]]
-    )
-    return SymplecticGate(block, np.zeros(4), (i, j), num_modes)
+    return SymplecticGate(*_beamsplitter_blocks(theta, phi), tuple(modes), num_modes)
 
 
-def _apply_in_place(gate: SymplecticGate, cov: np.ndarray, mean: np.ndarray) -> None:
-    """Overwrite cov with S cov S^T and mean with S mean + d.
+def _apply_in_place(
+    block: np.ndarray, shift: np.ndarray, idx: slice | np.ndarray, cov: np.ndarray, mean: np.ndarray
+) -> None:
+    """Overwrite cov with S cov S^T and mean with S mean + d, where S embeds
+    ``block`` at the rows ``idx`` (a slice or an index array).
 
     Only the touched rows and columns change.  They are written from one
     array into both triangles, with the touched diagonal block symmetrised,
     so a symmetric cov stays exactly symmetric.
     """
-    idx, B = gate._idx, gate.block
-    rows = B @ cov[idx, :]
-    inner = rows[:, idx] @ B.T
+    rows = block @ cov[idx]
+    inner = rows[:, idx] @ block.T
     rows[:, idx] = (inner + inner.T) / 2.0
-    cov[idx, :] = rows
+    cov[idx] = rows
     cov[:, idx] = rows.T
-    mean[idx] = B @ mean[idx] + gate.shift
+    mean[idx] = block @ mean[idx] + shift
 
 
 def apply_gate(gate: SymplecticGate, state: GaussianState) -> GaussianState:
@@ -167,7 +222,7 @@ def apply_gate(gate: SymplecticGate, state: GaussianState) -> GaussianState:
         )
     cov = (state.cov + state.cov.T) / 2.0  # a fresh, exactly symmetric copy
     mean = np.array(state.mean, copy=True)
-    _apply_in_place(gate, cov, mean)
+    _apply_in_place(gate.block, gate.shift, gate._idx, cov, mean)
     return GaussianState(mean=mean, cov=cov, hbar=state.hbar)
 
 

@@ -34,25 +34,27 @@ from .entanglement import (
     reduced_state,
     simon_criterion,
 )
-from .errors import CVSimError, NetworkRuntimeError, SpecValidationError
+from .errors import CVSimError, MalformedInputError, NetworkRuntimeError, SpecValidationError
 from .gates import (
     _apply_in_place,
+    _beamsplitter_blocks,
+    _displacement_blocks,
+    _first_invalid,
     _prepare_thermal_in_place,
-    beamsplitter_gate,
-    displacement_gate,
-    rotation_gate,
-    squeeze_gate,
+    _quadratures,
+    _rotation_blocks,
+    _squeeze_blocks,
 )
 from .phase_space import PhaseSpaceGrid, wigner_gaussian
 from .states import GaussianState, clean_tiny
 
-#: gate kind -> (parameter names, number of modes)
+#: gate kind -> (parameter names, number of modes, formula of its blocks)
 GATES = {
-    "displace": (("alpha_mag", "alpha_phase"), 1),
-    "squeeze": (("r", "theta"), 1),
-    "rotate": (("phi",), 1),
-    "beamsplitter": (("theta", "phi"), 2),
-    "prepare_thermal": (("n_bar",), 1),
+    "displace": (("alpha_mag", "alpha_phase"), 1, _displacement_blocks),
+    "squeeze": (("r", "theta"), 1, _squeeze_blocks),
+    "rotate": (("phi",), 1, _rotation_blocks),
+    "beamsplitter": (("theta", "phi"), 2, _beamsplitter_blocks),
+    "prepare_thermal": (("n_bar",), 1, None),
 }
 #: parameters that must be >= 0
 NON_NEGATIVE = ("alpha_mag", "r", "n_bar")
@@ -86,138 +88,170 @@ class NetworkSpec:
     analyses: tuple[AnalysisRequest, ...] = ()
 
 
-def _expect(cond: bool, pointer: str, message: str) -> None:
-    if not cond:
-        raise SpecValidationError(pointer, message)
+# The checks below format a pointer or a message only to report a failure:
+# a pointer is passed as the tuple of its segments, which _fail joins.
+
+def _fail(pointer: tuple, message: str) -> SpecValidationError:
+    return SpecValidationError("/".join(str(s) for s in pointer), message)
 
 
-def _number(value, pointer: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            pointer, f"expected a number, got {value!r}")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, pointer: tuple) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise _fail(pointer, f"expected a number, got {value!r}")
     # json.load reads NaN, Infinity and -Infinity; an int past the float range
     # would overflow float()
-    _expect(abs(value) <= sys.float_info.max, pointer, f"expected a finite number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise _fail(pointer, f"expected a finite number, got {value!r}")
     return float(value)
 
 
-def _mode_list(value, pointer: str, num_modes: int, length: int | None = None) -> tuple[int, ...]:
-    _expect(isinstance(value, list) and value, pointer, "expected a non-empty list of mode indices")
-    modes = []
+def _mode_list(value, pointer: tuple, num_modes: int, length: int | None = None) -> tuple[int, ...]:
+    if not isinstance(value, list) or not value:
+        raise _fail(pointer, "expected a non-empty list of mode indices")
     for i, m in enumerate(value):
-        _expect(isinstance(m, int) and not isinstance(m, bool),
-                f"{pointer}/{i}", f"expected an integer mode index, got {m!r}")
-        _expect(0 <= m < num_modes, f"{pointer}/{i}",
-                f"mode {m} out of range for {num_modes} modes")
-        modes.append(m)
-    _expect(len(set(modes)) == len(modes), pointer, f"duplicate modes in {modes}")
-    if length is not None:
-        _expect(len(modes) == length, pointer, f"expected exactly {length} modes, got {len(modes)}")
-    return tuple(modes)
+        if not _is_int(m):
+            raise _fail(pointer + (i,), f"expected an integer mode index, got {m!r}")
+        if not 0 <= m < num_modes:
+            raise _fail(pointer + (i,), f"mode {m} out of range for {num_modes} modes")
+    if len(set(value)) != len(value):
+        raise _fail(pointer, f"duplicate modes in {value}")
+    if length is not None and len(value) != length:
+        raise _fail(pointer, f"expected exactly {length} modes, got {len(value)}")
+    return tuple(value)
 
 
 def _parse_gate(entry, idx: int, num_modes: int) -> GateDescriptor:
-    ptr = f"/gates/{idx}"
-    _expect(isinstance(entry, dict), ptr, "expected an object")
+    ptr = ("", "gates", idx)
+    if not isinstance(entry, dict):
+        raise _fail(ptr, "expected an object")
     kind = entry.get("kind")
-    _expect(kind in GATES, f"{ptr}/kind",
-            f"unknown gate kind {kind!r}; expected one of {sorted(GATES)}")
-    names, mode_count = GATES[kind]
-    modes = _mode_list(entry.get("modes"), f"{ptr}/modes", num_modes, mode_count)
+    if not isinstance(kind, str) or kind not in GATES:
+        raise _fail(ptr + ("kind",), f"unknown gate kind {kind!r}; expected one of {sorted(GATES)}")
+    names, mode_count, _ = GATES[kind]
+    modes = _mode_list(entry.get("modes"), ptr + ("modes",), num_modes, mode_count)
     raw = entry.get("params")
-    _expect(isinstance(raw, dict), f"{ptr}/params", "expected an object")
+    if not isinstance(raw, dict):
+        raise _fail(ptr + ("params",), "expected an object")
     params: dict[str, float] = {}
     for name in names:
-        _expect(name in raw, f"{ptr}/params/{name}", "missing required parameter")
-        params[name] = _number(raw[name], f"{ptr}/params/{name}")
-    for name in raw:
-        _expect(name in names, f"{ptr}/params/{name}", f"unexpected parameter for kind {kind!r}")
+        if name not in raw:
+            raise _fail(ptr + ("params", name), "missing required parameter")
+        params[name] = _number(raw[name], ptr + ("params", name))
+    if len(raw) != len(names):
+        extra = next(name for name in raw if name not in names)
+        raise _fail(ptr + ("params", extra), f"unexpected parameter for kind {kind!r}")
     for name, value in params.items():
-        _expect(name not in NON_NEGATIVE or value >= 0, f"{ptr}/params/{name}", "must be >= 0")
-    if kind == "beamsplitter":
-        _expect(0 <= params["theta"] <= np.pi / 2, f"{ptr}/params/theta",
-                "must lie in [0, pi/2]")
+        if value < 0 and name in NON_NEGATIVE:
+            raise _fail(ptr + ("params", name), "must be >= 0")
+    if kind == "beamsplitter" and not 0 <= params["theta"] <= np.pi / 2:
+        raise _fail(ptr + ("params", "theta"), "must lie in [0, pi/2]")
     return GateDescriptor(kind=kind, modes=modes, params=params)
 
 
 def _parse_analysis(entry, idx: int, num_modes: int) -> AnalysisRequest:
-    ptr = f"/analyses/{idx}"
-    _expect(isinstance(entry, dict), ptr, "expected an object")
+    ptr = ("", "analyses", idx)
+    if not isinstance(entry, dict):
+        raise _fail(ptr, "expected an object")
     kind = entry.get("type")
-    _expect(kind in ANALYSIS_TYPES, f"{ptr}/type",
-            f"unknown analysis type {kind!r}; expected one of {ANALYSIS_TYPES}")
+    if kind not in ANALYSIS_TYPES:
+        raise _fail(ptr + ("type",),
+                    f"unknown analysis type {kind!r}; expected one of {ANALYSIS_TYPES}")
     if kind == "reduced":
-        return AnalysisRequest(type=kind, modes=_mode_list(entry.get("modes"), f"{ptr}/modes", num_modes))
+        return AnalysisRequest(
+            type=kind, modes=_mode_list(entry.get("modes"), ptr + ("modes",), num_modes)
+        )
     if kind == "simon":
         return AnalysisRequest(
-            type=kind, modes=_mode_list(entry.get("modes"), f"{ptr}/modes", num_modes, 2)
+            type=kind, modes=_mode_list(entry.get("modes"), ptr + ("modes",), num_modes, 2)
         )
     if kind == "log_negativity":
-        part_a = _mode_list(entry.get("part_a"), f"{ptr}/part_a", num_modes)
-        part_b = _mode_list(entry.get("part_b"), f"{ptr}/part_b", num_modes)
-        _expect(not set(part_a) & set(part_b), f"{ptr}/part_b",
-                "part_a and part_b must be disjoint")
+        part_a = _mode_list(entry.get("part_a"), ptr + ("part_a",), num_modes)
+        part_b = _mode_list(entry.get("part_b"), ptr + ("part_b",), num_modes)
+        if set(part_a) & set(part_b):
+            raise _fail(ptr + ("part_b",), "part_a and part_b must be disjoint")
         return AnalysisRequest(type=kind, part_a=part_a, part_b=part_b)
     # wigner
     mode = entry.get("mode")
-    _expect(isinstance(mode, int) and not isinstance(mode, bool), f"{ptr}/mode",
-            f"expected an integer mode index, got {mode!r}")
-    _expect(0 <= mode < num_modes, f"{ptr}/mode", f"mode {mode} out of range")
+    if not _is_int(mode):
+        raise _fail(ptr + ("mode",), f"expected an integer mode index, got {mode!r}")
+    if not 0 <= mode < num_modes:
+        raise _fail(ptr + ("mode",), f"mode {mode} out of range")
     raw_grid = entry.get("grid", {})
-    _expect(isinstance(raw_grid, dict), f"{ptr}/grid", "expected an object")
+    if not isinstance(raw_grid, dict):
+        raise _fail(ptr + ("grid",), "expected an object")
     grid_kwargs = dict(DEFAULT_GRID)
     for key, value in raw_grid.items():
-        _expect(key in DEFAULT_GRID, f"{ptr}/grid/{key}", "unknown grid field")
+        if key not in DEFAULT_GRID:
+            raise _fail(ptr + ("grid", key), "unknown grid field")
         if key in ("nx", "np"):
-            _expect(isinstance(value, int) and not isinstance(value, bool) and value >= 2,
-                    f"{ptr}/grid/{key}", "expected an integer >= 2")
+            if not (_is_int(value) and value >= 2):
+                raise _fail(ptr + ("grid", key), "expected an integer >= 2")
             grid_kwargs[key] = value
         else:
-            grid_kwargs[key] = _number(value, f"{ptr}/grid/{key}")
+            grid_kwargs[key] = _number(value, ptr + ("grid", key))
     try:
         grid = PhaseSpaceGrid(**grid_kwargs)
     except ValueError as exc:
-        raise SpecValidationError(f"{ptr}/grid", str(exc)) from None
+        raise _fail(ptr + ("grid",), str(exc)) from None
     return AnalysisRequest(type=kind, mode=mode, grid=grid)
 
 
 def parse_network_spec(doc) -> NetworkSpec:
     """Validate a decoded JSON document; raises SpecValidationError with a
     JSON-pointer path on the first violation."""
-    _expect(isinstance(doc, dict), "", "top-level document must be an object")
+    if not isinstance(doc, dict):
+        raise _fail(("",), "top-level document must be an object")
     for key in doc:
-        _expect(key in ("modes", "hbar", "gates", "analyses"), f"/{key}", "unknown field")
+        if key not in ("modes", "hbar", "gates", "analyses"):
+            raise _fail(("", key), "unknown field")
     modes = doc.get("modes")
-    _expect(isinstance(modes, int) and not isinstance(modes, bool) and modes >= 1,
-            "/modes", f"expected a positive integer, got {modes!r}")
-    hbar = _number(doc.get("hbar", 2.0), "/hbar")
-    _expect(hbar > 0, "/hbar", "must be positive")
+    if not (_is_int(modes) and modes >= 1):
+        raise _fail(("", "modes"), f"expected a positive integer, got {modes!r}")
+    hbar = _number(doc.get("hbar", 2.0), ("", "hbar"))
+    if not hbar > 0:
+        raise _fail(("", "hbar"), "must be positive")
     raw_gates = doc.get("gates", [])
-    _expect(isinstance(raw_gates, list), "/gates", "expected a list")
+    if not isinstance(raw_gates, list):
+        raise _fail(("", "gates"), "expected a list")
     gates = tuple(_parse_gate(g, i, modes) for i, g in enumerate(raw_gates))
     raw_analyses = doc.get("analyses", [])
-    _expect(isinstance(raw_analyses, list), "/analyses", "expected a list")
+    if not isinstance(raw_analyses, list):
+        raise _fail(("", "analyses"), "expected a list")
     analyses = tuple(_parse_analysis(a, i, modes) for i, a in enumerate(raw_analyses))
     return NetworkSpec(num_modes=modes, hbar=hbar, gates=gates, analyses=analyses)
 
 
-def _run_gate(desc: GateDescriptor, cov: np.ndarray, mean: np.ndarray, hbar: float) -> None:
-    """Apply one gate to the network's covariance/mean buffer in place."""
-    n = mean.size // 2
-    p = desc.params
-    if desc.kind == "prepare_thermal":
-        _prepare_thermal_in_place(p["n_bar"], desc.modes[0], cov, mean, hbar)
-        return
-    if desc.kind == "displace":
-        gate = displacement_gate(p["alpha_mag"], p["alpha_phase"], desc.modes[0], n, hbar)
-    elif desc.kind == "squeeze":
-        gate = squeeze_gate(p["r"], p["theta"], desc.modes[0], n)
-    elif desc.kind == "rotate":
-        gate = rotation_gate(p["phi"], desc.modes[0], n)
-    elif desc.kind == "beamsplitter":
-        gate = beamsplitter_gate(p["theta"], p["phi"], desc.modes, n)
-    else:  # unreachable after validation
-        raise ValueError(f"unknown gate kind {desc.kind!r}")
-    _apply_in_place(gate, cov, mean)
+def _gate_steps(spec: NetworkSpec) -> tuple[list, tuple[int, str] | None]:
+    """What ``_apply_in_place`` takes for each gate, (block, shift, rows), or
+    None for prepare_thermal; and the index of the first gate whose block or
+    shift fails ``_first_invalid``, with the reason, or None.
+
+    The gates of one kind are built in one numpy pass from their parameter
+    arrays and checked as one stack.
+    """
+    by_kind: dict[str, list[int]] = {}
+    for i, desc in enumerate(spec.gates):
+        by_kind.setdefault(desc.kind, []).append(i)
+    steps: list = [None] * len(spec.gates)
+    first_bad = None
+    for kind, where in by_kind.items():
+        names, _, formula = GATES[kind]
+        if formula is None:
+            continue
+        args = [np.array([spec.gates[i].params[name] for i in where]) for name in names]
+        if kind == "displace":
+            args.append(spec.hbar)
+        blocks, shifts = formula(*args)
+        bad = _first_invalid(blocks, shifts)
+        if bad is not None and (first_bad is None or where[bad[0]] < first_bad[0]):
+            first_bad = (where[bad[0]], bad[1])
+        for i, block, shift in zip(where, blocks, shifts):
+            steps[i] = (block, shift, _quadratures(spec.gates[i].modes))
+    return steps, first_bad
 
 
 def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
@@ -276,21 +310,40 @@ def run_network(spec: NetworkSpec) -> NetworkResult:
     """Start from the N-mode vacuum, apply the gates in order and evaluate
     every requested analysis.  Fully deterministic.
 
-    The gates update one covariance/mean buffer in place; the validated
-    state is built once, after the last gate.
+    The gates of each kind are built and checked as one stack, then update
+    one covariance/mean buffer in place, in spec order; the validated state
+    is built once, after the last gate.
 
     Raises:
         NetworkRuntimeError: a gate or an analysis failed; its ``pointer``
-            names it, e.g. "/gates/1".
+            names the first that did, e.g. "/gates/1".  A gate fails when its
+            block is not symplectic, its block or shift is not finite,
+            prepare_thermal finds its mode not in the vacuum, or its output
+            is not finite.
     """
     mean = np.zeros(2 * spec.num_modes)
     cov = (spec.hbar / 2.0) * np.eye(2 * spec.num_modes)
-    for i, desc in enumerate(spec.gates):
-        try:
-            _run_gate(desc, cov, mean, spec.hbar)
-        except (ValueError, CVSimError) as exc:
-            raise NetworkRuntimeError(f"/gates/{i}", str(exc)) from exc
+    steps, first_bad = _gate_steps(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (desc, step) in enumerate(zip(spec.gates, steps)):
+            try:
+                if first_bad is not None and first_bad[0] == i:
+                    raise MalformedInputError(first_bad[1])
+                if step is None:
+                    _prepare_thermal_in_place(desc.params["n_bar"], desc.modes[0], cov, mean, spec.hbar)
+                    rows = _quadratures(desc.modes)
+                else:
+                    _apply_in_place(*step, cov, mean)
+                    rows = step[2]
+                # count_nonzero is cheaper than .all() on arrays this small
+                out_cov, out_mean = cov[rows], mean[rows]
+                if (np.count_nonzero(np.isfinite(out_cov)) + np.count_nonzero(np.isfinite(out_mean))
+                        != out_cov.size + out_mean.size):
+                    raise MalformedInputError("the gate's output is not finite")
+            except (ValueError, CVSimError) as exc:
+                raise NetworkRuntimeError(f"/gates/{i}", str(exc)) from exc
     state = GaussianState(mean=mean, cov=cov, hbar=spec.hbar)
+    del mean, cov  # the state holds frozen copies
     analyses = []
     for i, req in enumerate(spec.analyses):
         try:

@@ -68,6 +68,10 @@ class GaussianState:
         mean: quadrature expectation values (x1, p1, ..., xN, pN).
         cov: symmetric 2N x 2N covariance matrix in the same ordering.
         hbar: value of hbar fixing the vacuum noise hbar/2 (default 2).
+
+    Raises:
+        MalformedInputError: the shapes do not fit, an entry is not finite or
+            cov is not symmetric to within ``SYMMETRY_TOL``.
     """
 
     mean: np.ndarray
@@ -85,6 +89,8 @@ class GaussianState:
             raise MalformedInputError(
                 f"cov must be {mean.size}x{mean.size}, got shape {cov.shape}"
             )
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise MalformedInputError("mean and cov must be finite")
         asym = np.abs(cov - cov.T).max()
         if asym > SYMMETRY_TOL:
             raise MalformedInputError(

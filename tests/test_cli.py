@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -639,6 +640,28 @@ def test_network_runtime_failure_names_gate_exit1(tmp_path):
     assert result.output.strip().splitlines() == [
         "Error: /gates/1: mode 0 is not in the vacuum state"
     ]
+    assert not out.exists()
+
+
+def squeezes(r, count):
+    return {"modes": 1, "gates": [{"kind": "squeeze", "modes": [0], "params": {"r": r, "theta": 0.0}}] * count}
+
+
+@pytest.mark.parametrize("config, line", [
+    (squeezes(800.0, 1), "Error: /gates/0: matrix is not symplectic (||S Omega S^T - Omega||_F = nan)"),
+    (one_gate("displace", [0], alpha_mag=1e308, alpha_phase=0.3),
+     "Error: /gates/0: shift [inf inf] is not finite"),
+    (squeezes(6.0, 70), "Error: /gates/59: the gate's output is not finite"),
+    (one_gate("prepare_thermal", [1], n_bar=1e308), "Error: /gates/0: the gate's output is not finite"),
+], ids=["squeeze-r800", "displace-1e308", "70-squeezes-r6", "thermal-1e308"])
+def test_network_non_finite_gate_exits_1_naming_it(tmp_path, config, line):
+    path, out = tmp_path / "net.json", tmp_path / "o.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second stderr line
+        result = run_cli(["network", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [line]
     assert not out.exists()
 
 

@@ -1,12 +1,18 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from cvsim import (
     Bipartition,
     ENTANGLED,
     SEPARABLE,
+    GaussianState,
     apply_gate,
     beamsplitter_gate,
+    check_physicality,
     displacement_gate,
     log_negativity,
     partial_transpose_cov,
@@ -17,6 +23,7 @@ from cvsim import (
     symplectic_eigenvalues,
     vacuum_state,
 )
+from cvsim.entanglement import _robertson_schrodinger_holds
 
 LOG2_E = 1.0 / np.log(2.0)
 
@@ -215,11 +222,58 @@ def test_log_negativity_agrees_with_simon_on_two_modes():
 
 
 def test_log_negativity_rejects_unphysical_state():
-    from cvsim import GaussianState
-
     bad = GaussianState(mean=np.zeros(4), cov=0.5 * np.eye(4))
-    with pytest.raises(ValueError):
+    margin = check_physicality(bad).margin  # from eigvalsh: -0.5
+    with pytest.raises(ValueError, match=re.escape(f"(uncertainty margin {margin:.3e})")):
         log_negativity(bad, Bipartition([0], [1]))
+
+
+@hst.composite
+def random_states(draw):
+    """(state, tol): a random pure, mixed, shrunk (unphysical) or slightly
+    perturbed Gaussian state of 1-4 modes."""
+    n = draw(hst.integers(1, 4))
+    hbar = draw(hst.sampled_from([0.5, 1.0, 2.0]))
+    kind = draw(hst.sampled_from(["pure", "mixed", "shrunk", "perturbed"]))
+    n_bar = [0.0 if kind in ("pure", "shrunk") else draw(hst.floats(0, 3)) for _ in range(n)]
+    variances = np.repeat((2 * np.array(n_bar) + 1) * hbar / 2, 2)
+    state = GaussianState(np.zeros(2 * n), np.diag(variances), hbar)
+    angle = hst.floats(-np.pi, np.pi)
+    for _ in range(draw(hst.integers(0, 6))):
+        mode = draw(hst.integers(0, n - 1))
+        gate = draw(hst.sampled_from(["squeeze", "rotate", "beamsplitter"][: 3 if n > 1 else 2]))
+        if gate == "squeeze":
+            state = apply_gate(squeeze_gate(draw(hst.floats(0, 0.5)), draw(angle), mode, n), state)
+        elif gate == "rotate":
+            state = apply_gate(rotation_gate(draw(angle), mode, n), state)
+        else:
+            other = (mode + draw(hst.integers(1, n - 1))) % n
+            bs = beamsplitter_gate(draw(hst.floats(0, np.pi / 2)), draw(angle), (mode, other), n)
+            state = apply_gate(bs, state)
+    cov = state.cov
+    if kind == "shrunk":
+        cov = cov * draw(hst.floats(0.05, 0.999))
+    elif kind == "perturbed":
+        noise = np.random.default_rng(draw(hst.integers(0, 2**32 - 1))).normal(size=cov.shape)
+        cov = cov + draw(hst.floats(1e-12, 1e-2)) * (noise + noise.T)
+    return GaussianState(state.mean, cov, hbar), draw(hst.sampled_from([1e-9, 1e-6, 1e-3]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(random_states())
+def test_physicality_precheck_agrees_with_check_physicality(case):
+    state, tol = case
+    report = check_physicality(state, tol)
+    # within rounding of the boundary either answer is right
+    assume(abs(report.margin + tol) > 1e-12)
+    assert _robertson_schrodinger_holds(state.cov, state.hbar, tol) == report.physical
+
+
+def test_reduced_state_over_every_mode_in_order_is_the_state():
+    st3 = three_bs_network()
+    assert reduced_state(st3, [0, 1, 2, 3]) is st3
+    swapped = reduced_state(st3, [1, 0, 2, 3])
+    assert swapped is not st3 and swapped.cov[0, 0] == st3.cov[2, 2]
 
 
 def test_bipartition_validation():

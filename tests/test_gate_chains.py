@@ -2,10 +2,12 @@
 blocks, against the dense 2N x 2N products they replace."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvsim import (
+    NetworkRuntimeError,
     apply_gate,
     beamsplitter_gate,
     check_physicality,
@@ -26,11 +28,14 @@ angle = st.floats(-np.pi, np.pi)
 @st.composite
 def chains(draw):
     """(N, gate descriptors) in the network wire format.  prepare_thermal
-    targets only modes no earlier gate touched, so every chain is valid."""
-    n = draw(st.integers(1, 12))
+    targets only modes no earlier gate touched, so every chain is valid.
+    Up to 60 gates on up to 40 modes, so that the runner builds many gates
+    of a kind as one stack, beam splitters on non-adjacent and reversed
+    mode pairs among them."""
+    n = draw(st.integers(1, 40))
     touched = set()
     gates = []
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, 60))):
         kind = draw(st.sampled_from(KINDS if n > 1 else KINDS[:3] + KINDS[4:]))
         mode = draw(st.integers(0, n - 1))
         if kind == "displace":
@@ -98,3 +103,15 @@ def test_block_gates_match_dense_products(chain):
     result = run_network(parse_network_spec({"modes": n, "gates": gates}))
     assert np.array_equal(result.state.cov, state.cov)
     assert np.array_equal(result.state.mean, state.mean)
+
+
+def test_runner_names_the_first_failing_gate_across_kinds():
+    """/gates/3 fails when its kind's stack is checked, before any gate
+    runs; /gates/1 fails only when it runs.  The earlier one is named."""
+    squeeze = lambda r: {"kind": "squeeze", "modes": [0], "params": {"r": r, "theta": 0.0}}
+    gates = [squeeze(0.5), {"kind": "prepare_thermal", "modes": [0], "params": {"n_bar": 1.0}},
+             {"kind": "rotate", "modes": [1], "params": {"phi": 0.3}}, squeeze(800.0)]
+    with pytest.raises(NetworkRuntimeError) as err:
+        run_network(parse_network_spec({"modes": 2, "gates": gates}))
+    assert err.value.pointer == "/gates/1"
+    assert "not in the vacuum state" in str(err.value)

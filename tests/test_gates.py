@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,13 +43,18 @@ def test_gate_constructor_rejects_nonsymplectic():
         (lambda: beamsplitter_gate(np.pi / 4, 0.0, (1, 1), 2), ValueError),
         (lambda: SymplecticGate(np.eye(4), np.zeros(4), (0,), 2), MalformedInputError),
         (lambda: SymplecticGate(np.eye(2), np.zeros(4), (0,), 2), MalformedInputError),
+        (lambda: rotation_gate(0.3, 1.0, 2), ValueError),
+        (lambda: squeeze_gate(800.0, 0.0, 0, 1), MalformedInputError),
+        (lambda: displacement_gate(1e308, 0.3, 0, 1), MalformedInputError),
     ],
     ids=["displace-mode", "squeeze-mode", "rotate-mode", "bs-mode", "bs-repeated-mode",
-         "block-shape", "shift-shape"],
+         "block-shape", "shift-shape", "float-mode", "nan-block", "inf-shift"],
 )
 def test_gate_rejects_bad_modes_and_shapes(build, error):
-    with pytest.raises(error):
-        build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow is rejected, not warned about
+        with pytest.raises(error):
+            build()
 
 
 def test_all_builders_are_symplectic():

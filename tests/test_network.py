@@ -155,6 +155,7 @@ def test_network_determinism():
         ({"modes": 0}, "/modes"),
         ({"modes": 2, "hbar": -1.0}, "/hbar"),
         ({"modes": 2, "gates": [{"kind": "warp", "modes": [0], "params": {}}]}, "/gates/0/kind"),
+        ({"modes": 2, "gates": [{"kind": ["squeeze"], "modes": [0], "params": {}}]}, "/gates/0/kind"),
         (
             {"modes": 2, "gates": [{"kind": "squeeze", "modes": [5], "params": {"r": 1, "theta": 0}}]},
             "/gates/0/modes/0",

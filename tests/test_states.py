@@ -57,6 +57,16 @@ def test_constructor_rejects_bad_shapes():
         GaussianState(mean=np.zeros(2), cov=np.eye(4))
 
 
+@pytest.mark.parametrize("mean, cov", [
+    ([np.nan, 0.0], np.eye(2)),
+    ([0.0, 0.0], np.diag([np.inf, 1.0])),
+    ([0.0, 0.0], np.full((2, 2), np.nan)),
+], ids=["nan-mean", "inf-cov", "nan-cov"])
+def test_constructor_rejects_non_finite(mean, cov):
+    with pytest.raises(MalformedInputError, match="must be finite"):
+        GaussianState(mean=np.array(mean), cov=cov)
+
+
 def test_state_is_immutable():
     st = vacuum_state(1)
     with pytest.raises(ValueError):
