@@ -63,6 +63,7 @@ from .fock import (
 from .homodyne import (
     CatState,
     Fock,
+    GaussianSource,
     SampleSet,
     SourceModel,
     Spats,

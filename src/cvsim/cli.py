@@ -21,10 +21,9 @@ from . import homodyne
 from ._csvio import _repr_cells
 from .errors import CVSimError, SpecValidationError
 from .fock import MAX_TOTAL_PHOTONS, bs_output_from_angle
-from .gates import apply_gate, displacement_gate, squeeze_gate, thermal_prepare
-from .network import parse_network_spec, run_network
+from .network import GateDescriptor, NetworkSpec, parse_network_spec, run_network
 from .phase_space import PhaseSpaceGrid, wigner_gaussian, write_wigner_csv
-from .states import clean_tiny, vacuum_state
+from .states import clean_tiny
 
 
 class CLIError(Exception):
@@ -218,6 +217,8 @@ def _build_model(state, n, nbar, r, alpha_re, alpha_im, theta) -> homodyne.Sourc
         return build(*values)
     except ValueError as exc:
         raise CLIError(str(exc), 2) from None
+    except CVSimError as exc:  # a state that overflows, as squeezing r = 400 does
+        raise CLIError(f"--state {state}: {exc}", 1) from None
 
 
 def cmd_sample(state, n, nbar, r, alpha_re, alpha_im, theta, count, seed, tol, out):
@@ -329,17 +330,18 @@ def cmd_wigner(state, alpha_mag, alpha_phase, r, theta, nbar, hbar,
         raise CLIError(str(exc), 2) from None
     if r < 0 or nbar < 0 or alpha_mag < 0:
         raise CLIError("state parameters must be non-negative", 2)
-    st = vacuum_state(1, hbar)
+    gate = {
+        "vacuum": None,
+        "coherent": ("displace", {"alpha_mag": alpha_mag, "alpha_phase": alpha_phase}),
+        "squeezed": ("squeeze", {"r": r, "theta": theta}),
+        "thermal": ("prepare_thermal", {"n_bar": nbar}),
+    }[state]
+    gates = () if gate is None else (GateDescriptor(gate[0], (0,), gate[1]),)
     try:
-        if state == "coherent":
-            st = apply_gate(displacement_gate(alpha_mag, alpha_phase, 0, 1, hbar), st)
-        elif state == "squeezed":
-            st = apply_gate(squeeze_gate(r, theta, 0, 1), st)
-        elif state == "thermal":
-            st = thermal_prepare(nbar, 0, st)
-        fld = wigner_gaussian(st, grid, 0)
+        fld = wigner_gaussian(run_network(NetworkSpec(1, hbar, gates)).state, grid)
     except CVSimError as exc:
-        raise CLIError(str(exc), 1) from None
+        # the message of a failed gate, without the spec's "/gates/0" pointer
+        raise CLIError(str(exc.__cause__ or exc), 1) from None
     with _writing(out):
         write_wigner_csv(fld, out)
     print(f"riemann normalization: {fld.riemann_sum():.6f}")

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MalformedInputError
-from .states import GaussianState, check_physicality, symplectic_eigenvalues
+from .states import GaussianState, _uncertainty_matrix, check_physicality, symplectic_eigenvalues
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -157,11 +157,8 @@ def ptranspose_symplectic_spectrum(
 def _robertson_schrodinger_holds(cov: np.ndarray, hbar: float, tol: float) -> bool:
     """Whether the Hermitian cov + i(hbar/2)Omega + tol*I is positive definite,
     by a Cholesky factorisation of it built as one complex array."""
-    n = cov.shape[0]
-    herm = cov.astype(complex)
-    herm.flat[:: n + 1] += tol
-    herm.imag.flat[1 :: 2 * n + 2] = hbar / 2.0  # Omega[2k, 2k + 1] = 1
-    herm.imag.flat[n :: 2 * n + 2] = -hbar / 2.0  # Omega[2k + 1, 2k] = -1
+    herm = _uncertainty_matrix(cov, hbar)
+    herm.flat[:: cov.shape[0] + 1] += tol
     try:
         np.linalg.cholesky(herm)
     except np.linalg.LinAlgError:

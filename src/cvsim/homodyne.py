@@ -1,16 +1,16 @@
 """Simulated balanced-homodyne-detection data for nonclassical state families.
 
 Everything here uses the dimensionless quadrature convention in which the
-vacuum variance is 1 and Var[X_phi] Var[X_{phi+pi/2}] >= 1.  Each source
-model is a class that owns its closed forms as methods: the characteristic
-function chi(beta), the quadrature density p(x, phi), its antiderivative
-F(x, phi) and the mean and variance of X_phi.  The public functions below
-delegate to them.  The Gaussian sources (vacuum, thermal, squeezed vacuum)
-share one base that derives p, F, chi and the quantile from their
-Var[X_phi] (Lvovsky & Raymer, RMP 81, 299 (2009)).  Sampling draws uniform
-phases on [-pi, pi) and uniform targets u on (0, 1) and solves F(x, phi) = u.
-For the Gaussian sources the quantile is the closed form
-x = sqrt(Var[X_phi]) ndtri(u).  For the Fock, SPATS and cat
+vacuum variance is 1 and Var[X_phi] Var[X_{phi+pi/2}] >= 1: the x and p of
+``GaussianState`` at hbar = 2, with X_phi = x cos(phi) - p sin(phi).  Each
+source model is a class that owns its closed forms as methods: the
+characteristic function chi(beta), the quadrature density p(x, phi), its
+antiderivative F(x, phi) and the mean and variance of X_phi.  The public
+functions below delegate to them.  A Gaussian source holds a single-mode
+``GaussianState``, whose X_phi is normal (Lvovsky & Raymer, RMP 81, 299
+(2009)).  Sampling draws uniform phases on [-pi, pi) and uniform targets u
+on (0, 1) and solves F(x, phi) = u, for a Gaussian source in closed form,
+x = E[X_phi] + sqrt(Var[X_phi]) ndtri(u).  For the Fock, SPATS and cat
 sources each record runs a safeguarded Newton iteration inside a bisection
 bracket: Newton steps from a start read off a quantile table, a midpoint step
 wherever Newton would leave the bracket or stall, and a stop once the bracket
@@ -25,9 +25,6 @@ fixed-size blocks, and a record's value does not depend on the batch it is
 drawn in.  Source parameters must be finite, and tol and bracket finite and
 > 0; anything else raises ValueError.
 
-The squeezed-vacuum family is squeezed along x at phi = 0:
-Var[X_phi] = e^{-2r} cos^2(phi) + e^{2r} sin^2(phi).
-
 scipy.special is imported inside the methods that evaluate erf, ndtri or
 eval_laguerre, so that importing cvsim does not load it: that import takes
 about as long as the rest of the package's imports together.
@@ -35,12 +32,14 @@ about as long as the rest of the package's imports together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._csvio import _read_csv, _write_csv
 from .errors import InversionError, MalformedInputError
+from .phase_space import characteristic_gaussian
+from .states import GaussianState
 
 #: default quantile tolerance and half-width of the initial search bracket
 DEFAULT_TOL = 1e-12
@@ -66,10 +65,10 @@ _TABLE_PHI = 128
 
 class SourceModel:
     """A source family with its closed forms, each a method: ``chi(beta)``,
-    ``pdf(x, phi)``, ``cdf(x, phi)``, ``variance(phi)`` and ``moments(phi)``
-    of X_phi, and ``cdf_pdf(x, phi)`` for both at once.  x and phi are float
-    arrays that broadcast; a family whose density does not depend on phi
-    returns arrays shaped like x."""
+    ``pdf(x, phi)``, ``cdf(x, phi)``, ``moments(phi)``, the mean and variance
+    of X_phi (scalars where they do not depend on phi), and ``cdf_pdf(x, phi)``
+    for both at once.  x and phi are float arrays that broadcast; a family
+    whose density does not depend on phi returns arrays shaped like x."""
 
     #: whether p(x, phi) depends on phi
     phase_sensitive = False
@@ -77,33 +76,56 @@ class SourceModel:
     def cdf_pdf(self, x, phi):
         return self.cdf(x, phi), self.pdf(x, phi)
 
-    def moments(self, phi):
-        """Mean and variance of X_phi (scalars where they do not depend on phi)."""
-        return 0.0, self.variance(phi)
+    def variance(self, phi):
+        return self.moments(phi)[1]
 
 
-class _GaussianSource(SourceModel):
-    """A zero-mean Gaussian source: X_phi is normal with variance(phi), which
-    gives p, F, chi and the quantile in closed form."""
+@dataclass(frozen=True, eq=False)
+class GaussianSource(SourceModel):
+    """A single-mode Gaussian state, rescaled at construction to hbar = 2
+    (exact for a state at hbar = 2).  With c = (cos phi, -sin phi), X_phi is
+    normal with mean c.mu and variance c^T sigma c.  Sources compare and hash
+    by identity: the state's arrays have no truth value to compare by."""
+
+    state: GaussianState
+
+    def __post_init__(self) -> None:
+        st = self.state
+        if st.num_modes != 1:
+            raise ValueError("a Gaussian source takes a single-mode state; reduce first")
+        scale = st.hbar / 2.0
+        object.__setattr__(self, "state", GaussianState(st.mean / np.sqrt(scale), st.cov / scale))
+        (xx, xp), (_, pp) = self.state.cov
+        object.__setattr__(self, "phase_sensitive", bool(xx != pp or xp or self.state.mean.any()))
 
     def chi(self, beta: complex) -> complex:
-        # chi(i y e^{-i phi}) is the characteristic function of X_phi at y
-        ab2 = abs(beta) ** 2
-        return complex(np.exp(-ab2 * self.variance(np.pi / 2.0 - np.angle(beta)) / 2.0))
+        return characteristic_gaussian(self.state, (beta.real, beta.imag))
+
+    def moments(self, phi):
+        # where sigma is proportional to I, the variance is sigma_xx with no
+        # phi arithmetic, which would move it with phi by an ulp
+        (xx, xp), (_, pp) = self.state.cov
+        if not self.phase_sensitive:
+            return 0.0, xx
+        c, s = np.cos(phi), np.sin(phi)
+        var = xx if xx == pp and xp == 0.0 else xx * c**2 + pp * s**2 - 2.0 * xp * c * s
+        return self.state.mean[0] * c - self.state.mean[1] * s, var
 
     def pdf(self, x, phi):
-        v = self.variance(phi)
-        return np.exp(-(x**2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
+        m, v = self.moments(phi)
+        return np.exp(-((x - m) ** 2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
 
     def cdf(self, x, phi):
         from scipy.special import erf
 
-        return 0.5 + 0.5 * erf(x / np.sqrt(2.0 * self.variance(phi)))
+        m, v = self.moments(phi)
+        return 0.5 + 0.5 * erf((x - m) / np.sqrt(2.0 * v))
 
     def quantile(self, phi, u):
         from scipy.special import ndtri
 
-        return np.sqrt(self.variance(phi)) * ndtri(u)
+        m, v = self.moments(phi)
+        return m + np.sqrt(v) * ndtri(u)
 
 
 @dataclass(frozen=True)
@@ -149,8 +171,8 @@ class Fock(SourceModel):
     def cdf(self, x, phi):
         return self.cdf_pdf(x, phi)[0]
 
-    def variance(self, phi):
-        return 2.0 * self.n + 1.0
+    def moments(self, phi):
+        return 0.0, 2.0 * self.n + 1.0
 
 
 @dataclass(frozen=True)
@@ -184,25 +206,8 @@ class Spats(SourceModel):
             - x / np.sqrt(np.pi * s) * (1.0 + nb) / (1.0 + 2.0 * nb) * np.exp(-(x**2) / s)
         )
 
-    def variance(self, phi):
-        return 4.0 * self.n_bar + 3.0
-
-
-@dataclass(frozen=True)
-class SqueezedVacuum(_GaussianSource):
-    """Squeezed vacuum with real squeezing parameter r (x squeezed for r > 0)."""
-
-    r: float
-
-    phase_sensitive = True
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.r):
-            raise ValueError(f"squeezing r must be finite, got {self.r!r}")
-
-    def variance(self, phi):
-        # two positive terms, so no cancellation at any r
-        return np.exp(-2.0 * self.r) * np.cos(phi) ** 2 + np.exp(2.0 * self.r) * np.sin(phi) ** 2
+    def moments(self, phi):
+        return 0.0, 4.0 * self.n_bar + 3.0
 
 
 @dataclass(frozen=True)
@@ -275,30 +280,30 @@ class CatState(SourceModel):
         m2 = (2.0 * (1.0 + a**2) + 2.0 * damp * np.cos(self.theta) * (1.0 - b**2)) / norm
         return m1, m2 - m1**2
 
-    def variance(self, phi):
-        return self.moments(phi)[1]
+
+def SqueezedVacuum(r: float) -> GaussianSource:
+    """Squeezed vacuum, x squeezed for r > 0: Var[X_phi] = e^{-2r} cos^2(phi)
+    + e^{2r} sin^2(phi).  MalformedInputError where e^{2|r|} overflows."""
+    if not np.isfinite(r):
+        raise ValueError(f"squeezing r must be finite, got {r!r}")
+    with np.errstate(over="ignore"):
+        cov = np.diag([np.exp(-2.0 * r), np.exp(2.0 * r)])
+    return GaussianSource(GaussianState(np.zeros(2), cov))
 
 
-@dataclass(frozen=True)
-class Thermal(_GaussianSource):
-    """Thermal state with mean photon number n_bar."""
-
-    n_bar: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.n_bar) and self.n_bar >= 0):
-            raise ValueError(f"thermal n_bar must be finite and >= 0, got {self.n_bar!r}")
-
-    def variance(self, phi):
-        return 2.0 * self.n_bar + 1.0
+def Thermal(n_bar: float) -> GaussianSource:
+    """Thermal state with mean photon number n_bar; MalformedInputError
+    where 2 n_bar + 1 overflows."""
+    if not (np.isfinite(n_bar) and n_bar >= 0):
+        raise ValueError(f"thermal n_bar must be finite and >= 0, got {n_bar!r}")
+    with np.errstate(over="ignore"):
+        var = 2.0 * n_bar + 1.0
+    return GaussianSource(GaussianState(np.zeros(2), np.diag([var, var])))
 
 
-@dataclass(frozen=True)
-class Vacuum(_GaussianSource):
+def Vacuum() -> GaussianSource:
     """The vacuum state."""
-
-    def variance(self, phi):
-        return 1.0
+    return GaussianSource(GaussianState(np.zeros(2), np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +580,7 @@ def _invert(model, phis, targets, tol, bracket):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if not (np.isfinite(bracket) and bracket > 0.0):
         raise ValueError(f"bracket must be finite and > 0, got {bracket!r}")
-    gaussian = isinstance(model, _GaussianSource)
+    gaussian = isinstance(model, GaussianSource)
     table = None if gaussian else _start_table(model, phis)
     out = np.empty_like(targets)
     records = np.arange(targets.size)
@@ -805,28 +810,13 @@ VARIANCE_CSV_HEADER = [
 
 
 def write_variance_csv(report: VarianceReport, path: str) -> None:
-    """Write one line per phase bin (see VARIANCE_CSV_HEADER), block by block."""
-    columns = (
-        report.bin_centers,
-        report.counts,
-        report.estimated_variance,
-        report.theoretical_variance,
-        report.shifted_variance,
-        report.variance_product,
-        report.normally_ordered_variance,
-    )
-    _write_csv(path, VARIANCE_CSV_HEADER, columns)
+    """Write one line per phase bin, block by block: the columns of
+    VARIANCE_CSV_HEADER are the report's fields, in order."""
+    _write_csv(path, VARIANCE_CSV_HEADER, [getattr(report, f.name) for f in fields(report)])
 
 
 def read_variance_csv(path: str) -> VarianceReport:
     """Parse a file written by write_variance_csv, block by block."""
     cols = _read_csv(path, VARIANCE_CSV_HEADER, "variance")
-    return VarianceReport(
-        bin_centers=cols[0],
-        counts=cols[1].astype(int),
-        estimated_variance=cols[2],
-        theoretical_variance=cols[3],
-        shifted_variance=cols[4],
-        variance_product=cols[5],
-        normally_ordered_variance=cols[6],
-    )
+    cols[1] = cols[1].astype(int)
+    return VarianceReport(*cols)

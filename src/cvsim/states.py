@@ -122,6 +122,15 @@ class PhysicalityReport(NamedTuple):
     margin: float
 
 
+def _uncertainty_matrix(cov: np.ndarray, hbar: float) -> np.ndarray:
+    """A new complex array cov + i(hbar/2)Omega, built without a dense Omega."""
+    n = cov.shape[0]
+    herm = cov.astype(complex)
+    herm.imag.flat[1 :: 2 * n + 2] = hbar / 2.0  # Omega[2k, 2k + 1] = 1
+    herm.imag.flat[n :: 2 * n + 2] = -hbar / 2.0  # Omega[2k + 1, 2k] = -1
+    return herm
+
+
 def physicality_margin(cov: np.ndarray, hbar: float) -> float:
     """Minimum eigenvalue of the Hermitian matrix cov + i(hbar/2)*Omega.
 
@@ -136,10 +145,7 @@ def physicality_margin(cov: np.ndarray, hbar: float) -> float:
         raise MalformedInputError(
             f"cov is not symmetric (max asymmetry {asym:.3e} > {SYMMETRY_TOL})"
         )
-    omega = symplectic_form(cov.shape[0] // 2)
-    herm = cov + 1j * (hbar / 2.0) * omega
-    eigvals = np.linalg.eigvalsh(herm)
-    return float(eigvals.min())
+    return float(np.linalg.eigvalsh(_uncertainty_matrix(cov, hbar)).min())
 
 
 def check_physicality(state: GaussianState, tol: float = PHYSICALITY_TOL) -> PhysicalityReport:

@@ -665,6 +665,39 @@ def test_network_non_finite_gate_exits_1_naming_it(tmp_path, config, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, line", [
+    (["--state", "thermal", "--nbar", "1e308"], "Error: the gate's output is not finite"),
+    (["--state", "squeezed", "--r", "800"],
+     "Error: matrix is not symplectic (||S Omega S^T - Omega||_F = nan)"),
+    (["--state", "coherent", "--alpha-mag", "1e308"], "Error: shift [inf nan] is not finite"),
+], ids=["thermal-1e308", "squeeze-r800", "coherent-1e308"])
+def test_wigner_non_finite_state_exits_1_with_one_line(tmp_path, args, line):
+    out = tmp_path / "w.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second stderr line
+        result = run_cli(["wigner", *args, "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [line]  # the spec's /gates/0 is not shown
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "analyze"])
+@pytest.mark.parametrize("state, line", [
+    (["squeezed", "--r", "400"], "Error: --state squeezed: mean and cov must be finite"),
+    (["thermal", "--nbar", "1e308"], "Error: --state thermal: mean and cov must be finite"),
+], ids=["squeezed-r400", "thermal-1e308"])
+def test_overflowing_gaussian_source_exits_1_with_one_line(tmp_path, command, state, line):
+    data, out = tmp_path / "s.csv", tmp_path / "o.csv"
+    assert run_cli(["sample", "--state", "vacuum", "--count", "10", "--out", str(data)]).exit_code == 0
+    given = {"sample": ["--count", "10"], "analyze": ["--in", str(data)]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second stderr line
+        result = run_cli([command, *given, "--state", *state, "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [line]
+    assert not out.exists()
+
+
 def test_fock_bs_hom(tmp_path):
     out = tmp_path / "f.json"
     result = run_cli(

@@ -7,26 +7,37 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.special import erf
 
 from cvsim import (
     CatState,
     Fock,
+    GaussianSource,
     InversionError,
     MalformedInputError,
     Spats,
     SqueezedVacuum,
     Thermal,
+    UnsupportedOrderingError,
     Vacuum,
+    apply_gate,
     characteristic_fn,
+    displacement_gate,
     invert_cdf,
     pdf_numeric_oracle,
     quadrature_cdf,
     quadrature_pdf,
     read_samples_csv,
+    s_quasiprob_gaussian,
     sample,
+    squeeze_gate,
     theoretical_variance,
+    thermal_prepare,
+    vacuum_state,
     write_samples_csv,
 )
 
@@ -37,8 +48,12 @@ ALL_MODELS = [
     CatState(2.0 + 0.0j, 0.0),
     Thermal(1.5),
     Vacuum(),
+    # displaced and squeezed at theta = 0.9: mean and x-p covariance nonzero
+    GaussianSource(apply_gate(displacement_gate(0.9, 1.1, 0, 1),
+                              apply_gate(squeeze_gate(0.4, 0.9, 0, 1), vacuum_state(1)))),
 ]
 TASK_MODELS = ALL_MODELS[:4]
+DISPLACED_SQUEEZED = ALL_MODELS[6]
 
 
 # --- model validation -------------------------------------------------------
@@ -77,6 +92,27 @@ def test_thermal_rejects_non_finite_n_bar(value):
 def test_squeezed_vacuum_rejects_non_finite_r(value):
     with pytest.raises(ValueError, match="finite"):
         SqueezedVacuum(value)
+
+
+@pytest.mark.parametrize("build, value", [(SqueezedVacuum, 400.0), (SqueezedVacuum, -400.0),
+                                          (Thermal, 1e308)])
+def test_gaussian_builders_reject_overflow_without_warnings(build, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedInputError, match="finite"):
+            build(value)
+
+
+def test_gaussian_source_rescales_to_vacuum_variance_one():
+    for hbar in (0.5, 1.0, 2.0, 3.0):
+        st = apply_gate(squeeze_gate(0.3, 0.4, 0, 1), thermal_prepare(0.7, 0, vacuum_state(1, hbar)))
+        model = GaussianSource(apply_gate(displacement_gate(0.6, -0.8, 0, 1, hbar), st))
+        assert model.state.hbar == 2.0
+        assert model.moments(0.0)[0] == pytest.approx(2.0 * 0.6 * np.cos(-0.8), rel=1e-14)
+        sigma = model.state.cov
+        assert np.linalg.det(sigma) == pytest.approx((2.0 * 0.7 + 1.0) ** 2, rel=1e-12)
+    with pytest.raises(ValueError, match="single-mode"):
+        GaussianSource(vacuum_state(2))
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
@@ -156,6 +192,17 @@ def test_pdf_matches_numeric_oracle():
             closed = quadrature_pdf(model, x, phi)
             numeric = pdf_numeric_oracle(model, x, phi)
             assert abs(closed - numeric) < 1e-8, (model, x, phi)
+
+
+def test_displaced_squeezed_source_matches_oracle_and_inverts():
+    rng = np.random.default_rng(37)
+    model = DISPLACED_SQUEEZED
+    for _ in range(6):
+        x, phi, u = rng.uniform(-4.0, 4.0), rng.uniform(-np.pi, np.pi), rng.uniform(0.01, 0.99)
+        assert quadrature_pdf(model, x, phi) == pytest.approx(
+            pdf_numeric_oracle(model, x, phi), abs=1e-12
+        )
+        assert quadrature_cdf(model, invert_cdf(model, phi, u), phi) == pytest.approx(u, abs=1e-14)
 
 
 def test_fock3_pdf_against_oracle_at_chosen_points():
@@ -301,6 +348,68 @@ def test_negative_r_squeezes_momentum_quadrature():
     )
 
 
+#: Fock basis of the convention test; the states below keep < 1e-14 of
+#: their amplitude at its last photon numbers
+FOCK_CUTOFF = 80
+
+
+def _hermite_functions(x, cutoff):
+    """Rows psi_n(x), n < cutoff, of the position x = a + a^dagger (vacuum
+    variance 1), by the stable three-term recursion; |psi_n|^2 is a density
+    in x."""
+    u = x / np.sqrt(2.0)
+    out = np.empty((cutoff, x.size))
+    out[0] = np.pi**-0.25 * np.exp(-(u**2) / 2.0)
+    out[1] = np.sqrt(2.0) * u * out[0]
+    for k in range(2, cutoff):
+        out[k] = np.sqrt(2.0 / k) * u * out[k - 1] - np.sqrt((k - 1) / k) * out[k - 2]
+    return out / 2.0**0.25
+
+
+def _fock_space_density(amplitudes, x, phi):
+    """|psi_phi(x)|^2 of X_phi = x cos phi - p sin phi = a e^{i phi} + a^dagger
+    e^{-i phi}, which is e^{-i phi n} x e^{i phi n}: the x density of the
+    state with its amplitudes c_n turned to c_n e^{i n phi}."""
+    turned = amplitudes * np.exp(1j * phi * np.arange(amplitudes.size))
+    return np.abs(turned @ _hermite_functions(x, amplitudes.size)) ** 2
+
+
+def _coherent_amplitudes(alpha):
+    c = np.empty(FOCK_CUTOFF, dtype=complex)
+    c[0] = np.exp(-abs(alpha) ** 2 / 2.0)
+    for n in range(1, FOCK_CUTOFF):
+        c[n] = c[n - 1] * alpha / np.sqrt(n)
+    return c
+
+
+def _displaced_squeezed_amplitudes(alpha, z):
+    """D(alpha) S(z) |0> from the exponentials of the generators, in a basis
+    40 photons wider than the one returned."""
+    a = np.diag(np.sqrt(np.arange(1.0, FOCK_CUTOFF + 40)), 1)
+    squeeze = expm((np.conj(z) * a @ a - z * a.T @ a.T) / 2.0)
+    displace = expm(alpha * a.T - np.conj(alpha) * a)
+    return (displace @ squeeze)[:FOCK_CUTOFF, 0]
+
+
+@pytest.mark.parametrize("hbar", [0.5, 2.0])
+def test_phase_convention_matches_truncated_fock_space(hbar):
+    r, theta, alpha = 0.4, 0.9, 0.9 * np.exp(1.1j)
+    state = apply_gate(squeeze_gate(r, theta, 0, 1), vacuum_state(1, hbar))
+    state = apply_gate(displacement_gate(abs(alpha), np.angle(alpha), 0, 1, hbar), state)
+    cat = _coherent_amplitudes(0.8) + 1j * _coherent_amplitudes(-0.8)
+    cases = [
+        (CatState(0.8, np.pi / 2), cat / np.linalg.norm(cat)),
+        (GaussianSource(state), _displaced_squeezed_amplitudes(alpha, r * np.exp(1j * theta))),
+    ]
+    x = np.linspace(-6.0, 6.0, 241)
+    for model, amplitudes in cases:
+        for phi in (0.7, -1.9, 2.6):
+            expected = _fock_space_density(amplitudes, x, phi)
+            assert np.abs(quadrature_pdf(model, x, phi) - expected).max() < 1e-13
+            # with the sign of sin(phi) flipped, the density would be that at -phi
+            assert np.abs(quadrature_pdf(model, x, -phi) - expected).max() > 0.1
+
+
 def test_cat_complex_alpha_cdf_is_real_and_monotone():
     model = CatState(16.0 + 2.0j, 0.0)
     xs = np.linspace(-45, 45, 301)
@@ -430,9 +539,11 @@ def test_cat_variance_matches_numeric_moments_any_phase(alpha, theta, phi):
 @pytest.mark.parametrize("model", [
     *(Fock(n) for n in range(11)),
     *(Spats(n_bar) for n_bar in (0.1, 1.0, 3.0, 10.0)),
-    *(Thermal(n_bar) for n_bar in (0.0, 0.3, 2.5, 10.0)),
-    Vacuum(),
-    *(SqueezedVacuum(r) for r in (-2.0, -0.7, 0.0, 0.4, 2.0)),
+    # the Gaussian builders return GaussianSource, whose repr shows arrays
+    *(pytest.param(Thermal(n_bar), id=f"Thermal(n_bar={n_bar})") for n_bar in (0.0, 0.3, 2.5, 10.0)),
+    pytest.param(Vacuum(), id="Vacuum()"),
+    *(pytest.param(SqueezedVacuum(r), id=f"SqueezedVacuum(r={r})") for r in (-2.0, -0.7, 0.0, 0.4, 2.0)),
+    pytest.param(DISPLACED_SQUEEZED, id="displaced-squeezed"),
 ], ids=repr)
 @pytest.mark.parametrize("phi", [0.0, 0.9, 1.3, np.pi / 2])
 def test_variance_matches_numeric_moments_every_family(model, phi):
@@ -459,6 +570,51 @@ def test_squeezed_variance_consistent_with_pdf():
     for phi in (0.0, 0.5, 1.4):
         m2, _ = quad(lambda t: t * t * quadrature_pdf(model, t, phi), -30, 30, limit=400)
         assert theoretical_variance(model, phi) == pytest.approx(m2, abs=1e-9)
+
+
+# --- P-nonclassicality of Gaussian states ----------------------------------------
+
+#: phases at which the normally ordered variance is read, 0.25 degrees apart:
+#: the grid minimum of Var[X_phi] overshoots its true minimum by less than
+#: 5e-6 (lambda_max - lambda_min) <= 3e-4 for the states drawn below
+NONCLASSICALITY_PHIS = np.linspace(-np.pi / 2, np.pi / 2, 721)
+
+
+def _p_nonclassicality_verdicts(state):
+    """(a) the normally ordered variance of X_phi is negative at some phase,
+    (b) lambda_min(sigma) < hbar/2, (c) the P function is not regular."""
+    model = GaussianSource(state)
+    normally_ordered = [theoretical_variance(model, phi) - 1.0 for phi in NONCLASSICALITY_PHIS]
+    try:
+        s_quasiprob_gaussian(state, 0j, 1.0)
+        singular = False
+    except UnsupportedOrderingError:
+        singular = True
+    squeezed = bool(np.linalg.eigvalsh(state.cov)[0] < state.hbar / 2.0)
+    return min(normally_ordered) < 0.0, squeezed, singular
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(hbar=st.floats(0.1, 10.0), n_bar=st.floats(0.0, 2.0), r=st.floats(0.0, 1.2),
+       theta=st.floats(-np.pi, np.pi), alpha_mag=st.floats(0.0, 2.0),
+       alpha_phase=st.floats(-np.pi, np.pi))
+def test_p_nonclassicality_tests_agree(hbar, n_bar, r, theta, alpha_mag, alpha_phase):
+    state = thermal_prepare(n_bar, 0, vacuum_state(1, hbar))
+    state = apply_gate(squeeze_gate(r, theta, 0, 1), state)
+    state = apply_gate(displacement_gate(alpha_mag, alpha_phase, 0, 1, hbar), state)
+    lam = np.linalg.eigvalsh(state.cov)[0]
+    assume(abs(lam - hbar / 2.0) >= 1e-3 * hbar / 2.0)
+    verdicts = _p_nonclassicality_verdicts(state)
+    assert verdicts in ((True, True, True), (False, False, False)), verdicts
+
+
+@pytest.mark.parametrize("hbar", [0.5, 2.0])
+def test_vacuum_and_coherent_p_functions_are_singular_but_classical(hbar):
+    # their P function is a delta: no regular s = 1 function, yet no squeezing
+    coherent = apply_gate(displacement_gate(1.3, 0.4, 0, 1, hbar), vacuum_state(1, hbar))
+    for state in (vacuum_state(1, hbar), coherent):
+        assert _p_nonclassicality_verdicts(state) == (False, False, True)
 
 
 # --- sample CSV round trip ------------------------------------------------------

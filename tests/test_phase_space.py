@@ -3,6 +3,7 @@ import pytest
 
 from cvsim import (
     DegenerateInputError,
+    GaussianSource,
     GaussianState,
     PhaseSpaceGrid,
     Thermal,
@@ -119,6 +120,22 @@ def test_characteristic_thermal_matches_homodyne_form():
         assert characteristic_gaussian(st, r) == pytest.approx(
             complex(characteristic_fn(Thermal(1.5), beta)), abs=1e-12
         )
+        # a thermal chi is isotropic and cannot see the sign of sin(phi); a
+        # displaced squeezed one can.  chi(i y e^{-i phi}) is E[e^{i y X_phi}]
+        # with X_phi = x cos phi - p sin phi, here in vacuum units.
+        st = apply_gate(displacement_gate(0.9, 1.1, 0, 1, hbar), squeezed(0.4, 0.9, hbar))
+        model = GaussianSource(st)
+        assert characteristic_gaussian(st, r) == pytest.approx(
+            complex(characteristic_fn(model, beta)), abs=1e-12
+        )
+        for phi in (0.7, -1.9, 2.6):
+            c = np.array([np.cos(phi), -np.sin(phi)])
+            mean = c @ st.mean / np.sqrt(hbar / 2.0)
+            var = c @ st.cov @ c / (hbar / 2.0)
+            y = 0.8
+            assert complex(characteristic_fn(model, 1j * y * np.exp(-1j * phi))) == pytest.approx(
+                np.exp(1j * y * mean - y**2 * var / 2.0), abs=1e-12
+            )
 
 
 def test_characteristic_bounded_by_one():
