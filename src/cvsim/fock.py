@@ -11,12 +11,19 @@ whose spectrum is exactly -N, -N+2, ..., N, so with S = V diag(w) V^T
     <k, N-k| U |n1, n2> = i^(n1-k) e^{i phi (k-n1)} sum_l V[k,l] e^{i theta w_l} V[n1,l],
 
 within a few 1e-15 of a 50-digit evaluation of the binomial double sum through
-the photon cap; one norm tolerance of 1e-12 holds in every sector.
+the photon cap; one norm tolerance of 1e-12 holds in every sector.  V depends
+on N alone, so it is computed once per sector per process.
+
+Phase convention: ``bs_output(n1, n2, cos t, sin t, phi)`` is the network's
+``beamsplitter`` gate (theta = t, phi_gate), that is
+exp(t (e^{i phi_gate} a1 a2+ - e^{-i phi_gate} a1+ a2)), acting on |n1, n2>,
+at phi = pi - phi_gate (mod 2 pi).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import atan2, cos, isfinite, sin
 
 import numpy as np
@@ -61,6 +68,20 @@ class TwoModeFockState:
         return self.amplitudes.get((k, m), 0.0 + 0.0j)
 
 
+@lru_cache(maxsize=MAX_TOTAL_PHOTONS + 1)
+def _sector_basis(total: int) -> np.ndarray:
+    """The eigenvectors V of S = 2 J_x in the ``total``-photon sector, read-only.
+
+    S depends on the sector alone, so one ``eigh`` per sector serves every
+    input and angle in it; the cache holds at most one matrix per sector.
+    """
+    j = np.arange(1, total + 1)
+    s = np.sqrt(j * (total + 1.0 - j))
+    V = np.linalg.eigh(np.diag(s, -1) + np.diag(s, 1))[1]
+    V.flags.writeable = False
+    return V
+
+
 def bs_output(n1: int, n2: int, T: float, R: float, phi: float) -> TwoModeFockState:
     """Beam-splitter output state for the Fock input |n1, n2>.
 
@@ -84,8 +105,7 @@ def bs_output(n1: int, n2: int, T: float, R: float, phi: float) -> TwoModeFockSt
         raise ValueError(f"(T, R) is not unitary: T^2 + R^2 = {T * T + R * R!r}")
 
     k = np.arange(total + 1)
-    s = np.sqrt(k[1:] * (total + 1.0 - k[1:]))
-    V = np.linalg.eigh(np.diag(s, -1) + np.diag(s, 1))[1]
+    V = _sector_basis(total)
     w = np.arange(-total, total + 1, 2.0)  # the exact spectrum of S, sorted as eigh sorts
     column = V @ (np.exp(1j * atan2(R, T) * w) * V[n1])
     column *= _I_POWERS[(n1 - k) % 4] * np.exp(1j * phi * (k - n1))

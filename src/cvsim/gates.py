@@ -27,7 +27,8 @@ import numpy as np
 from .errors import MalformedInputError
 from .states import GaussianState, _freeze, symplectic_form
 
-#: tolerance on ||B Omega B^T - Omega||_F at gate construction
+#: tolerance on ||B Omega B^T - Omega||_F at gate construction, relative to
+#: max(1, ||B||_F^2): rounding in B Omega B^T grows with the block's entries
 SYMPLECTIC_TOL = 1e-10
 
 
@@ -43,17 +44,20 @@ def _quadratures(modes: tuple[int, ...]) -> slice | np.ndarray:
 
 def _first_invalid(blocks: np.ndarray, shifts: np.ndarray) -> tuple[int, str] | None:
     """The first gate of a stack of G blocks (G, k, k) and shifts (G, k)
-    whose block is not symplectic to within ``SYMPLECTIC_TOL`` or whose
-    block or shift is not finite, with the reason; None if every gate passes.
+    whose block is not symplectic to within ``SYMPLECTIC_TOL * max(1,
+    ||B||_F^2)`` or whose block or shift is not finite, with the reason; None
+    if every gate passes.  A block whose ||B||_F^2 overflows fails.
     """
     omega = symplectic_form(blocks.shape[-1] // 2)
     with np.errstate(over="ignore", invalid="ignore"):
         defects = np.linalg.norm(blocks @ omega @ blocks.swapaxes(-1, -2) - omega, axis=(-2, -1))
-    bad = ~(defects <= SYMPLECTIC_TOL) | ~np.isfinite(shifts).all(axis=-1)
+        bounds = SYMPLECTIC_TOL * np.maximum(1.0, np.einsum("gij,gij->g", blocks, blocks))
+    symplectic = (defects <= bounds) & np.isfinite(bounds)
+    bad = ~symplectic | ~np.isfinite(shifts).all(axis=-1)
     if not bad.any():
         return None
     i = int(bad.argmax())
-    if not defects[i] <= SYMPLECTIC_TOL:
+    if not symplectic[i]:
         return i, f"matrix is not symplectic (||S Omega S^T - Omega||_F = {defects[i]:.3e})"
     return i, f"shift {shifts[i]} is not finite"
 
@@ -70,8 +74,8 @@ class SymplecticGate:
 
     Raises:
         MalformedInputError: the block or shift does not fit ``modes``, the
-            block is not symplectic to within ``SYMPLECTIC_TOL``, or the block
-            or shift is not finite.
+            block is not symplectic to within ``SYMPLECTIC_TOL`` times
+            max(1, ||block||_F^2), or the block or shift is not finite.
         ValueError: the modes are not integers, repeat or lie outside
             ``range(num_modes)``.
     """

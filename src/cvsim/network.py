@@ -300,7 +300,7 @@ def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
     raise ValueError(f"unknown analysis type {req.type!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkResult:
     state: GaussianState
     analyses: list[dict] = field(default_factory=list)

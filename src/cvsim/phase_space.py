@@ -55,7 +55,7 @@ class PhaseSpaceGrid:
         return dx * dp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerField:
     """Wigner function values on a grid; values[i, j] = W(x_i, p_j)."""
 
@@ -80,12 +80,22 @@ def wigner_gaussian(state: GaussianState, grid: PhaseSpaceGrid, mode: int = 0) -
     """Evaluate the (reduced) single-mode Gaussian Wigner function on a grid.
 
     Raises:
-        DegenerateInputError: if the reduced covariance is singular.
+        DegenerateInputError: if the reduced covariance is singular, or so
+            ill-conditioned that rounding in its entries, about
+            eps (|s_xx s_pp| + s_xp^2) in det sigma, exceeds 1% of det sigma,
+            as it does for a squeezer at an angle off 0 and pi from r ~ 8.4.
     """
     red = reduced_state(state, [mode])
     det = np.linalg.det(red.cov)
     if det <= 0 or not np.isfinite(det):
         raise DegenerateInputError(f"covariance is singular (det = {det:.3e})")
+    (xx, xp), (px, pp) = red.cov
+    rounding = np.finfo(float).eps * (abs(xx * pp) + abs(xp * px))
+    if not det >= 100.0 * rounding:
+        raise DegenerateInputError(
+            f"covariance is too ill-conditioned: det = {det:.3e} is not resolved "
+            f"to 1% by its entries (rounding ~{rounding:.1e})"
+        )
     inv = np.linalg.inv(red.cov)
     norm = 1.0 / (2.0 * np.pi * np.sqrt(det))
     dx = grid.x_axis()[:, None] - red.mean[0]

@@ -60,9 +60,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """Immutable first- and second-moment description of an N-mode state.
+    States compare and hash by identity: their arrays have no truth value.
 
     Attributes:
         mean: quadrature expectation values (x1, p1, ..., xN, pN).

@@ -681,6 +681,38 @@ def test_wigner_non_finite_state_exits_1_with_one_line(tmp_path, args, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r, theta", [(8.0, 0.7), (8.0, 0.0), (10.0, 0.0), (15.0, 0.0)])
+def test_wigner_strong_squeezer_exits_0(tmp_path, r, theta):
+    out = tmp_path / "w.csv"
+    result = run_cli(["wigner", "--state", "squeezed", "--r", str(r), "--theta", str(theta),
+                      "--nx", "21", "--np", "21", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert np.isfinite(read_wigner_csv(str(out)).values).all()
+
+
+# a squeezer at an angle: rounding in the covariance's entries, ~eps e^{4r},
+# no longer resolves det sigma = 1, so the grid is refused, not printed wrong
+@pytest.mark.parametrize("r", [9.0, 10.0, 15.0])
+def test_wigner_unresolved_rotated_squeezer_exits_1_with_one_line(tmp_path, r):
+    out = tmp_path / "w.csv"
+    result = run_cli(["wigner", "--state", "squeezed", "--r", str(r), "--theta", "0.7",
+                      "--out", str(out)])
+    assert result.exit_code == 1
+    [line] = result.output.strip().splitlines()
+    assert line.startswith("Error: covariance is ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r", [8.0, 9.0, 10.0, 15.0])
+def test_network_strong_squeezer_exits_0(tmp_path, r):
+    path, out = tmp_path / "net.json", tmp_path / "o.json"
+    gate = {"kind": "squeeze", "modes": [0], "params": {"r": r, "theta": 0.7}}
+    path.write_text(json.dumps({"modes": 1, "gates": [gate]}))
+    result = run_cli(["network", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text())["cov"][1][1] > 1e6
+
+
 @pytest.mark.parametrize("command", ["sample", "analyze"])
 @pytest.mark.parametrize("state, line", [
     (["squeezed", "--r", "400"], "Error: --state squeezed: mean and cov must be finite"),

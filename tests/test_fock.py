@@ -14,7 +14,7 @@ from cvsim import (
     bs_output_from_angle,
     photon_number_distribution,
 )
-from cvsim.fock import MAX_TOTAL_PHOTONS, NORM_TOL
+from cvsim.fock import MAX_TOTAL_PHOTONS, NORM_TOL, _sector_basis
 
 BAL = 1.0 / np.sqrt(2.0)
 #: every input pair inside the photon cap
@@ -271,3 +271,48 @@ def test_every_sector_is_normalized(theta, phi):
     # which is the Hong-Ou-Mandel zero at theta = pi/4
     hom = bs_output_from_angle(1, 1, theta, phi).amplitude(1, 1)
     assert abs(hom - math.cos(2 * theta)) <= 1e-15
+
+
+@pytest.mark.parametrize("theta, phi_gate", [(0.6, 0.9), (math.pi / 4, math.pi), (1.3, -2.2)])
+def test_phase_convention_of_the_network_beamsplitter(theta, phi_gate):
+    # the network's beamsplitter gate is exp(theta (e^{i phi_gate} a b+ - e^{-i phi_gate} a+ b));
+    # bs_output's phi is pi - phi_gate.  Each mode is cut at 12 photons, which
+    # is exact for every input with n1 + n2 <= 12: the generator conserves n1 + n2
+    cut = 13
+    a = np.diag(np.sqrt(np.arange(1, cut)), k=1)
+    A, B = np.kron(a, np.eye(cut)), np.kron(np.eye(cut), a)
+    U = expm(theta * (np.exp(1j * phi_gate) * A @ B.conj().T
+                      - np.exp(-1j * phi_gate) * A.conj().T @ B))
+    for n1, n2 in ALL_PAIRS:
+        total = n1 + n2
+        if total > 12:
+            break
+        st = bs_output_from_angle(n1, n2, theta, math.pi - phi_gate)
+        column = U[:, n1 * cut + n2]
+        worst = max(abs(st.amplitude(k, total - k) - column[k * cut + total - k])
+                    for k in range(total + 1))
+        assert worst <= 1e-13, (n1, n2, worst)
+
+
+@pytest.mark.parametrize("theta, phi", [(math.pi / 4, math.pi), (0.885, 0.3), (1.3, -2.2)])
+def test_cold_and_warm_sector_basis_give_the_same_state(theta, phi):
+    for n1, n2 in ALL_PAIRS:
+        _sector_basis.cache_clear()
+        cold = bs_output_from_angle(n1, n2, theta, phi).amplitudes
+        warm = bs_output_from_angle(n1, n2, theta, phi).amplitudes
+        assert list(cold.items()) == list(warm.items()), (n1, n2)
+
+
+def test_sector_basis_is_read_only_and_bounded():
+    _sector_basis.cache_clear()
+    for n1, n2 in ALL_PAIRS:
+        bs_output_from_angle(n1, n2, 0.885, 0.3)
+    info = _sector_basis.cache_info()
+    assert info.currsize == MAX_TOTAL_PHOTONS + 1
+    bases = [_sector_basis(total) for total in range(MAX_TOTAL_PHOTONS + 1)]
+    assert _sector_basis.cache_info().misses == info.misses  # every sector is still cached
+    assert sum(V.nbytes for V in bases) < 256 * 1024
+    for V in bases:
+        assert not V.flags.writeable
+        with pytest.raises(ValueError):
+            V[0, 0] = 0.0

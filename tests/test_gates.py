@@ -18,6 +18,7 @@ from cvsim import (
     thermal_prepare,
     vacuum_state,
 )
+from cvsim.gates import SYMPLECTIC_TOL
 
 E_MINUS = np.exp(-1.0)
 E_PLUS = np.exp(1.0)
@@ -28,9 +29,31 @@ def _sympl_defect(gate):
     return np.linalg.norm(gate.matrix @ omega @ gate.matrix.T - omega)
 
 
+NOT_SYMPLECTIC = r"^matrix is not symplectic \(\|\|S Omega S\^T - Omega\|\|_F = "
+
+
 def test_gate_constructor_rejects_nonsymplectic():
-    with pytest.raises(MalformedInputError):
-        SymplecticGate(2.0 * np.eye(2), np.zeros(2), (0,), 1)
+    for block in (2.0 * np.eye(2), np.array([[3.0, 1.0], [1.0, 2.0]])):
+        with pytest.raises(MalformedInputError, match=NOT_SYMPLECTIC):
+            SymplecticGate(block, np.zeros(2), (0,), 1)
+
+
+@pytest.mark.parametrize("r", [8.0, 10.0, 15.0])
+def test_strong_squeezer_passes_the_check_scaled_by_its_norm(r):
+    gate = squeeze_gate(r, 0.7, 0, 1)
+    scale = np.sum(gate.block**2)
+    # rounding alone breaks the unscaled bound at these r
+    assert SYMPLECTIC_TOL < _sympl_defect(gate) <= SYMPLECTIC_TOL * scale
+    expected = np.exp(2.0 * r) * np.sin(0.35) ** 2 + np.exp(-2.0 * r) * np.cos(0.35) ** 2
+    assert apply_gate(gate, vacuum_state(1)).cov[0, 0] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, 8.0, 15.0])
+def test_block_perturbed_by_1e_8_of_its_norm_fails(r):
+    block = squeeze_gate(r, 0.7, 0, 1).block
+    perturbed = block + 1e-8 * np.linalg.norm(block) * np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(MalformedInputError, match=NOT_SYMPLECTIC):
+        SymplecticGate(perturbed, np.zeros(2), (0,), 1)
 
 
 @pytest.mark.parametrize(

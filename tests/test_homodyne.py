@@ -19,12 +19,14 @@ from cvsim import (
     GaussianSource,
     InversionError,
     MalformedInputError,
+    SampleSet,
     Spats,
     SqueezedVacuum,
     Thermal,
     UnsupportedOrderingError,
     Vacuum,
     apply_gate,
+    binned_variance,
     characteristic_fn,
     displacement_gate,
     invert_cdf,
@@ -512,6 +514,15 @@ def test_variance_table():
     )
     assert theoretical_variance(Vacuum(), 0.3) == 1.0
     assert theoretical_variance(Thermal(2.0), 0.1) == 5.0
+
+
+@pytest.mark.parametrize("num_bins", [50, 1000])
+def test_binned_theory_column_is_one_variance_call_per_bin(num_bins):
+    phases = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+    for model in ALL_MODELS:
+        report = binned_variance(SampleSet(phases, np.cos(phases), model, 0), num_bins)
+        per_bin = np.array([theoretical_variance(model, c) for c in report.bin_centers])
+        assert report.theoretical_variance.tobytes() == per_bin.tobytes(), model
 
 
 #: trapezoid grid for numeric moments; +-80 is > 10 sd of every swept model

@@ -4,11 +4,14 @@ import pytest
 from cvsim import (
     NetworkRuntimeError,
     SpecValidationError,
+    apply_gate,
     check_physicality,
     parse_network_spec,
     purity,
     run_network,
+    squeeze_gate,
     symplectic_eigenvalues,
+    vacuum_state,
 )
 
 BS = {"kind": "beamsplitter", "params": {"theta": np.pi / 4, "phi": 0.0}}
@@ -213,3 +216,11 @@ def test_runtime_failure_reports_gate_pointer():
         run_network(parse_network_spec(doc))
     assert err.value.pointer == "/gates/2"
     assert "not in the vacuum state" in str(err.value)
+
+
+@pytest.mark.parametrize("r", [8.0, 10.0, 15.0])
+def test_strong_squeezer_runs_in_a_network(r):
+    gate = {"kind": "squeeze", "modes": [0], "params": {"r": r, "theta": 0.7}}
+    state = run_network(parse_network_spec({"modes": 1, "gates": [gate]})).state
+    expected = apply_gate(squeeze_gate(r, 0.7, 0, 1), vacuum_state(1)).cov
+    assert np.array_equal(state.cov, expected)

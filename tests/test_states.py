@@ -5,6 +5,13 @@ from cvsim import (
     DegenerateInputError,
     GaussianState,
     MalformedInputError,
+    PhaseSpaceGrid,
+    SampleSet,
+    Vacuum,
+    binned_variance,
+    parse_network_spec,
+    run_network,
+    wigner_gaussian,
     check_physicality,
     purity,
     symplectic_eigenvalues,
@@ -65,6 +72,24 @@ def test_constructor_rejects_bad_shapes():
 def test_constructor_rejects_non_finite(mean, cov):
     with pytest.raises(MalformedInputError, match="must be finite"):
         GaussianState(mean=np.array(mean), cov=cov)
+
+
+def test_array_holding_results_compare_and_hash_by_identity():
+    def build():
+        samples = SampleSet(np.zeros(8), np.ones(8), Vacuum(), 42)
+        return [
+            vacuum_state(1),
+            samples,
+            wigner_gaussian(vacuum_state(1), PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)),
+            run_network(parse_network_spec({"modes": 1})),
+            binned_variance(samples, 4),
+        ]
+
+    for obj, twin in zip(build(), build()):
+        assert obj == obj and not obj != obj
+        assert obj != twin and not obj == twin
+        assert hash(obj) == hash(obj) != hash(twin)
+        assert {obj, obj, twin} == {obj, twin} and len({obj, twin}) == 2
 
 
 def test_state_is_immutable():
