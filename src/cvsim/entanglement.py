@@ -17,7 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MalformedInputError
-from .states import GaussianState, _uncertainty_matrix, check_physicality, symplectic_eigenvalues
+from .states import (
+    GaussianState,
+    _resolved_cholesky,
+    _uncertainty_matrix,
+    check_physicality,
+    symplectic_eigenvalues,
+)
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -119,11 +125,16 @@ def simon_criterion(state: GaussianState, tol: float = VERDICT_TOL) -> SimonRepo
 
     with J = [[0, 1], [-1, 0]].  Violation certifies entanglement, and for
     two-mode Gaussian states the test is also sufficient.
+
+    Raises:
+        DegenerateInputError: if cov is not positive definite or rounding in
+            its entries does not resolve it (see ``states._resolved_cholesky``).
     """
     if state.num_modes != 2:
         raise ValueError(
             f"the Simon criterion applies to two-mode states, got {state.num_modes}"
         )
+    _resolved_cholesky(state.cov)
     cov = state.cov
     A = cov[0:2, 0:2]
     C = cov[0:2, 2:4]

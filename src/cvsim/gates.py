@@ -27,9 +27,10 @@ import numpy as np
 from .errors import MalformedInputError
 from .states import GaussianState, _freeze, symplectic_form
 
-#: tolerance on ||B Omega B^T - Omega||_F at gate construction, relative to
-#: max(1, ||B||_F^2): rounding in B Omega B^T grows with the block's entries
+#: tolerance on ||B Omega B^T - Omega||_F at gate construction; a block with
+#: large entries is allowed the rounding of B Omega B^T, ``_ROUNDING * ||B||_F^2``
 SYMPLECTIC_TOL = 1e-10
+_ROUNDING = 64.0 * np.finfo(float).eps
 
 
 def _quadratures(modes: tuple[int, ...]) -> slice | np.ndarray:
@@ -44,14 +45,14 @@ def _quadratures(modes: tuple[int, ...]) -> slice | np.ndarray:
 
 def _first_invalid(blocks: np.ndarray, shifts: np.ndarray) -> tuple[int, str] | None:
     """The first gate of a stack of G blocks (G, k, k) and shifts (G, k)
-    whose block is not symplectic to within ``SYMPLECTIC_TOL * max(1,
-    ||B||_F^2)`` or whose block or shift is not finite, with the reason; None
-    if every gate passes.  A block whose ||B||_F^2 overflows fails.
+    whose block is not symplectic to within max(``SYMPLECTIC_TOL``,
+    64 eps ||B||_F^2) or whose block or shift is not finite, with the reason;
+    None if every gate passes.  A block whose ||B||_F^2 overflows fails.
     """
     omega = symplectic_form(blocks.shape[-1] // 2)
     with np.errstate(over="ignore", invalid="ignore"):
         defects = np.linalg.norm(blocks @ omega @ blocks.swapaxes(-1, -2) - omega, axis=(-2, -1))
-        bounds = SYMPLECTIC_TOL * np.maximum(1.0, np.einsum("gij,gij->g", blocks, blocks))
+        bounds = np.maximum(SYMPLECTIC_TOL, _ROUNDING * np.einsum("gij,gij->g", blocks, blocks))
     symplectic = (defects <= bounds) & np.isfinite(bounds)
     bad = ~symplectic | ~np.isfinite(shifts).all(axis=-1)
     if not bad.any():
@@ -74,8 +75,9 @@ class SymplecticGate:
 
     Raises:
         MalformedInputError: the block or shift does not fit ``modes``, the
-            block is not symplectic to within ``SYMPLECTIC_TOL`` times
-            max(1, ||block||_F^2), or the block or shift is not finite.
+            block is not symplectic to within ``SYMPLECTIC_TOL`` (or, for a
+            large block, 64 eps ||block||_F^2, the rounding of
+            block Omega block^T), or the block or shift is not finite.
         ValueError: the modes are not integers, repeat or lie outside
             ``range(num_modes)``.
     """

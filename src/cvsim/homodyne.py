@@ -725,14 +725,10 @@ def binned_variance(samples: SampleSet, num_bins: int) -> VarianceReport:
     est = np.full(num_bins, np.nan)
     for i in np.flatnonzero(counts >= 2):
         est[i] = np.var(by_bin[stops[i] - counts[i] : stops[i]], ddof=1)
-    theory = np.full(num_bins, np.nan)
-    model = samples.model
-    if model is not None and model.phase_sensitive:
-        # one call per bin: numpy's sin, cos and exp on an array can differ
-        # from their scalar results in the last ulp, which the CSV would show
-        theory[:] = [theoretical_variance(model, c) for c in centers]
-    elif model is not None:
-        theory[:] = model.variance(centers)
+    if samples.model is not None:
+        theory = np.array([theoretical_variance(samples.model, c) for c in centers])
+    else:
+        theory = np.full(num_bins, np.nan)
     shifted = np.roll(est, -(num_bins // 4))
     return VarianceReport(
         bin_centers=centers,

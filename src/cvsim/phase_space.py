@@ -22,7 +22,7 @@ import numpy as np
 
 from ._csvio import _NUMBER, _read_csv, _write_csv
 from .errors import DegenerateInputError, MalformedInputError, UnsupportedOrderingError
-from .states import GaussianState, symplectic_form
+from .states import GaussianState, _resolved_cholesky, symplectic_form
 from .entanglement import reduced_state
 
 
@@ -80,22 +80,16 @@ def wigner_gaussian(state: GaussianState, grid: PhaseSpaceGrid, mode: int = 0) -
     """Evaluate the (reduced) single-mode Gaussian Wigner function on a grid.
 
     Raises:
-        DegenerateInputError: if the reduced covariance is singular, or so
-            ill-conditioned that rounding in its entries, about
-            eps (|s_xx s_pp| + s_xp^2) in det sigma, exceeds 1% of det sigma,
-            as it does for a squeezer at an angle off 0 and pi from r ~ 8.4.
+        DegenerateInputError: if the reduced covariance is singular, or
+            rounding in its entries does not resolve det sigma to 1%, as for
+            a squeezer at theta = 0.7 from r ~ 8.3 (see
+            ``states._resolved_cholesky``).
     """
     red = reduced_state(state, [mode])
     det = np.linalg.det(red.cov)
     if det <= 0 or not np.isfinite(det):
         raise DegenerateInputError(f"covariance is singular (det = {det:.3e})")
-    (xx, xp), (px, pp) = red.cov
-    rounding = np.finfo(float).eps * (abs(xx * pp) + abs(xp * px))
-    if not det >= 100.0 * rounding:
-        raise DegenerateInputError(
-            f"covariance is too ill-conditioned: det = {det:.3e} is not resolved "
-            f"to 1% by its entries (rounding ~{rounding:.1e})"
-        )
+    _resolved_cholesky(red.cov)
     inv = np.linalg.inv(red.cov)
     norm = 1.0 / (2.0 * np.pi * np.sqrt(det))
     dx = grid.x_axis()[:, None] - red.mean[0]

@@ -24,6 +24,9 @@ from .errors import DegenerateInputError, MalformedInputError
 SYMMETRY_TOL = 1e-10
 #: default tolerance for the Robertson-Schrodinger physicality margin
 PHYSICALITY_TOL = 1e-9
+#: smallest Cholesky pivot, relative to its variance, that rounding in a
+#: covariance's entries resolves to about 1%
+RESOLUTION_TOL = 200.0 * np.finfo(float).eps
 
 
 def symplectic_form(num_modes: int) -> np.ndarray:
@@ -161,6 +164,35 @@ def check_physicality(state: GaussianState, tol: float = PHYSICALITY_TOL) -> Phy
     return PhysicalityReport(physical=margin >= -tol, margin=margin)
 
 
+def _resolved_cholesky(cov: np.ndarray) -> np.ndarray:
+    """Cholesky factor L of cov, once rounding in cov's entries is seen to
+    resolve every direction of it.
+
+    Each pivot L_ii^2 is cov_ii less the part of it that the earlier
+    quadratures explain, a difference of cov_ii-sized terms, so rounding
+    resolves it to about 1% only while L_ii^2 >= ``RESOLUTION_TOL`` cov_ii.
+    A squeezer at theta = 0.7 falls below that from r ~ 8.3; at
+    angle 0 its covariance is diagonal and every pivot is exact.
+
+    Raises:
+        DegenerateInputError: if cov is not positive definite or a pivot is
+            not resolved.
+    """
+    try:
+        L = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise DegenerateInputError(
+            "cov is not positive definite (Cholesky factorization failed)"
+        ) from None
+    pivots = np.diagonal(L) ** 2 / np.diagonal(cov)
+    if not pivots.min() >= RESOLUTION_TOL:
+        raise DegenerateInputError(
+            f"cov is too ill-conditioned: a Cholesky pivot is {pivots.min():.1e} of its "
+            f"variance, which rounding does not resolve to 1% (needs >= {RESOLUTION_TOL:.1e})"
+        )
+    return L
+
+
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a positive-definite covariance matrix.
 
@@ -173,17 +205,13 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
         cov: symmetric positive-definite 2N x 2N matrix, interleaved ordering.
 
     Raises:
-        DegenerateInputError: if cov is not positive definite.
+        DegenerateInputError: if cov is not positive definite, or rounding in
+            its entries does not resolve it (see ``_resolved_cholesky``).
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
         raise MalformedInputError(f"cov must be 2Nx2N, got shape {cov.shape}")
-    try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise DegenerateInputError(
-            "cov is not positive definite (Cholesky factorization failed)"
-        ) from None
+    L = _resolved_cholesky(cov)
     num_modes = cov.shape[0] // 2
     eigvals = np.linalg.eigvalsh(1j * (L.T @ symplectic_form(num_modes) @ L))
     return eigvals[num_modes:]
@@ -195,11 +223,13 @@ def purity(state: GaussianState) -> float:
     Equals 1 exactly for pure Gaussian states.
 
     Raises:
-        DegenerateInputError: if cov is singular.
+        DegenerateInputError: if cov is singular or not resolved (see
+            ``_resolved_cholesky``).
     """
     det = np.linalg.det(state.cov)
     if det <= 0 or not np.isfinite(det):
         raise DegenerateInputError(f"cov is singular (det = {det:.3e})")
+    _resolved_cholesky(state.cov)
     return float((state.hbar / 2.0) ** state.num_modes / np.sqrt(det))
 
 

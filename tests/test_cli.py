@@ -690,7 +690,7 @@ def test_wigner_strong_squeezer_exits_0(tmp_path, r, theta):
     assert np.isfinite(read_wigner_csv(str(out)).values).all()
 
 
-# a squeezer at an angle: rounding in the covariance's entries, ~eps e^{4r},
+# a squeezer at an angle: rounding in the covariance's entries, ~eps e^{2r},
 # no longer resolves det sigma = 1, so the grid is refused, not printed wrong
 @pytest.mark.parametrize("r", [9.0, 10.0, 15.0])
 def test_wigner_unresolved_rotated_squeezer_exits_1_with_one_line(tmp_path, r):
@@ -699,7 +699,24 @@ def test_wigner_unresolved_rotated_squeezer_exits_1_with_one_line(tmp_path, r):
                       "--out", str(out)])
     assert result.exit_code == 1
     [line] = result.output.strip().splitlines()
-    assert line.startswith("Error: covariance is ")
+    assert line.startswith(("Error: covariance is singular", "Error: cov is too ill-conditioned"))
+    assert not out.exists()
+
+
+# a product of a rotated r = 9.3 squeezer and the vacuum, which is pure: its
+# rounded covariance gave nu_tilde [1.0, 1.121] and purity 1.077 with exit 0
+@pytest.mark.parametrize("analysis", [
+    {"type": "log_negativity", "part_a": [0], "part_b": [1]},
+    {"type": "simon", "modes": [0, 1]},
+])
+def test_network_unresolved_rotated_squeezer_exits_1_with_one_line(tmp_path, analysis):
+    path, out = tmp_path / "net.json", tmp_path / "o.json"
+    gate = {"kind": "squeeze", "modes": [0], "params": {"r": 9.3, "theta": 0.7}}
+    path.write_text(json.dumps({"modes": 2, "gates": [gate], "analyses": [analysis]}))
+    result = run_cli(["network", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 1
+    [line] = result.output.strip().splitlines()
+    assert line.startswith("Error: /analyses/0: cov is too ill-conditioned")
     assert not out.exists()
 
 

@@ -33,17 +33,18 @@ NOT_SYMPLECTIC = r"^matrix is not symplectic \(\|\|S Omega S\^T - Omega\|\|_F = 
 
 
 def test_gate_constructor_rejects_nonsymplectic():
-    for block in (2.0 * np.eye(2), np.array([[3.0, 1.0], [1.0, 2.0]])):
+    # the last is singular, its defect sqrt(2) far above its rounding
+    for block in (2.0 * np.eye(2), np.array([[3.0, 1.0], [1.0, 2.0]]), np.full((2, 2), 1e6)):
         with pytest.raises(MalformedInputError, match=NOT_SYMPLECTIC):
             SymplecticGate(block, np.zeros(2), (0,), 1)
 
 
 @pytest.mark.parametrize("r", [8.0, 10.0, 15.0])
-def test_strong_squeezer_passes_the_check_scaled_by_its_norm(r):
+def test_strong_squeezer_passes_the_check_at_its_rounding(r):
     gate = squeeze_gate(r, 0.7, 0, 1)
-    scale = np.sum(gate.block**2)
-    # rounding alone breaks the unscaled bound at these r
-    assert SYMPLECTIC_TOL < _sympl_defect(gate) <= SYMPLECTIC_TOL * scale
+    rounding = 64.0 * np.finfo(float).eps * np.sum(gate.block**2)
+    # rounding alone breaks the absolute bound at these r
+    assert SYMPLECTIC_TOL < _sympl_defect(gate) <= rounding
     expected = np.exp(2.0 * r) * np.sin(0.35) ** 2 + np.exp(-2.0 * r) * np.cos(0.35) ** 2
     assert apply_gate(gate, vacuum_state(1)).cov[0, 0] == pytest.approx(expected, rel=1e-12)
 

@@ -517,7 +517,7 @@ def test_variance_table():
 
 
 @pytest.mark.parametrize("num_bins", [50, 1000])
-def test_binned_theory_column_is_one_variance_call_per_bin(num_bins):
+def test_binned_theory_column_is_theoretical_variance_per_bin(num_bins):
     phases = np.linspace(-np.pi, np.pi, 16, endpoint=False)
     for model in ALL_MODELS:
         report = binned_variance(SampleSet(phases, np.cos(phases), model, 0), num_bins)

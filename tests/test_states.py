@@ -8,9 +8,12 @@ from cvsim import (
     PhaseSpaceGrid,
     SampleSet,
     Vacuum,
+    apply_gate,
     binned_variance,
     parse_network_spec,
     run_network,
+    simon_criterion,
+    squeeze_gate,
     wigner_gaussian,
     check_physicality,
     purity,
@@ -176,6 +179,17 @@ def test_symplectic_eigenvalues_rejects_non_pd():
     cov = np.diag([1.0, -0.5])
     with pytest.raises(DegenerateInputError):
         symplectic_eigenvalues(cov)
+
+
+def test_unresolved_covariance_is_refused_not_misread():
+    state = apply_gate(squeeze_gate(9.3, 0.7, 0, 2), vacuum_state(2))
+    for read in (symplectic_eigenvalues, purity, simon_criterion):
+        with pytest.raises(DegenerateInputError, match="^cov is too ill-conditioned"):
+            read(state.cov if read is symplectic_eigenvalues else state)
+    # at angle 0 the covariance is diagonal and every pivot is exact
+    diagonal = apply_gate(squeeze_gate(9.3, 0.0, 0, 2), vacuum_state(2))
+    assert purity(diagonal) == pytest.approx(1.0, rel=1e-6)
+    assert simon_criterion(diagonal).verdict == "separable"
 
 
 def test_purity_vacuum():
