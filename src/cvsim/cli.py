@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 runtime/numerical failure, 2 usage or validation
-failure.  All outputs are data files (CSV/JSON, UTF-8, LF line endings);
-plotting is deliberately out of scope.
+failure; ``main`` maps each failure to its code.  All outputs are data files
+(CSV/JSON, UTF-8, LF line endings); plotting is deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -231,10 +231,7 @@ def cmd_sample(state, n, nbar, r, alpha_re, alpha_im, theta, count, seed, tol, o
     _require_finite(tol=tol)
     if tol <= 0:
         raise CLIError(f"--tol must be > 0, got {tol!r}", 2)
-    try:
-        samples = homodyne.sample(model, count, seed=seed, tol=tol)
-    except CVSimError as exc:
-        raise CLIError(str(exc), 1) from None
+    samples = homodyne.sample(model, count, seed=seed, tol=tol)
     with _writing(out):
         homodyne.write_samples_csv(samples, out)
     print(f"wrote {len(samples)} records to {out}")
@@ -255,11 +252,8 @@ def cmd_analyze(in_path, bins, sigma_level, state, n, nbar, r, alpha_re, alpha_i
     _require_finite(sigma_level=sigma_level)
     if sigma_level < 0:
         raise CLIError(f"--sigma-level must be >= 0, got {sigma_level!r}", 2)
-    try:
-        samples = homodyne.read_samples_csv(in_path, model=model)
-        report = homodyne.binned_variance(samples, bins)
-    except CVSimError as exc:
-        raise CLIError(str(exc), 1) from None
+    samples = homodyne.read_samples_csv(in_path, model=model)
+    report = homodyne.binned_variance(samples, bins)
     with _writing(out):
         homodyne.write_variance_csv(report, out)
     violations = homodyne.heisenberg_violations(report, sigma_level)
@@ -280,14 +274,8 @@ def cmd_network(config, out):
             doc = json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad syntax, bytes or int; deep nesting
             raise CLIError(f"config is not valid JSON: {exc}", 2) from None
-    try:
-        spec = parse_network_spec(doc)
-    except SpecValidationError as exc:
-        raise CLIError(str(exc), 2) from None
-    try:
-        result = run_network(spec)
-    except CVSimError as exc:
-        raise CLIError(str(exc), 1) from None
+    spec = parse_network_spec(doc)
+    result = run_network(spec)
     payload = {
         "modes": spec.num_modes,
         "hbar": spec.hbar,
@@ -308,10 +296,7 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
     if n1 + n2 > MAX_TOTAL_PHOTONS:
         raise CLIError(f"n1 + n2 must not exceed {MAX_TOTAL_PHOTONS}", 2)
     _require_finite(theta=theta, phi=phi)
-    try:
-        result = bs_output_from_angle(n1, n2, theta, phi)
-    except (ValueError, CVSimError) as exc:
-        raise CLIError(str(exc), 1) from None
+    result = bs_output_from_angle(n1, n2, theta, phi)
     with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_fock_bs_json(result))
     print(f"wrote {len(result.amplitudes)} amplitudes to {out}")
@@ -447,13 +432,18 @@ def _joined(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
     """Run one command line, ``sys.argv[1:]`` by default.  A failure raises
-    CLIError; in standalone mode (the ``cvsim`` console script) it prints
-    one ``Error:`` line on stderr, after the usage of a command line that
-    did not parse, and exits with the error's code."""
+    CLIError: a CVSimError from a command becomes one with exit code 2 for a
+    SpecValidationError and 1 for any other.  In standalone mode (the
+    ``cvsim`` console script) it prints one ``Error:`` line on stderr, after
+    the usage of a command line that did not parse, and exits with the
+    error's code."""
     try:
         options = vars(_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv)))
         del options["command"]
-        options.pop("run")(**options)
+        try:
+            options.pop("run")(**options)
+        except CVSimError as exc:
+            raise CLIError(str(exc), 2 if isinstance(exc, SpecValidationError) else 1) from None
     except CLIError as exc:
         if not standalone_mode:
             raise

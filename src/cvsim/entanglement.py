@@ -16,9 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedInputError
 from .states import (
+    PHYSICALITY_TOL,
     GaussianState,
+    _checked_cov,
+    _checked_modes,
     _resolved_cholesky,
     _uncertainty_matrix,
     check_physicality,
@@ -28,22 +30,10 @@ from .states import (
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
 
-#: default tolerance on the Simon margin and the E_N physicality pre-check
+#: default tolerance on the Simon margin
 VERDICT_TOL = 1e-10
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def _check_modes(modes: Sequence[int], num_modes: int) -> list[int]:
-    modes = list(modes)
-    if not modes:
-        raise ValueError("mode selection must not be empty")
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"mode selection contains duplicates: {modes}")
-    for m in modes:
-        if not 0 <= m < num_modes:
-            raise ValueError(f"mode {m} out of range for {num_modes} modes")
-    return modes
 
 
 def reduced_state(state: GaussianState, modes: Sequence[int]) -> GaussianState:
@@ -51,9 +41,14 @@ def reduced_state(state: GaussianState, modes: Sequence[int]) -> GaussianState:
 
     The kept modes appear in the order given; mean and covariance are simply
     restricted to the corresponding interleaved rows and columns.
+
+    Raises:
+        ValueError: ``modes`` is empty, or not distinct integers in range.
     """
-    modes = _check_modes(modes, state.num_modes)
-    if modes == list(range(state.num_modes)):
+    modes = _checked_modes(modes, state.num_modes)
+    if not modes:
+        raise ValueError("mode selection must not be empty")
+    if modes == tuple(range(state.num_modes)):
         return state  # immutable, so the state itself is its own reduction
     idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
     return GaussianState(
@@ -67,38 +62,32 @@ def partial_transpose_cov(cov: np.ndarray, part_b: Sequence[int]) -> np.ndarray:
     """Flip the sign of the momentum rows/columns of every mode in part_b.
 
     Involutive: applying twice returns the original matrix exactly.
+
+    Raises:
+        MalformedInputError: cov is not a finite, symmetric 2N x 2N matrix.
+        ValueError: part_b is not distinct integers in range.
     """
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
-        raise MalformedInputError(f"cov must be 2Nx2N, got {cov.shape}")
-    num_modes = cov.shape[0] // 2
-    part_b = list(part_b)
-    if len(set(part_b)) != len(part_b):
-        raise ValueError(f"part_b contains duplicates: {part_b}")
-    signs = np.ones(2 * num_modes)
-    for m in part_b:
-        if not 0 <= m < num_modes:
-            raise ValueError(f"mode {m} out of range for {num_modes} modes")
-        signs[2 * m + 1] = -1.0
+    cov = _checked_cov(cov)
+    signs = np.ones(cov.shape[0])
+    signs[[2 * m + 1 for m in _checked_modes(part_b, cov.shape[0] // 2)]] = -1.0
     return cov * np.outer(signs, signs)
 
 
 @dataclass(frozen=True, init=False)
 class Bipartition:
-    """A two-block split of mode indices; blocks are disjoint and sorted."""
+    """A split of the modes 0..n-1 of an n-mode state into two non-empty
+    blocks, each sorted; ValueError for any other pair of blocks."""
 
     part_a: tuple[int, ...]
     part_b: tuple[int, ...]
 
     def __init__(self, part_a: Sequence[int], part_b: Sequence[int]):
-        a = tuple(sorted(part_a))
-        b = tuple(sorted(part_b))
+        a, b = tuple(part_a), tuple(part_b)
         if not a or not b:
             raise ValueError("both parts of a bipartition must be non-empty")
-        if set(a) & set(b):
-            raise ValueError("bipartition parts must be disjoint")
-        object.__setattr__(self, "part_a", a)
-        object.__setattr__(self, "part_b", b)
+        modes = _checked_modes(a + b, len(a) + len(b))
+        object.__setattr__(self, "part_a", tuple(sorted(modes[:len(a)])))
+        object.__setattr__(self, "part_b", tuple(sorted(modes[len(a):])))
 
     def modes(self) -> tuple[int, ...]:
         return tuple(sorted(self.part_a + self.part_b))
@@ -177,9 +166,7 @@ def _robertson_schrodinger_holds(cov: np.ndarray, hbar: float, tol: float) -> bo
     return True
 
 
-def log_negativity(
-    state: GaussianState, bipartition: Bipartition, tol: float = VERDICT_TOL
-) -> float:
+def log_negativity(state: GaussianState, bipartition: Bipartition) -> float:
     """Logarithmic negativity E_N = sum_j max(0, -log2(nu_j)).
 
     nu_j are the symplectic eigenvalues of the partially transposed
@@ -189,22 +176,22 @@ def log_negativity(
     Raises:
         ValueError: if the input state itself is unphysical.
     """
-    return _log_negativity_and_spectrum(state, bipartition, tol)[0]
+    return _log_negativity_and_spectrum(state, bipartition)[0]
 
 
 def _log_negativity_and_spectrum(
-    state: GaussianState, bipartition: Bipartition, tol: float = VERDICT_TOL
+    state: GaussianState, bipartition: Bipartition
 ) -> tuple[float, np.ndarray]:
     """E_N together with the spectrum nu_j it was computed from.
 
-    The state is physical when cov + i(hbar/2)Omega >= -tol, which holds,
-    up to rounding, exactly when cov + i(hbar/2)Omega + tol*I has a Cholesky
-    factorisation; only a failed factorisation pays for the eigenvalues
-    that ``check_physicality`` computes to give the margin.
+    The state is physical when cov + i(hbar/2)Omega >= -PHYSICALITY_TOL,
+    which holds, up to rounding, exactly when cov + i(hbar/2)Omega +
+    PHYSICALITY_TOL*I has a Cholesky factorisation; only a failed
+    factorisation pays for the eigenvalues that ``check_physicality``
+    computes to give the margin.
     """
-    tol = max(tol, 1e-9)
-    if not _robertson_schrodinger_holds(state.cov, state.hbar, tol):
-        report = check_physicality(state, tol=tol)
+    if not _robertson_schrodinger_holds(state.cov, state.hbar, PHYSICALITY_TOL):
+        report = check_physicality(state)
         if not report.physical:
             raise ValueError(
                 f"input state is unphysical (uncertainty margin {report.margin:.3e})"

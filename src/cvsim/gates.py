@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MalformedInputError
-from .states import GaussianState, _freeze, symplectic_form
+from .states import GaussianState, _checked_modes, _freeze, symplectic_form
 
 #: tolerance on ||B Omega B^T - Omega||_F at gate construction; a block with
 #: large entries is allowed the rounding of B Omega B^T, ``_ROUNDING * ||B||_F^2``
@@ -78,8 +78,8 @@ class SymplecticGate:
             block is not symplectic to within ``SYMPLECTIC_TOL`` (or, for a
             large block, 64 eps ||block||_F^2, the rounding of
             block Omega block^T), or the block or shift is not finite.
-        ValueError: the modes are not integers, repeat or lie outside
-            ``range(num_modes)``.
+        ValueError: the modes are not integers (bools are refused), repeat
+            or lie outside ``range(num_modes)``.
     """
 
     block: np.ndarray
@@ -89,22 +89,17 @@ class SymplecticGate:
     _idx: slice | np.ndarray = field(init=False, repr=False, compare=False)  # rows of ``modes``
 
     def __post_init__(self) -> None:
-        block, shift, modes = _freeze(self.block), _freeze(self.shift), tuple(self.modes)
+        block, shift = _freeze(self.block), _freeze(self.shift)
+        modes = _checked_modes(self.modes, self.num_modes)
         k = 2 * len(modes)
         if block.shape != (k, k) or shift.shape != (k,):
             raise MalformedInputError(
                 f"modes {modes} need a {k}x{k} block and a length-{k} shift, "
                 f"got {block.shape} and {shift.shape}"
             )
-        if (not all(isinstance(m, (int, np.integer)) and 0 <= m < self.num_modes for m in modes)
-                or len(set(modes)) != len(modes)):
-            raise ValueError(
-                f"modes {modes} must be distinct integers in range for {self.num_modes} modes"
-            )
         invalid = _first_invalid(block[None], shift[None])
         if invalid is not None:
             raise MalformedInputError(invalid[1])
-        modes = tuple(int(m) for m in modes)
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "modes", modes)
@@ -238,8 +233,7 @@ def _prepare_thermal_in_place(
     """Overwrite a vacuum mode of (cov, mean) with a thermal state."""
     if n_bar < 0:
         raise ValueError("n_bar must be >= 0")
-    if not 0 <= mode < mean.size // 2:
-        raise ValueError(f"mode {mode} out of range for {mean.size // 2} modes")
+    (mode,) = _checked_modes((mode,), mean.size // 2)
     sl = slice(2 * mode, 2 * mode + 2)
     half = hbar / 2.0
     cross = np.delete(cov[sl, :], [2 * mode, 2 * mode + 1], axis=1)

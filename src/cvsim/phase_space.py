@@ -28,7 +28,8 @@ from .entanglement import reduced_state
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Rectangular evaluation grid in a single mode's (x, p) plane."""
+    """Rectangular evaluation grid in a single mode's (x, p) plane; ValueError
+    unless the bounds are finite and ordered and each count is an integer >= 2."""
 
     x_min: float
     x_max: float
@@ -38,8 +39,13 @@ class PhaseSpaceGrid:
     np: int
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.x_min, self.x_max, self.p_min, self.p_max]).all():
+            raise ValueError("grid bounds must be finite")
         if not (self.x_min < self.x_max and self.p_min < self.p_max):
             raise ValueError("grid bounds must satisfy x_min < x_max and p_min < p_max")
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   for n in (self.nx, self.np)):
+            raise ValueError(f"grid point counts must be integers, got {self.nx!r} and {self.np!r}")
         if self.nx < 2 or self.np < 2:
             raise ValueError("grid needs at least 2 points per axis")
 

@@ -37,10 +37,10 @@ def symplectic_form(num_modes: int) -> np.ndarray:
     """
     if num_modes < 1:
         raise ValueError("num_modes must be >= 1")
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    omega = np.zeros((2 * num_modes, 2 * num_modes))
-    for k in range(num_modes):
-        omega[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
+    n = 2 * num_modes
+    omega = np.zeros((n, n))
+    omega.flat[1 :: 2 * n + 2] = 1.0  # Omega[2k, 2k + 1]
+    omega.flat[n :: 2 * n + 2] = -1.0  # Omega[2k + 1, 2k]
     return omega
 
 
@@ -55,6 +55,33 @@ def xp_to_interleaved_permutation(num_modes: int) -> np.ndarray:
     perm[0::2] = np.arange(num_modes)
     perm[1::2] = num_modes + np.arange(num_modes)
     return perm
+
+
+def _checked_modes(modes, num_modes: int) -> tuple[int, ...]:
+    """``modes`` as a tuple of ints; ValueError unless they are distinct
+    integers, not bools, in ``range(num_modes)``."""
+    modes = tuple(modes)
+    if (not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+                and 0 <= m < num_modes for m in modes)
+            or len(set(modes)) != len(modes)):
+        raise ValueError(f"modes {modes} must be distinct integers in range for {num_modes} modes")
+    return tuple(int(m) for m in modes)
+
+
+def _checked_cov(cov) -> np.ndarray:
+    """``cov`` as a float array; MalformedInputError unless it is a finite
+    2N x 2N matrix, N >= 1, symmetric to within ``SYMMETRY_TOL``."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 or not cov.size:
+        raise MalformedInputError(f"cov must be 2Nx2N, got shape {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise MalformedInputError("cov must be finite")
+    asym = np.abs(cov - cov.T).max()
+    if asym > SYMMETRY_TOL:
+        raise MalformedInputError(
+            f"cov is not symmetric (max asymmetry {asym:.3e} > {SYMMETRY_TOL})"
+        )
+    return cov
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -89,16 +116,13 @@ class GaussianState:
             raise MalformedInputError(
                 f"mean must be a vector of even length 2N, got shape {mean.shape}"
             )
+        # one message for either array, the one an overflowing source gives
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise MalformedInputError("mean and cov must be finite")
+        cov = _checked_cov(cov)
         if cov.shape != (mean.size, mean.size):
             raise MalformedInputError(
                 f"cov must be {mean.size}x{mean.size}, got shape {cov.shape}"
-            )
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise MalformedInputError("mean and cov must be finite")
-        asym = np.abs(cov - cov.T).max()
-        if asym > SYMMETRY_TOL:
-            raise MalformedInputError(
-                f"cov is not symmetric (max asymmetry {asym:.3e} > {SYMMETRY_TOL})"
             )
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
@@ -140,15 +164,11 @@ def physicality_margin(cov: np.ndarray, hbar: float) -> float:
 
     The Robertson-Schrodinger uncertainty relation requires this to be >= 0
     for a covariance matrix (interleaved ordering) to describe a quantum state.
+
+    Raises:
+        MalformedInputError: cov is not a finite, symmetric 2N x 2N matrix.
     """
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
-        raise MalformedInputError(f"cov must be 2Nx2N, got shape {cov.shape}")
-    asym = np.abs(cov - cov.T).max()
-    if asym > SYMMETRY_TOL:
-        raise MalformedInputError(
-            f"cov is not symmetric (max asymmetry {asym:.3e} > {SYMMETRY_TOL})"
-        )
+    cov = _checked_cov(cov)
     return float(np.linalg.eigvalsh(_uncertainty_matrix(cov, hbar)).min())
 
 
@@ -205,12 +225,11 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
         cov: symmetric positive-definite 2N x 2N matrix, interleaved ordering.
 
     Raises:
+        MalformedInputError: cov is not a finite, symmetric 2N x 2N matrix.
         DegenerateInputError: if cov is not positive definite, or rounding in
             its entries does not resolve it (see ``_resolved_cholesky``).
     """
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
-        raise MalformedInputError(f"cov must be 2Nx2N, got shape {cov.shape}")
+    cov = _checked_cov(cov)
     L = _resolved_cholesky(cov)
     num_modes = cov.shape[0] // 2
     eigvals = np.linalg.eigvalsh(1j * (L.T @ symplectic_form(num_modes) @ L))

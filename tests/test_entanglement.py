@@ -280,6 +280,8 @@ def test_bipartition_validation():
     with pytest.raises(ValueError):
         Bipartition([0], [0])
     with pytest.raises(ValueError):
+        Bipartition([0, 0], [1])
+    with pytest.raises(ValueError):
         Bipartition([], [1])
     bp = Bipartition([1, 0], [3, 2])
     assert bp.part_a == (0, 1)
@@ -290,3 +292,52 @@ def test_bipartition_must_cover_state():
     st = vacuum_state(3)
     with pytest.raises(ValueError):
         log_negativity(st, Bipartition([0], [1]))
+
+
+@hst.composite
+def gate_chains(draw):
+    """A state of 2 to 4 modes: thermal inputs, then a random chain of
+    squeezers, rotations and beam splitters."""
+    n = draw(hst.integers(2, 4))
+    angle = hst.floats(-np.pi, np.pi)
+    n_bar = hst.one_of(hst.just(0.0), hst.floats(0, 0.5))
+    variances = np.repeat([2 * draw(n_bar) + 1 for _ in range(n)], 2)
+    state = GaussianState(np.zeros(2 * n), np.diag(variances))
+    for _ in range(draw(hst.integers(1, 10))):
+        mode = draw(hst.integers(0, n - 1))
+        gate = draw(hst.sampled_from(["squeeze", "rotate", "beamsplitter"]))
+        if gate == "squeeze":
+            state = apply_gate(squeeze_gate(draw(hst.floats(0, 1)), draw(angle), mode, n), state)
+        elif gate == "rotate":
+            state = apply_gate(rotation_gate(draw(angle), mode, n), state)
+        else:
+            other = (mode + draw(hst.integers(1, n - 1))) % n
+            bs = beamsplitter_gate(draw(hst.floats(0, np.pi / 2)), draw(angle), (mode, other), n)
+            state = apply_gate(bs, state)
+    return state
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(gate_chains(), hst.data())
+def test_log_negativity_is_symmetric_in_its_two_parts(state, data):
+    kept = data.draw(hst.permutations(range(state.num_modes)))
+    kept = kept[: data.draw(hst.integers(2, state.num_modes))]
+    split = data.draw(hst.integers(1, len(kept) - 1))
+    red = reduced_state(state, sorted(kept))
+    pos = {m: i for i, m in enumerate(sorted(kept))}
+    part_a, part_b = [pos[m] for m in kept[:split]], [pos[m] for m in kept[split:]]
+    forward = log_negativity(red, Bipartition(part_a, part_b))
+    # transposing the other part is a global time reversal away: the same
+    # spectrum up to rounding, so E_N agrees to 1e-12 relative, or to 1e-12
+    # where it is rounding itself
+    assert log_negativity(red, Bipartition(part_b, part_a)) == pytest.approx(forward, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(gate_chains(), hst.data())
+def test_simon_verdict_agrees_with_log_negativity_on_two_mode_reductions(state, data):
+    pair = data.draw(hst.permutations(range(state.num_modes)))[:2]
+    red = reduced_state(state, pair)
+    report = simon_criterion(red)
+    assume(abs(report.margin) > 1e-8)
+    assert (report.verdict == ENTANGLED) == (log_negativity(red, Bipartition([0], [1])) > 0)

@@ -34,6 +34,17 @@ def test_grid_validation():
         PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 1, 10)
 
 
+@pytest.mark.parametrize("bounds, counts", [
+    ((-np.inf, 5.0, -5.0, 5.0), (3, 3)),
+    ((-5.0, 5.0, -5.0, np.nan), (3, 3)),
+    ((-5.0, 5.0, -5.0, 5.0), (2.5, 3)),
+    ((-5.0, 5.0, -5.0, 5.0), (3, True)),
+], ids=["inf-bound", "nan-bound", "float-count", "bool-count"])
+def test_grid_refuses_non_finite_bounds_and_non_integer_counts(bounds, counts):
+    with pytest.raises(ValueError, match="^grid (bounds must be finite|point counts must be integers)"):
+        PhaseSpaceGrid(*bounds, *counts)
+
+
 def test_vacuum_wigner_peak_and_normalization():
     grid = PhaseSpaceGrid(-6.0, 6.0, -6.0, 6.0, 201, 201)
     fld = wigner_gaussian(vacuum_state(1), grid)

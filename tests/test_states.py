@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cvsim import (
+    Bipartition,
     DegenerateInputError,
     GaussianState,
     MalformedInputError,
@@ -11,6 +12,9 @@ from cvsim import (
     apply_gate,
     binned_variance,
     parse_network_spec,
+    partial_transpose_cov,
+    reduced_state,
+    rotation_gate,
     run_network,
     simon_criterion,
     squeeze_gate,
@@ -19,9 +23,11 @@ from cvsim import (
     purity,
     symplectic_eigenvalues,
     symplectic_form,
+    SymplecticGate,
+    thermal_prepare,
     vacuum_state,
 )
-from cvsim.states import clean_tiny, xp_to_interleaved_permutation
+from cvsim.states import clean_tiny, physicality_margin, xp_to_interleaved_permutation
 
 
 def test_symplectic_form_properties():
@@ -29,6 +35,15 @@ def test_symplectic_form_properties():
         omega = symplectic_form(n)
         assert np.array_equal(omega.T, -omega)
         assert np.allclose(omega @ omega, -np.eye(2 * n))
+
+
+def test_symplectic_form_matches_block_loop():
+    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for n in (1, 2, 3, 64, 192):
+        reference = np.zeros((2 * n, 2 * n))
+        for k in range(n):
+            reference[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
+        assert symplectic_form(n).tobytes() == reference.tobytes()
 
 
 def test_vacuum_state_hbar2():
@@ -215,3 +230,47 @@ def test_clean_tiny():
     arr = np.array([1.0, 1e-12, -1e-12, 2e-11])
     out = clean_tiny(arr)
     assert np.array_equal(out, [1.0, 0.0, 0.0, 2e-11])
+
+
+@pytest.mark.parametrize("read", [
+    lambda cov: GaussianState(np.zeros(np.shape(cov)[0]), cov),
+    lambda cov: physicality_margin(cov, 2.0),
+    symplectic_eigenvalues,
+    lambda cov: partial_transpose_cov(cov, [0]),
+], ids=["GaussianState", "physicality_margin", "symplectic_eigenvalues", "partial_transpose_cov"])
+@pytest.mark.parametrize("cov", [
+    np.array([[1.0, 5.0], [0.0, 1.0]]),
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.eye(3),
+    np.ones((2, 4)),
+    np.zeros((0, 0)),
+], ids=["asymmetric", "nan", "inf", "odd", "not-square", "empty"])
+def test_every_covariance_reader_refuses_a_malformed_array(read, cov):
+    with pytest.raises(MalformedInputError):
+        read(cov)
+
+
+@pytest.mark.parametrize("read", [
+    lambda modes: SymplecticGate(np.eye(4), np.zeros(4), modes, 2),
+    lambda modes: reduced_state(vacuum_state(2), modes),
+    lambda modes: partial_transpose_cov(np.eye(4), modes),
+    lambda modes: Bipartition(modes[:1], modes[1:]),
+], ids=["SymplecticGate", "reduced_state", "partial_transpose_cov", "Bipartition"])
+@pytest.mark.parametrize("modes", [[0, 1.0], [0, True], [1, 1], [0, 2], [0, -1]],
+                         ids=["float", "bool", "repeated", "out-of-range", "negative"])
+def test_every_mode_reader_refuses_a_bad_selection(read, modes):
+    read([0, 1])  # the good selection of both modes passes
+    with pytest.raises(ValueError, match=r"^modes \(.*\) must be distinct integers in range for 2 modes$"):
+        read(modes)
+
+
+@pytest.mark.parametrize("read", [
+    lambda mode: thermal_prepare(0.5, mode, vacuum_state(2)),
+    lambda mode: rotation_gate(0.3, mode, 2),
+], ids=["thermal_prepare", "rotation_gate"])
+@pytest.mark.parametrize("mode", [1.0, True, 2, -1], ids=["float", "bool", "out-of-range", "negative"])
+def test_every_single_mode_reader_refuses_a_bad_mode(read, mode):
+    read(1)
+    with pytest.raises(ValueError, match=r"^modes \(.*\) must be distinct integers in range for 2 modes$"):
+        read(mode)
