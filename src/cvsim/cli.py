@@ -184,13 +184,6 @@ def _fock_bs_json(state) -> str:
     return _FOCK_BS_DOCUMENT % (state.total_photons, ",\n".join(records), *marginals)
 
 
-def _require_finite(**options: float) -> None:
-    """Exit 2 naming the first option whose value is NaN or infinite."""
-    for name, value in options.items():
-        if not isfinite(value):
-            raise CLIError(f"--{name.replace('_', '-')} must be finite, got {value!r}", 2)
-
-
 #: --state -> (source model constructor, the options it takes in order)
 _MODELS = {
     "fock": (homodyne.Fock, ("n",)),
@@ -203,10 +196,9 @@ _MODELS = {
 }
 
 
-def _build_model(state, n, nbar, r, alpha_re, alpha_im, theta) -> homodyne.SourceModel:
+def _build_model(state, **model) -> homodyne.SourceModel:
     build, names = _MODELS[state]
-    given = dict(n=n, nbar=nbar, r=r, alpha_re=alpha_re, alpha_im=alpha_im, theta=theta)
-    values = [given[name] for name in names]
+    values = [model[name] for name in names]
     if None in values:
         flags = ["--" + name.replace("_", "-") for name in names]
         if len(flags) == 1:
@@ -221,17 +213,9 @@ def _build_model(state, n, nbar, r, alpha_re, alpha_im, theta) -> homodyne.Sourc
         raise CLIError(f"--state {state}: {exc}", 1) from None
 
 
-def cmd_sample(state, n, nbar, r, alpha_re, alpha_im, theta, count, seed, tol, out):
+def cmd_sample(count, seed, tol, out, **model):
     """Generate homodyne records by inverse-CDF sampling and write phase,x CSV."""
-    if seed < 0:
-        raise CLIError(f"Invalid value for '--seed': {seed} is not in the range x>=0.", 2)
-    model = _build_model(state, n, nbar, r, alpha_re, alpha_im, theta)
-    if count < 1:
-        raise CLIError("--count must be >= 1", 2)
-    _require_finite(tol=tol)
-    if tol <= 0:
-        raise CLIError(f"--tol must be > 0, got {tol!r}", 2)
-    samples = homodyne.sample(model, count, seed=seed, tol=tol)
+    samples = homodyne.sample(_build_model(**model), count, seed=seed, tol=tol)
     with _writing(out):
         homodyne.write_samples_csv(samples, out)
     print(f"wrote {len(samples)} records to {out}")
@@ -240,19 +224,12 @@ def cmd_sample(state, n, nbar, r, alpha_re, alpha_im, theta, count, seed, tol, o
     print(f"mean {np.mean(samples.values):.6g}  variance {variance:.6g}")
 
 
-def cmd_analyze(in_path, bins, sigma_level, state, n, nbar, r, alpha_re, alpha_im, theta, out):
+def cmd_analyze(in_path, bins, sigma_level, out, **model):
     """Bin a phase,x CSV, test the Heisenberg product and certify squeezing.
 
     Model flags are optional; without them the theory column is NaN."""
-    model = None
-    if state is not None:
-        model = _build_model(state, n, nbar, r, alpha_re, alpha_im, theta)
-    if bins < 4:
-        raise CLIError("--bins must be >= 4", 2)
-    _require_finite(sigma_level=sigma_level)
-    if sigma_level < 0:
-        raise CLIError(f"--sigma-level must be >= 0, got {sigma_level!r}", 2)
-    samples = homodyne.read_samples_csv(in_path, model=model)
+    source = None if model["state"] is None else _build_model(**model)
+    samples = homodyne.read_samples_csv(in_path, model=source)
     report = homodyne.binned_variance(samples, bins)
     with _writing(out):
         homodyne.write_variance_csv(report, out)
@@ -291,11 +268,8 @@ def cmd_network(config, out):
 
 def cmd_fock_bs(n1, n2, theta, phi, out):
     """Fock-basis beam-splitter output amplitudes and marginals."""
-    if n1 < 0 or n2 < 0:
-        raise CLIError("photon numbers must be non-negative", 2)
     if n1 + n2 > MAX_TOTAL_PHOTONS:
         raise CLIError(f"n1 + n2 must not exceed {MAX_TOTAL_PHOTONS}", 2)
-    _require_finite(theta=theta, phi=phi)
     result = bs_output_from_angle(n1, n2, theta, phi)
     with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_fock_bs_json(result))
@@ -305,16 +279,10 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
 def cmd_wigner(state, alpha_mag, alpha_phase, r, theta, nbar, hbar,
                xmin, xmax, pmin, pmax, nx, npts, out):
     """Evaluate a single-mode Gaussian Wigner function on a grid, write x,p,w CSV."""
-    _require_finite(alpha_mag=alpha_mag, alpha_phase=alpha_phase, r=r, theta=theta, nbar=nbar,
-                    hbar=hbar, xmin=xmin, xmax=xmax, pmin=pmin, pmax=pmax)
-    if hbar <= 0:
-        raise CLIError(f"--hbar must be > 0, got {hbar!r}", 2)
     try:
         grid = PhaseSpaceGrid(x_min=xmin, x_max=xmax, p_min=pmin, p_max=pmax, nx=nx, np=npts)
     except ValueError as exc:
         raise CLIError(str(exc), 2) from None
-    if r < 0 or nbar < 0 or alpha_mag < 0:
-        raise CLIError("state parameters must be non-negative", 2)
     gate = {
         "vacuum": None,
         "coherent": ("displace", {"alpha_mag": alpha_mag, "alpha_phase": alpha_phase}),
@@ -357,6 +325,28 @@ class _Parser(argparse.ArgumentParser):
         raise exc
 
 
+def _option(sub: argparse.ArgumentParser, flag: str, kind=float, least=None, above=None,
+            **kwargs) -> None:
+    """Add `flag` to `sub`, read as `kind`.  A value that is NaN or infinite,
+    below `least` or not above `above` fails as argparse reads it, with one
+    ``Error:`` line and exit code 2: argparse passes on the CLIError that the
+    type function raises, with no usage."""
+    def parse(text: str):
+        value = kind(text)
+        if kind is float and not isfinite(value):
+            rule = "finite"
+        elif least is not None and value < least:
+            rule = f">= {least}"
+        elif above is not None and not value > above:
+            rule = f"> {above}"
+        else:
+            return value
+        raise CLIError(f"{flag} must be {rule}, got {value!r}", 2)
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    sub.add_argument(flag, type=parse, **kwargs)
+
+
 #: the help of an option whose default is shown
 _DEFAULT = "[default: %(default)s]"
 
@@ -388,29 +378,31 @@ def _parser() -> _Parser:
         sub.add_argument("--alpha-re", type=float, help="cat Re(alpha)")
         sub.add_argument("--alpha-im", type=float, help="cat Im(alpha)")
         sub.add_argument("--theta", type=float, help="cat superposition phase")
-    sample.add_argument("--count", type=int, required=True, help="number of records")
-    sample.add_argument("--seed", type=int, default=42, help=_DEFAULT)
-    sample.add_argument("--tol", type=float, default=homodyne.DEFAULT_TOL, help=_DEFAULT)
+    _option(sample, "--count", int, least=1, required=True, help="number of records")
+    _option(sample, "--seed", int, least=0, default=42, help=_DEFAULT)
+    _option(sample, "--tol", above=0, default=homodyne.DEFAULT_TOL, help=_DEFAULT)
 
     analyze.add_argument("--in", type=_existing_file, dest="in_path", metavar="IN", required=True)
-    analyze.add_argument("--bins", type=int, default=50, help=_DEFAULT)
-    analyze.add_argument("--sigma-level", type=float, default=3.0, help=_DEFAULT)
+    _option(analyze, "--bins", int, least=4, default=50, help=_DEFAULT)
+    _option(analyze, "--sigma-level", least=0, default=3.0, help=_DEFAULT)
 
     network.add_argument("--config", type=_existing_file, required=True)
 
-    fock_bs.add_argument("--n1", type=int, required=True)
-    fock_bs.add_argument("--n2", type=int, required=True)
-    fock_bs.add_argument("--theta", type=float, default=np.pi / 4, help=_DEFAULT)
-    fock_bs.add_argument("--phi", type=float, default=np.pi, help=_DEFAULT)
+    _option(fock_bs, "--n1", int, least=0, required=True)
+    _option(fock_bs, "--n2", int, least=0, required=True)
+    _option(fock_bs, "--theta", default=np.pi / 4, help=_DEFAULT)
+    _option(fock_bs, "--phi", default=np.pi, help=_DEFAULT)
 
     wigner.add_argument("--state", choices=("vacuum", "coherent", "squeezed", "thermal"),
                         required=True)
-    for flag, default in (("--alpha-mag", 0.0), ("--alpha-phase", 0.0), ("--r", 0.0),
-                          ("--theta", 0.0), ("--nbar", 0.0), ("--hbar", 2.0), ("--xmin", -5.0),
-                          ("--xmax", 5.0), ("--pmin", -5.0), ("--pmax", 5.0)):
-        wigner.add_argument(flag, type=float, default=default, help=_DEFAULT)
-    wigner.add_argument("--nx", type=int, default=100, help=_DEFAULT)
-    wigner.add_argument("--np", type=int, dest="npts", metavar="NP", default=100, help=_DEFAULT)
+    for flag, default, least in (("--alpha-mag", 0.0, 0), ("--alpha-phase", 0.0, None),
+                                 ("--r", 0.0, 0), ("--theta", 0.0, None), ("--nbar", 0.0, 0)):
+        _option(wigner, flag, least=least, default=default, help=_DEFAULT)
+    _option(wigner, "--hbar", above=0, default=2.0, help=_DEFAULT)
+    for flag, default in (("--xmin", -5.0), ("--xmax", 5.0), ("--pmin", -5.0), ("--pmax", 5.0)):
+        _option(wigner, flag, default=default, help=_DEFAULT)
+    _option(wigner, "--nx", int, least=2, default=100, help=_DEFAULT)
+    _option(wigner, "--np", int, least=2, dest="npts", metavar="NP", default=100, help=_DEFAULT)
     for sub in (sample, analyze, network, fock_bs, wigner):
         sub.add_argument("--out", type=_file, required=True)
     return parser

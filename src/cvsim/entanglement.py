@@ -30,7 +30,7 @@ from .states import (
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
 
-#: default tolerance on the Simon margin
+#: tolerance on the Simon margin: a margin of -VERDICT_TOL or more reads separable
 VERDICT_TOL = 1e-10
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -103,7 +103,7 @@ class SimonReport:
     margin: float
 
 
-def simon_criterion(state: GaussianState, tol: float = VERDICT_TOL) -> SimonReport:
+def simon_criterion(state: GaussianState) -> SimonReport:
     """Simon separability test for a two-mode Gaussian state.
 
     With the covariance in blocks [[A, C], [C.T, B]] the state is separable
@@ -136,7 +136,7 @@ def simon_criterion(state: GaussianState, tol: float = VERDICT_TOL) -> SimonRepo
     )
     rhs = float(h2_4 * (np.linalg.det(A) + np.linalg.det(B)))
     margin = lhs - rhs
-    verdict = SEPARABLE if margin >= -tol else ENTANGLED
+    verdict = SEPARABLE if margin >= -VERDICT_TOL else ENTANGLED
     return SimonReport(lhs=lhs, rhs=rhs, verdict=verdict, margin=margin)
 
 

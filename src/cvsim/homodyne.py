@@ -791,11 +791,11 @@ def write_samples_csv(samples: SampleSet, path: str) -> None:
     _write_csv(path, SAMPLES_CSV_HEADER, [samples.phases, samples.values])
 
 
-def read_samples_csv(path: str, model: SourceModel | None = None, seed: int = 0) -> SampleSet:
-    """Parse a `phase,x` file block by block; raises on the first malformed
-    line, naming it."""
+def read_samples_csv(path: str, model: SourceModel | None = None) -> SampleSet:
+    """Parse a `phase,x` file block by block, into records with seed 0;
+    raises on the first malformed line, naming it."""
     phases, values = _read_csv(path, SAMPLES_CSV_HEADER, "sample")
-    return SampleSet(phases=phases, values=values, model=model, seed=seed)
+    return SampleSet(phases=phases, values=values, model=model, seed=0)
 
 
 VARIANCE_CSV_HEADER = [

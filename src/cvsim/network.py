@@ -18,7 +18,7 @@ Wire format (field names are fixed for cross-implementation compatibility):
 
 Gate kinds and their params: displace {alpha_mag, alpha_phase},
 squeeze {r, theta}, rotate {phi}, beamsplitter {theta, phi},
-prepare_thermal {n_bar}.
+prepare_thermal {n_bar}.  Every object refuses a field that it does not declare.
 """
 
 from __future__ import annotations
@@ -58,7 +58,14 @@ GATES = {
 }
 #: parameters that must be >= 0
 NON_NEGATIVE = ("alpha_mag", "r", "n_bar")
-ANALYSIS_TYPES = ("reduced", "simon", "log_negativity", "wigner")
+#: analysis type -> its fields besides "type": each mode list's field maps to
+#: the number of modes it must hold (None: any), wigner's fields to None
+ANALYSES = {
+    "reduced": {"modes": None},
+    "simon": {"modes": 2},
+    "log_negativity": {"part_a": None, "part_b": None},
+    "wigner": {"mode": None, "grid": None},
+}
 
 DEFAULT_GRID = {"x_min": -5.0, "x_max": 5.0, "p_min": -5.0, "p_max": 5.0, "nx": 100, "np": 100}
 
@@ -109,6 +116,12 @@ def _number(value, pointer: tuple) -> float:
     return float(value)
 
 
+def _known_keys(obj: dict, pointer: tuple, keys) -> None:
+    for key in obj:
+        if key not in keys:
+            raise _fail(pointer + (key,), "unknown field")
+
+
 def _mode_list(value, pointer: tuple, num_modes: int, length: int | None = None) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise _fail(pointer, "expected a non-empty list of mode indices")
@@ -128,6 +141,7 @@ def _parse_gate(entry, idx: int, num_modes: int) -> GateDescriptor:
     ptr = ("", "gates", idx)
     if not isinstance(entry, dict):
         raise _fail(ptr, "expected an object")
+    _known_keys(entry, ptr, ("kind", "modes", "params"))
     kind = entry.get("kind")
     if not isinstance(kind, str) or kind not in GATES:
         raise _fail(ptr + ("kind",), f"unknown gate kind {kind!r}; expected one of {sorted(GATES)}")
@@ -157,24 +171,16 @@ def _parse_analysis(entry, idx: int, num_modes: int) -> AnalysisRequest:
     if not isinstance(entry, dict):
         raise _fail(ptr, "expected an object")
     kind = entry.get("type")
-    if kind not in ANALYSIS_TYPES:
+    if not isinstance(kind, str) or kind not in ANALYSES:
         raise _fail(ptr + ("type",),
-                    f"unknown analysis type {kind!r}; expected one of {ANALYSIS_TYPES}")
-    if kind == "reduced":
-        return AnalysisRequest(
-            type=kind, modes=_mode_list(entry.get("modes"), ptr + ("modes",), num_modes)
-        )
-    if kind == "simon":
-        return AnalysisRequest(
-            type=kind, modes=_mode_list(entry.get("modes"), ptr + ("modes",), num_modes, 2)
-        )
-    if kind == "log_negativity":
-        part_a = _mode_list(entry.get("part_a"), ptr + ("part_a",), num_modes)
-        part_b = _mode_list(entry.get("part_b"), ptr + ("part_b",), num_modes)
-        if set(part_a) & set(part_b):
+                    f"unknown analysis type {kind!r}; expected one of {tuple(ANALYSES)}")
+    _known_keys(entry, ptr, ("type", *ANALYSES[kind]))
+    if kind != "wigner":
+        lists = {name: _mode_list(entry.get(name), ptr + (name,), num_modes, length)
+                 for name, length in ANALYSES[kind].items()}
+        if kind == "log_negativity" and set(lists["part_a"]) & set(lists["part_b"]):
             raise _fail(ptr + ("part_b",), "part_a and part_b must be disjoint")
-        return AnalysisRequest(type=kind, part_a=part_a, part_b=part_b)
-    # wigner
+        return AnalysisRequest(type=kind, **lists)
     mode = entry.get("mode")
     if not _is_int(mode):
         raise _fail(ptr + ("mode",), f"expected an integer mode index, got {mode!r}")
@@ -205,9 +211,7 @@ def parse_network_spec(doc) -> NetworkSpec:
     JSON-pointer path on the first violation."""
     if not isinstance(doc, dict):
         raise _fail(("",), "top-level document must be an object")
-    for key in doc:
-        if key not in ("modes", "hbar", "gates", "analyses"):
-            raise _fail(("", key), "unknown field")
+    _known_keys(doc, ("",), ("modes", "hbar", "gates", "analyses"))
     modes = doc.get("modes")
     if not (_is_int(modes) and modes >= 1):
         raise _fail(("", "modes"), f"expected a positive integer, got {modes!r}")
@@ -225,10 +229,10 @@ def parse_network_spec(doc) -> NetworkSpec:
     return NetworkSpec(num_modes=modes, hbar=hbar, gates=gates, analyses=analyses)
 
 
-def _gate_steps(spec: NetworkSpec) -> tuple[list, tuple[int, str] | None]:
-    """What ``_apply_in_place`` takes for each gate, (block, shift, rows), or
-    None for prepare_thermal; and the index of the first gate whose block or
-    shift fails ``_first_invalid``, with the reason, or None.
+def _gate_steps(spec: NetworkSpec) -> list:
+    """What ``_apply_in_place`` takes for each gate, (block, shift, rows);
+    None for prepare_thermal; and, for the first gate of each kind whose
+    block or shift fails ``_first_invalid``, the reason as a string.
 
     The gates of one kind are built in one numpy pass from their parameter
     arrays and checked as one stack.
@@ -237,7 +241,6 @@ def _gate_steps(spec: NetworkSpec) -> tuple[list, tuple[int, str] | None]:
     for i, desc in enumerate(spec.gates):
         by_kind.setdefault(desc.kind, []).append(i)
     steps: list = [None] * len(spec.gates)
-    first_bad = None
     for kind, where in by_kind.items():
         names, _, formula = GATES[kind]
         if formula is None:
@@ -246,12 +249,12 @@ def _gate_steps(spec: NetworkSpec) -> tuple[list, tuple[int, str] | None]:
         if kind == "displace":
             args.append(spec.hbar)
         blocks, shifts = formula(*args)
-        bad = _first_invalid(blocks, shifts)
-        if bad is not None and (first_bad is None or where[bad[0]] < first_bad[0]):
-            first_bad = (where[bad[0]], bad[1])
         for i, block, shift in zip(where, blocks, shifts):
             steps[i] = (block, shift, _quadratures(spec.gates[i].modes))
-    return steps, first_bad
+        bad = _first_invalid(blocks, shifts)
+        if bad is not None:
+            steps[where[bad[0]]] = bad[1]
+    return steps
 
 
 def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
@@ -323,12 +326,12 @@ def run_network(spec: NetworkSpec) -> NetworkResult:
     """
     mean = np.zeros(2 * spec.num_modes)
     cov = (spec.hbar / 2.0) * np.eye(2 * spec.num_modes)
-    steps, first_bad = _gate_steps(spec)
+    steps = _gate_steps(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (desc, step) in enumerate(zip(spec.gates, steps)):
             try:
-                if first_bad is not None and first_bad[0] == i:
-                    raise MalformedInputError(first_bad[1])
+                if isinstance(step, str):
+                    raise MalformedInputError(step)
                 if step is None:
                     _prepare_thermal_in_place(desc.params["n_bar"], desc.modes[0], cov, mean, spec.hbar)
                     rows = _quadratures(desc.modes)

@@ -178,7 +178,10 @@ def read_wigner_csv(path: str) -> WignerField:
         raise MalformedInputError(
             f"the {w.size} rows are not a row-major {xs.size} x {ps.size} grid"
         )
-    grid = PhaseSpaceGrid(
-        x_min=xs[0], x_max=xs[-1], p_min=ps[0], p_max=ps[-1], nx=xs.size, np=ps.size
-    )
+    try:
+        grid = PhaseSpaceGrid(
+            x_min=xs[0], x_max=xs[-1], p_min=ps[0], p_max=ps[-1], nx=xs.size, np=ps.size
+        )
+    except ValueError as exc:
+        raise MalformedInputError(str(exc)) from None
     return WignerField(grid=grid, values=w.reshape(xs.size, ps.size))

@@ -252,8 +252,8 @@ def purity(state: GaussianState) -> float:
     return float((state.hbar / 2.0) ** state.num_modes / np.sqrt(det))
 
 
-def clean_tiny(arr: np.ndarray, threshold: float = 1e-11) -> np.ndarray:
-    """Zero out entries with magnitude below the display threshold."""
+def clean_tiny(arr: np.ndarray) -> np.ndarray:
+    """Zero out entries with magnitude below 1e-11, the display threshold."""
     out = np.array(arr, dtype=float, copy=True)
-    out[np.abs(out) < threshold] = 0.0
+    out[np.abs(out) < 1e-11] = 0.0
     return out

@@ -381,13 +381,18 @@ def test_sample_names_each_missing_model_option(tmp_path, args, message):
     (SAMPLE + ["fock", "--n", "2", "--tol", "nan"], "--tol must be finite, got nan"),
     (SAMPLE + ["fock", "--n", "2", "--tol", "0"], "--tol must be > 0, got 0.0"),
     (SAMPLE + ["vacuum", "--tol", "-1"], "--tol must be > 0, got -1.0"),
-    (SAMPLE + ["vacuum", "--seed", "-1"], "'--seed'"),
+    (SAMPLE + ["vacuum", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (SAMPLE + ["vacuum", "--count", "0"], "--count must be >= 1, got 0"),
     (["wigner", "--state", "vacuum", "--hbar", "0"], "--hbar must be > 0, got 0.0"),
     (["wigner", "--state", "vacuum", "--hbar", "-2"], "--hbar must be > 0, got -2.0"),
     (["wigner", "--state", "coherent", "--alpha-mag", "nan"], "--alpha-mag must be finite"),
     (["wigner", "--state", "vacuum", "--xmax", "inf"], "--xmax must be finite"),
     (["analyze", "--in", "{data}", "--sigma-level", "-3"], "--sigma-level must be >= 0"),
     (["analyze", "--in", "{data}", "--sigma-level", "nan"], "--sigma-level must be finite"),
+    (["analyze", "--in", "{data}", "--bins", "3"], "--bins must be >= 4, got 3"),
+    (["fock-bs", "--n1", "-1", "--n2", "1"], "--n1 must be >= 0, got -1"),
+    (["wigner", "--state", "squeezed", "--r", "-1"], "--r must be >= 0, got -1.0"),
+    (["wigner", "--state", "vacuum", "--nx", "1"], "--nx must be >= 2, got 1"),
 ])
 def test_out_of_domain_option_exits_2_with_one_line(tmp_path, args, message):
     data, out = tmp_path / "s.csv", tmp_path / "out"
@@ -398,6 +403,7 @@ def test_out_of_domain_option_exits_2_with_one_line(tmp_path, args, message):
     assert result.exit_code == 2
     errors = [line for line in result.output.splitlines() if line.startswith("Error")]
     assert len(errors) == 1 and message in errors[0]
+    assert "usage:" not in result.output
     assert not out.exists()
 
 

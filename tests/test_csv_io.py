@@ -278,7 +278,14 @@ def test_wigner_round_trip_bit_identical(tmp_path, shape):
 def test_wigner_single_point_file_is_not_a_grid(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("x,p,w\n0,0,0.15915494309189535\n")
-    with pytest.raises(ValueError, match="grid"):
+    with pytest.raises(MalformedInputError, match="grid"):
+        read_wigner_csv(str(path))
+
+
+def test_wigner_file_with_an_infinite_axis_is_not_a_grid(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("x,p,w\n1,0,0.1\n1,1,0.1\ninf,0,0.1\ninf,1,0.1\n")  # row-major 2x2
+    with pytest.raises(MalformedInputError, match="grid bounds must be finite"):
         read_wigner_csv(str(path))
 
 

@@ -26,13 +26,13 @@ angle = st.floats(-np.pi, np.pi)
 
 
 @st.composite
-def chains(draw):
+def chains(draw, min_modes=1, max_modes=40):
     """(N, gate descriptors) in the network wire format.  prepare_thermal
     targets only modes no earlier gate touched, so every chain is valid.
     Up to 60 gates on up to 40 modes, so that the runner builds many gates
     of a kind as one stack, beam splitters on non-adjacent and reversed
     mode pairs among them."""
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(min_modes, max_modes))
     touched = set()
     gates = []
     for _ in range(draw(st.integers(0, 60))):
@@ -115,3 +115,25 @@ def test_runner_names_the_first_failing_gate_across_kinds():
         run_network(parse_network_spec({"modes": 2, "gates": gates}))
     assert err.value.pointer == "/gates/1"
     assert "not in the vacuum state" in str(err.value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(chains(2, 4), st.floats(-3, 3), st.data())
+def test_network_scales_with_hbar(chain, log_hbar, data):
+    """At any hbar the state is the hbar = 2 state with cov scaled by hbar/2
+    and mean by sqrt(hbar/2), and E_N, its spectrum and the purity are the
+    same numbers."""
+    n, gates = chain
+    hbar = 10.0 ** log_hbar
+    modes = data.draw(st.permutations(range(n)))
+    split = data.draw(st.integers(1, n - 1))
+    analyses = [{"type": "log_negativity", "part_a": modes[:split], "part_b": modes[split:]}]
+    at = {h: run_network(parse_network_spec({"modes": n, "hbar": h, "gates": gates,
+                                             "analyses": analyses}))
+          for h in (2.0, hbar)}
+    assert _close(at[hbar].state.cov * (2.0 / hbar), at[2.0].state.cov)
+    assert _close(at[hbar].state.mean * np.sqrt(2.0 / hbar), at[2.0].state.mean)
+    (scaled,), (reference,) = at[hbar].analyses, at[2.0].analyses
+    assert abs(scaled["value"] - reference["value"]) <= 1e-10
+    assert np.abs(scaled["nu_tilde"] - reference["nu_tilde"]).max() <= 1e-10
+    assert abs(purity(at[hbar].state) - purity(at[2.0].state)) <= 1e-10

@@ -183,6 +183,18 @@ def test_network_determinism():
         ),
         ({"modes": 2, "analyses": [{"type": "wigner", "mode": 9}]}, "/analyses/0/mode"),
         ({"modes": 2, "extra": 1}, "/extra"),
+        (
+            {"modes": 2, "gates": [{"kind": "rotate", "modes": [0], "params": {"phi": 0.1}, "mode": 1}]},
+            "/gates/0/mode",
+        ),
+        (
+            {"modes": 2, "analyses": [{"type": "wigner", "mode": 0, "gird": {"nx": 5, "np": 5}}]},
+            "/analyses/0/gird",
+        ),
+        (
+            {"modes": 2, "analyses": [{"type": "simon", "modes": [0, 1], "grid": {"nx": 5}}]},
+            "/analyses/0/grid",
+        ),
     ],
 )
 def test_validation_reports_json_pointer(doc, pointer):
