@@ -196,9 +196,22 @@ _MODELS = {
 }
 
 
-def _build_model(state, **model) -> homodyne.SourceModel:
-    build, names = _MODELS[state]
-    values = [model[name] for name in names]
+def _refuse_unread(options: dict, state) -> None:
+    """Refuse the first of `options` that is given, since --state `state`
+    (None: no --state) does not read it."""
+    for name, value in options.items():
+        if value is not None:
+            reader = f"by --state {state}" if state else "without --state"
+            raise CLIError(f"--{name.replace('_', '-')} is not read {reader}", 2)
+
+
+def _build_model(state, **model) -> homodyne.SourceModel | None:
+    """The source model of --state and its options; None without --state."""
+    build, names = _MODELS.get(state, (None, ()))
+    values = [model.pop(name) for name in names]
+    _refuse_unread(model, state)
+    if state is None:
+        return None
     if None in values:
         flags = ["--" + name.replace("_", "-") for name in names]
         if len(flags) == 1:
@@ -228,7 +241,7 @@ def cmd_analyze(in_path, bins, sigma_level, out, **model):
     """Bin a phase,x CSV, test the Heisenberg product and certify squeezing.
 
     Model flags are optional; without them the theory column is NaN."""
-    source = None if model["state"] is None else _build_model(**model)
+    source = _build_model(**model)
     samples = homodyne.read_samples_csv(in_path, model=source)
     report = homodyne.binned_variance(samples, bins)
     with _writing(out):
@@ -276,20 +289,26 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
     print(f"wrote {len(result.amplitudes)} amplitudes to {out}")
 
 
-def cmd_wigner(state, alpha_mag, alpha_phase, r, theta, nbar, hbar,
-               xmin, xmax, pmin, pmax, nx, npts, out):
+#: wigner --state -> (gate kind, {gate parameter: the option it reads})
+_WIGNER_GATES = {
+    "vacuum": (None, {}),
+    "coherent": ("displace", {"alpha_mag": "alpha_mag", "alpha_phase": "alpha_phase"}),
+    "squeezed": ("squeeze", {"r": "r", "theta": "theta"}),
+    "thermal": ("prepare_thermal", {"n_bar": "nbar"}),
+}
+
+
+def cmd_wigner(state, hbar, xmin, xmax, pmin, pmax, nx, npts, out, **options):
     """Evaluate a single-mode Gaussian Wigner function on a grid, write x,p,w CSV."""
+    kind, reads = _WIGNER_GATES[state]
+    params = {name: options.pop(option) for name, option in reads.items()}
+    params = {name: 0.0 if value is None else value for name, value in params.items()}
+    _refuse_unread(options, state)
     try:
         grid = PhaseSpaceGrid(x_min=xmin, x_max=xmax, p_min=pmin, p_max=pmax, nx=nx, np=npts)
     except ValueError as exc:
         raise CLIError(str(exc), 2) from None
-    gate = {
-        "vacuum": None,
-        "coherent": ("displace", {"alpha_mag": alpha_mag, "alpha_phase": alpha_phase}),
-        "squeezed": ("squeeze", {"r": r, "theta": theta}),
-        "thermal": ("prepare_thermal", {"n_bar": nbar}),
-    }[state]
-    gates = () if gate is None else (GateDescriptor(gate[0], (0,), gate[1]),)
+    gates = () if kind is None else (GateDescriptor(kind, (0,), params),)
     try:
         fld = wigner_gaussian(run_network(NetworkSpec(1, hbar, gates)).state, grid)
     except CVSimError as exc:
@@ -393,11 +412,11 @@ def _parser() -> _Parser:
     _option(fock_bs, "--theta", default=np.pi / 4, help=_DEFAULT)
     _option(fock_bs, "--phi", default=np.pi, help=_DEFAULT)
 
-    wigner.add_argument("--state", choices=("vacuum", "coherent", "squeezed", "thermal"),
-                        required=True)
-    for flag, default, least in (("--alpha-mag", 0.0, 0), ("--alpha-phase", 0.0, None),
-                                 ("--r", 0.0, 0), ("--theta", 0.0, None), ("--nbar", 0.0, 0)):
-        _option(wigner, flag, least=least, default=default, help=_DEFAULT)
+    wigner.add_argument("--state", choices=tuple(_WIGNER_GATES), required=True)
+    # None where not given, so that a state refuses an option it does not read
+    for flag, least in (("--alpha-mag", 0), ("--alpha-phase", None), ("--r", 0),
+                        ("--theta", None), ("--nbar", 0)):
+        _option(wigner, flag, least=least, help="[default: 0]")
     _option(wigner, "--hbar", above=0, default=2.0, help=_DEFAULT)
     for flag, default in (("--xmin", -5.0), ("--xmax", 5.0), ("--pmin", -5.0), ("--pmax", 5.0)):
         _option(wigner, flag, default=default, help=_DEFAULT)

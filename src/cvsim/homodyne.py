@@ -10,20 +10,22 @@ functions below delegate to them.  A Gaussian source holds a single-mode
 ``GaussianState``, whose X_phi is normal (Lvovsky & Raymer, RMP 81, 299
 (2009)).  Sampling draws uniform phases on [-pi, pi) and uniform targets u
 on (0, 1) and solves F(x, phi) = u, for a Gaussian source in closed form,
-x = E[X_phi] + sqrt(Var[X_phi]) ndtri(u).  For the Fock, SPATS and cat
-sources each record runs a safeguarded Newton iteration inside a bisection
-bracket: Newton steps from a start read off a quantile table, a midpoint step
-wherever Newton would leave the bracket or stall, and a stop once the bracket
-is narrower than the tolerance.  The table is built once per call from the
-model alone: F and p on a fixed x grid (one row, or one row per phase node
-for a cat), inverted to quantiles on a uniform u grid by cubic Hermite
-interpolation.  A record starts from it linearly in u and, for a cat,
-cubically in phi.  Records start on [-bracket, bracket] without evaluating F
-at its ends; one that ends within tol of an end is solved again inside a
-bracket checked at its ends and doubled up to 4 times.  Records are solved in
-fixed-size blocks, and a record's value does not depend on the batch it is
-drawn in.  Source parameters must be finite, and tol and bracket finite and
-> 0; anything else raises ValueError.
+x = E[X_phi] + sqrt(Var[X_phi]) ndtri(u), exact for every u.  For the Fock,
+SPATS and cat sources each record runs a safeguarded Newton iteration inside
+a bisection bracket: Newton steps from a start read off a quantile table, a
+midpoint step wherever Newton would leave the bracket or stall, and a stop
+once the bracket is narrower than the tolerance.  The table is built once
+per call from the model alone: F and p on a fixed x grid (one row, or one
+row per phase node for a cat), inverted to quantiles on a uniform u grid by
+cubic Hermite interpolation.  A record starts from it linearly in u and, for
+a cat, cubically in phi.  Records start on [-50, 50] without evaluating F at its
+ends; one that ends within tol of an end is solved again inside a bracket
+checked at its ends and doubled until it holds the quantile.  The doubling
+stops with InversionError once it reaches |E[X_phi]| + 64 sd(X_phi) + 50, a
+reach that holds every quantile down to u = 1e-300, a Gaussian tail of about
+37 sd.  Records are solved in fixed-size blocks, and a record's value does
+not depend on the batch it is drawn in.  Source parameters must be finite,
+and tol finite and > 0; anything else raises ValueError.
 
 scipy.special is imported inside the methods that evaluate erf, ndtri or
 eval_laguerre, so that importing cvsim does not load it: that import takes
@@ -41,13 +43,15 @@ from .errors import InversionError, MalformedInputError
 from .phase_space import characteristic_gaussian
 from .states import GaussianState
 
-#: default quantile tolerance and half-width of the initial search bracket
+#: default quantile tolerance
 DEFAULT_TOL = 1e-12
-DEFAULT_BRACKET = 50.0
 #: Fock photon-number cap for the Hermite-function closed forms
 MAX_FOCK_N = 10
-#: bracket doublings before a quantile counts as out of reach
-_WIDENINGS = 4
+#: half-width of the first, unchecked search bracket; it fixes each record's
+#: Newton path, and so its value
+_BRACKET = 50.0
+#: the widened bracket reaches this many standard deviations of X_phi
+_REACH_SD = 64.0
 #: cap on the Newton or bisection steps of one record
 _MAX_STEPS = 1100
 #: records inverted together, so the temporaries stay in cache
@@ -375,24 +379,6 @@ def _cdf_and_pdf(model: SourceModel, x: np.ndarray, phi: np.ndarray):
         return model.cdf_pdf(x, phi)
 
 
-def _unbracketed(record: int, u: float, phi: float) -> InversionError:
-    return InversionError(
-        f"could not bracket the quantile for record {record} "
-        f"(u={float(u)!r}, phi={float(phi)!r}) after {_WIDENINGS} widenings"
-    )
-
-
-def _gaussian_quantiles(model, phis, targets, records, tol, bracket):
-    """Closed-form quantiles of a Gaussian source.  The reach is that of the
-    widest bracket, so a quantile at or past it fails as it would there."""
-    x = model.quantile(phis, targets)
-    far = ~(np.abs(x) < 2.0**_WIDENINGS * bracket)
-    if far.any():
-        i = int(np.argmax(far))
-        raise _unbracketed(records[i], targets[i], phis[i])
-    return x
-
-
 def _quantile_row(x, cdf, pdf, u):
     """Quantiles at u of one row of F and p on the uniform grid x, by the
     cubic Hermite interpolant of the inverse, x(F), whose end slopes 1/p are
@@ -479,26 +465,35 @@ def _table_start(table, phis, targets):
     )
 
 
-def _bracket(model, phis, targets, records, bracket):
-    """[lo, hi] with F(lo) < u <= F(hi) for each record, doubling the bracket
-    up to _WIDENINGS times where it does not hold."""
-    lo = np.full_like(targets, -bracket)
-    hi = np.full_like(targets, bracket)
+def _bracket(model, phis, targets, records):
+    """[lo, hi] with F(lo) < u <= F(hi) for each record, doubling [-_BRACKET,
+    _BRACKET] where it does not hold.  A record whose bracket reaches
+    |E[X_phi]| + _REACH_SD sd(X_phi) + _BRACKET without holding its quantile
+    raises InversionError: its model understates its spread."""
+    lo = np.full_like(targets, -_BRACKET)
+    hi = np.full_like(targets, _BRACKET)
+    mean, var = model.moments(phis)
+    reach = np.broadcast_to(np.abs(mean) + _REACH_SD * np.sqrt(var) + _BRACKET, targets.shape)
     pending = np.arange(targets.size)
-    for widening in range(_WIDENINGS + 1):
+    while True:
         u, phi = targets[pending], phis[pending]
         pending = pending[
             (quadrature_cdf(model, lo[pending], phi) >= u)
             | (quadrature_cdf(model, hi[pending], phi) <= u)
         ]
         if not pending.size:
-            break
-        if widening == _WIDENINGS:
-            i = pending[0]
-            raise _unbracketed(records[i], targets[i], phis[i])
+            return lo, hi
+        # fails for a NaN reach and for hi doubled to inf, so the loop ends
+        far = ~(hi[pending] < reach[pending])
+        if far.any():
+            i = pending[np.argmax(far)]
+            raise InversionError(
+                f"could not bracket the quantile for record {records[i]} "
+                f"(u={float(targets[i])!r}, phi={float(phis[i])!r}) within "
+                f"|x| <= {float(reach[i])!r}"
+            )
         lo[pending] *= 2.0
         hi[pending] *= 2.0
-    return lo, hi
 
 
 def _newton(model, phis, targets, records, tol, x, lo, hi):
@@ -555,59 +550,52 @@ def _newton(model, phis, targets, records, tol, x, lo, hi):
     )
 
 
-def _newton_quantiles(model, phis, targets, records, tol, bracket, table):
+def _newton_quantiles(model, phis, targets, records, tol, table):
     """Quantiles of a Fock, SPATS or cat source from the start table.
 
-    Each record first runs on [-bracket, bracket] unchecked.  Where the root
+    Each record first runs on [-_BRACKET, _BRACKET] unchecked.  Where the root
     lies inside, the iteration ends there holding F(lo) < u <= F(hi) from its
     own evaluations; where it lies outside, the bracket collapses onto the end
     nearest to it.  So a record that ends within tol of either end is solved
     again inside a checked, and if need be widened, bracket.
     """
     start = _table_start(table, phis, targets)
-    out = _newton(model, phis, targets, records, tol, start, -bracket, bracket)
-    edge = ~((tol - bracket < out) & (out < bracket - tol))
+    out = _newton(model, phis, targets, records, tol, start, -_BRACKET, _BRACKET)
+    edge = ~((tol - _BRACKET < out) & (out < _BRACKET - tol))
     if edge.any():
         part = (phis[edge], targets[edge], records[edge])
-        lo, hi = _bracket(model, *part, bracket)
+        lo, hi = _bracket(model, *part)
         out[edge] = _newton(model, *part, tol, start[edge], lo, hi)
     return out
 
 
-def _invert(model, phis, targets, tol, bracket):
+def _invert(model, phis, targets, tol):
     """Quantiles x with F(x, phi) = u for every (phi, u) pair, block by block."""
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if not (np.isfinite(bracket) and bracket > 0.0):
-        raise ValueError(f"bracket must be finite and > 0, got {bracket!r}")
     gaussian = isinstance(model, GaussianSource)
     table = None if gaussian else _start_table(model, phis)
     out = np.empty_like(targets)
     records = np.arange(targets.size)
     for first in range(0, targets.size, _BLOCK):
         part = slice(first, first + _BLOCK)
-        block = (model, phis[part], targets[part], records[part], tol, bracket)
-        out[part] = _gaussian_quantiles(*block) if gaussian else _newton_quantiles(*block, table)
+        if gaussian:
+            out[part] = model.quantile(phis[part], targets[part])
+        else:
+            block = (phis[part], targets[part], records[part])
+            out[part] = _newton_quantiles(model, *block, tol, table)
     return out
 
 
-def invert_cdf(
-    model: SourceModel,
-    phi: float,
-    u: float,
-    tol: float = DEFAULT_TOL,
-    bracket: float = DEFAULT_BRACKET,
-) -> float:
+def invert_cdf(model: SourceModel, phi: float, u: float, tol: float = DEFAULT_TOL) -> float:
     """Quantile x with F(x, phi) = u: closed form for the Gaussian sources,
-    otherwise to absolute tolerance tol.  The search bracket [-bracket,
-    bracket] is doubled up to 4 times if needed; a quantile beyond the widest
-    bracket raises InversionError.  phi must be finite, and tol and bracket
-    finite and > 0."""
+    otherwise to absolute tolerance tol.  phi must be finite, and tol finite
+    and > 0."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
     if not np.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    out = _invert(model, np.array([float(phi)]), np.array([float(u)]), tol, float(bracket))
+    out = _invert(model, np.array([float(phi)]), np.array([float(u)]), tol)
     return float(out[0])
 
 
@@ -618,7 +606,6 @@ class SampleSet:
     phases: np.ndarray
     values: np.ndarray
     model: SourceModel | None
-    seed: int
 
     def __post_init__(self) -> None:
         phases = np.asarray(self.phases, dtype=float)
@@ -632,13 +619,7 @@ class SampleSet:
         return self.phases.size
 
 
-def sample(
-    model: SourceModel,
-    count: int,
-    seed: int = 42,
-    tol: float = DEFAULT_TOL,
-    bracket: float = DEFAULT_BRACKET,
-) -> SampleSet:
+def sample(model: SourceModel, count: int, seed: int = 42, tol: float = DEFAULT_TOL) -> SampleSet:
     """Draw homodyne records by inverse-CDF sampling.
 
     Phases are uniform on [-pi, pi) and CDF targets uniform on (0, 1), both
@@ -651,8 +632,8 @@ def sample(
     rng = np.random.default_rng(seed)
     phases = 2.0 * np.pi * rng.random(count) - np.pi
     targets = np.maximum(rng.random(count), np.finfo(float).tiny)
-    values = _invert(model, phases, targets, tol, bracket)
-    return SampleSet(phases=phases, values=values, model=model, seed=seed)
+    values = _invert(model, phases, targets, tol)
+    return SampleSet(phases=phases, values=values, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -792,10 +773,10 @@ def write_samples_csv(samples: SampleSet, path: str) -> None:
 
 
 def read_samples_csv(path: str, model: SourceModel | None = None) -> SampleSet:
-    """Parse a `phase,x` file block by block, into records with seed 0;
-    raises on the first malformed line, naming it."""
+    """Parse a `phase,x` file block by block; raises on the first malformed
+    line, naming it."""
     phases, values = _read_csv(path, SAMPLES_CSV_HEADER, "sample")
-    return SampleSet(phases=phases, values=values, model=model, seed=0)
+    return SampleSet(phases=phases, values=values, model=model)
 
 
 VARIANCE_CSV_HEADER = [

@@ -96,10 +96,12 @@ class NetworkSpec:
 
 
 # The checks below format a pointer or a message only to report a failure:
-# a pointer is passed as the tuple of its segments, which _fail joins.
+# a pointer is passed as the tuple of its segments, which _fail escapes as
+# RFC 6901 asks ("~" as "~0", then "/" as "~1") and joins.
 
 def _fail(pointer: tuple, message: str) -> SpecValidationError:
-    return SpecValidationError("/".join(str(s) for s in pointer), message)
+    segments = (str(s).replace("~", "~0").replace("/", "~1") for s in pointer)
+    return SpecValidationError("/".join(segments), message)
 
 
 def _is_int(value) -> bool:

@@ -237,19 +237,17 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 
 def purity(state: GaussianState) -> float:
-    """Tr(rho^2) of a Gaussian state: (hbar/2)^N / sqrt(det cov).
+    """Tr(rho^2) of a Gaussian state: (hbar/2)^N / sqrt(det cov), where
+    sqrt(det cov) is the product of the diagonal of cov's Cholesky factor.
 
     Equals 1 exactly for pure Gaussian states.
 
     Raises:
-        DegenerateInputError: if cov is singular or not resolved (see
-            ``_resolved_cholesky``).
+        DegenerateInputError: if cov is not positive definite or not resolved
+            (see ``_resolved_cholesky``).
     """
-    det = np.linalg.det(state.cov)
-    if det <= 0 or not np.isfinite(det):
-        raise DegenerateInputError(f"cov is singular (det = {det:.3e})")
-    _resolved_cholesky(state.cov)
-    return float((state.hbar / 2.0) ** state.num_modes / np.sqrt(det))
+    L = _resolved_cholesky(state.cov)
+    return float((state.hbar / 2.0) ** state.num_modes / np.prod(np.diagonal(L)))
 
 
 def clean_tiny(arr: np.ndarray) -> np.ndarray:

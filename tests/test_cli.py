@@ -393,6 +393,15 @@ def test_sample_names_each_missing_model_option(tmp_path, args, message):
     (["fock-bs", "--n1", "-1", "--n2", "1"], "--n1 must be >= 0, got -1"),
     (["wigner", "--state", "squeezed", "--r", "-1"], "--r must be >= 0, got -1.0"),
     (["wigner", "--state", "vacuum", "--nx", "1"], "--nx must be >= 2, got 1"),
+    (["wigner", "--state", "vacuum", "--xmin", "1", "--xmax", "0"],
+     "grid bounds must satisfy x_min < x_max"),
+    # an option that the chosen --state does not read
+    (SAMPLE + ["vacuum", "--r", "5"], "--r is not read by --state vacuum"),
+    (SAMPLE + ["squeezed", "--r", "1", "--theta", "0.5"],
+     "--theta is not read by --state squeezed"),
+    (["analyze", "--in", "{data}", "--r", "1"], "--r is not read without --state"),
+    (["wigner", "--state", "vacuum", "--r", "5"], "--r is not read by --state vacuum"),
+    (["wigner", "--state", "squeezed", "--nbar", "1"], "--nbar is not read by --state squeezed"),
 ])
 def test_out_of_domain_option_exits_2_with_one_line(tmp_path, args, message):
     data, out = tmp_path / "s.csv", tmp_path / "out"
@@ -405,6 +414,20 @@ def test_out_of_domain_option_exits_2_with_one_line(tmp_path, args, message):
     assert len(errors) == 1 and message in errors[0]
     assert "usage:" not in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("state, variance", [
+    (["squeezed", "--r", "6"], (np.exp(-12.0) + np.exp(12.0)) / 2.0),
+    (["thermal", "--nbar", "1e5"], 200001.0),
+    (["spats", "--nbar", "1e6"], 4e6 + 3.0),
+], ids=["squeezed-r6", "thermal-1e5", "spats-1e6"])
+def test_sample_reaches_quantiles_far_past_the_first_bracket(tmp_path, state, variance):
+    out = tmp_path / "s.csv"
+    result = run_cli(["sample", "--state", *state, "--count", "100000", "--out", str(out)])
+    assert result.exit_code == 0
+    values = read_samples_csv(str(out)).values
+    assert values.size == 100_000
+    assert np.var(values, ddof=1) == pytest.approx(variance, rel=0.03)
 
 
 def test_analyze_squeezed_run(tmp_path):
@@ -990,7 +1013,7 @@ def test_commands_other_than_sample_leave_out_scipy_special(tmp_path):
     config = tmp_path / "net.json"
     config.write_text(json.dumps(README_NETWORK))
     rng = np.random.default_rng(0)
-    write_samples_csv(SampleSet(rng.uniform(-np.pi, np.pi, 400), rng.normal(size=400), None, 0),
+    write_samples_csv(SampleSet(rng.uniform(-np.pi, np.pi, 400), rng.normal(size=400), None),
                       str(tmp_path / "s.csv"))
     commands = [
         ["fock-bs", "--n1", "3", "--n2", "2", "--out", str(tmp_path / "f.json")],

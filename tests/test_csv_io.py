@@ -56,7 +56,7 @@ def samples_file(tmp_path, count=_BLOCK + 9, seed=3):
 
 def test_number_format_round_trips_special_values(tmp_path):
     values = np.array(SPECIAL)
-    ss = SampleSet(phases=values[::-1].copy(), values=values, model=None, seed=0)
+    ss = SampleSet(phases=values[::-1].copy(), values=values, model=None)
     path = tmp_path / "s.csv"
     write_samples_csv(ss, str(path))
     lines = path.read_text(encoding="utf-8").split("\n")
@@ -76,7 +76,7 @@ def as_g17(values):
 def assert_written_as_g17(tmp_path, values):
     """write_samples_csv writes every value as '%.17g' does, byte for byte."""
     half = len(values) // 2
-    ss = SampleSet(phases=values[:half], values=values[half : 2 * half], model=None, seed=0)
+    ss = SampleSet(phases=values[:half], values=values[half : 2 * half], model=None)
     path = tmp_path / "g17.csv"
     write_samples_csv(ss, str(path))
     lines = path.read_bytes().decode("ascii").split("\n")

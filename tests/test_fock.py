@@ -186,6 +186,11 @@ def test_rejects_negative_photons():
         bs_output(-1, 0, BAL, BAL, 0.0)
 
 
+def test_photon_number_distribution_rejects_a_third_arm():
+    with pytest.raises(ValueError, match="arm must be 0 or 1"):
+        photon_number_distribution(bs_output(1, 0, BAL, BAL, 0.0), 2)
+
+
 def test_state_validation():
     with pytest.raises(MalformedInputError):
         TwoModeFockState(amplitudes={(0, 0): 0.5}, total_photons=0)

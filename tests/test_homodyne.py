@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
-from scipy.special import erf
+from scipy.special import erf, ndtri
 
 from cvsim import (
     CatState,
@@ -70,6 +70,9 @@ def test_model_parameter_validation():
         Spats(0.0)
     with pytest.raises(ValueError):
         Thermal(-0.1)
+    # |0> + e^{i pi} |-0> is the zero vector
+    with pytest.raises(ValueError, match="normalization must be positive"):
+        CatState(0.0, np.pi)
     Fock(0)
     Fock(10)
     SqueezedVacuum(-0.8)  # negative r squeezes p instead; allowed
@@ -462,29 +465,31 @@ def test_invert_rejects_bad_u():
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
 @pytest.mark.parametrize("model", [Fock(2), Vacuum()])
-def test_sample_and_invert_reject_bad_tol_and_bracket(model, bad):
-    for name in ("tol", "bracket"):
-        with pytest.raises(ValueError, match=name):
-            sample(model, 5, **{name: bad})
-        with pytest.raises(ValueError, match=name):
-            invert_cdf(model, 0.0, 0.5, **{name: bad})
+def test_sample_and_invert_reject_bad_tol(model, bad):
+    with pytest.raises(ValueError, match="tol"):
+        sample(model, 5, tol=bad)
+    with pytest.raises(ValueError, match="tol"):
+        invert_cdf(model, 0.0, 0.5, tol=bad)
 
 
-def test_invert_bracket_widening():
-    # thermal with huge nbar has quantiles beyond a deliberately tiny bracket
-    x = invert_cdf(Thermal(30.0), 0.0, 0.999, bracket=4.0)
-    assert x > 4.0
+def test_sample_and_sample_set_reject_bad_sizes():
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        sample(Vacuum(), 0)
+    with pytest.raises(MalformedInputError, match="equal length"):
+        SampleSet(np.zeros(3), np.zeros(4), None)
 
 
-def test_invert_bracket_failure_reports():
-    with pytest.raises(InversionError):
-        invert_cdf(Thermal(3000.0), 0.0, 1 - 1e-12, bracket=1e-3)
+def test_gaussian_quantile_is_closed_form_for_every_u():
+    # past +-800, the reach of four doublings of [-50, 50]
+    x = invert_cdf(Thermal(1e5), 0.0, 1 - 1e-12)
+    assert x > 800.0
+    assert x == np.sqrt(200001.0) * ndtri(1 - 1e-12)
 
 
-def test_invert_bracket_widening_non_gaussian():
-    x = invert_cdf(Spats(30.0), 0.0, 0.999, bracket=4.0)
-    assert x > 4.0
-    assert quadrature_cdf(Spats(30.0), x, 0.0) == pytest.approx(0.999, abs=1e-12)
+def test_invert_widens_past_the_first_bracket_non_gaussian():
+    x = invert_cdf(Spats(300.0), 0.0, 0.999)
+    assert x == pytest.approx(89.92, abs=0.01)
+    assert quadrature_cdf(Spats(300.0), x, 0.0) == pytest.approx(0.999, abs=1e-12)
 
 
 def test_inversion_step_cap_raises_instead_of_returning_an_open_bracket(monkeypatch):
@@ -495,9 +500,26 @@ def test_inversion_step_cap_raises_instead_of_returning_an_open_bracket(monkeypa
         sample(Fock(3), 20, seed=1)
 
 
+class _NarrowSpats(Spats):
+    """SPATS whose moments understate its spread: variance 1e-6."""
+
+    def moments(self, phi):
+        return 0.0, 1e-6
+
+
 def test_invert_bracket_failure_names_the_record():
-    with pytest.raises(InversionError, match="record 0"):
-        invert_cdf(Spats(300.0), 0.3, 1 - 1e-9, bracket=1e-2)
+    # the reach, 50 + 64 sd, stops the doubling before the quantile at ~160
+    with pytest.raises(InversionError, match=r"could not bracket the quantile for record 0 "
+                                             r"\(u=0\.999999999, phi=0\.3\) within"):
+        invert_cdf(_NarrowSpats(300.0), 0.3, 1 - 1e-9)
+
+
+@pytest.mark.parametrize("model", [Spats(1e300), Thermal(1e300), SqueezedVacuum(300.0)],
+                         ids=["spats-1e300", "thermal-1e300", "squeezed-r300"])
+def test_wide_sources_sample_finite_values(model):
+    # tier-1 runs with RuntimeWarning as an error, so no step may overflow
+    values = sample(model, 20_000, seed=3).values
+    assert np.isfinite(values).all()
 
 
 # --- theoretical variances ----------------------------------------------------
@@ -520,7 +542,7 @@ def test_variance_table():
 def test_binned_theory_column_is_theoretical_variance_per_bin(num_bins):
     phases = np.linspace(-np.pi, np.pi, 16, endpoint=False)
     for model in ALL_MODELS:
-        report = binned_variance(SampleSet(phases, np.cos(phases), model, 0), num_bins)
+        report = binned_variance(SampleSet(phases, np.cos(phases), model), num_bins)
         per_bin = np.array([theoretical_variance(model, c) for c in report.bin_centers])
         assert report.theoretical_variance.tobytes() == per_bin.tobytes(), model
 

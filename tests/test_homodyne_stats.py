@@ -157,7 +157,7 @@ def test_normally_ordered_negative_near_zero(squeezed_samples):
 def test_binned_variance_validation(vacuum_samples):
     with pytest.raises(ValueError):
         binned_variance(vacuum_samples, 3)
-    empty = SampleSet(phases=np.array([]), values=np.array([]), model=None, seed=0)
+    empty = SampleSet(phases=np.array([]), values=np.array([]), model=None)
     with pytest.raises(ValueError):
         binned_variance(empty, 8)
 
@@ -210,7 +210,7 @@ def test_binned_variance_matches_per_bin_masks(seed, count, quarters, extra, sca
     ])
     values = scale * rng.standard_normal(phases.size) + rng.uniform(-5.0, 5.0)
     report = binned_variance(
-        SampleSet(phases=phases, values=values, model=None, seed=seed), num_bins
+        SampleSet(phases=phases, values=values, model=None), num_bins
     )
     which = np.clip(np.digitize(phases, edges) - 1, 0, num_bins - 1)
     for i in range(num_bins):

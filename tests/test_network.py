@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from cvsim import (
+    AnalysisRequest,
     NetworkRuntimeError,
+    NetworkSpec,
     SpecValidationError,
     apply_gate,
     check_physicality,
@@ -152,6 +154,17 @@ def test_network_determinism():
     np.testing.assert_equal(a.analyses, b.analyses)
 
 
+def one_gate(fields):
+    """A one-mode network of one rotate gate, with `fields` replaced."""
+    gate = {"kind": "rotate", "modes": [0], "params": {"phi": 0.1}, **fields}
+    return {"modes": 1, "gates": [gate]}
+
+
+def one_wigner(fields):
+    """A one-mode network of one wigner analysis, with `fields` replaced."""
+    return {"modes": 1, "analyses": [{"type": "wigner", "mode": 0, **fields}]}
+
+
 @pytest.mark.parametrize(
     "doc, pointer",
     [
@@ -195,12 +208,38 @@ def test_network_determinism():
             {"modes": 2, "analyses": [{"type": "simon", "modes": [0, 1], "grid": {"nx": 5}}]},
             "/analyses/0/grid",
         ),
+        # RFC 6901 escapes "~" as "~0" and "/" as "~1"
+        ({"modes": 1, "a/b": 1}, "/a~1b"),
+        (one_gate({"params": {"phi": 0.1, "x~y": 1}}), "/gates/0/params/x~0y"),
+        ([], ""),
+        ({"modes": 1, "gates": {}}, "/gates"),
+        ({"modes": 1, "analyses": {}}, "/analyses"),
+        ({"modes": 1, "gates": [1]}, "/gates/0"),
+        (one_gate({"params": [0.1]}), "/gates/0/params"),
+        ({"modes": 1, "analyses": [1]}, "/analyses/0"),
+        (one_gate({"params": {"phi": "0.1"}}), "/gates/0/params/phi"),
+        (one_gate({"modes": []}), "/gates/0/modes"),
+        (one_gate({"modes": 0}), "/gates/0/modes"),
+        (one_gate({"modes": [0.0]}), "/gates/0/modes/0"),
+        (one_gate({"params": {"phi": 0.1, "psi": 0.2}}), "/gates/0/params/psi"),
+        (one_wigner({"mode": 0.0}), "/analyses/0/mode"),
+        (one_wigner({"grid": [5, 5]}), "/analyses/0/grid"),
+        (one_wigner({"grid": {"nz": 5}}), "/analyses/0/grid/nz"),
+        (one_wigner({"grid": {"nx": 1}}), "/analyses/0/grid/nx"),
+        (one_wigner({"grid": {"x_min": 1.0, "x_max": 0.0}}), "/analyses/0/grid"),
     ],
 )
 def test_validation_reports_json_pointer(doc, pointer):
     with pytest.raises(SpecValidationError) as err:
         parse_network_spec(doc)
     assert err.value.pointer == pointer
+
+
+def test_unknown_analysis_built_in_code_reports_its_pointer():
+    spec = NetworkSpec(num_modes=1, analyses=(AnalysisRequest("bogus"),))
+    with pytest.raises(NetworkRuntimeError, match="unknown analysis type 'bogus'") as err:
+        run_network(spec)
+    assert err.value.pointer == "/analyses/0"
 
 
 def test_thermal_prepare_on_used_mode_fails():

@@ -5,6 +5,7 @@ from cvsim import (
     DegenerateInputError,
     GaussianSource,
     GaussianState,
+    MalformedInputError,
     PhaseSpaceGrid,
     Thermal,
     UnsupportedOrderingError,
@@ -202,6 +203,13 @@ def test_s_zero_matches_wigner_up_to_measure():
         grid = PhaseSpaceGrid(x - 1, x + 1, p - 1, p + 1, 3, 3)
         w = wigner_gaussian(st, grid).values[1, 1]
         assert s_quasiprob_gaussian(st, a, 0.0) == pytest.approx(2 * st.hbar * w, rel=1e-12)
+
+
+def test_characteristic_and_s_ordered_refuse_bad_input():
+    with pytest.raises(MalformedInputError, match="r must have length 2"):
+        characteristic_gaussian(vacuum_state(1), [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="single-mode state"):
+        s_quasiprob_gaussian(vacuum_state(2), 0j, 0.0)
 
 
 def test_s_one_on_squeezed_raises():

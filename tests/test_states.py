@@ -66,6 +66,13 @@ def test_vacuum_state_hbar1():
 def test_vacuum_rejects_zero_modes():
     with pytest.raises(ValueError):
         vacuum_state(0)
+    with pytest.raises(ValueError, match="num_modes must be >= 1"):
+        symplectic_form(0)
+
+
+def test_constructor_rejects_non_positive_hbar():
+    with pytest.raises(ValueError, match="hbar must be positive"):
+        GaussianState(mean=np.zeros(2), cov=np.eye(2), hbar=0.0)
 
 
 def test_constructor_rejects_asymmetric_cov():
@@ -94,7 +101,7 @@ def test_constructor_rejects_non_finite(mean, cov):
 
 def test_array_holding_results_compare_and_hash_by_identity():
     def build():
-        samples = SampleSet(np.zeros(8), np.ones(8), Vacuum(), 42)
+        samples = SampleSet(np.zeros(8), np.ones(8), Vacuum())
         return [
             vacuum_state(1),
             samples,
