@@ -75,7 +75,6 @@ from .homodyne import (
     characteristic_fn,
     heisenberg_violations,
     invert_cdf,
-    pdf_numeric_oracle,
     quadrature_cdf,
     quadrature_pdf,
     read_samples_csv,

@@ -47,6 +47,9 @@ from .states import GaussianState
 DEFAULT_TOL = 1e-12
 #: Fock photon-number cap for the Hermite-function closed forms
 MAX_FOCK_N = 10
+#: SPATS n_bar cap: the widened bracket stays below 2 (64 sd + 50) = 2.6e152
+#: there, so x**2 stays finite wherever F or p is evaluated
+MAX_SPATS_NBAR = 1e300
 #: half-width of the first, unchecked search bracket; it fixes each record's
 #: Newton path, and so its value
 _BRACKET = 50.0
@@ -181,13 +184,16 @@ class Fock(SourceModel):
 
 @dataclass(frozen=True)
 class Spats(SourceModel):
-    """Single-photon-added thermal state with mean thermal photon number n_bar."""
+    """Single-photon-added thermal state with mean thermal photon number
+    n_bar, 0 < n_bar <= MAX_SPATS_NBAR."""
 
     n_bar: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.n_bar) and self.n_bar > 0):
-            raise ValueError(f"SPATS n_bar must be finite and > 0, got {self.n_bar!r}")
+        if not 0 < self.n_bar <= MAX_SPATS_NBAR:
+            raise ValueError(
+                f"SPATS n_bar must be finite and in (0, {MAX_SPATS_NBAR:g}], got {self.n_bar!r}"
+            )
 
     def chi(self, beta: complex) -> complex:
         nb, ab2 = self.n_bar, abs(beta) ** 2
@@ -253,17 +259,28 @@ class CatState(SourceModel):
         )
         return complex(np.exp(-abs(beta) ** 2 / 2.0) * terms / self.normalization())
 
+    def cdf_pdf(self, x, phi):
+        # one evaluation of the complex terms serves both
+        terms = self._terms(phi)
+        return self._cdf(x, terms), self._pdf(x, terms)
+
     def pdf(self, x, phi):
-        a, b, damp = self._terms(phi)
+        return self._pdf(x, self._terms(phi))
+
+    def cdf(self, x, phi):
+        return self._cdf(x, self._terms(phi))
+
+    def _pdf(self, x, terms):
+        a, b, damp = terms
         cross = (np.exp(1j * self.theta) * damp * np.exp(-((x + 1j * b) ** 2) / 2.0)).real * 2.0
         total = np.exp(-((x - a) ** 2) / 2.0) + np.exp(-((x + a) ** 2) / 2.0) + cross
         # clip -eps rounding at density zeros
         return np.maximum(total / (self.normalization() * np.sqrt(2.0 * np.pi)), 0.0)
 
-    def cdf(self, x, phi):
+    def _cdf(self, x, terms):
         from scipy.special import erf
 
-        a, b, damp = self._terms(phi)
+        a, b, damp = terms
         c = np.exp(1j * self.theta) * damp
         sqrt2 = np.sqrt(2.0)
         # Sum of the per-term antiderivatives (1 + erf)/2; the two
@@ -332,39 +349,6 @@ def quadrature_cdf(model: SourceModel, x, phi):
     limits 0 and 1.  Accepts scalars or arrays."""
     out = model.cdf(np.asarray(x, dtype=float), np.asarray(phi, dtype=float))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def pdf_numeric_oracle(model: SourceModel, x: float, phi: float) -> float:
-    """Quadrature density from the characteristic function,
-
-        p(x, phi) = (1/2pi) Integral chi(i y e^{-i phi}) e^{-i y x} dy,
-
-    by adaptive quadrature over [-Y, Y] with Y chosen so |chi| < 1e-14 at the
-    cutoff.  Validation-only: independent of the closed forms above.
-    """
-    from scipy.integrate import quad  # validation-only; kept off the import path
-
-    cutoff = None
-    for candidate in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0):
-        ys = np.linspace(0.75 * candidate, candidate, 32)
-        tail = max(
-            abs(characteristic_fn(model, 1j * y * np.exp(-1j * phi))) for y in ys
-        )
-        if tail < 1e-14:
-            cutoff = candidate
-            break
-    if cutoff is None:
-        raise InversionError("characteristic function does not decay below 1e-14")
-
-    def integrand(y: float) -> float:
-        return (
-            characteristic_fn(model, 1j * y * np.exp(-1j * phi)) * np.exp(-1j * y * x)
-        ).real
-
-    value, abserr = quad(integrand, -cutoff, cutoff, limit=800, epsabs=1e-12, epsrel=1e-12)
-    if abserr > 1e-9:
-        raise InversionError(f"oracle quadrature did not converge (err {abserr:.3e})")
-    return value / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

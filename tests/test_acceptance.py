@@ -27,7 +27,6 @@ from cvsim import (
     heisenberg_violations,
     log_negativity,
     partial_transpose_cov,
-    pdf_numeric_oracle,
     quadrature_cdf,
     quadrature_pdf,
     reduced_state,
@@ -40,6 +39,8 @@ from cvsim import (
     wigner_gaussian,
     write_samples_csv,
 )
+
+from quadrature_oracle import pdf_numeric_oracle
 
 BAL = np.pi / 4
 

@@ -372,6 +372,7 @@ def test_sample_names_each_missing_model_option(tmp_path, args, message):
 
 @pytest.mark.parametrize("args, message", [
     (SAMPLE + ["spats", "--nbar", "nan"], "SPATS n_bar must be finite"),
+    (SAMPLE + ["spats", "--nbar", "2e300"], "SPATS n_bar must be finite and in (0, 1e+300]"),
     (SAMPLE + ["thermal", "--nbar", "inf"], "thermal n_bar must be finite"),
     (SAMPLE + ["squeezed", "--r", "nan"], "squeezing r must be finite"),
     (SAMPLE + ["cat", "--alpha-re", "nan", "--alpha-im", "0", "--theta", "0"], "cat alpha"),
@@ -1032,6 +1033,32 @@ def test_commands_other_than_sample_leave_out_scipy_special(tmp_path):
     assert run_fresh(code).splitlines()[-1] == "False"
     outputs = ("f.json", "n.json", "w.csv", "v.csv")
     assert all((tmp_path / name).stat().st_size for name in outputs)
+
+
+def test_only_the_csv_readers_load_orjson(tmp_path):
+    config = tmp_path / "net.json"
+    config.write_text(json.dumps(README_NETWORK))
+    commands = [
+        ["fock-bs", "--n1", "3", "--n2", "2", "--out", str(tmp_path / "f.json")],
+        ["network", "--config", str(config), "--out", str(tmp_path / "n.json")],
+        ["wigner", "--state", "squeezed", "--r", "0.5", "--out", str(tmp_path / "w.csv")],
+        ["sample", "--state", "vacuum", "--count", "50", "--out", str(tmp_path / "s.csv")],
+    ]
+    analyze = ["analyze", "--in", str(tmp_path / "s.csv"), "--bins", "4",
+               "--out", str(tmp_path / "v.csv")]
+    code = (
+        "import sys\n"
+        "import cvsim\n"
+        "print('orjson', 'orjson' in sys.modules)\n"
+        "from cvsim.cli import main\n"
+        f"for args in {commands!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+        "print('orjson', 'orjson' in sys.modules)\n"
+        f"main({analyze!r}, standalone_mode=False)\n"
+        "print('orjson', 'orjson' in sys.modules)\n"
+    )
+    loaded = [line.split()[1] for line in run_fresh(code).splitlines() if line.startswith("orjson")]
+    assert loaded == ["False", "False", "True"]
 
 
 def test_commands_run_without_click(tmp_path):

@@ -2,7 +2,10 @@
 counts, line numbers past the first block, CRLF and blank lines, and grids
 larger than one block; the writer's numbers against '%.17g' byte for byte."""
 
+import os
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +26,8 @@ from cvsim import (
     write_samples_csv,
     write_wigner_csv,
 )
-from cvsim._csvio import _BLOCK, _decimal_digits
+from cvsim import _csvio
+from cvsim._csvio import _BLOCK, _decimal_digits, _read_csv
 from cvsim.homodyne import read_variance_csv, write_variance_csv
 from cvsim.states import vacuum_state
 
@@ -302,3 +306,117 @@ def test_wigner_reader_rejects_rows_that_are_not_a_grid(tmp_path, edit):
     path.write_text("\n".join([header, *rows]) + "\n")
     with pytest.raises(MalformedInputError, match="grid"):
         read_wigner_csv(str(path))
+
+
+# --- the orjson block parser against np.loadtxt --------------------------------
+
+
+def fail_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt called on a canonical block")
+
+
+def test_writer_output_is_read_by_orjson_alone(tmp_path, monkeypatch):
+    ss, path = samples_file(tmp_path, count=2 * _BLOCK + 5)
+    monkeypatch.setattr(np, "loadtxt", fail_loadtxt)
+    back = read_samples_csv(str(path))
+    assert np.array_equal(bits(back.phases), bits(ss.phases))
+    assert np.array_equal(bits(back.values), bits(ss.values))
+
+
+def test_reader_reads_fuzzed_values_back_through_orjson(tmp_path, monkeypatch):
+    with np.errstate(over="ignore", under="ignore"):
+        values = fuzz_values(np.random.default_rng(20240918))
+    # a zero is written 0 or -0, and a bare -0 sends its block to np.loadtxt
+    values = values[np.isfinite(values) & (values != 0)]
+    half = values.size // 2
+    path = tmp_path / "fuzz.csv"
+    write_samples_csv(SampleSet(values[:half], values[half : 2 * half], None), str(path))
+    monkeypatch.setattr(np, "loadtxt", fail_loadtxt)
+    back = read_samples_csv(str(path))
+    assert np.array_equal(bits(back.phases), bits(values[:half]))
+    assert np.array_equal(bits(back.values), bits(values[half : 2 * half]))
+
+
+def read_or_error(path, width):
+    """Bits of each column _read_csv returns, or its error message."""
+    try:
+        columns = _read_csv(str(path), [f"c{j}" for j in range(width)], "test")
+    except MalformedInputError as exc:
+        return str(exc)
+    return [bits(column).tolist() for column in columns]
+
+
+def loadtxt_only(path, width):
+    """read_or_error with every block parsed by np.loadtxt, as before orjson."""
+    with mock.patch.object(_csvio, "_parse_canonical", lambda lines, width: None):
+        return read_or_error(path, width)
+
+
+#: tokens that orjson must decline, or read as np.loadtxt does
+ODD_TOKENS = ["nan", "-nan", "inf", "-inf", "-0", "0", "-0.0", "-0e0", "1e-0", "1e400", "-1e400",
+              "1e-400", "+1", "1.", ".5", "01", "-", "1e", "e5", "5e-324", "2.4703282292062328e-324",
+              "1E+05", "123456789012345678901234567890", " 1", "1 ", "\t2", ""]
+#: finite '%.17g' numbers, with the writer's zeros 0 and -0, and integers
+G17 = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v)
+NUMBERS = st.one_of(G17, G17, st.sampled_from(["0", "-0"]), st.integers(-(2**70), 2**70).map(str))
+
+
+@st.composite
+def csv_text(draw):
+    """A header of `width` columns, then rows made mostly of '%.17g' numbers
+    and integers, with odd tokens, ragged and blank rows and CR, CRLF or LF
+    line ends."""
+    width = draw(st.sampled_from([1, 2, 3]))
+    numbers = st.lists(NUMBERS, min_size=width, max_size=width)
+    one_odd = st.tuples(numbers, st.integers(0, width - 1), st.sampled_from(ODD_TOKENS)).map(
+        lambda row: row[0][: row[1]] + [row[2]] + row[0][row[1] + 1 :]
+    )
+    ragged = st.lists(st.one_of(NUMBERS, st.sampled_from(ODD_TOKENS)), max_size=width + 1)
+    rows = st.one_of(numbers, numbers, numbers, one_odd, ragged).map(",".join)
+    ends = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+    lines = draw(st.lists(st.tuples(rows, ends).map("".join), max_size=14))
+    last = draw(st.sampled_from(["", "\n", "7"]))
+    header = ",".join(f"c{j}" for j in range(width))
+    return width, header + "\n" + "".join(lines) + last
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(csv_text())
+def test_reader_matches_loadtxt_on_any_block(tmp_path_factory, case):
+    width, text = case
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_bytes(text.encode())
+    # blocks of 4 lines, so that a file mixes canonical and other blocks
+    with mock.patch.object(_csvio, "_BLOCK", 4):
+        assert read_or_error(path, width) == loadtxt_only(path, width)
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_reader_matches_loadtxt_on_odd_tokens(tmp_path, token):
+    path = tmp_path / "f.csv"
+    path.write_text(f"c0,c1\n0.5,0.25\n{token},-1.5\n-0.125,{token}\n")
+    assert read_or_error(path, 2) == loadtxt_only(path, 2)
+
+
+def test_reader_grows_its_columns_past_the_counted_lines(tmp_path):
+    ss, path = samples_file(tmp_path, count=3 * _BLOCK + 5)
+    # as if the file had grown after its line ends were counted
+    with mock.patch.object(_csvio, "_max_lines", lambda path: 30):
+        back = read_samples_csv(str(path))
+    assert np.array_equal(bits(back.phases), bits(ss.phases))
+    assert np.array_equal(bits(back.values), bits(ss.values))
+
+
+def test_reader_reads_a_pipe(tmp_path):
+    ss, path = samples_file(tmp_path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    try:
+        back = read_samples_csv(str(fifo))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(bits(back.phases), bits(ss.phases))
+    assert np.array_equal(bits(back.values), bits(ss.values))

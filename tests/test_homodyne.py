@@ -2,6 +2,7 @@
 functions, densities, CDFs and the inversion machinery.  Statistical tests
 on full sample sets live in test_homodyne_stats.py."""
 
+import sys
 import warnings
 
 import mpmath
@@ -30,7 +31,6 @@ from cvsim import (
     characteristic_fn,
     displacement_gate,
     invert_cdf,
-    pdf_numeric_oracle,
     quadrature_cdf,
     quadrature_pdf,
     read_samples_csv,
@@ -42,6 +42,9 @@ from cvsim import (
     vacuum_state,
     write_samples_csv,
 )
+
+from cvsim.homodyne import MAX_SPATS_NBAR
+from quadrature_oracle import pdf_numeric_oracle
 
 ALL_MODELS = [
     Fock(3),
@@ -520,6 +523,23 @@ def test_wide_sources_sample_finite_values(model):
     # tier-1 runs with RuntimeWarning as an error, so no step may overflow
     values = sample(model, 20_000, seed=3).values
     assert np.isfinite(values).all()
+
+
+def test_spats_n_bar_bound():
+    # at the bound every F and p of the widened search is finite; past it, x**2
+    # overflows from n_bar ~ 3e306, so construction refuses n_bar there
+    assert np.isfinite(sample(Spats(MAX_SPATS_NBAR), 200, seed=5).values).all()
+    for n_bar in (np.nextafter(MAX_SPATS_NBAR, np.inf), 3e306, sys.float_info.max):
+        with pytest.raises(ValueError, match=r"n_bar must be finite and in \(0, 1e\+300\], got"):
+            Spats(n_bar)
+
+
+def test_cat_cdf_pdf_is_cdf_and_pdf():
+    model = CatState(1.5 - 0.7j, 0.4)
+    rng = np.random.default_rng(8)
+    x, phi = rng.normal(size=500) * 3.0, rng.uniform(-np.pi, np.pi, 500)
+    cdf, pdf = model.cdf_pdf(x, phi)
+    assert np.array_equal(cdf, model.cdf(x, phi)) and np.array_equal(pdf, model.pdf(x, phi))
 
 
 # --- theoretical variances ----------------------------------------------------
