@@ -10,9 +10,6 @@ D and k are computed for a whole block in numpy (`_decimal_digits`), and the
 block is written by one %-format of a template of integer fields.  The few
 cells whose digits cannot be certain that way go through '%.17g' itself.
 
-The same digits give the JSON writer float.__repr__, the shortest decimal
-that reads back to x (`_repr_cells`).
-
 A block of lines that holds only JSON numbers, commas and LF line ends, as
 the writer's do, is read by orjson, whose parser rounds correctly (Lemire,
 Softw. Pract. Exper. 51, 1700 (2021)) in under half of np.loadtxt's time;
@@ -48,12 +45,9 @@ _WRITE_BLOCK = 4096
 _POW10 = np.array([10**i for i in range(18)], dtype=np.int64)
 #: decimal scalings q = 16 - k of the normal doubles, k from 308 down to -308
 _Q_MIN, _Q_MAX = -292, 324
-#: how close to a rounding tie or to the end of a rounding interval a scaled
-#: value may come before it is left to Python; the double-double product errs
-#: by less than 2**-47 (see below), the scaled half-ulp by less than 2**-49
+#: how close to a rounding tie a scaled value may come before it is left to
+#: Python; the double-double product errs by less than 2**-47 (see below)
 _MARGIN = 2.0**-30
-#: the 52 fraction bits of a double
-_FRACTION_BITS = (1 << 52) - 1
 #: Veltkamp's splitting constant 2**27 + 1
 _SPLIT = 134217729.0
 #: a cell's template is _pieces()[((2 * sign + exponent form) * _HEADS + head)
@@ -91,10 +85,9 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
 
 
 def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(D, k, certain, residual, half_ulp): |x| rounded half-even to 17
-    significant digits is D * 10**(k-16) with 10**16 < D < 10**17, where
-    `certain`; elsewhere all five are junk.  With y = |x| * 10**(16-k),
-    residual is y - D and half_ulp is half an ulp of x times 10**(16-k).
+    """(D, k, certain): |x| rounded half-even to 17 significant digits is
+    D * 10**(k-16) with 10**16 < D < 10**17, where `certain`; elsewhere all
+    three are junk.
 
     With |x| = m * 2**e (frexp) and q = 16 - k, the scaled value is
     y = |x| * 10**q = m * (th + tl) * 2**(e+s).  Dekker's TwoProduct gives
@@ -102,15 +95,14 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
     rounded twice, each time by at most 2**-53 of a term below 2**-52 * y,
     and th + tl errs by 2**-106 * y, so hi + lo, the two scaled by 2**(e+s),
     is y to within 2**-104 * y < 2**-47 for y < 2**57.  Where tl == 0 (q in
-    [0, 22], k in [-6, 16]) hi + lo, residual and half_ulp are exact.
+    [0, 22], k in [-6, 16]) hi + lo is exact.
     D = hi + rint(lo) is then y rounded half-even, unless tl != 0 and lo lies
     within _MARGIN of a tie: hi < 2**53 gives |lo| < 2 and D < 10**16, so
     D > 10**16 holds only where hi >= 2**53 is an even integer.  k comes
     from log10, which may be one off next to a power of ten; D then falls
     out of (10**16, 10**17), a test that also leaves powers of ten and values
     that round up to one to Python, with zeros, subnormals, infinities and
-    NaN.  half_ulp = th * 2**(e+s-54) lies in [0.55, 11.2] and errs by
-    less than 2**-49 where tl != 0.
+    NaN.
     """
     ax = np.abs(x)
     certain = (ax >= sys.float_info.min) & (ax <= sys.float_info.max)
@@ -139,53 +131,17 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
     digits = hi.astype(np.int64) + rounded.astype(np.int64)
     del hi, rounded
     certain &= (digits > _POW10[16]) & (digits < _POW10[17])
-    return digits, k, certain, residual, np.ldexp(th, e - 54)
-
-
-def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(S, k, certain): float.__repr__(x) has the significant digits of the
-    17-digit integer S without its trailing zeros, decimal exponent k, where
-    `certain`; elsewhere all three are junk.
-
-    repr's digits are the shortest that read back to x, the closest to x
-    among them, a tie going to the even one (Steele & White, PLDI 1990).
-    They read back where they lie inside the rounding interval y +- half_ulp
-    (scaled as in _decimal_digits), closed for an even mantissa.  D itself is
-    inside, as half_ulp > 0.55.  The nearest multiple of 10 and of 100 to y
-    are the 16- and 15-digit candidates: a candidate is kept if it is inside
-    by more than _MARGIN, and beaten by a shorter one inside.  The interval
-    is narrower than 23, so it holds at most one multiple of 100, or of any
-    higher power of ten: a 15-digit candidate that ends in zeros is the
-    shorter form, written without them.  Candidates within _MARGIN of an
-    interval end or of a tie go to Python, with power-of-two mantissas,
-    whose interval is not symmetric, and a rounding up to 10**17.
-    """
-    digits, k, certain, residual, half_ulp = _decimal_digits(x)
-    certain &= (x.view(np.int64) & _FRACTION_BITS) != 0
-    shortest = digits
-    for step in (10, 100):
-        tail = digits % step
-        offset = tail + residual  # y minus the multiple of step below it
-        up = offset > step // 2
-        distance = np.where(up, step - offset, offset)
-        inside = distance < half_ulp
-        certain &= np.abs(distance - half_ulp) > _MARGIN
-        certain &= ~inside | (np.abs(offset - step // 2) > _MARGIN)
-        shortest = np.where(inside, digits - tail + step * up, shortest)
-    certain &= shortest < _POW10[17]
-    return shortest, k, certain
+    return digits, k, certain
 
 
 @functools.cache
-def _pieces(integral: str = "") -> np.ndarray:
+def _pieces() -> np.ndarray:
     """The %-template of each cell code (see _HEADS): sign, integer part,
-    point, leading zeros of the fraction, its %d, and the exponent;
-    `integral` ends a positional number without a fraction."""
+    point, leading zeros of the fraction, its %d, and the exponent."""
     heads = [str(d) for d in range(10)] + ["%d"]
     return np.array(
         [
-            sign + head + (("" if tail else integral) if zeros == _NO_FRACTION
-                           else "." + "0" * zeros + "%d") + tail
+            sign + head + ("" if zeros == _NO_FRACTION else "." + "0" * zeros + "%d") + tail
             for sign in ("", "-")
             for tail in ("", "e%+03d")
             for head in heads
@@ -195,17 +151,19 @@ def _pieces(integral: str = "") -> np.ndarray:
     )
 
 
-def _layout(x, digits, k, positional, args, used) -> np.ndarray:
-    """Cell codes of the 17-digit integers `digits`, decimal exponent k, as
-    the signs of x; fills the (cells, 3) `args` with their %-arguments
-    (integer part, fraction, exponent) and `used` with which of the three
-    each template takes.
+def _float_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Templates of a block of doubles as '%.17g' writes them; fills the
+    (cells, 3) `args` with their %-arguments (integer part, fraction,
+    exponent) and `used` with which of the three each template takes.
 
-    The positional form has cut = 16 - k digits after the point, the
-    exponent form 16.  The fraction is written as an integer after its
-    leading zeros, without its trailing ones.  An integer part of one digit
-    is part of the template.
+    The positional form, for -4 <= k <= 16, has cut = 16 - k digits after
+    the point, the exponent form 16.  The fraction is written as an integer
+    after its leading zeros, without its trailing ones.  An integer part of
+    one digit is part of the template.  Cells whose digits are not certain
+    are written by '%.17g' itself.
     """
+    digits, k, certain = _decimal_digits(x)
+    positional = (k >= -4) & (k <= 16)
     cut = np.where(positional, 16 - k, 16)
     scale = _POW10[np.minimum(cut, 17)]
     whole = digits // scale
@@ -223,31 +181,11 @@ def _layout(x, digits, k, positional, args, used) -> np.ndarray:
     used[:, 0] = head == _HEAD_INT
     used[:, 1] = zeros != _NO_FRACTION
     used[:, 2] = ~positional
-    return ((2 * np.signbit(x) + ~positional) * _HEADS + head) * _ZEROS + zeros
-
-
-def _float_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """Templates of a block of doubles as '%.17g' writes them, positional
-    for -4 <= k <= 16; fills `args` and `used` as _layout does."""
-    digits, k, certain, _, _ = _decimal_digits(x)
-    code = _layout(x, digits, k, (k >= -4) & (k <= 16), args, used)
     used[~certain] = False
+    code = ((2 * np.signbit(x) + ~positional) * _HEADS + head) * _ZEROS + zeros
     cells = _pieces()[np.where(certain, code, 0)]
     for i in np.flatnonzero(~certain).tolist():
         cells[i] = _NUMBER % x[i]
-    return cells
-
-
-def _repr_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """Templates of a block of doubles as float.__repr__ writes them,
-    positional for -4 <= k <= 15, with ".0" after an integral value; fills
-    `args` and `used` as _layout does."""
-    digits, k, certain = _shortest_digits(x)
-    code = _layout(x, digits, k, (k >= -4) & (k <= 15), args, used)
-    used[~certain] = False
-    cells = _pieces(".0")[np.where(certain, code, 0)]
-    for i in np.flatnonzero(~certain).tolist():
-        cells[i] = float.__repr__(x[i])
     return cells
 
 

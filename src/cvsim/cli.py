@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from functools import cache
@@ -18,7 +19,6 @@ from math import isfinite
 import numpy as np
 
 from . import homodyne
-from ._csvio import _repr_cells
 from .errors import CVSimError, SpecValidationError
 from .fock import MAX_TOTAL_PHOTONS, bs_output_from_angle
 from .network import GateDescriptor, NetworkSpec, parse_network_spec, run_network
@@ -46,83 +46,61 @@ def _writing(path: str):
         raise CLIError(f"cannot write {path}: {exc.strerror}", 1) from None
 
 
-#: nonzero cells per call of the digit kernel: a call costs ~150 us plus
-#: ~0.1 us a cell, and its temporaries peak at ~110 bytes a cell
-_KERNEL_CELLS = 2048
-#: cells per block of text, and per scan for nonzero cells; writing the
-#: N=192 network-chain output peaks at 0.4 MB of traced allocations
+#: cells per block of text, whole rows of a 2-D array; writing the N=192
+#: network-chain output peaks at 0.2 MB of traced allocations
 _TEXT_CELLS = 1024
-#: arrays with fewer cells are written through float.__repr__: through the
-#: kernel a 256-cell array took 1.2x as long, a 384-cell one 0.83x and a
-#: 32x32 one 0.64x (medians of 400 alternated runs, 2-vCPU VM)
-_KERNEL_MIN_CELLS = 384
-
-
-def _nonzero_batches(flat: np.ndarray):
-    """Yield (positions, end): the positions of the nonzero cells of `flat`,
-    _KERNEL_CELLS at a time, and the end of the cells that each batch
-    covers, one past its last position and flat.size for the last batch."""
-    found, count = [], 0
-    for first in range(0, flat.size, _TEXT_CELLS):
-        found.append(np.flatnonzero(flat[first:first + _TEXT_CELLS]) + first)
-        count += found[-1].size
-        while count >= _KERNEL_CELLS:
-            pending = np.concatenate(found)
-            batch = pending[:_KERNEL_CELLS]
-            found, count = [pending[_KERNEL_CELLS:]], count - _KERNEL_CELLS
-            yield batch, int(batch[-1]) + 1
-    yield np.concatenate(found), flat.size
+#: orjson writes an exponent without its "+" (1e16) and a one-digit
+#: negative one without a leading zero (2.5e-7), where repr writes 1e+16 and
+#: 2.5e-07
+_EXPONENT_SIGN = re.compile(r"e(?=[0-9])")
+_EXPONENT_ZERO = re.compile(r"e-(?=[0-9]\b)")
+#: doubles at each edge of the forms that _json_float_array mends
+_PROBE = (0.0, -0.0, 0.1, 1e15, 1e16, 1.5e300, 1e-4, 9.999999999999999e-05, 1e-5,
+          9.999999999999999e-06, 2.5e-7, 1e-10, 5e-324)
 
 
 def _json_float_array(a: np.ndarray, indent: str):
     """Yield the text of ``json.dumps(a.tolist(), indent=2)`` nested at
     `indent`, for a C-contiguous array of finite doubles with one or two
-    dimensions and at least one column.
+    dimensions and at least one cell.
 
-    The text is written in blocks of _TEXT_CELLS cells: a template of each
-    cell's separator and piece, filled by one %-format of the block's
-    integer fields, then cut to its length.  Zeros are the pieces "0.0" and
-    "-0.0"; the nonzero cells are formatted by the digit kernel,
-    _KERNEL_CELLS at a time.
+    orjson writes each block of _TEXT_CELLS cells with float.__repr__'s
+    digits, the shortest that read back (Ryu; Adams, PLDI 2018).  Its text
+    differs from repr's in the exponent, which two substitutions mend, and
+    in writing |x| in [1e-5, 1e-4) without one: those cells are written as
+    NaN, and each null that orjson writes for them is replaced by their repr.
     """
-    inner = indent + "  "
-    cell_indent = inner + "  " if a.ndim == 2 else inner
-    cols = a.shape[-1]
-    separator = ",\n" + cell_indent
-    row_break = "\n" + inner + "],\n" + inner + "[\n" + cell_indent
-    opening = "[\n" + (inner + "[\n" + cell_indent if a.ndim == 2 else cell_indent)
-    flat = a.reshape(-1)
-    start = 0
-    for positions, end in _nonzero_batches(flat):
-        args = np.zeros((positions.size, 3), dtype=np.int64)
-        used = np.zeros((positions.size, 3), dtype=bool)
-        cells = _repr_cells(flat[positions], args, used)
-        for first in range(start, end, _TEXT_CELLS):
-            last = min(first + _TEXT_CELLS, end)
-            i, j = np.searchsorted(positions, (first, last)).tolist()
-            values = flat[first:last]
-            fields = tuple(args[i:j][used[i:j]].tolist())
-            template = np.empty(2 * (last - first) + 1, dtype=object)
-            template[0::2] = separator
-            template[2 * (-first % cols)::2 * cols] = row_break
-            if first == 0:
-                template[0] = opening
-            # a field takes 2 to 6 characters of the template and writes at
-            # most 17: with room for them at its end, the %-format fills one
-            # buffer instead of growing it, whose reallocations raised the
-            # peak RSS of two network-chain rounds by ~1.1 MB
-            room = 15 * len(fields)
-            template[-1] = " " * room
-            pieces = template[1::2]
-            pieces.fill("0.0")  # np.full takes ~10x as long
-            pieces[np.signbit(values) & (values == 0)] = "-0.0"
-            pieces[positions[i:j] - first] = cells[i:j]
-            text = "".join(template.tolist()) % fields
-            del template, pieces, fields  # while the block is written
-            yield text[:len(text) - room]
-        start = end
-        del cells, args, used  # before the next batch is formatted
-    yield ("\n" + inner + "]" if a.ndim == 2 else "") + "\n" + indent + "]"
+    import orjson
+
+    option = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
+    step = max(1, _TEXT_CELLS // a.shape[1]) if a.ndim == 2 else _TEXT_CELLS
+    newline = "\n" + indent
+    yield "["
+    for first in range(0, len(a), step):
+        block = a[first:first + step]
+        magnitude = np.abs(block)
+        small = (magnitude >= 1e-5) & (magnitude < 1e-4)
+        reprs = tuple(map(float.__repr__, block[small].tolist()))
+        if reprs:
+            block = np.where(small, np.nan, block)
+        text = _EXPONENT_SIGN.sub("e+", orjson.dumps(block, option=option).decode())
+        text = _EXPONENT_ZERO.sub("e-0", text)
+        if reprs:
+            text = text.replace("null", "%s") % reprs
+        yield ("," if first else "") + text[1:-2].replace("\n", newline)
+    yield newline + "]"
+
+
+@cache
+def _check_json_writer() -> None:
+    """Raise CVSimError unless _json_float_array writes _PROBE as json.dumps
+    does: the mends above rely on orjson's float format, which orjson's
+    version range does not pin."""
+    import orjson
+
+    if "".join(_json_float_array(np.array(_PROBE), "")) != json.dumps(_PROBE, indent=2):
+        raise CVSimError(f"orjson {orjson.__version__} writes floats in a form that "
+                         "the network JSON writer does not know")
 
 
 #: the JSON string that stands for an array written by _json_float_array;
@@ -134,15 +112,15 @@ def _json_text(payload):
     """Yield the text of ``json.dumps(payload, indent=2, default=np.ndarray.tolist)``.
 
     A C-contiguous array of finite doubles with one or two dimensions and at
-    least _KERNEL_MIN_CELLS cells is written by _json_float_array, at the
-    indent of the line that it starts on: json.dumps writes _ARRAY_MARK in
-    its place, and its text is cut at each mark.
+    least one cell is written by _json_float_array, at the indent of the line
+    that it starts on: json.dumps writes _ARRAY_MARK in its place, and its
+    text is cut at each mark.
     """
     taken = []
 
     def default(a):
-        if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim <= 2
-                and a.size >= _KERNEL_MIN_CELLS and a.flags.c_contiguous
+        if (isinstance(a, np.ndarray) and a.dtype == np.float64 and 1 <= a.ndim <= 2
+                and a.size and a.flags.c_contiguous
                 and np.isfinite(a.min()) and np.isfinite(a.max())):
             taken.append(a)
             return _ARRAY_MARK
@@ -273,6 +251,7 @@ def cmd_network(config, out):
         "cov": clean_tiny(result.state.cov),
         "analyses": result.analyses,
     }
+    _check_json_writer()
     with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_json_text(payload))
         fh.write("\n")

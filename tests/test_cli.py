@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import cvsim
+from cvsim import cli
 from cvsim.cli import _ARRAY_MARK, _fock_bs_json, _json_text, main
 from cvsim import (
     SampleSet,
@@ -750,6 +751,43 @@ def test_network_unresolved_rotated_squeezer_exits_1_with_one_line(tmp_path, ana
     assert not out.exists()
 
 
+def test_network_refuses_an_orjson_float_format_it_does_not_know(tmp_path, monkeypatch):
+    import orjson
+
+    dumps = orjson.dumps
+    monkeypatch.setattr(orjson, "dumps", lambda obj, option=None: dumps(obj, option=option)
+                        .replace(b"e", b"E"))
+    path, out = tmp_path / "net.json", tmp_path / "o.json"
+    path.write_text(json.dumps(README_NETWORK))
+    cli._check_json_writer.cache_clear()  # the probe is written once per process
+    try:
+        result = run_cli(["network", "--config", str(path), "--out", str(out)])
+    finally:
+        cli._check_json_writer.cache_clear()
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [
+        f"Error: orjson {orjson.__version__} writes floats in a form that the network "
+        "JSON writer does not know"
+    ]
+    assert not out.exists()
+
+
+def test_network_simon_of_subnormal_correlations_prints_no_warning(tmp_path):
+    # a beam splitter at theta = 5e-324 leaves cross entries of ~5e-324,
+    # whose det divided by zero inside numpy and warned on stderr
+    path, out = tmp_path / "net.json", tmp_path / "o.json"
+    path.write_text(json.dumps({"modes": 2, "gates": [
+        {"kind": "squeeze", "modes": [0], "params": {"r": 0.5, "theta": 0.3}},
+        {"kind": "squeeze", "modes": [1], "params": {"r": 0.2, "theta": 1.0}},
+        {"kind": "beamsplitter", "modes": [0, 1], "params": {"theta": 5e-324, "phi": math.pi / 2}},
+    ], "analyses": [{"type": "simon", "modes": [0, 1]}]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cvsim.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "cvsim.cli", "network", "--config", str(path),
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(out.read_text())["analyses"][0]["verdict"] == "separable"
+
+
 @pytest.mark.parametrize("r", [8.0, 9.0, 10.0, 15.0])
 def test_network_strong_squeezer_exits_0(tmp_path, r):
     path, out = tmp_path / "net.json", tmp_path / "o.json"
@@ -1036,29 +1074,27 @@ def test_commands_other_than_sample_leave_out_scipy_special(tmp_path):
 
 
 def test_only_the_csv_readers_load_orjson(tmp_path):
+    """orjson is loaded by the commands that use it, the CSV reader of
+    analyze and the JSON writer of network, and by no other."""
     config = tmp_path / "net.json"
     config.write_text(json.dumps(README_NETWORK))
     commands = [
         ["fock-bs", "--n1", "3", "--n2", "2", "--out", str(tmp_path / "f.json")],
-        ["network", "--config", str(config), "--out", str(tmp_path / "n.json")],
         ["wigner", "--state", "squeezed", "--r", "0.5", "--out", str(tmp_path / "w.csv")],
         ["sample", "--state", "vacuum", "--count", "50", "--out", str(tmp_path / "s.csv")],
     ]
     analyze = ["analyze", "--in", str(tmp_path / "s.csv"), "--bins", "4",
                "--out", str(tmp_path / "v.csv")]
-    code = (
-        "import sys\n"
-        "import cvsim\n"
-        "print('orjson', 'orjson' in sys.modules)\n"
-        "from cvsim.cli import main\n"
-        f"for args in {commands!r}:\n"
-        "    main(args, standalone_mode=False)\n"
-        "print('orjson', 'orjson' in sys.modules)\n"
-        f"main({analyze!r}, standalone_mode=False)\n"
-        "print('orjson', 'orjson' in sys.modules)\n"
-    )
-    loaded = [line.split()[1] for line in run_fresh(code).splitlines() if line.startswith("orjson")]
-    assert loaded == ["False", "False", "True"]
+    network = ["network", "--config", str(config), "--out", str(tmp_path / "n.json")]
+
+    def loaded(*runs):
+        code = "import sys\nimport cvsim\nprint('orjson' in sys.modules)\nfrom cvsim.cli import main\n"
+        for args in runs:
+            code += f"main({args!r}, standalone_mode=False)\nprint('orjson' in sys.modules)\n"
+        return [line for line in run_fresh(code).splitlines() if line in ("True", "False")]
+
+    assert loaded(*commands, analyze) == ["False", "False", "False", "False", "True"]
+    assert loaded(network) == ["False", "True"]
 
 
 def test_commands_run_without_click(tmp_path):

@@ -150,7 +150,7 @@ def test_decimal_digits_are_exact_where_certain():
         values = np.concatenate(
             [10.0 ** rng.uniform(-307, 308, 20_000), rng.normal(size=20_000), odd_ties(rng, 2000)]
         )
-    digits, k, certain, _, _ = _decimal_digits(values)
+    digits, k, certain = _decimal_digits(values)
     # all but a few values near powers of ten and ties are certain, and
     # certain digits are those of '%.16e'
     assert certain.mean() > 0.999
@@ -161,10 +161,10 @@ def test_decimal_digits_are_exact_where_certain():
 
 def test_decimal_digits_round_exact_ties_half_even_and_leave_inexact_ones():
     # 10**16 is a double, so ties at |x| in [1, 10) are resolved exactly
-    digits, _, certain, _, _ = _decimal_digits(np.array([131073 / 2**17, 131075 / 2**17]))
+    digits, _, certain = _decimal_digits(np.array([131073 / 2**17, 131075 / 2**17]))
     assert certain.all() and digits.tolist() == [10000076293945312, 10000228881835938]
     # 10**23 is not: 3 / 2**24 * 10**23 ends in .5 and is left to '%.17g'
-    _, _, certain, _, _ = _decimal_digits(np.array([3 / 2**24, 0.0, np.nan, 5e-324, 1.0]))
+    _, _, certain = _decimal_digits(np.array([3 / 2**24, 0.0, np.nan, 5e-324, 1.0]))
     assert not certain.any()
 
 

@@ -133,6 +133,15 @@ def test_simon_network_bipartitions():
     assert simon_criterion(reduced_state(net, [0, 3])).verdict == ENTANGLED
 
 
+def test_simon_of_subnormal_cross_block_is_quiet_and_separable():
+    # det of C = [[0, 5e-324], [5e-324, 0]] divides by zero inside numpy's
+    # LU; the warning is an error under this suite's filter
+    C = np.array([[0.0, 5e-324], [5e-324, 0.0]])
+    cov = np.block([[np.eye(2), C], [C.T, np.eye(2)]])
+    report = simon_criterion(GaussianState(mean=np.zeros(4), cov=cov, hbar=2.0))
+    assert (report.lhs, report.rhs, report.verdict) == (2.0, 2.0, SEPARABLE)
+
+
 def test_simon_requires_two_modes():
     with pytest.raises(ValueError):
         simon_criterion(vacuum_state(3))

@@ -1,38 +1,35 @@
-"""The digit kernel's float.__repr__ path against Python, value by value:
-random bit patterns, every decade, the neighbours of powers of ten, every
-shortest length from 1 to 17 digits, rounding-interval ends for even and odd
-mantissas, 16-digit ties, power-of-two mantissas, subnormals and zeros."""
+"""The network JSON writer's float arrays against json.dumps, value by
+value: random bit patterns, every decade, the neighbours of powers of ten,
+every shortest length from 1 to 17 digits, rounding-interval ends for even
+and odd mantissas, 16-digit ties, power-of-two mantissas, subnormals, zeros,
+normal deviates and a Wigner grid, in 1-D and 2-D arrays nested at two
+indents."""
 
+import json
 import random
-from fractions import Fraction
 
 import numpy as np
 
-from cvsim import _csvio
-from cvsim._csvio import _decimal_digits, _repr_cells, _shortest_digits
-
-#: values per kernel call, as the JSON writer's batches
-CHUNK = 2048
+from cvsim.cli import _TEXT_CELLS, _json_float_array
 
 
-def kernel_reprs(values):
-    """The kernel's text of each value, filled as the JSON writer fills it."""
-    texts = []
-    for first in range(0, values.size, CHUNK):
-        part = values[first:first + CHUNK]
-        args = np.zeros((part.size, 3), dtype=np.int64)
-        used = np.zeros((part.size, 3), dtype=bool)
-        cells = _repr_cells(part, args, used)
-        texts += ("\0".join(cells.tolist()) % tuple(args[used].tolist())).split("\0")
-    return texts
+def written(a, indent=""):
+    return "".join(_json_float_array(a, indent))
 
 
-def assert_reprs(values):
-    values = np.asarray(values, dtype=float)
-    got = kernel_reprs(values)
-    want = [float.__repr__(v) for v in values.tolist()]
-    wrong = [(g, w) for g, w in zip(got, want) if g != w]
-    assert len(got) == len(want) and not wrong, wrong[:5]
+def assert_written_as_json_dumps(a, indents=("",)):
+    """_json_float_array's text of `a` is json.dumps's, nested at each of `indents`."""
+    text = json.dumps(a.tolist(), indent=2)
+    for indent in indents:
+        got, want = written(a, indent), text.replace("\n", "\n" + indent)
+        if got != want:
+            wrong = [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w]
+            raise AssertionError(wrong[:5] or (len(got), len(want)))
+
+
+def reprs(values):
+    """The text of each value in the writer's 1-D array."""
+    return [line.strip().rstrip(",") for line in written(np.asarray(values)).split("\n")[1:-1]]
 
 
 def powers_of_ten():
@@ -71,6 +68,13 @@ def interval_ends(rng, count):
     return values
 
 
+def wigner_grid():
+    """A vacuum Wigner function on a 101x101 grid: 55% of it below 1e-4, 14%
+    in [1e-5, 1e-4)."""
+    grid = np.linspace(-5, 5, 101)
+    return np.exp(-(grid[:, None] ** 2 + grid[None, :] ** 2) / 2).ravel() / (2 * np.pi)
+
+
 def fuzz_values(seed):
     """About 1.1 million seeded values over the whole double range."""
     rng = np.random.default_rng(seed)
@@ -96,68 +100,45 @@ def fuzz_values(seed):
             signed(powers_of_two),
             signed((powers_of_two.view(np.int64)[52:, None] + [-1, 1]).view(np.float64).ravel()),
             signed(rng.integers(1, 2**52, 20_000).view(np.float64)),  # subnormals
-            np.array([0.0, -0.0, 5e-324, 1e23, 9007199254740993.0, 562949953421312.75]),
+            np.array([0.0, -0.0, 5e-324, 1e23, 9007199254740993.0, 562949953421312.75,
+                      562949953421312.25, 0.5, 1.0, 2.0**-1000]),
+            wigner_grid(),
+            rng.normal(size=20_000),
         ])
     return values[rng.permutation(values.size)]
 
 
 def test_repr_kernel_matches_float_repr_on_a_million_fuzzed_values():
     values = fuzz_values(20261018)
+    values = values[np.isfinite(values)]
     assert values.size >= 1_000_000
-    assert_reprs(values)
-
-
-def test_residual_and_half_ulp_are_exact_where_the_product_is():
-    rng = np.random.default_rng(3)
-    values = 10.0 ** rng.uniform(-6, 17, 3000)
-    digits, k, certain, residual, half_ulp = _decimal_digits(values)
-    assert certain.mean() > 0.999 and ((k >= -6) & (k <= 16)).all()
-    for x, d, e, r, h in zip(*(a[certain].tolist() for a in (values, digits, k, residual,
-                                                               half_ulp))):
-        scale = Fraction(10) ** (16 - e)
-        assert Fraction(x) * scale - d == Fraction(r)
-        assert Fraction(np.spacing(x)) / 2 * scale == Fraction(h)
+    # 7 columns: blocks of whole rows; 1500: one row a block
+    rows = [values[:values.size // cols * cols].reshape(-1, cols) for cols in (7, 1500)]
+    for a in (values, *rows):
+        assert_written_as_json_dumps(a, ("", "      "))
 
 
 def test_repr_kernel_matches_python_at_interval_ends():
     # 2**54 + 8 has an even mantissa, so 18014398509481990 reads back to it;
     # 2**54 + 4 is odd, and its interval end 18014398509481990 does not
     values = np.array([2.0**54 + 8, 2.0**54 + 4, 2.0**54 + 12])
-    assert kernel_reprs(values) == ["1.801439850948199e+16", "1.8014398509481988e+16",
-                                    "1.8014398509481996e+16"]
-    assert_reprs(interval_ends(random.Random(7), 4000))
-
-
-def test_repr_kernel_leaves_few_values_to_python():
-    rng = np.random.default_rng(11)
-    # a Wigner grid and normal deviates: none falls back
-    grid = np.linspace(-5, 5, 101)
-    wigner = np.exp(-(grid[:, None] ** 2 + grid[None, :] ** 2) / 2).ravel() / (2 * np.pi)
-    assert _shortest_digits(wigner)[2].all()
-    assert _shortest_digits(rng.normal(size=20_000))[2].mean() > 0.999
-    # random bit patterns: of the finite, normal ones ~0.1% fall back
-    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
-    normal = bits[np.isfinite(bits) & (np.abs(bits) >= 2.2250738585072014e-308)]
-    assert _shortest_digits(normal)[2].mean() > 0.995
-
-
-def test_repr_kernel_leaves_ties_and_asymmetric_intervals_to_python():
-    values = np.array([562949953421312.25, 562949953421312.75, 0.5, 1.0, 2.0**-1000])
-    # 16-digit ties and power-of-two mantissas go to Python
-    assert not _shortest_digits(values)[2].any()
-    assert_reprs(values)
+    assert reprs(values) == ["1.801439850948199e+16", "1.8014398509481988e+16",
+                             "1.8014398509481996e+16"]
+    assert_written_as_json_dumps(np.array(interval_ends(random.Random(7), 4000)))
 
 
 def test_repr_kernel_writes_short_decimals_itself():
     values = np.array([0.3, -1e-5, 2.5e-7, 123.456, 7e15, 1.5e300, 0.002])
-    assert _shortest_digits(values)[2].all()
-    assert_reprs(values)
+    assert reprs(values) == ["0.3", "-1e-05", "2.5e-07", "123.456", "7000000000000000.0",
+                             "1.5e+300", "0.002"]
 
 
-def test_repr_kernel_leaves_a_rounding_up_to_10_17_to_python(monkeypatch):
-    # log10 puts every double whose interval holds 10**(k+1) a decade up,
-    # where D < 10**16 fails; with k right, the candidates would carry
-    fields = ([99999999999999995], [5], [True], [0.1], [8.0])
-    monkeypatch.setattr(_csvio, "_decimal_digits", lambda x: tuple(map(np.array, fields)))
-    shortest, _, certain = _shortest_digits(np.array([3.0]))
-    assert shortest[0] == 10**17 and not certain[0]
+def test_cells_below_1e_minus_4_keep_their_exponent_in_every_block():
+    # orjson writes [1e-5, 1e-4) positionally; the writer splices repr in,
+    # in blocks after the first and in rows longer than a block
+    edges = [1e-5, -9.999999999999999e-05, 1e-4, 9.999999999999999e-06, 5e-05]
+    assert reprs(edges) == ["1e-05", "-9.999999999999999e-05", "0.0001",
+                            "9.999999999999999e-06", "5e-05"]
+    values = np.tile(edges, _TEXT_CELLS)
+    for a in (values, values.reshape(1, -1), values.reshape(-1, 5)):
+        assert_written_as_json_dumps(a, ("  ",))
