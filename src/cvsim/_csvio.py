@@ -13,7 +13,8 @@ cells whose digits cannot be certain that way go through '%.17g' itself.
 A block of lines that holds only JSON numbers, commas and LF line ends, as
 the writer's do, is read by orjson, whose parser rounds correctly (Lemire,
 Softw. Pract. Exper. 51, 1700 (2021)) in under half of np.loadtxt's time;
-every other block, with NaN, CRLF, blanks or a bad line, by np.loadtxt.
+every other block, with NaN, blanks or a bad line, by np.loadtxt (text mode
+turns CRLF and CR line ends into LF first, so they leave a block canonical).
 orjson is imported by the reader, so that importing cvsim does not load it.
 """
 

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import CVSimError
 from .states import (
     PHYSICALITY_TOL,
     GaussianState,
@@ -118,6 +119,8 @@ def simon_criterion(state: GaussianState) -> SimonReport:
     Raises:
         DegenerateInputError: if cov is not positive definite or rounding in
             its entries does not resolve it (see ``states._resolved_cholesky``).
+        CVSimError: if either side or their difference overflows float64, as
+            for blocks of about 1e154 or more.
     """
     if state.num_modes != 2:
         raise ValueError(
@@ -129,14 +132,17 @@ def simon_criterion(state: GaussianState) -> SimonReport:
     C = cov[0:2, 2:4]
     B = cov[2:4, 2:4]
     h2_4 = state.hbar**2 / 4.0
-    # det's LU warns on a subnormal pivot (C = [[0, 5e-324], [5e-324, 0]]); its value is right
-    with np.errstate(divide="ignore"):
+    # det's LU warns on a subnormal pivot (C = [[0, 5e-324], [5e-324, 0]]); its value is right.
+    # An overflow is refused below instead of warning.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         det_a, det_b, det_c = (np.linalg.det(block) for block in (A, B, C))
-    lhs = float(
-        det_a * det_b + (h2_4 - abs(det_c)) ** 2 - np.trace(A @ _J @ C @ _J @ B @ _J @ C.T @ _J)
-    )
-    rhs = float(h2_4 * (det_a + det_b))
+        lhs = float(
+            det_a * det_b + (h2_4 - abs(det_c)) ** 2 - np.trace(A @ _J @ C @ _J @ B @ _J @ C.T @ _J)
+        )
+        rhs = float(h2_4 * (det_a + det_b))
     margin = lhs - rhs
+    if not np.isfinite([lhs, rhs, margin]).all():
+        raise CVSimError(f"the Simon criterion overflows float64 (lhs = {lhs!r}, rhs = {rhs!r})")
     verdict = SEPARABLE if margin >= -VERDICT_TOL else ENTANGLED
     return SimonReport(lhs=lhs, rhs=rhs, verdict=verdict, margin=margin)
 

@@ -16,7 +16,7 @@ a bisection bracket: Newton steps from a start read off a quantile table, a
 midpoint step wherever Newton would leave the bracket or stall, and a stop
 once the bracket is narrower than the tolerance.  The table is built once
 per call from the model alone: F and p on a fixed x grid (one row, or one
-row per phase node for a cat), inverted to quantiles on a uniform u grid by
+row at every phase node of a cat), inverted to quantiles on a uniform u grid by
 cubic Hermite interpolation.  A record starts from it linearly in u and, for
 a cat, cubically in phi.  Records start on [-50, 50] without evaluating F at its
 ends; one that ends within tol of an end is solved again inside a bracket
@@ -72,19 +72,14 @@ _TABLE_PHI = 128
 
 class SourceModel:
     """A source family with its closed forms, each a method: ``chi(beta)``,
-    ``pdf(x, phi)``, ``cdf(x, phi)``, ``moments(phi)``, the mean and variance
-    of X_phi (scalars where they do not depend on phi), and ``cdf_pdf(x, phi)``
-    for both at once.  x and phi are float arrays that broadcast; a family
-    whose density does not depend on phi returns arrays shaped like x."""
+    ``pdf(x, phi)``, ``cdf_pdf(x, phi)``, which returns F and p together, and
+    ``moments(phi)``, the mean and variance of X_phi (scalars where they do not
+    depend on phi).  A caller that needs p alone calls ``pdf``, which for a
+    cat skips F's complex erf.  x and phi are float arrays that broadcast; a
+    family whose density does not depend on phi returns arrays shaped like x."""
 
     #: whether p(x, phi) depends on phi
     phase_sensitive = False
-
-    def cdf_pdf(self, x, phi):
-        return self.cdf(x, phi), self.pdf(x, phi)
-
-    def variance(self, phi):
-        return self.moments(phi)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +117,11 @@ class GaussianSource(SourceModel):
         m, v = self.moments(phi)
         return np.exp(-((x - m) ** 2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
 
-    def cdf(self, x, phi):
+    def cdf_pdf(self, x, phi):
         from scipy.special import erf
 
         m, v = self.moments(phi)
-        return 0.5 + 0.5 * erf((x - m) / np.sqrt(2.0 * v))
+        return 0.5 + 0.5 * erf((x - m) / np.sqrt(2.0 * v)), self.pdf(x, phi)
 
     def quantile(self, phi, u):
         from scipy.special import ndtri
@@ -175,9 +170,6 @@ class Fock(SourceModel):
     def pdf(self, x, phi):
         return self.cdf_pdf(x, phi)[1]
 
-    def cdf(self, x, phi):
-        return self.cdf_pdf(x, phi)[0]
-
     def moments(self, phi):
         return 0.0, 2.0 * self.n + 1.0
 
@@ -205,16 +197,17 @@ class Spats(SourceModel):
         bracket = 1.0 - (1.0 + nb) / (1.0 + 2.0 * nb) * (1.0 - x**2 / (1.0 + 2.0 * nb))
         return np.exp(-(x**2) / s) / np.sqrt(np.pi * s) * bracket
 
-    def cdf(self, x, phi):
+    def cdf_pdf(self, x, phi):
         from scipy.special import erf
 
         nb = self.n_bar
         s = 4.0 * nb + 2.0
-        return (
+        cdf = (
             0.5
             + 0.5 * erf(x / np.sqrt(s))
             - x / np.sqrt(np.pi * s) * (1.0 + nb) / (1.0 + 2.0 * nb) * np.exp(-(x**2) / s)
         )
+        return cdf, self.pdf(x, phi)
 
     def moments(self, phi):
         return 0.0, 4.0 * self.n_bar + 3.0
@@ -259,16 +252,8 @@ class CatState(SourceModel):
         )
         return complex(np.exp(-abs(beta) ** 2 / 2.0) * terms / self.normalization())
 
-    def cdf_pdf(self, x, phi):
-        # one evaluation of the complex terms serves both
-        terms = self._terms(phi)
-        return self._cdf(x, terms), self._pdf(x, terms)
-
     def pdf(self, x, phi):
         return self._pdf(x, self._terms(phi))
-
-    def cdf(self, x, phi):
-        return self._cdf(x, self._terms(phi))
 
     def _pdf(self, x, terms):
         a, b, damp = terms
@@ -277,9 +262,11 @@ class CatState(SourceModel):
         # clip -eps rounding at density zeros
         return np.maximum(total / (self.normalization() * np.sqrt(2.0 * np.pi)), 0.0)
 
-    def _cdf(self, x, terms):
+    def cdf_pdf(self, x, phi):
         from scipy.special import erf
 
+        # one evaluation of the complex terms serves both
+        terms = self._terms(phi)
         a, b, damp = terms
         c = np.exp(1j * self.theta) * damp
         sqrt2 = np.sqrt(2.0)
@@ -291,7 +278,7 @@ class CatState(SourceModel):
             + (1.0 + erf((x + a) / sqrt2))
             + 2.0 * np.real(c * (1.0 + erf((x + 1j * b) / sqrt2)))
         )
-        return total / (2.0 * self.normalization())
+        return total / (2.0 * self.normalization()), self._pdf(x, terms)
 
     def moments(self, phi):
         """Mean and variance of X_phi from the three Gaussian terms of the pdf."""
@@ -347,7 +334,7 @@ def quadrature_pdf(model: SourceModel, x, phi):
 def quadrature_cdf(model: SourceModel, x, phi):
     """Closed-form cumulative distribution F(x, phi); monotone in x with
     limits 0 and 1.  Accepts scalars or arrays."""
-    out = model.cdf(np.asarray(x, dtype=float), np.asarray(phi, dtype=float))
+    out = model.cdf_pdf(np.asarray(x, dtype=float), np.asarray(phi, dtype=float))[0]
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -379,15 +366,7 @@ def _quantile_row(x, cdf, pdf, u):
     return x[j] + dx * (t * t * (3.0 - 2.0 * t) + t * (1.0 - t) * ((1.0 - t) * s0 - t * s1))
 
 
-def _phase_nodes(phis):
-    """Index m of the cat phase node at or below each phi, and the fraction f
-    of the way to node m + 1 (m may be _TABLE_PHI, the wrap of node 0)."""
-    r = np.mod(phis + np.pi, 2.0 * np.pi) * (_TABLE_PHI / (2.0 * np.pi))
-    m = np.floor(r)
-    return m.astype(np.intp), r - m
-
-
-def _start_table(model, phis):
+def _start_table(model):
     """Quantiles of the model at u = k / _TABLE_U, k = 0 .. _TABLE_U, one
     row per phase node.
 
@@ -396,33 +375,18 @@ def _start_table(model, phis):
     Fock and SPATS densities do not depend on phi and have one row; a cat has
     _TABLE_PHI rows at phi = -pi + 2 pi m / _TABLE_PHI.  Since a cat's
     p(x, phi + pi) = p(-x, phi), its quantile at (u, phi + pi) is minus that
-    at (1 - u, phi), and only rows with phi < 0 are evaluated: those that the
-    records at phis start from (_table_start), or whose mirror they start
-    from.  The other rows are NaN.  Each row is computed element by element,
-    so a row does not depend on which others are evaluated.
+    at (1 - u, phi), and only the rows with phi < 0 are evaluated.
     """
     phased = model.phase_sensitive
-    half = _TABLE_PHI // 2
-    rows = [0]
-    if phased:
-        # a record at node m starts from rows m - 1 .. m + 2, mirrored or not
-        hit = np.zeros(half, dtype=bool)
-        hit[_phase_nodes(phis)[0] % half] = True
-        rows = np.flatnonzero(hit | np.roll(hit, 1) | np.roll(hit, -1) | np.roll(hit, 2))
-    nodes = np.linspace(-np.pi, 0.0, half if phased else 1, endpoint=False)[rows][:, None]
+    nodes = np.linspace(-np.pi, 0.0, _TABLE_PHI // 2 if phased else 1, endpoint=False)[:, None]
     mean, var = model.moments(nodes)
     span = (2.0 * np.sqrt(var) + 5.0) * np.linspace(-1.0, 1.0, _TABLE_X)
-    x = np.broadcast_to(mean + span, (len(rows), _TABLE_X))
+    x = np.broadcast_to(mean + span, (nodes.size, _TABLE_X))
     cdf, pdf = _cdf_and_pdf(model, x, nodes)
     u = np.arange(1, _TABLE_U) / _TABLE_U
     inner = [_quantile_row(*row, u) for row in zip(x, cdf, pdf)]
     evaluated = np.column_stack((x[:, 0], inner, x[:, -1]))
-    if not phased:
-        return evaluated
-    table = np.full((_TABLE_PHI, _TABLE_U + 1), np.nan)
-    table[rows] = evaluated
-    table[rows + half] = -evaluated[:, ::-1]
-    return table
+    return np.vstack((evaluated, -evaluated[:, ::-1])) if phased else evaluated
 
 
 def _table_start(table, phis, targets):
@@ -440,7 +404,11 @@ def _table_start(table, phis, targets):
 
     if rows == 1:
         return at(0)
-    m, f = _phase_nodes(phis)
+    # m is the phase node at or below each phi (_TABLE_PHI wraps to node 0),
+    # and f the fraction of the way to node m + 1
+    r = np.mod(phis + np.pi, 2.0 * np.pi) * (_TABLE_PHI / (2.0 * np.pi))
+    m = np.floor(r).astype(np.intp)
+    f = r - m
     return (
         (f * (1.0 - f) * (f - 2.0) / 6.0) * at((m - 1) % rows)
         + ((f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0) * at(m % rows)
@@ -558,7 +526,7 @@ def _invert(model, phis, targets, tol):
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     gaussian = isinstance(model, GaussianSource)
-    table = None if gaussian else _start_table(model, phis)
+    table = None if gaussian else _start_table(model)
     out = np.empty_like(targets)
     records = np.arange(targets.size)
     for first in range(0, targets.size, _BLOCK):
@@ -627,7 +595,7 @@ def sample(model: SourceModel, count: int, seed: int = 42, tol: float = DEFAULT_
 
 def theoretical_variance(model: SourceModel, phi: float) -> float:
     """Analytic Var[X_phi] for each model (vacuum variance 1)."""
-    return float(model.variance(phi))
+    return float(model.moments(phi)[1])
 
 
 @dataclass(frozen=True, eq=False)

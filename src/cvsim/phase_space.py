@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import _NUMBER, _read_csv, _write_csv
-from .errors import DegenerateInputError, MalformedInputError, UnsupportedOrderingError
+from .errors import CVSimError, DegenerateInputError, MalformedInputError, UnsupportedOrderingError
 from .states import GaussianState, _resolved_cholesky, symplectic_form
 from .entanglement import reduced_state
 
@@ -29,7 +29,8 @@ from .entanglement import reduced_state
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
     """Rectangular evaluation grid in a single mode's (x, p) plane; ValueError
-    unless the bounds are finite and ordered and each count is an integer >= 2."""
+    unless the bounds are finite and ordered, each count is an integer >= 2
+    and the cell area is finite."""
 
     x_min: float
     x_max: float
@@ -48,6 +49,9 @@ class PhaseSpaceGrid:
             raise ValueError(f"grid point counts must be integers, got {self.nx!r} and {self.np!r}")
         if self.nx < 2 or self.np < 2:
             raise ValueError("grid needs at least 2 points per axis")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.cell_area()):
+                raise ValueError("grid cell area overflows float64: the bounds are too far apart")
 
     def x_axis(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -90,9 +94,13 @@ def wigner_gaussian(state: GaussianState, grid: PhaseSpaceGrid, mode: int = 0) -
             rounding in its entries does not resolve det sigma to 1%, as for
             a squeezer at theta = 0.7 from r ~ 8.3 (see
             ``states._resolved_cholesky``).
+        CVSimError: if det sigma overflows float64, as at hbar = 1e308.
     """
     red = reduced_state(state, [mode])
-    det = np.linalg.det(red.cov)
+    with np.errstate(over="ignore"):
+        det = np.linalg.det(red.cov)
+    if det == np.inf:
+        raise CVSimError("the covariance determinant overflows float64")
     if det <= 0 or not np.isfinite(det):
         raise DegenerateInputError(f"covariance is singular (det = {det:.3e})")
     _resolved_cholesky(red.cov)
@@ -100,8 +108,11 @@ def wigner_gaussian(state: GaussianState, grid: PhaseSpaceGrid, mode: int = 0) -
     norm = 1.0 / (2.0 * np.pi * np.sqrt(det))
     dx = grid.x_axis()[:, None] - red.mean[0]
     dp = grid.p_axis()[None, :] - red.mean[1]
-    quad = inv[0, 0] * dx**2 + 2.0 * inv[0, 1] * dx * dp + inv[1, 1] * dp**2
-    return WignerField(grid=grid, values=norm * np.exp(-quad / 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = inv[0, 0] * dx**2 + 2.0 * inv[0, 1] * dx * dp + inv[1, 1] * dp**2
+    # the form is positive, so where its terms overflow to inf - inf it is
+    # far past the point where exp(-quad / 2) underflows to 0
+    return WignerField(grid=grid, values=np.where(np.isnan(quad), 0.0, norm * np.exp(-quad / 2.0)))
 
 
 def characteristic_gaussian(state: GaussianState, r: np.ndarray) -> complex:

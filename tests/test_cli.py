@@ -751,6 +751,73 @@ def test_network_unresolved_rotated_squeezer_exits_1_with_one_line(tmp_path, ana
     assert not out.exists()
 
 
+# a product of two thermal states (E_N = 0) whose Simon sides overflow: it wrote
+# Infinity for them and "entangled", with exit 0 and a numpy warning
+@pytest.mark.parametrize("n_bar, rhs", [(1e154, "inf"), (1e150, r"7\.99\d*e\+300")],
+                         ids=["n_bar-1e154", "n_bar-1e150"])
+def test_network_simon_overflow_exits_1_with_one_line(tmp_path, n_bar, rhs):
+    path, out = tmp_path / "net.json", tmp_path / "o.json"
+    gates = [{"kind": "prepare_thermal", "modes": [m], "params": {"n_bar": n_bar}} for m in (0, 1)]
+    path.write_text(json.dumps({"modes": 2, "gates": gates,
+                                "analyses": [{"type": "simon", "modes": [0, 1]}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second stderr line
+        result = run_cli(["network", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 1
+    [line] = result.output.strip().splitlines()
+    assert re.fullmatch(r"Error: /analyses/0: the Simon criterion overflows float64 "
+                        rf"\(lhs = inf, rhs = {rhs}\)", line)
+    assert not out.exists()
+
+
+# a grid whose cell area overflows wrote NaN axis labels and values with exit 0,
+# and hbar = 1e308, whose det sigma overflows, was called singular after a warning
+@pytest.mark.parametrize("args, code, line", [
+    (["wigner", "--state", "squeezed", "--r", "0", "--xmin", "-1e308", "--xmax", "1e308",
+      "--pmin", "-1e308", "--pmax", "1e308", "--nx", "3", "--np", "3"], 2,
+     "Error: grid cell area overflows float64: the bounds are too far apart"),
+    (["wigner", "--state", "vacuum", "--hbar", "1e308"], 1,
+     "Error: the covariance determinant overflows float64"),
+], ids=["grid-1e308", "hbar-1e308"])
+def test_wigner_overflow_exits_with_one_line(tmp_path, args, code, line):
+    out = tmp_path / "w.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli([*args, "--out", str(out)])
+    assert result.exit_code == code
+    assert result.output.strip().splitlines() == [line]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, code, line", [
+    (one_wigner(x_min=-1e308, x_max=1e308, p_min=-1e308, p_max=1e308, nx=3, np=3), 2,
+     "Error: /analyses/0/grid: grid cell area overflows float64: the bounds are too far apart"),
+    ({"modes": 1, "hbar": 1e308, "analyses": [{"type": "wigner", "mode": 0}]}, 1,
+     "Error: /analyses/0: the covariance determinant overflows float64"),
+], ids=["grid-1e308", "hbar-1e308"])
+def test_network_wigner_overflow_exits_with_one_line(tmp_path, config, code, line):
+    path, out = tmp_path / "net.json", tmp_path / "o.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli(["network", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == code
+    assert result.output.strip().splitlines() == [line]
+    assert not out.exists()
+
+
+def test_wigner_writes_0_where_the_quadratic_form_overflows(tmp_path):
+    # the corners of this grid wrote w = nan: inf - inf in the form
+    out = tmp_path / "w.csv"
+    bounds = ["--xmin", "-1.3e154", "--xmax", "1.3e154", "--pmin", "-1.3e154", "--pmax", "1.3e154"]
+    result = run_cli(["wigner", "--state", "squeezed", "--r", "1", "--theta", "0.7", *bounds,
+                      "--nx", "3", "--np", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    values = read_wigner_csv(str(out)).values
+    assert values[1, 1] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
+    assert np.count_nonzero(values) == 1
+
+
 def test_network_refuses_an_orjson_float_format_it_does_not_know(tmp_path, monkeypatch):
     import orjson
 
@@ -1073,7 +1140,7 @@ def test_commands_other_than_sample_leave_out_scipy_special(tmp_path):
     assert all((tmp_path / name).stat().st_size for name in outputs)
 
 
-def test_only_the_csv_readers_load_orjson(tmp_path):
+def test_only_the_csv_reader_and_network_writer_load_orjson(tmp_path):
     """orjson is loaded by the commands that use it, the CSV reader of
     analyze and the JSON writer of network, and by no other."""
     config = tmp_path / "net.json"

@@ -242,6 +242,35 @@ def test_crlf_and_blank_lines_read_back_bit_identical(tmp_path):
     assert np.array_equal(bits(back.values), bits(ss.values))
 
 
+@pytest.mark.parametrize("end, parsers", [
+    ("\r\n", ["orjson"] * 3),
+    ("\r", ["orjson"] * 3),
+    ("\n\n", ["loadtxt"] * 5),
+], ids=["crlf", "cr", "blank-lines"])
+def test_line_ends_choose_the_block_parser(tmp_path, monkeypatch, end, parsers):
+    # the reader opens files in text mode, whose universal newlines turn CRLF
+    # and a lone CR into LF before a block is parsed, so those blocks stay
+    # canonical; a blank line after every line sends each block to np.loadtxt
+    ss, path = samples_file(tmp_path, count=2 * _BLOCK + 5)
+    path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+    used = []
+
+    def counted(name, parse):
+        def wrapper(*args):
+            block = parse(*args)
+            if block is not None:
+                used.append(name)
+            return block
+        return wrapper
+
+    monkeypatch.setattr(_csvio, "_parse_canonical", counted("orjson", _csvio._parse_canonical))
+    monkeypatch.setattr(_csvio, "_parse_block", counted("loadtxt", _csvio._parse_block))
+    back = read_samples_csv(str(path))
+    assert used == parsers
+    assert np.array_equal(bits(back.phases), bits(ss.phases))
+    assert np.array_equal(bits(back.values), bits(ss.values))
+
+
 def test_blank_line_keeps_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("phase,x\n\n0.1,0.2\n\nnope,1\n")

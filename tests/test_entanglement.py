@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 
 from cvsim import (
     Bipartition,
+    CVSimError,
     ENTANGLED,
     SEPARABLE,
     GaussianState,
@@ -140,6 +141,13 @@ def test_simon_of_subnormal_cross_block_is_quiet_and_separable():
     cov = np.block([[np.eye(2), C], [C.T, np.eye(2)]])
     report = simon_criterion(GaussianState(mean=np.zeros(4), cov=cov, hbar=2.0))
     assert (report.lhs, report.rhs, report.verdict) == (2.0, 2.0, SEPARABLE)
+
+
+def test_simon_refuses_determinants_past_float64():
+    # det A det B overflows to inf and the margin was NaN, with an "entangled"
+    # verdict for this product state
+    with pytest.raises(CVSimError, match=r"^the Simon criterion overflows float64 \(lhs = inf, rhs = inf\)$"):
+        simon_criterion(GaussianState(mean=np.zeros(4), cov=np.diag([3e154] * 4)))
 
 
 def test_simon_requires_two_modes():

@@ -539,7 +539,7 @@ def test_cat_cdf_pdf_is_cdf_and_pdf():
     rng = np.random.default_rng(8)
     x, phi = rng.normal(size=500) * 3.0, rng.uniform(-np.pi, np.pi, 500)
     cdf, pdf = model.cdf_pdf(x, phi)
-    assert np.array_equal(cdf, model.cdf(x, phi)) and np.array_equal(pdf, model.pdf(x, phi))
+    assert np.array_equal(cdf, quadrature_cdf(model, x, phi)) and np.array_equal(pdf, quadrature_pdf(model, x, phi))
 
 
 # --- theoretical variances ----------------------------------------------------

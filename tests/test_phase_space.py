@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cvsim import (
+    CVSimError,
     DegenerateInputError,
     GaussianSource,
     GaussianState,
@@ -44,6 +45,34 @@ def test_grid_validation():
 def test_grid_refuses_non_finite_bounds_and_non_integer_counts(bounds, counts):
     with pytest.raises(ValueError, match="^grid (bounds must be finite|point counts must be integers)"):
         PhaseSpaceGrid(*bounds, *counts)
+
+
+# x_max - x_min overflows, which gave NaN axis labels and NaN values; float64
+# bounds, whose subtraction warns, are refused quietly too
+@pytest.mark.parametrize("bounds", [
+    (-1e308, 1e308, -1.0, 1.0),
+    tuple(np.float64(b) for b in (-1.0, 1.0, -1e308, 1e308)),
+    (-1e200, 1e200, -1e200, 1e200),  # each step is finite, their product is not
+], ids=["x-1e308", "np-float64-p-1e308", "area-1e400"])
+def test_grid_refuses_a_cell_area_past_float64(bounds):
+    with pytest.raises(ValueError, match="^grid cell area overflows float64"):
+        PhaseSpaceGrid(*bounds, 3, 3)
+
+
+def test_wigner_is_zero_where_its_quadratic_form_overflows():
+    # at the corners the terms of the form are +-inf and gave inf - inf = NaN;
+    # the true W underflows to 0 there
+    state = squeezed(r=1.0, theta=0.7)
+    values = wigner_gaussian(state, PhaseSpaceGrid(-1.3e154, 1.3e154, -1.3e154, 1.3e154, 3, 3)).values
+    assert values[1, 1] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
+    assert np.count_nonzero(values) == 1
+
+
+def test_wigner_names_a_determinant_overflow():
+    # det sigma = (hbar / 2)^2 overflows; it was reported as "singular (det = inf)"
+    # after a numpy warning
+    with pytest.raises(CVSimError, match="^the covariance determinant overflows float64$"):
+        wigner_gaussian(vacuum_state(1, hbar=1e308), PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3))
 
 
 def test_vacuum_wigner_peak_and_normalization():
