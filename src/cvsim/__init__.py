@@ -78,6 +78,7 @@ from .homodyne import (
     quadrature_cdf,
     quadrature_pdf,
     read_samples_csv,
+    read_variance_csv,
     sample,
     squeezing_certificate,
     theoretical_variance,

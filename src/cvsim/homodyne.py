@@ -168,7 +168,13 @@ class Fock(SourceModel):
         return 0.5 + 0.5 * erf(u) - series, psi**2 / np.sqrt(2.0)
 
     def pdf(self, x, phi):
-        return self.cdf_pdf(x, phi)[1]
+        """p_n by the psi_k recursion of cdf_pdf alone, without F's series."""
+        u = x / np.sqrt(2.0)
+        prev = np.zeros_like(u)
+        psi = np.pi**-0.25 * np.exp(-(u**2) / 2.0)
+        for k in range(1, self.n + 1):
+            prev, psi = psi, np.sqrt(2.0 / k) * u * psi - np.sqrt((k - 1) / k) * prev
+        return psi**2 / np.sqrt(2.0)
 
     def moments(self, phi):
         return 0.0, 2.0 * self.n + 1.0

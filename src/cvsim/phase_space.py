@@ -82,8 +82,17 @@ class WignerField:
         object.__setattr__(self, "values", values)
 
     def riemann_sum(self) -> float:
-        """Total mass estimated as sum of values times cell area."""
-        return float(self.values.sum() * self.grid.cell_area())
+        """Total mass estimated as sum of values times cell area.
+
+        Raises:
+            CVSimError: if the sum is not finite, as where W's peak times
+                the cell area overflows float64.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(self.values.sum() * self.grid.cell_area())
+        if not np.isfinite(total):
+            raise CVSimError(f"the Riemann sum of the Wigner grid is not finite ({total})")
+        return total
 
 
 def wigner_gaussian(state: GaussianState, grid: PhaseSpaceGrid, mode: int = 0) -> WignerField:

@@ -22,7 +22,7 @@ from .errors import DegenerateInputError, MalformedInputError
 
 #: tolerance for |cov - cov.T| at construction
 SYMMETRY_TOL = 1e-10
-#: default tolerance for the Robertson-Schrodinger physicality margin
+#: tolerance for the Robertson-Schrodinger physicality margin
 PHYSICALITY_TOL = 1e-9
 #: smallest Cholesky pivot, relative to its variance, that rounding in a
 #: covariance's entries resolves to about 1%
@@ -172,8 +172,8 @@ def physicality_margin(cov: np.ndarray, hbar: float) -> float:
     return float(np.linalg.eigvalsh(_uncertainty_matrix(cov, hbar)).min())
 
 
-def check_physicality(state: GaussianState, tol: float = PHYSICALITY_TOL) -> PhysicalityReport:
-    """Robertson-Schrodinger check: cov + i(hbar/2)Omega >= -tol.
+def check_physicality(state: GaussianState) -> PhysicalityReport:
+    """Robertson-Schrodinger check: cov + i(hbar/2)Omega >= -PHYSICALITY_TOL.
 
     Returns:
         PhysicalityReport(physical, margin) where margin is the minimum
@@ -181,7 +181,7 @@ def check_physicality(state: GaussianState, tol: float = PHYSICALITY_TOL) -> Phy
         the bound, e.g. the vacuum).
     """
     margin = physicality_margin(state.cov, state.hbar)
-    return PhysicalityReport(physical=margin >= -tol, margin=margin)
+    return PhysicalityReport(physical=margin >= -PHYSICALITY_TOL, margin=margin)
 
 
 def _resolved_cholesky(cov: np.ndarray) -> np.ndarray:

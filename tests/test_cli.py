@@ -771,14 +771,19 @@ def test_network_simon_overflow_exits_1_with_one_line(tmp_path, n_bar, rhs):
 
 
 # a grid whose cell area overflows wrote NaN axis labels and values with exit 0,
-# and hbar = 1e308, whose det sigma overflows, was called singular after a warning
+# hbar = 1e308, whose det sigma overflows, was called singular after a warning,
+# and a grid whose W peak times cell area overflows printed an infinite
+# normalization after a warning, with exit 0
 @pytest.mark.parametrize("args, code, line", [
     (["wigner", "--state", "squeezed", "--r", "0", "--xmin", "-1e308", "--xmax", "1e308",
       "--pmin", "-1e308", "--pmax", "1e308", "--nx", "3", "--np", "3"], 2,
      "Error: grid cell area overflows float64: the bounds are too far apart"),
     (["wigner", "--state", "vacuum", "--hbar", "1e308"], 1,
      "Error: the covariance determinant overflows float64"),
-], ids=["grid-1e308", "hbar-1e308"])
+    (["wigner", "--state", "vacuum", "--hbar", "1e-100", "--xmin", "-1e154", "--xmax", "1e154",
+      "--pmin", "-1e154", "--pmax", "1e154", "--nx", "3", "--np", "3"], 1,
+     "Error: the Riemann sum of the Wigner grid is not finite (inf)"),
+], ids=["grid-1e308", "hbar-1e308", "riemann-inf"])
 def test_wigner_overflow_exits_with_one_line(tmp_path, args, code, line):
     out = tmp_path / "w.csv"
     with warnings.catch_warnings():
@@ -794,7 +799,10 @@ def test_wigner_overflow_exits_with_one_line(tmp_path, args, code, line):
      "Error: /analyses/0/grid: grid cell area overflows float64: the bounds are too far apart"),
     ({"modes": 1, "hbar": 1e308, "analyses": [{"type": "wigner", "mode": 0}]}, 1,
      "Error: /analyses/0: the covariance determinant overflows float64"),
-], ids=["grid-1e308", "hbar-1e308"])
+    ({**one_wigner(x_min=-1e154, x_max=1e154, p_min=-1e154, p_max=1e154, nx=3, np=3),
+      "hbar": 1e-100}, 1,
+     "Error: /analyses/0: the Riemann sum of the Wigner grid is not finite (inf)"),
+], ids=["grid-1e308", "hbar-1e308", "riemann-inf"])
 def test_network_wigner_overflow_exits_with_one_line(tmp_path, config, code, line):
     path, out = tmp_path / "net.json", tmp_path / "o.json"
     path.write_text(json.dumps(config))

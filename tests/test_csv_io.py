@@ -20,15 +20,16 @@ from cvsim import (
     WignerField,
     binned_variance,
     read_samples_csv,
+    read_variance_csv,
     read_wigner_csv,
     sample,
     wigner_gaussian,
     write_samples_csv,
+    write_variance_csv,
     write_wigner_csv,
 )
 from cvsim import _csvio
-from cvsim._csvio import _BLOCK, _decimal_digits, _read_csv
-from cvsim.homodyne import read_variance_csv, write_variance_csv
+from cvsim._csvio import _BLOCK, _decimal_digits, _read_csv, _write_csv
 from cvsim.states import vacuum_state
 
 SPECIAL = [
@@ -179,6 +180,15 @@ def test_variance_file_round_trips_nan_rows(tmp_path):
     for name in ("bin_centers", "estimated_variance", "theoretical_variance",
                  "shifted_variance", "variance_product", "normally_ordered_variance"):
         assert np.array_equal(bits(getattr(back, name)), bits(getattr(report, name))), name
+
+
+def test_integer_column_is_written_as_d(tmp_path):
+    # an integer column, like the variance file's count, goes through the
+    # '%.17g' path, which writes an integer-valued double below 2**53 as '%d'
+    counts = np.array([0, 1, 9, 10, 4096, 123456789, 10**15, 2**53 - 1, 2**53])
+    path = tmp_path / "c.csv"
+    _write_csv(str(path), ["count"], [counts])
+    assert path.read_text() == "count\n" + "".join("%d\n" % c for c in counts.tolist())
 
 
 @pytest.mark.parametrize("row", ["0.1,0.2,junk", "0.1,0.2,0.3", "0.1", "0.1,0.2,"])

@@ -43,7 +43,7 @@ from cvsim import (
     write_samples_csv,
 )
 
-from cvsim.homodyne import MAX_SPATS_NBAR
+from cvsim.homodyne import MAX_FOCK_N, MAX_SPATS_NBAR
 from quadrature_oracle import pdf_numeric_oracle
 
 ALL_MODELS = [
@@ -305,6 +305,47 @@ def test_fock_cdf_matches_high_precision_reference(n):
     with mpmath.workdps(40):
         expected = np.array([float(reference(x)) for x in xs])
     assert np.abs(quadrature_cdf(Fock(n), xs, 0.0) - expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(MAX_FOCK_N + 1))
+def test_fock_pdf_is_the_density_of_cdf_pdf(n):
+    # pdf runs the psi_k recursion without F's erf and series
+    x = np.linspace(-12.0, 12.0, 2001)
+    assert np.array_equal(Fock(n).pdf(x, 0.0), Fock(n).cdf_pdf(x, 0.0)[1])
+
+
+def _odd_cat_item_7(alpha, theta):
+    """The odd cats whose CDF steps back by more than rounding (ROADMAP
+    item 7): at |alpha| = 0.01, 0.03 and 0.1 by about 1e-12, 1e-13 and
+    1e-14."""
+    model = CatState(alpha, theta)
+    if theta == np.pi and abs(alpha) <= 0.1:
+        reason = "ROADMAP item 7: the odd-cat CDF loses accuracy like 1/normalization"
+        return pytest.param(model, marks=pytest.mark.xfail(strict=True, reason=reason))
+    return model
+
+
+CDF_SWEEP = [
+    *(Fock(n) for n in range(MAX_FOCK_N + 1)),
+    *(Spats(n_bar) for n_bar in (1e-3, 0.5, 3.0, 10.0)),
+    Vacuum(), Thermal(3.0), Thermal(10.0), SqueezedVacuum(1.5), SqueezedVacuum(-2.0),
+    DISPLACED_SQUEEZED,
+    *(_odd_cat_item_7(magnitude * np.exp(1j * arg), theta)
+      for magnitude in (0.01, 0.03, 0.1, 0.5, 1.0, 2.0, 4.0)
+      for arg in (0.0, 0.7)
+      for theta in (0.0, np.pi / 2, np.pi, -2.0)),
+]
+
+
+@pytest.mark.parametrize("model", CDF_SWEEP, ids=lambda model: " ".join(repr(model).split()))
+def test_cdf_limits_and_monotone_over_the_domain(model):
+    # ±60 lies past 8 standard deviations of every model swept; 24001 points
+    # (step 0.005) at 7 phases show each step back of the item-7 cats
+    xs = np.linspace(-60.0, 60.0, 24001)
+    for phi in np.linspace(-np.pi, np.pi, 7):
+        cdf = quadrature_cdf(model, xs, np.full_like(xs, phi))
+        assert abs(cdf[0]) <= 1e-12 and abs(1.0 - cdf[-1]) <= 1e-12, phi
+        assert np.diff(cdf).min() >= -8 * np.finfo(float).eps, phi
 
 
 def test_cdf_matches_integrated_pdf():

@@ -50,8 +50,8 @@ def shortest_lengths(rng, count):
 def interval_ends(rng, count):
     """Both neighbours of midpoints N = c * 10**j between two doubles, with c
     of 15 or 16 digits: N is the end of both rounding intervals, inside the
-    even mantissa's and outside the odd one's.  j = 1 lies where the kernel's
-    arithmetic is exact (|x| in [2**54, 1e17)), j > 1 beyond it."""
+    even mantissa's and outside the odd one's.  j = 1 puts |x| in
+    [2**54, 1e17), j > 1 beyond it."""
     values = []
     for _ in range(count):
         j, size = rng.randrange(1, 9), rng.choice((15, 16))
@@ -108,7 +108,7 @@ def fuzz_values(seed):
     return values[rng.permutation(values.size)]
 
 
-def test_repr_kernel_matches_float_repr_on_a_million_fuzzed_values():
+def test_json_writer_matches_float_repr_on_a_million_fuzzed_values():
     values = fuzz_values(20261018)
     values = values[np.isfinite(values)]
     assert values.size >= 1_000_000
@@ -118,7 +118,7 @@ def test_repr_kernel_matches_float_repr_on_a_million_fuzzed_values():
         assert_written_as_json_dumps(a, ("", "      "))
 
 
-def test_repr_kernel_matches_python_at_interval_ends():
+def test_json_writer_matches_python_at_interval_ends():
     # 2**54 + 8 has an even mantissa, so 18014398509481990 reads back to it;
     # 2**54 + 4 is odd, and its interval end 18014398509481990 does not
     values = np.array([2.0**54 + 8, 2.0**54 + 4, 2.0**54 + 12])
@@ -127,7 +127,7 @@ def test_repr_kernel_matches_python_at_interval_ends():
     assert_written_as_json_dumps(np.array(interval_ends(random.Random(7), 4000)))
 
 
-def test_repr_kernel_writes_short_decimals_itself():
+def test_json_writer_writes_short_decimals_as_repr():
     values = np.array([0.3, -1e-5, 2.5e-7, 123.456, 7e15, 1.5e300, 0.002])
     assert reprs(values) == ["0.3", "-1e-05", "2.5e-07", "123.456", "7000000000000000.0",
                              "1.5e+300", "0.002"]
