@@ -46,99 +46,97 @@ def _writing(path: str):
         raise CLIError(f"cannot write {path}: {exc.strerror}", 1) from None
 
 
-#: cells per block of text, whole rows of a 2-D array; writing the N=192
-#: network-chain output peaks at 0.2 MB of traced allocations
-_TEXT_CELLS = 1024
-#: orjson writes an exponent without its "+" (1e16) and a one-digit
-#: negative one without a leading zero (2.5e-7), where repr writes 1e+16 and
-#: 2.5e-07
-_EXPONENT_SIGN = re.compile(r"e(?=[0-9])")
-_EXPONENT_ZERO = re.compile(r"e-(?=[0-9]\b)")
-#: doubles at each edge of the forms that _json_float_array mends
-_PROBE = (0.0, -0.0, 0.1, 1e15, 1e16, 1.5e300, 1e-4, 9.999999999999999e-05, 1e-5,
-          9.999999999999999e-06, 2.5e-7, 1e-10, 5e-324)
+#: orjson writes a one-digit negative exponent without a leading zero
+#: (2.5e-7), where repr writes 2.5e-07
+_EXPONENT_ZERO = re.compile(rb"e-(?=[0-9]\b)")
+#: doubles at each edge of the forms that _json_bytes mends
+_PROBE = (0.0, -0.0, 0.1, 1e15, 9999999999999998.0, 1e16, 1.5e300, 1e-4,
+          9.999999999999999e-05, 1e-5, 9.999999999999999e-06, 2.5e-7, 1e-10, 5e-324)
 
 
-def _json_float_array(a: np.ndarray, indent: str):
-    """Yield the text of ``json.dumps(a.tolist(), indent=2)`` nested at
-    `indent`, for a C-contiguous array of finite doubles with one or two
-    dimensions and at least one cell.
+def _json_ready(value, reprs: list):
+    """`value` for _json_bytes to write: a float that orjson writes in
+    another form than repr becomes NaN, and its repr, like the "null" of each
+    None, is appended to `reprs` in the order of the text.  A float64 array
+    stays an array; any other array is read as its tolist()."""
+    if isinstance(value, float) and abs(value) <= sys.float_info.max:
+        if 1e-5 <= abs(value) < 1e-4 or abs(value) >= 1e16:
+            reprs.append(float.__repr__(value).encode())
+            return np.nan
+        return value
+    if isinstance(value, str):
+        import orjson
 
-    orjson writes each block of _TEXT_CELLS cells with float.__repr__'s
-    digits, the shortest that read back (Ryu; Adams, PLDI 2018).  Its text
-    differs from repr's in the exponent, which two substitutions mend, and
-    in writing |x| in [1e-5, 1e-4) without one: those cells are written as
-    NaN, and each null that orjson writes for them is replaced by their repr.
+        text = orjson.dumps(value)
+        if (text == json.dumps(value).encode() and b"null" not in text
+                and not _EXPONENT_ZERO.search(text)):
+            return value
+    elif isinstance(value, int):
+        if -2**63 <= value < 2**64:
+            return value
+    elif value is None:
+        reprs.append(b"null")
+        return value
+    elif isinstance(value, dict):
+        if all(isinstance(key, str) for key in value):
+            return {_json_ready(k, reprs): _json_ready(v, reprs) for k, v in value.items()}
+    elif isinstance(value, (list, tuple)):
+        return [_json_ready(v, reprs) for v in value]
+    elif isinstance(value, np.ndarray):
+        if value.dtype != np.float64 or not value.ndim:
+            return _json_ready(value.tolist(), reprs)
+        a = np.ascontiguousarray(value)
+        magnitude = np.abs(a)
+        finite = magnitude <= sys.float_info.max
+        if finite.all():
+            mended = (magnitude >= 1e16) | ((magnitude >= 1e-5) & (magnitude < 1e-4))
+            if mended.any():
+                reprs.extend(float.__repr__(x).encode() for x in a[mended].tolist())
+                a = np.where(mended, np.nan, a)
+            return a
+        value = a[~finite][0]
+    raise CVSimError(f"cannot write {value!r} in a JSON result file as json.dumps does")
+
+
+def _json_bytes(payload) -> bytes:
+    """``json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\\n"``
+    as UTF-8, written by one orjson.dumps.
+
+    orjson writes each float with float.__repr__'s digits, the shortest that
+    read back (Ryu; Adams, PLDI 2018), but not always in repr's form: it
+    writes |x| in [1e-5, 1e-4) without an exponent, |x| >= 1e16 without the
+    "+" of its exponent, and a one-digit negative exponent without a leading
+    zero.  _json_ready turns the first two into NaN, whose null is replaced
+    by their repr; one substitution mends the third.  A value that this
+    cannot write as json.dumps does raises CVSimError: a float that is not
+    finite, a string that orjson escapes otherwise or whose text holds
+    "null", an int beyond 64 bits, or a type that is not JSON's.
     """
     import orjson
 
-    option = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
-    step = max(1, _TEXT_CELLS // a.shape[1]) if a.ndim == 2 else _TEXT_CELLS
-    newline = "\n" + indent
-    yield "["
-    for first in range(0, len(a), step):
-        block = a[first:first + step]
-        magnitude = np.abs(block)
-        small = (magnitude >= 1e-5) & (magnitude < 1e-4)
-        reprs = tuple(map(float.__repr__, block[small].tolist()))
-        if reprs:
-            block = np.where(small, np.nan, block)
-        text = _EXPONENT_SIGN.sub("e+", orjson.dumps(block, option=option).decode())
-        text = _EXPONENT_ZERO.sub("e-0", text)
-        if reprs:
-            text = text.replace("null", "%s") % reprs
-        yield ("," if first else "") + text[1:-2].replace("\n", newline)
-    yield newline + "]"
+    reprs: list[bytes] = []
+    text = orjson.dumps(_json_ready(payload, reprs), option=orjson.OPT_INDENT_2
+                        | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+    pieces = _EXPONENT_ZERO.sub(b"e-0", text).split(b"null")
+    del text
+    if len(pieces) != len(reprs) + 1:
+        raise CVSimError(f"{len(pieces) - 1} nulls in the JSON text of {len(reprs)} mended values")
+    joined = [b""] * (2 * len(pieces) - 1)
+    joined[::2], joined[1::2] = pieces, reprs
+    return b"".join(joined)
 
 
 @cache
 def _check_json_writer() -> None:
-    """Raise CVSimError unless _json_float_array writes _PROBE as json.dumps
-    does: the mends above rely on orjson's float format, which orjson's
-    version range does not pin."""
+    """Raise CVSimError unless _json_bytes writes _PROBE, as Python floats and
+    as an array, as json.dumps does: the mends above rely on orjson's float
+    format, which orjson's version range does not pin."""
     import orjson
 
-    if "".join(_json_float_array(np.array(_PROBE), "")) != json.dumps(_PROBE, indent=2):
+    expected = (json.dumps(_PROBE, indent=2) + "\n").encode()
+    if not _json_bytes(list(_PROBE)) == _json_bytes(np.array(_PROBE)) == expected:
         raise CVSimError(f"orjson {orjson.__version__} writes floats in a form that "
                          "the network JSON writer does not know")
-
-
-#: the JSON string that stands for an array written by _json_float_array;
-#: no network payload string holds a NUL
-_ARRAY_MARK = "\0cvsim array\0"
-
-
-def _json_text(payload):
-    """Yield the text of ``json.dumps(payload, indent=2, default=np.ndarray.tolist)``.
-
-    A C-contiguous array of finite doubles with one or two dimensions and at
-    least one cell is written by _json_float_array, at the indent of the line
-    that it starts on: json.dumps writes _ARRAY_MARK in its place, and its
-    text is cut at each mark.
-    """
-    taken = []
-
-    def default(a):
-        if (isinstance(a, np.ndarray) and a.dtype == np.float64 and 1 <= a.ndim <= 2
-                and a.size and a.flags.c_contiguous
-                and np.isfinite(a.min()) and np.isfinite(a.max())):
-            taken.append(a)
-            return _ARRAY_MARK
-        return np.ndarray.tolist(a)
-
-    pieces = json.dumps(payload, indent=2, default=default).split(json.dumps(_ARRAY_MARK))
-    # the encoder's closures hold `default` in a reference cycle, which only
-    # the cyclic garbage collector frees: empty `taken` so that the arrays go
-    # with the payload
-    arrays = taken.copy()
-    taken.clear()
-    if len(arrays) != len(pieces) - 1:
-        raise ValueError(f"{len(pieces) - 1} array marks in the JSON text of {len(arrays)} arrays")
-    yield pieces[0]
-    for a, head, tail in zip(arrays, pieces, pieces[1:]):
-        line = head[head.rfind("\n") + 1:]
-        yield from _json_float_array(a, line[:len(line) - len(line.lstrip(" "))])
-        yield tail
 
 
 _FOCK_BS_DOCUMENT = (
@@ -252,9 +250,9 @@ def cmd_network(config, out):
         "analyses": result.analyses,
     }
     _check_json_writer()
-    with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_json_text(payload))
-        fh.write("\n")
+    text = _json_bytes(payload)
+    with _writing(out), open(out, "wb") as fh:
+        fh.write(text)
     print(f"wrote network result to {out}")
 
 

@@ -31,7 +31,8 @@ from .states import (
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
 
-#: tolerance on the Simon margin: a margin of -VERDICT_TOL or more reads separable
+#: tolerance on the Simon margin in vacuum units, (hbar/2)^4: a margin of
+#: -VERDICT_TOL (hbar/2)^4 or more reads separable
 VERDICT_TOL = 1e-10
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -143,7 +144,10 @@ def simon_criterion(state: GaussianState) -> SimonReport:
     margin = lhs - rhs
     if not np.isfinite([lhs, rhs, margin]).all():
         raise CVSimError(f"the Simon criterion overflows float64 (lhs = {lhs!r}, rhs = {rhs!r})")
-    verdict = SEPARABLE if margin >= -VERDICT_TOL else ENTANGLED
+    # both sides scale as (hbar/2)^4: compare in vacuum units, one factor at a
+    # time so that no power of hbar/2 under- or overflows
+    half = state.hbar / 2.0
+    verdict = SEPARABLE if margin / half / half / half / half >= -VERDICT_TOL else ENTANGLED
     return SimonReport(lhs=lhs, rhs=rhs, verdict=verdict, margin=margin)
 
 
@@ -191,13 +195,14 @@ def _log_negativity_and_spectrum(
 ) -> tuple[float, np.ndarray]:
     """E_N together with the spectrum nu_j it was computed from.
 
-    The state is physical when cov + i(hbar/2)Omega >= -PHYSICALITY_TOL,
-    which holds, up to rounding, exactly when cov + i(hbar/2)Omega +
-    PHYSICALITY_TOL*I has a Cholesky factorisation; only a failed
+    The state is physical when cov + i(hbar/2)Omega >= -tol with tol =
+    PHYSICALITY_TOL hbar/2, which holds, up to rounding, exactly when
+    cov + i(hbar/2)Omega + tol*I has a Cholesky factorisation; only a failed
     factorisation pays for the eigenvalues that ``check_physicality``
     computes to give the margin.
     """
-    if not _robertson_schrodinger_holds(state.cov, state.hbar, PHYSICALITY_TOL):
+    tol = PHYSICALITY_TOL * (state.hbar / 2.0)
+    if not _robertson_schrodinger_holds(state.cov, state.hbar, tol):
         report = check_physicality(state)
         if not report.physical:
             raise ValueError(

@@ -230,7 +230,10 @@ def apply_gate(gate: SymplecticGate, state: GaussianState) -> GaussianState:
 def _prepare_thermal_in_place(
     n_bar: float, mode: int, cov: np.ndarray, mean: np.ndarray, hbar: float
 ) -> None:
-    """Overwrite a vacuum mode of (cov, mean) with a thermal state."""
+    """Overwrite a vacuum mode of (cov, mean) with a thermal state.  The mode
+    is in the vacuum when its covariance is (hbar/2) I and its cross entries
+    are 0 to within 1e-10 hbar/2, and its mean is 0 to within
+    1e-10 sqrt(hbar/2): to 1e-10 in vacuum units."""
     if n_bar < 0:
         raise ValueError("n_bar must be >= 0")
     (mode,) = _checked_modes((mode,), mean.size // 2)
@@ -238,9 +241,9 @@ def _prepare_thermal_in_place(
     half = hbar / 2.0
     cross = np.delete(cov[sl, :], [2 * mode, 2 * mode + 1], axis=1)
     if (
-        np.abs(cov[sl, sl] - half * np.eye(2)).max() > 1e-10
-        or (cross.size and np.abs(cross).max() > 1e-10)
-        or np.abs(mean[sl]).max() > 1e-10
+        np.abs(cov[sl, sl] - half * np.eye(2)).max() > 1e-10 * half
+        or (cross.size and np.abs(cross).max() > 1e-10 * half)
+        or np.abs(mean[sl]).max() > 1e-10 * np.sqrt(half)
     ):
         raise ValueError(f"mode {mode} is not in the vacuum state")
     cov[sl, sl] = (2.0 * n_bar + 1.0) * half * np.eye(2)

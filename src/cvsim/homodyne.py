@@ -755,7 +755,13 @@ def write_variance_csv(report: VarianceReport, path: str) -> None:
 
 
 def read_variance_csv(path: str) -> VarianceReport:
-    """Parse a file written by write_variance_csv, block by block."""
+    """Parse a file written by write_variance_csv, block by block; a count
+    that is not a non-negative integer raises MalformedInputError."""
     cols = _read_csv(path, VARIANCE_CSV_HEADER, "variance")
-    cols[1] = cols[1].astype(int)
+    counts = cols[1]
+    bad = np.flatnonzero(~((counts >= 0) & (counts < 2.0**63) & (np.floor(counts) == counts)))
+    if bad.size:
+        raise MalformedInputError(f"data row {bad[0] + 1}: count {float(counts[bad[0]])!r} "
+                                  "is not a non-negative integer")
+    cols[1] = counts.astype(int)
     return VarianceReport(*cols)

@@ -14,6 +14,7 @@ vacuum covariance matrix is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,8 @@ from .errors import DegenerateInputError, MalformedInputError
 
 #: tolerance for |cov - cov.T| at construction
 SYMMETRY_TOL = 1e-10
-#: tolerance for the Robertson-Schrodinger physicality margin
+#: tolerance for the Robertson-Schrodinger physicality margin, in vacuum
+#: units: a state may fall PHYSICALITY_TOL * hbar/2 below the bound
 PHYSICALITY_TOL = 1e-9
 #: smallest Cholesky pivot, relative to its variance, that rounding in a
 #: covariance's entries resolves to about 1%
@@ -103,6 +105,7 @@ class GaussianState:
     Raises:
         MalformedInputError: the shapes do not fit, an entry is not finite or
             cov is not symmetric to within ``SYMMETRY_TOL``.
+        ValueError: hbar is not finite and positive.
     """
 
     mean: np.ndarray
@@ -124,8 +127,8 @@ class GaussianState:
             raise MalformedInputError(
                 f"cov must be {mean.size}x{mean.size}, got shape {cov.shape}"
             )
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not (isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
         object.__setattr__(self, "mean", _freeze(mean))
         object.__setattr__(self, "cov", _freeze(cov))
 
@@ -173,7 +176,8 @@ def physicality_margin(cov: np.ndarray, hbar: float) -> float:
 
 
 def check_physicality(state: GaussianState) -> PhysicalityReport:
-    """Robertson-Schrodinger check: cov + i(hbar/2)Omega >= -PHYSICALITY_TOL.
+    """Robertson-Schrodinger check: cov + i(hbar/2)Omega >= -PHYSICALITY_TOL
+    hbar/2, a tolerance that grows with the rounding of cov's entries.
 
     Returns:
         PhysicalityReport(physical, margin) where margin is the minimum
@@ -181,7 +185,8 @@ def check_physicality(state: GaussianState) -> PhysicalityReport:
         the bound, e.g. the vacuum).
     """
     margin = physicality_margin(state.cov, state.hbar)
-    return PhysicalityReport(physical=margin >= -PHYSICALITY_TOL, margin=margin)
+    return PhysicalityReport(physical=margin >= -PHYSICALITY_TOL * (state.hbar / 2.0),
+                             margin=margin)
 
 
 def _resolved_cholesky(cov: np.ndarray) -> np.ndarray:

@@ -22,8 +22,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import cvsim
 from cvsim import cli
-from cvsim.cli import _ARRAY_MARK, _fock_bs_json, _json_text, main
+from cvsim.cli import _fock_bs_json, _json_bytes, main
 from cvsim import (
+    CVSimError,
     SampleSet,
     bs_output_from_angle,
     photon_number_distribution,
@@ -199,10 +200,15 @@ def test_fock_bs_output_matches_golden_digest(tmp_path, flags):
     assert sha256(out) == FOCK_BS_GOLDENS[flags]
 
 
-EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308]
-JSON_FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
-JSON_TEXT = st.text(max_size=8) | st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7fé€中😀'), max_size=8)
-JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**200, 2**200) | JSON_FLOATS
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-5,
+               9.999999999999999e-05, 2.5e-7]
+JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+#: strings that orjson escapes as json.dumps does (not DEL, nothing past ASCII)
+#: and whose JSON text holds neither "null" nor a one-digit negative exponent
+JSON_TEXT = (st.text(st.characters(max_codepoint=126), max_size=8)
+             | st.text(st.sampled_from('a"\\/\x00\x1f\n\tule-5'), max_size=8)).filter(
+    lambda s: "null" not in json.dumps(s) and not re.search(r"e-[0-9]\b", json.dumps(s)))
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**63, 2**64 - 1) | JSON_FLOATS
                 | JSON_TEXT)
 #: values from every decade, subnormals included
 DECADE_FLOATS = st.builds(lambda m, d: m * 10.0**d, st.floats(-9.99, 9.99), st.integers(-323, 307))
@@ -218,8 +224,7 @@ def dense_array(seed, shape, zero_runs):
     return a
 
 
-#: arrays past the digit kernel's size crossover: sparse ones with a zero
-#: fill, and dense ones over several kernel batches and text blocks
+#: large arrays: sparse ones with a zero fill, and dense ones
 LARGE_SHAPES = st.integers(600, 5000).map(lambda n: (n,)) | st.tuples(st.integers(1, 90),
                                                                       st.integers(9, 90))
 LARGE_ARRAYS = (
@@ -229,10 +234,12 @@ LARGE_ARRAYS = (
                 st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 3000),
                                    st.sampled_from([1.0, -1.0])), max_size=4))
 )
-FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0),
+FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0),
                       elements=JSON_FLOATS) | LARGE_ARRAYS
+OTHER_ARRAYS = arrays(st.sampled_from([np.int64, np.bool_, np.float32]),
+                      array_shapes(min_dims=1, max_dims=2, min_side=0))
 JSON_TREES = st.recursive(
-    JSON_SCALARS | st.lists(JSON_FLOATS, min_size=1) | FLOAT_ARRAYS,
+    JSON_SCALARS | st.lists(JSON_FLOATS, min_size=1) | FLOAT_ARRAYS | OTHER_ARRAYS,
     lambda children: (st.lists(children) | st.lists(children).map(tuple)
                       | st.dictionaries(JSON_TEXT, children)),
     max_leaves=20,
@@ -241,40 +248,45 @@ JSON_TREES = st.recursive(
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(JSON_TREES)
-@example([1.5, [], {}, [2.0, math.nan], {"k": (1, [-0.0])}, "x", None, True, 3])
-@example({"cov": [[1.0, 5e-324], [-math.inf, 1.7976931348623157e308]], "n": 2**100})
-@example({"cov": np.array([[1.0, math.nan], [-0.0, 5e-324]]), "empty": np.zeros((2, 0))})
+@example([1.5, [], {}, [2.0, -0.0], {"k": (1, [-0.0])}, "x", None, True, 3])
+@example({"cov": [[1.0, 5e-324], [-1e300, 1.7976931348623157e308]], "n": 2**64 - 1,
+          "m": -2**63})
+@example({"cov": np.array([[1.0, 3e-5], [-0.0, 5e-324]]), "empty": np.zeros((2, 0))})
 @example(np.array(2.0))
 @example({"w": dense_array(1, (101, 101), [(0, 3000, -1.0)]), "v": dense_array(2, (4097,), [])})
 @example([dense_array(3, (1, 2500), []), dense_array(4, (2500, 1), [(7, 2048, 1.0)])])
 @example(np.where(np.arange(3000.0) % 7 == 0, np.arange(3000.0) * 0.1, 0.0).reshape(30, 100))
-@example(dense_array(5, (40, 40), [(100, 1, 1.0)]) * np.array([math.inf] + [1.0] * 39))
 @example(dense_array(6, (30, 40), [(0, 500, 1.0)]).T)
 @example(-np.zeros((40, 30)))
 @example({"k": [dense_array(7, (20, 20), []), dense_array(8, (384,), [(5, 50, -1.0)])],
-          "w": dense_array(9, (12, 40), [])})
-def test_json_text_matches_json_dumps(obj):
-    expected = json.dumps(obj, indent=2, default=np.ndarray.tolist)
-    assert "".join(_json_text(obj)) == expected
+          "w": dense_array(9, (12, 40), []), "s": ["nul", "e-12", "\\u", "%s", "1e-05"]})
+def test_json_bytes_matches_json_dumps(obj):
+    expected = json.dumps(obj, indent=2, default=np.ndarray.tolist) + "\n"
+    assert _json_bytes(obj) == expected.encode()
 
 
-def test_json_text_frees_its_arrays_without_the_garbage_collector():
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, np.float64(math.nan), np.array([1.0, math.nan]),
+    np.array([[2.0], [-math.inf]]), [1.0, math.inf], "\u00e9", "\x7f", "null", "\null", "e-5",
+    "\x1e-5", 2**64, -2**63 - 1, np.int64(3), {1: 2.0}, {1.0}, 1j,
+])
+def test_json_bytes_refuses_what_it_cannot_write_as_json_dumps(value):
+    with pytest.raises(CVSimError, match="cannot write .* in a JSON result file"):
+        _json_bytes({"modes": 2, "analyses": [{"type": "reduced", "value": value}]})
+
+
+def test_json_bytes_frees_its_arrays_without_the_garbage_collector():
     array = dense_array(10, (32, 32), [])
     alive = weakref.ref(array)
     payload = {"cov": array}
     del array
     gc.disable()
     try:
-        "".join(_json_text(payload))
+        _json_bytes(payload)
         del payload
         assert alive() is None
     finally:
         gc.enable()
-
-
-def test_json_text_reads_no_string_as_an_array():
-    with pytest.raises(ValueError, match="2 array marks in the JSON text of 1 arrays"):
-        "".join(_json_text({"s": _ARRAY_MARK, "a": dense_array(11, (400,), [])}))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -672,6 +684,54 @@ def test_network_runtime_failure_names_gate_exit1(tmp_path):
         "Error: /gates/1: mode 0 is not in the vacuum state"
     ]
     assert not out.exists()
+
+
+def test_network_reads_the_vacuum_in_vacuum_units(tmp_path):
+    # prepare_thermal's vacuum test scales with hbar: at 1e-12 it refuses a
+    # squeezed mode, at 1e8 it accepts the rounding of gates on vacuum modes
+    config, out = tmp_path / "net.json", tmp_path / "o.json"
+    config.write_text(json.dumps({"modes": 1, "hbar": 1e-12, "gates": [
+        {"kind": "squeeze", "modes": [0], "params": {"r": 1.0, "theta": 0.0}},
+        {"kind": "prepare_thermal", "modes": [0], "params": {"n_bar": 0.5}},
+    ]}))
+    result = run_cli(["network", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [
+        "Error: /gates/1: mode 0 is not in the vacuum state"
+    ]
+    assert not out.exists()
+    config.write_text(json.dumps({"modes": 2, "hbar": 1e8, "gates": [
+        {"kind": "beamsplitter", "modes": [0, 1], "params": {"theta": 0.3, "phi": 0.7}},
+        {"kind": "rotate", "modes": [0], "params": {"phi": 0.3}},
+        {"kind": "prepare_thermal", "modes": [0], "params": {"n_bar": 0.5}},
+    ]}))
+    result = run_cli(["network", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text())["cov"][0][0] == 1e8
+
+
+@pytest.mark.parametrize("hbar", [1e-3, 1e-6])
+def test_network_simon_verdict_holds_at_small_hbar(tmp_path, hbar):
+    # both sides of the Simon inequality scale as (hbar/2)^4, and an absolute
+    # tolerance read this entangled pair as separable next to E_N = 0.548
+    config, out = tmp_path / "net.json", tmp_path / "o.json"
+    config.write_text(json.dumps(dict(README_NETWORK, hbar=hbar)))
+    result = run_cli(["network", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    simon, negativity = json.loads(out.read_text())["analyses"][:2]
+    assert simon["verdict"] == "entangled"
+    assert negativity["value"] == pytest.approx(0.548, abs=1e-3)
+
+
+@pytest.mark.parametrize("hbar", [1e8, 1e10])
+def test_network_reads_physicality_in_vacuum_units(tmp_path, hbar):
+    # rounding in cov + i(hbar/2)Omega grows with hbar; an absolute tolerance
+    # of 1e-9 read this 16-mode state as unphysical from hbar = 1e7
+    config, out = tmp_path / "net.json", tmp_path / "o.json"
+    config.write_text(json.dumps(dict(chain16_network(), hbar=hbar)))
+    result = run_cli(["network", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text())["analyses"][2]["value"] > 0
 
 
 def squeezes(r, count):

@@ -182,6 +182,21 @@ def test_variance_file_round_trips_nan_rows(tmp_path):
         assert np.array_equal(bits(getattr(back, name)), bits(getattr(report, name))), name
 
 
+@pytest.mark.parametrize("count", ["nan", "2.5", "-4"])
+def test_variance_reader_refuses_a_count_that_is_not_a_count(tmp_path, count):
+    # the count column was cast unchecked: nan read as -2**63, 2.5 as 2
+    report = binned_variance(sample(SqueezedVacuum(1.0), 400, seed=2), 8)
+    path = tmp_path / "v.csv"
+    write_variance_csv(report, str(path))
+    lines = path.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[1] = count
+    path.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
+    with pytest.raises(MalformedInputError,
+                       match=rf"^data row 3: count {float(count)!r} is not a non-negative integer$"):
+        read_variance_csv(str(path))
+
+
 def test_integer_column_is_written_as_d(tmp_path):
     # an integer column, like the variance file's count, goes through the
     # '%.17g' path, which writes an integer-valued double below 2**53 as '%d'

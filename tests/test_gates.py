@@ -250,6 +250,20 @@ def test_thermal_prepare_rejects_nonvacuum_target():
         thermal_prepare(1.0, 0, st)
 
 
+def test_thermal_prepare_tests_the_vacuum_in_vacuum_units():
+    # at hbar = 1e-12 a squeezed mode's entries are ~1e-12, within an
+    # absolute 1e-10 of the vacuum's, and were overwritten
+    squeezed = apply_gate(squeeze_gate(1.0, 0.0, 0, 1), vacuum_state(1, 1e-12))
+    with pytest.raises(ValueError, match="mode 0 is not in the vacuum state"):
+        thermal_prepare(0.5, 0, squeezed)
+    # at hbar = 1e8 the rounding of gates on vacuum modes is ~1e-8, which an
+    # absolute 1e-10 refused
+    state = apply_gate(beamsplitter_gate(0.3, 0.7, (0, 1), 2), vacuum_state(2, 1e8))
+    state = apply_gate(rotation_gate(0.3, 0, 2), state)
+    thermal = thermal_prepare(0.5, 0, state)
+    assert np.array_equal(thermal.cov[:2, :2], 1e8 * np.eye(2))
+
+
 def test_apply_gate_requires_matching_size():
     with pytest.raises(MalformedInputError):
         apply_gate(rotation_gate(0.3, 0, 2), vacuum_state(1))

@@ -1,27 +1,29 @@
-"""The network JSON writer's float arrays against json.dumps, value by
-value: random bit patterns, every decade, the neighbours of powers of ten,
-every shortest length from 1 to 17 digits, rounding-interval ends for even
-and odd mantissas, 16-digit ties, power-of-two mantissas, subnormals, zeros,
-normal deviates and a Wigner grid, in 1-D and 2-D arrays nested at two
-indents."""
+"""The network JSON writer's floats against json.dumps, value by value:
+random bit patterns, every decade, the neighbours of powers of ten, every
+shortest length from 1 to 17 digits, rounding-interval ends for even and odd
+mantissas, 16-digit ties, power-of-two mantissas, subnormals, zeros, normal
+deviates and a Wigner grid, in 1-D and 2-D arrays and in lists of Python
+floats, at the top level and nested in an object."""
 
 import json
 import random
 
 import numpy as np
 
-from cvsim.cli import _TEXT_CELLS, _json_float_array
+from cvsim.cli import _json_bytes
 
 
-def written(a, indent=""):
-    return "".join(_json_float_array(a, indent))
+def written(obj):
+    return _json_bytes(obj).decode()
 
 
-def assert_written_as_json_dumps(a, indents=("",)):
-    """_json_float_array's text of `a` is json.dumps's, nested at each of `indents`."""
+def assert_written_as_json_dumps(a):
+    """_json_bytes's text of `a`, and of its Python floats, is json.dumps's,
+    at the top level and nested in an object."""
     text = json.dumps(a.tolist(), indent=2)
-    for indent in indents:
-        got, want = written(a, indent), text.replace("\n", "\n" + indent)
+    nested = '{\n  "values": [\n    ' + text.replace("\n", "\n    ") + "\n  ]\n}\n"
+    for obj, want in ((a, text + "\n"), (a.tolist(), text + "\n"), ({"values": [a]}, nested)):
+        got = written(obj)
         if got != want:
             wrong = [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w]
             raise AssertionError(wrong[:5] or (len(got), len(want)))
@@ -29,7 +31,7 @@ def assert_written_as_json_dumps(a, indents=("",)):
 
 def reprs(values):
     """The text of each value in the writer's 1-D array."""
-    return [line.strip().rstrip(",") for line in written(np.asarray(values)).split("\n")[1:-1]]
+    return [line.strip().rstrip(",") for line in written(np.asarray(values)).split("\n")[1:-2]]
 
 
 def powers_of_ten():
@@ -112,10 +114,9 @@ def test_json_writer_matches_float_repr_on_a_million_fuzzed_values():
     values = fuzz_values(20261018)
     values = values[np.isfinite(values)]
     assert values.size >= 1_000_000
-    # 7 columns: blocks of whole rows; 1500: one row a block
     rows = [values[:values.size // cols * cols].reshape(-1, cols) for cols in (7, 1500)]
     for a in (values, *rows):
-        assert_written_as_json_dumps(a, ("", "      "))
+        assert_written_as_json_dumps(a)
 
 
 def test_json_writer_matches_python_at_interval_ends():
@@ -133,12 +134,13 @@ def test_json_writer_writes_short_decimals_as_repr():
                              "1.5e+300", "0.002"]
 
 
-def test_cells_below_1e_minus_4_keep_their_exponent_in_every_block():
-    # orjson writes [1e-5, 1e-4) positionally; the writer splices repr in,
-    # in blocks after the first and in rows longer than a block
-    edges = [1e-5, -9.999999999999999e-05, 1e-4, 9.999999999999999e-06, 5e-05]
+def test_mended_cells_keep_their_repr_in_every_position():
+    # orjson writes [1e-5, 1e-4) positionally and 1e16 without its "+"; the
+    # writer puts repr in place of each, in long rows and in many short ones
+    edges = [1e-5, -9.999999999999999e-05, 1e-4, 9.999999999999999e-06, 5e-05, -1e16,
+             9999999999999998.0]
     assert reprs(edges) == ["1e-05", "-9.999999999999999e-05", "0.0001",
-                            "9.999999999999999e-06", "5e-05"]
-    values = np.tile(edges, _TEXT_CELLS)
-    for a in (values, values.reshape(1, -1), values.reshape(-1, 5)):
-        assert_written_as_json_dumps(a, ("  ",))
+                            "9.999999999999999e-06", "5e-05", "-1e+16", "9999999999999998.0"]
+    values = np.tile(edges, 1024)
+    for a in (values, values.reshape(1, -1), values.reshape(-1, 7)):
+        assert_written_as_json_dumps(a)

@@ -75,6 +75,13 @@ def test_constructor_rejects_non_positive_hbar():
         GaussianState(mean=np.zeros(2), cov=np.eye(2), hbar=0.0)
 
 
+@pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf])
+def test_constructor_rejects_non_finite_hbar(hbar):
+    # a NaN or infinite hbar was accepted, and purity then read nan or inf
+    with pytest.raises(ValueError, match="hbar must be positive and finite, got "):
+        GaussianState(mean=np.zeros(2), cov=np.eye(2), hbar=hbar)
+
+
 def test_constructor_rejects_asymmetric_cov():
     cov = np.eye(2)
     cov[0, 1] = 1e-6
