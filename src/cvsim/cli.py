@@ -49,9 +49,54 @@ def _writing(path: str):
 #: orjson writes a one-digit negative exponent without a leading zero
 #: (2.5e-7), where repr writes 2.5e-07
 _EXPONENT_ZERO = re.compile(rb"e-(?=[0-9]\b)")
-#: doubles at each edge of the forms that _json_bytes mends
+#: doubles at each edge of the forms that _json_bytes mends, and in
+#: [1e-5, 1e-4) one of 17 digits and a negative one
 _PROBE = (0.0, -0.0, 0.1, 1e15, 9999999999999998.0, 1e16, 1.5e300, 1e-4,
-          9.999999999999999e-05, 1e-5, 9.999999999999999e-06, 2.5e-7, 1e-10, 5e-324)
+          9.999999999999999e-05, 1.2345678901234568e-05, -3.4567e-05, 1e-5,
+          9.999999999999999e-06, 2.5e-7, 1e-10, 5e-324)
+
+
+def _unknown_float_form() -> CVSimError:
+    import orjson
+
+    return CVSimError(f"orjson {orjson.__version__} writes floats in a form that "
+                      "the network JSON writer does not know")
+
+
+def _e05_reprs(cells: np.ndarray) -> list[bytes]:
+    """float.__repr__ of each cell of a float64 array with |x| in [1e-5,
+    1e-4), from orjson's digits: orjson writes |x| as 0.0000D1...Dk, and
+    repr as [-]D1[.D2...Dk]e-05.  The digits move into NUL-padded fixed
+    slots, one row a cell, and one translate drops the padding.  A token
+    that is not 0.0000 followed by 1 to 17 digits, the first and last not 0,
+    raises CVSimError."""
+    import orjson
+
+    text = orjson.dumps(np.abs(cells), option=orjson.OPT_SERIALIZE_NUMPY)
+    # a token's window: "0.0000" and 17 digit slots, padded past the text
+    buf = np.frombuffer(text + bytes(23), np.uint8)
+    commas = np.flatnonzero(buf == ord(","))
+    if text[:1] != b"[" or text[-1:] != b"]" or commas.size != cells.size - 1:
+        raise _unknown_float_form()
+    starts = np.concatenate(([1], commas + 1))
+    count = np.diff(np.append(starts, len(text))) - 7  # digits of each token
+    window = np.lib.stride_tricks.sliding_window_view(buf, 23)[starts]
+    digits = window[:, 6:]
+    used = np.arange(17) < count[:, None]
+    if not (((count >= 1) & (count <= 17)).all()
+            and (window[:, :6] == np.frombuffer(b"0.0000", np.uint8)).all()
+            and ((digits - np.uint8(ord("0")) < 10) | ~used).all()  # uint8 wraps below "0"
+            and (digits[:, 0] != ord("0")).all()
+            and (digits[np.arange(cells.size), count - 1] != ord("0")).all()):
+        raise _unknown_float_form()
+    # a row: sign, D1, ".", D2...D17, "e-05", ","
+    slots = np.zeros((cells.size, 24), np.uint8)
+    slots[:, 0] = np.where(np.signbit(cells), ord("-"), 0)
+    slots[:, 1] = digits[:, 0]
+    slots[:, 2] = np.where(count > 1, ord("."), 0)
+    slots[:, 3:19] = digits[:, 1:] * used[:, 1:]
+    slots[:, 19:] = np.frombuffer(b"e-05,", np.uint8)
+    return slots.tobytes().translate(None, b"\0")[:-1].split(b",")
 
 
 def _json_ready(value, reprs: list):
@@ -91,7 +136,12 @@ def _json_ready(value, reprs: list):
         if finite.all():
             mended = (magnitude >= 1e16) | ((magnitude >= 1e-5) & (magnitude < 1e-4))
             if mended.any():
-                reprs.extend(float.__repr__(x).encode() for x in a[mended].tolist())
+                cells = a[mended]
+                small = magnitude[mended] < 1e-4
+                texts = np.empty(cells.size, object)
+                texts[small] = _e05_reprs(cells[small]) if small.any() else []
+                texts[~small] = [float.__repr__(x).encode() for x in cells[~small].tolist()]
+                reprs.extend(texts.tolist())
                 a = np.where(mended, np.nan, a)
             return a
         value = a[~finite][0]
@@ -107,7 +157,9 @@ def _json_bytes(payload) -> bytes:
     writes |x| in [1e-5, 1e-4) without an exponent, |x| >= 1e16 without the
     "+" of its exponent, and a one-digit negative exponent without a leading
     zero.  _json_ready turns the first two into NaN, whose null is replaced
-    by their repr; one substitution mends the third.  A value that this
+    by their repr (for the cells of a float64 array in [1e-5, 1e-4), the
+    repr that _e05_reprs writes from orjson's digits); one substitution
+    mends the third.  A value that this
     cannot write as json.dumps does raises CVSimError: a float that is not
     finite, a string that orjson escapes otherwise or whose text holds
     "null", an int beyond 64 bits, or a type that is not JSON's.
@@ -131,12 +183,9 @@ def _check_json_writer() -> None:
     """Raise CVSimError unless _json_bytes writes _PROBE, as Python floats and
     as an array, as json.dumps does: the mends above rely on orjson's float
     format, which orjson's version range does not pin."""
-    import orjson
-
     expected = (json.dumps(_PROBE, indent=2) + "\n").encode()
     if not _json_bytes(list(_PROBE)) == _json_bytes(np.array(_PROBE)) == expected:
-        raise CVSimError(f"orjson {orjson.__version__} writes floats in a form that "
-                         "the network JSON writer does not know")
+        raise _unknown_float_form()
 
 
 _FOCK_BS_DOCUMENT = (
@@ -245,8 +294,8 @@ def cmd_network(config, out):
     payload = {
         "modes": spec.num_modes,
         "hbar": spec.hbar,
-        "mean": clean_tiny(result.state.mean),
-        "cov": clean_tiny(result.state.cov),
+        "mean": clean_tiny(result.state.mean, np.sqrt(spec.hbar / 2.0)),
+        "cov": clean_tiny(result.state.cov, spec.hbar / 2.0),
         "analyses": result.analyses,
     }
     _check_json_writer()

@@ -20,7 +20,8 @@ row at every phase node of a cat), inverted to quantiles on a uniform u grid by
 cubic Hermite interpolation.  A record starts from it linearly in u and, for
 a cat, cubically in phi.  Records start on [-50, 50] without evaluating F at its
 ends; one that ends within tol of an end is solved again inside a bracket
-checked at its ends and doubled until it holds the quantile.  The doubling
+checked at its ends: the smallest [-50 2^K, 50 2^K] that holds the quantile,
+with K found by probing K = 0, 1, 2, 4, ... and bisecting.  The widening
 stops with InversionError once it reaches |E[X_phi]| + 64 sd(X_phi) + 50, a
 reach that holds every quantile down to u = 1e-300, a Gaussian tail of about
 37 sd.  Records are solved in fixed-size blocks, and a record's value does
@@ -424,34 +425,51 @@ def _table_start(table, phis, targets):
 
 
 def _bracket(model, phis, targets, records):
-    """[lo, hi] with F(lo) < u <= F(hi) for each record, doubling [-_BRACKET,
-    _BRACKET] where it does not hold.  A record whose bracket reaches
-    |E[X_phi]| + _REACH_SD sd(X_phi) + _BRACKET without holding its quantile
-    raises InversionError: its model understates its spread."""
-    lo = np.full_like(targets, -_BRACKET)
-    hi = np.full_like(targets, _BRACKET)
+    """[lo, hi] = [-_BRACKET 2^K, _BRACKET 2^K] with F(lo) < u <= F(hi) for
+    each record, at the smallest such K: the bracket that doubling [-_BRACKET,
+    _BRACKET] until it holds finds.  K is found by probing K = 0, 1, 2, 4, ...
+    and then bisecting, which needs F to be monotone, as the doubling does.
+    A record whose bracket reaches |E[X_phi]| + _REACH_SD sd(X_phi) +
+    _BRACKET without holding its quantile raises InversionError, naming the
+    record that the doubling would: the one of smallest such K, then of
+    lowest index.  Its model understates its spread."""
+    with np.errstate(over="ignore"):
+        half_widths = np.ldexp(_BRACKET, np.arange(np.finfo(float).maxexp))  # inf from K = 1019
     mean, var = model.moments(phis)
     reach = np.broadcast_to(np.abs(mean) + _REACH_SD * np.sqrt(var) + _BRACKET, targets.shape)
-    pending = np.arange(targets.size)
-    while True:
-        u, phi = targets[pending], phis[pending]
-        pending = pending[
-            (quadrature_cdf(model, lo[pending], phi) >= u)
-            | (quadrature_cdf(model, hi[pending], phi) <= u)
-        ]
-        if not pending.size:
-            return lo, hi
-        # fails for a NaN reach and for hi doubled to inf, so the loop ends
-        far = ~(hi[pending] < reach[pending])
-        if far.any():
-            i = pending[np.argmax(far)]
+    # the last K that each record may probe: the first to reach `reach`, or 0 for a NaN reach
+    top = np.where(np.isnan(reach), 0, np.searchsorted(half_widths, reach))
+
+    def holds(i, k):
+        u, phi, x = targets[i], phis[i], half_widths[k]
+        return ~((quadrature_cdf(model, -x, phi) >= u) | (quadrature_cdf(model, x, phi) <= u))
+
+    # each record's K lies in (fails, held]
+    fails = np.full(targets.size, -1)
+    held = np.zeros(targets.size, np.intp)
+    pending, step = np.arange(targets.size), 0
+    while pending.size:
+        k = np.minimum(step, top[pending])
+        ok = holds(pending, k)
+        held[pending[ok]] = k[ok]
+        out = pending[~ok & (k == top[pending])]
+        if out.size:
+            i = out[np.argmin(top[out])]
             raise InversionError(
                 f"could not bracket the quantile for record {records[i]} "
                 f"(u={float(targets[i])!r}, phi={float(phis[i])!r}) within "
                 f"|x| <= {float(reach[i])!r}"
             )
-        lo[pending] *= 2.0
-        hi[pending] *= 2.0
+        fails[pending[~ok]] = k[~ok]
+        pending, step = pending[~ok], 2 * step or 1
+    pending = np.flatnonzero(held - fails > 1)
+    while pending.size:
+        k = (fails[pending] + held[pending]) // 2
+        ok = holds(pending, k)
+        held[pending[ok]] = k[ok]
+        fails[pending[~ok]] = k[~ok]
+        pending = pending[held[pending] - fails[pending] > 1]
+    return -half_widths[held], half_widths[held]
 
 
 def _newton(model, phis, targets, records, tol, x, lo, hi):

@@ -265,8 +265,8 @@ def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
         return {
             "type": "reduced",
             "modes": list(req.modes),
-            "mean": clean_tiny(red.mean),
-            "cov": clean_tiny(red.cov),
+            "mean": clean_tiny(red.mean, np.sqrt(red.hbar / 2.0)),
+            "cov": clean_tiny(red.cov, red.hbar / 2.0),
         }
     if req.type == "simon":
         red = reduced_state(state, list(req.modes))

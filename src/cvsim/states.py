@@ -236,9 +236,14 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """
     cov = _checked_cov(cov)
     L = _resolved_cholesky(cov)
-    num_modes = cov.shape[0] // 2
-    eigvals = np.linalg.eigvalsh(1j * (L.T @ symplectic_form(num_modes) @ L))
-    return eigvals[num_modes:]
+    # L^T Omega without a product: its column 2k + 1 is L^T's column 2k, and
+    # its column 2k is minus L^T's column 2k + 1
+    product = np.empty_like(L)
+    product[:, 1::2] = L.T[:, 0::2]
+    np.negative(L.T[:, 1::2], out=product[:, 0::2])
+    product = product @ L
+    del L  # L and L^T Omega are freed before the complex copy
+    return np.linalg.eigvalsh(1j * product)[cov.shape[0] // 2:]
 
 
 def purity(state: GaussianState) -> float:
@@ -255,8 +260,10 @@ def purity(state: GaussianState) -> float:
     return float((state.hbar / 2.0) ** state.num_modes / np.prod(np.diagonal(L)))
 
 
-def clean_tiny(arr: np.ndarray) -> np.ndarray:
-    """Zero out entries with magnitude below 1e-11, the display threshold."""
+def clean_tiny(arr: np.ndarray, unit: float = 1.0) -> np.ndarray:
+    """Zero out entries with magnitude below 1e-11 * unit, the display
+    threshold: unit is hbar/2 for a covariance and sqrt(hbar/2) for a mean,
+    so that the threshold is 1e-11 in vacuum units."""
     out = np.array(arr, dtype=float, copy=True)
-    out[np.abs(out) < 1e-11] = 0.0
+    out[np.abs(out) < 1e-11 * unit] = 0.0
     return out

@@ -236,8 +236,12 @@ LARGE_ARRAYS = (
 )
 FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0),
                       elements=JSON_FLOATS) | LARGE_ARRAYS
-OTHER_ARRAYS = arrays(st.sampled_from([np.int64, np.bool_, np.float32]),
-                      array_shapes(min_dims=1, max_dims=2, min_side=0))
+#: finite float32 cells: json.dumps writes inf and NaN as Infinity and NaN,
+#: which _json_bytes refuses
+OTHER_ARRAYS = (arrays(st.sampled_from([np.int64, np.bool_]),
+                       array_shapes(min_dims=1, max_dims=2, min_side=0))
+                | arrays(np.float32, array_shapes(min_dims=1, max_dims=2, min_side=0),
+                         elements=st.floats(allow_nan=False, allow_infinity=False, width=32)))
 JSON_TREES = st.recursive(
     JSON_SCALARS | st.lists(JSON_FLOATS, min_size=1) | FLOAT_ARRAYS | OTHER_ARRAYS,
     lambda children: (st.lists(children) | st.lists(children).map(tuple)
@@ -267,8 +271,9 @@ def test_json_bytes_matches_json_dumps(obj):
 
 @pytest.mark.parametrize("value", [
     math.nan, math.inf, -math.inf, np.float64(math.nan), np.array([1.0, math.nan]),
-    np.array([[2.0], [-math.inf]]), [1.0, math.inf], "\u00e9", "\x7f", "null", "\null", "e-5",
-    "\x1e-5", 2**64, -2**63 - 1, np.int64(3), {1: 2.0}, {1.0}, 1j,
+    np.array([[2.0], [-math.inf]]), np.array([math.inf], np.float32), [1.0, math.inf],
+    "\u00e9", "\x7f", "null", "\null", "e-5", "\x1e-5", 2**64, -2**63 - 1, np.int64(3),
+    {1: 2.0}, {1.0}, 1j,
 ])
 def test_json_bytes_refuses_what_it_cannot_write_as_json_dumps(value):
     with pytest.raises(CVSimError, match="cannot write .* in a JSON result file"):
@@ -710,6 +715,21 @@ def test_network_reads_the_vacuum_in_vacuum_units(tmp_path):
     assert json.loads(out.read_text())["cov"][0][0] == 1e8
 
 
+def test_network_writes_a_small_hbar_vacuum(tmp_path):
+    # the display threshold of cov and mean is in vacuum units, so at
+    # hbar = 1e-12 the vacuum's hbar/2 is written, not zeroed
+    config, out = tmp_path / "net.json", tmp_path / "o.json"
+    config.write_text(json.dumps({"modes": 1, "hbar": 1e-12, "gates": [
+        {"kind": "displace", "modes": [0], "params": {"alpha_mag": 1e-6, "alpha_phase": 0.0}},
+    ], "analyses": [{"type": "reduced", "modes": [0]}]}))
+    result = run_cli(["network", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.read_text())
+    for written in (doc, doc["analyses"][0]):
+        assert written["cov"] == [[5e-13, 0.0], [0.0, 5e-13]]
+        assert written["mean"][0] > 0.0 and written["mean"][1] == 0.0
+
+
 @pytest.mark.parametrize("hbar", [1e-3, 1e-6])
 def test_network_simon_verdict_holds_at_small_hbar(tmp_path, hbar):
     # both sides of the Simon inequality scale as (hbar/2)^4, and an absolute
@@ -899,6 +919,27 @@ def test_network_refuses_an_orjson_float_format_it_does_not_know(tmp_path, monke
         result = run_cli(["network", "--config", str(path), "--out", str(out)])
     finally:
         cli._check_json_writer.cache_clear()
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [
+        f"Error: orjson {orjson.__version__} writes floats in a form that the network "
+        "JSON writer does not know"
+    ]
+    assert not out.exists()
+
+
+def test_network_refuses_an_orjson_form_of_the_e05_cells_it_does_not_know(tmp_path,
+                                                                           monkeypatch):
+    # the probe has passed, so the writer's own kernel meets orjson's
+    # exponent form of the Wigner grid's cells in [1e-5, 1e-4)
+    import orjson
+
+    cli._check_json_writer()
+    dumps = orjson.dumps
+    monkeypatch.setattr(orjson, "dumps", lambda obj, option=None: dumps(obj, option=option)
+                        .replace(b"0.00001", b"1e-05"))
+    path, out = tmp_path / "net.json", tmp_path / "o.json"
+    path.write_text(json.dumps(README_NETWORK))
+    result = run_cli(["network", "--config", str(path), "--out", str(out)])
     assert result.exit_code == 1
     assert result.output.strip().splitlines() == [
         f"Error: orjson {orjson.__version__} writes floats in a form that the network "

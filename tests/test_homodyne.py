@@ -558,6 +558,115 @@ def test_invert_bracket_failure_names_the_record():
         invert_cdf(_NarrowSpats(300.0), 0.3, 1 - 1e-9)
 
 
+def _doubling_bracket(model, phis, targets, records):
+    """The bracket search that _bracket replaces: double [-50, 50] until it
+    holds, refusing a record whose bracket reaches its reach."""
+    import cvsim.homodyne as homodyne
+
+    lo = np.full_like(targets, -homodyne._BRACKET)
+    hi = np.full_like(targets, homodyne._BRACKET)
+    mean, var = model.moments(phis)
+    reach = np.broadcast_to(np.abs(mean) + homodyne._REACH_SD * np.sqrt(var) + homodyne._BRACKET,
+                            targets.shape)
+    pending = np.arange(targets.size)
+    while True:
+        u, phi = targets[pending], phis[pending]
+        pending = pending[
+            (quadrature_cdf(model, lo[pending], phi) >= u)
+            | (quadrature_cdf(model, hi[pending], phi) <= u)
+        ]
+        if not pending.size:
+            return lo, hi
+        far = ~(hi[pending] < reach[pending])
+        if far.any():
+            i = pending[np.argmax(far)]
+            raise InversionError(
+                f"could not bracket the quantile for record {records[i]} "
+                f"(u={float(targets[i])!r}, phi={float(phis[i])!r}) within "
+                f"|x| <= {float(reach[i])!r}"
+            )
+        lo[pending] *= 2.0
+        hi[pending] *= 2.0
+
+
+class _PhasedNarrowSpats(Spats):
+    """SPATS whose moments understate its spread by a factor that depends on
+    phi, and are NaN at phi = 3: records fail at different doublings."""
+
+    def moments(self, phi):
+        phi = np.asarray(phi)
+        return 0.0, np.where(phi == 3.0, np.nan, 10.0 ** (2.0 * phi - 4.0))
+
+
+#: (model, the phases of the records, the phase of record 0)
+BRACKET_CASES = {
+    "spats-1e300": (Spats(1e300), None, None),
+    "spats-1e30": (Spats(1e30), None, None),
+    "spats-300": (Spats(300.0), None, None),
+    "fock-10": (Fock(10), None, None),
+    "cat": (CatState(3.0 + 1.0j, 0.5), None, None),
+    "narrow": (_NarrowSpats(300.0), None, None),
+    # record 0 fails at the third doubling, later records at the first or second
+    "smallest-failing-doubling": (_PhasedNarrowSpats(1e6), [0.0, 0.5, 1.0, 1.5, 2.0], 2.5),
+    # record 0 fails at the fourth doubling, later records at the third:
+    # probing K = 4 finds both
+    "smallest-failing-doubling-in-one-probe": (_PhasedNarrowSpats(1e6), [2.5], 2.9),
+    # a NaN reach fails at once
+    "nan-reach": (_PhasedNarrowSpats(1e6), [2.5, 3.0], 2.5),
+    "phased-held": (_PhasedNarrowSpats(1e6), [5.0, 6.0], None),
+}
+
+
+@pytest.mark.parametrize("model, choices, first", list(BRACKET_CASES.values()),
+                         ids=list(BRACKET_CASES))
+def test_bracket_is_the_doubling_bracket(model, choices, first):
+    import cvsim.homodyne as homodyne
+
+    rng = np.random.default_rng(11)
+    targets = np.concatenate([rng.random(2000), [1e-300, 1e-16, 0.5, 1 - 1e-16, 1 - 1e-9]])
+    phis = (rng.uniform(-np.pi, np.pi, targets.size) if choices is None
+            else rng.choice(choices, targets.size))
+    if first is not None:
+        phis[0] = first
+    records = np.arange(targets.size) + 7
+    results = []
+    for search in (_doubling_bracket, homodyne._bracket):
+        try:
+            results.append(search(model, phis, targets, records))
+        except InversionError as exc:
+            results.append(str(exc))
+    want, got = results
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_bracket_of_a_wide_source_takes_few_cdf_passes(monkeypatch):
+    # Spats(1e300) needs K ~ 500 doublings, two CDF passes each; probing K =
+    # 0, 1, 2, ..., 512 and bisecting takes at most 11 + 9 rounds
+    import cvsim.homodyne as homodyne
+
+    passes, calls = [], []
+    cdf, bracket = homodyne.quadrature_cdf, homodyne._bracket
+
+    def counted_bracket(*args):
+        passes.append(0)
+        calls.append(args)
+        return bracket(*args)
+
+    def counted_cdf(*args):
+        passes[-1] += 1
+        return cdf(*args)
+
+    monkeypatch.setattr(homodyne, "quadrature_cdf", counted_cdf)
+    monkeypatch.setattr(homodyne, "_bracket", counted_bracket)
+    sample(Spats(1e300), 20_000, seed=3)
+    assert passes and max(passes) <= 40
+    lo, hi = bracket(*calls[0])
+    assert hi.max() > 1e151
+
+
 @pytest.mark.parametrize("model", [Spats(1e300), Thermal(1e300), SqueezedVacuum(300.0)],
                          ids=["spats-1e300", "thermal-1e300", "squeezed-r300"])
 def test_wide_sources_sample_finite_values(model):

@@ -3,14 +3,21 @@ random bit patterns, every decade, the neighbours of powers of ten, every
 shortest length from 1 to 17 digits, rounding-interval ends for even and odd
 mantissas, 16-digit ties, power-of-two mantissas, subnormals, zeros, normal
 deviates and a Wigner grid, in 1-D and 2-D arrays and in lists of Python
-floats, at the top level and nested in an object."""
+floats, at the top level and nested in an object; and the kernel that
+writes the cells in [1e-5, 1e-4) from orjson's digits, on every digit count
+and on the forms of orjson's text that it must refuse."""
 
 import json
 import random
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from cvsim.cli import _json_bytes
+from cvsim.cli import _e05_reprs, _json_bytes
+from cvsim.errors import CVSimError
 
 
 def written(obj):
@@ -144,3 +151,59 @@ def test_mended_cells_keep_their_repr_in_every_position():
     values = np.tile(edges, 1024)
     for a in (values, values.reshape(1, -1), values.reshape(-1, 7)):
         assert_written_as_json_dumps(a)
+
+
+#: the ends of [1e-5, 1e-4) and their neighbours on both sides
+E05_EDGES = [1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0), 1e-4,
+             np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0)]
+#: doubles in [1e-5, 1e-4): n digits times 10**-(n + 4), and any bit pattern
+E05_CELLS = (
+    st.integers(1, 17).flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1).map(
+        lambda digits: float(f"{digits}e-{n + 4}")))
+    | st.floats(1e-5, 1e-4, exclude_max=True)
+    | st.sampled_from(E05_EDGES)
+)
+SIGNED_E05_CELLS = st.tuples(E05_CELLS, st.booleans()).map(lambda c: -c[0] if c[1] else c[0])
+E05_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=20),
+                    elements=SIGNED_E05_CELLS | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(E05_ARRAYS)
+@example(np.array(E05_EDGES + [-x for x in E05_EDGES] + [0.5, -1e16, 3e-300]).reshape(3, 5))
+def test_json_writer_writes_every_e05_cell_as_json_dumps(a):
+    assert _json_bytes(a) == (json.dumps(a.tolist(), indent=2) + "\n").encode()
+
+
+def test_e05_kernel_writes_every_digit_count():
+    rng = random.Random(5)
+    values = [float(f"{rng.randrange(10 ** (n - 1), 10**n)}e-{n + 4}")
+              for n in range(1, 18) for _ in range(200)]
+    values = np.array(values + [-x for x in values] + E05_EDGES[0:5:2])
+    assert _e05_reprs(values) == [float.__repr__(x).encode() for x in values.tolist()]
+    digits = {len(float.__repr__(abs(x)).split("e")[0].replace(".", "")) for x in values.tolist()}
+    assert digits == set(range(1, 18))
+
+
+#: orjson texts of [1e-5, 5e-5, 1.2345678901234568e-05] that the kernel refuses
+UNKNOWN_E05_FORMS = {
+    "exponent": b"[1e-05,5e-05,1.2345678901234568e-05]",
+    "leading zero digit": b"[0.000001,0.00005,0.000012345678901234568]",
+    "trailing zero digit": b"[0.000010,0.000050,0.000012345678901234568]",
+    "18 digits": b"[0.00001,0.00005,0.000012345678901234568]".replace(b"68]", b"681]"),
+    "no digit": b"[0.0000,0.00005,0.000012345678901234568]",
+    "spaced": b"[0.00001, 0.00005, 0.000012345678901234568]",
+    "letter": b"[0.00001,0.0000x5,0.000012345678901234568]",
+    "one token short": b"[0.00001,0.00005]",
+    "unbracketed": b"0.00001,0.00005,0.000012345678901234568",
+}
+
+
+@pytest.mark.parametrize("text", list(UNKNOWN_E05_FORMS.values()), ids=list(UNKNOWN_E05_FORMS))
+def test_e05_kernel_refuses_an_unknown_orjson_form(monkeypatch, text):
+    import orjson
+
+    monkeypatch.setattr(orjson, "dumps", lambda obj, option=None: text)
+    with pytest.raises(CVSimError, match=r"writes floats in a form that the network JSON "
+                                         r"writer does not know"):
+        _e05_reprs(np.array([1e-5, 5e-5, 1.2345678901234568e-05]))

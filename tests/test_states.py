@@ -244,6 +244,7 @@ def test_clean_tiny():
     arr = np.array([1.0, 1e-12, -1e-12, 2e-11])
     out = clean_tiny(arr)
     assert np.array_equal(out, [1.0, 0.0, 0.0, 2e-11])
+    assert np.array_equal(clean_tiny(arr * 1e-12, 1e-12), [1e-12, 0.0, 0.0, 2e-23])
 
 
 @pytest.mark.parametrize("read", [
