@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import functools
 import os
+import stat
 import sys
 import warnings
+from contextlib import contextmanager, suppress
 from itertools import islice
 
 import numpy as np
@@ -206,6 +208,37 @@ def _format_block(part: list[np.ndarray]) -> str:
     return "".join(template.ravel().tolist()) % values
 
 
+@contextmanager
+def _overwrite(path: str, mode: str, **open_kwargs):
+    """``open(path, mode, **open_kwargs)`` for writing, without truncating on
+    open: an existing regular file is written over in place and, when the
+    block ends (by an exception too), cut to the bytes written; a device or
+    pipe such as /dev/null or /dev/stdout, which refuses a truncate, is only
+    written.  The inode, its mode and its links stay as with ``open``.
+
+    A truncate frees the file's blocks, which on ext4 mounted with
+    ``discard`` made rewriting 3 KB take 103-132 us and 356 KB ~440 us,
+    against 16 us and 33-39 us for writing over the old bytes.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, mode, **open_kwargs) as fh:
+        try:
+            yield fh
+        except BaseException:
+            with suppress(OSError):  # the error that ended the block is the one to report
+                _cut(fh)
+            raise
+        _cut(fh)
+
+
+def _cut(fh) -> None:
+    """Flush ``fh`` and cut a regular file to the bytes written."""
+    fh.flush()
+    fd = fh.fileno()
+    if stat.S_ISREG(os.fstat(fd).st_mode):
+        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _write_csv(path: str, header, columns) -> None:
     """Write a CSV file: the header, then one LF-terminated line per row.
 
@@ -216,7 +249,7 @@ def _write_csv(path: str, header, columns) -> None:
     formatted _BLOCK at a time, so memory stays bounded by one block
     whatever the file size.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _overwrite(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for first in range(0, columns[0].size, _BLOCK):
             part = slice(first, first + _BLOCK)

@@ -19,6 +19,7 @@ from math import isfinite
 import numpy as np
 
 from . import homodyne
+from ._csvio import _overwrite
 from .errors import CVSimError, SpecValidationError
 from .fock import MAX_TOTAL_PHOTONS, bs_output_from_angle
 from .network import GateDescriptor, NetworkSpec, parse_network_spec, run_network
@@ -300,7 +301,7 @@ def cmd_network(config, out):
     }
     _check_json_writer()
     text = _json_bytes(payload)
-    with _writing(out), open(out, "wb") as fh:
+    with _writing(out), _overwrite(out, "wb") as fh:
         fh.write(text)
     print(f"wrote network result to {out}")
 
@@ -310,7 +311,7 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
     if n1 + n2 > MAX_TOTAL_PHOTONS:
         raise CLIError(f"n1 + n2 must not exceed {MAX_TOTAL_PHOTONS}", 2)
     result = bs_output_from_angle(n1, n2, theta, phi)
-    with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(out), _overwrite(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_fock_bs_json(result))
     print(f"wrote {len(result.amplitudes)} amplitudes to {out}")
 
@@ -474,7 +475,8 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
     SpecValidationError and 1 for any other.  In standalone mode (the
     ``cvsim`` console script) it prints one ``Error:`` line on stderr, after
     the usage of a command line that did not parse, and exits with the
-    error's code."""
+    error's code; a stdout whose reader has gone, as in ``cvsim ... |
+    head -1``, ends it with exit code 1 and no message."""
     try:
         options = vars(_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv)))
         del options["command"]
@@ -482,11 +484,19 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
             options.pop("run")(**options)
         except CVSimError as exc:
             raise CLIError(str(exc), 2 if isinstance(exc, SpecValidationError) else 1) from None
+        if standalone_mode:
+            sys.stdout.flush()  # so that a closed pipe fails here, not at exit
     except CLIError as exc:
         if not standalone_mode:
             raise
         print(f"{exc.usage}Error: {exc}", file=sys.stderr)
         sys.exit(exc.exit_code)
+    except BrokenPipeError:
+        if not standalone_mode:
+            raise
+        # Python flushes stdout again at exit; point it at the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

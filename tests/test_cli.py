@@ -335,6 +335,98 @@ def test_unwritable_out_exits_1_with_one_line(tmp_path, command):
     ]
 
 
+def long_and_short_args(tmp_path, command):
+    """Arguments of `command` (no --out) that write a long and a short file."""
+    data, config, small = tmp_path / "s.csv", tmp_path / "net.json", tmp_path / "one.json"
+    run_cli(["sample", "--state", "vacuum", "--count", "3000", "--out", str(data)])
+    config.write_text(json.dumps(chain16_network()))
+    small.write_text(json.dumps({"modes": 1}))
+    return {
+        "sample": (["--state", "vacuum", "--count", "20000"], ["--state", "vacuum", "--count", "10"]),
+        "analyze": (["--in", str(data), "--bins", "200"], ["--in", str(data), "--bins", "4"]),
+        "wigner": (["--state", "vacuum", "--nx", "80", "--np", "80"],
+                   ["--state", "vacuum", "--nx", "2", "--np", "2"]),
+        "network": (["--config", str(config)], ["--config", str(small)]),
+        "fock-bs": (["--n1", "20", "--n2", "20"], ["--n1", "1", "--n2", "0"]),
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["sample", "analyze", "wigner", "network", "fock-bs"])
+def test_out_over_a_longer_or_shorter_file_holds_a_new_file_s_bytes(tmp_path, command):
+    long, short = long_and_short_args(tmp_path, command)
+    fresh = {}
+    for name, args in (("long", long), ("short", short)):
+        fresh[name] = tmp_path / f"fresh_{name}"
+        assert run_cli([command, *args, "--out", str(fresh[name])]).exit_code == 0
+    out = tmp_path / "out"
+    for name, args in (("long", long), ("short", short), ("long", long)):
+        assert run_cli([command, *args, "--out", str(out)]).exit_code == 0
+        assert out.read_bytes() == fresh[name].read_bytes()
+    assert fresh["short"].stat().st_size < fresh["long"].stat().st_size
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("command", ["sample", "network", "fock-bs"])
+def test_out_to_the_null_device_exits_0(tmp_path, command):
+    args = long_and_short_args(tmp_path, command)[0]
+    result = run_cli([command, *args, "--out", "/dev/null"])
+    assert result.exit_code == 0, result.output
+    assert "/dev/null" in result.output
+
+
+@pytest.mark.parametrize("command", ["sample", "network", "fock-bs"])
+def test_symlinked_out_rewrites_its_target(tmp_path, command):
+    long, short = long_and_short_args(tmp_path, command)
+    target, link, fresh = tmp_path / "target", tmp_path / "link", tmp_path / "fresh"
+    run_cli([command, *long, "--out", str(target)])
+    link.symlink_to(target)
+    run_cli([command, *short, "--out", str(fresh)])
+    assert run_cli([command, *short, "--out", str(link)]).exit_code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sample", "network", "fock-bs"])
+def test_hard_linked_out_shows_the_new_bytes_through_each_link(tmp_path, command):
+    long, short = long_and_short_args(tmp_path, command)
+    out, other, fresh = tmp_path / "out", tmp_path / "other", tmp_path / "fresh"
+    run_cli([command, *short, "--out", str(out)])
+    os.link(out, other)
+    run_cli([command, *long, "--out", str(fresh)])
+    assert run_cli([command, *long, "--out", str(out)]).exit_code == 0
+    assert other.read_bytes() == out.read_bytes() == fresh.read_bytes()
+    assert other.stat().st_ino == out.stat().st_ino and out.stat().st_nlink == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["fock-bs", "--n1", "1", "--n2", "1"],
+    ["sample", "--state", "vacuum", "--count", "5"],
+])
+def test_closed_stdout_ends_the_console_script_with_exit_1_and_no_traceback(tmp_path, args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the child writes a byte
+    env = dict(os.environ, PYTHONPATH=str(Path(cvsim.__file__).resolve().parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "cvsim.cli", *args, "--out", str(tmp_path / "out")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+    assert (tmp_path / "out").stat().st_size
+
+
+def test_closed_stdout_raises_without_standalone_mode(tmp_path):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with redirect_stdout(ClosedPipe()), pytest.raises(BrokenPipeError):
+        main(["fock-bs", "--n1", "1", "--n2", "1", "--out", str(tmp_path / "f.json")],
+             standalone_mode=False)
+
+
 def test_sample_rejects_out_of_range_fock(tmp_path):
     result = run_cli(
         ["sample", "--state", "fock", "--n", "12", "--count", "10",

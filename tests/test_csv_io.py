@@ -1,6 +1,7 @@
 """CSV readers and writers of the three file formats: number format, field
 counts, line numbers past the first block, CRLF and blank lines, and grids
-larger than one block; the writer's numbers against '%.17g' byte for byte."""
+larger than one block; the writer's numbers against '%.17g' byte for byte,
+and what a write over an existing file leaves."""
 
 import os
 import threading
@@ -474,3 +475,45 @@ def test_reader_reads_a_pipe(tmp_path):
     assert not writer.is_alive()
     assert np.array_equal(bits(back.phases), bits(ss.phases))
     assert np.array_equal(bits(back.values), bits(ss.values))
+
+
+def test_failed_write_leaves_only_the_bytes_written_before_it(tmp_path, monkeypatch):
+    path = tmp_path / "s.csv"
+    path.write_text("old," * 10_000)
+    values = np.arange(12.0)
+    calls = []
+
+    def fail_second(part):
+        calls.append(part)
+        if len(calls) == 2:
+            raise RuntimeError("second block")
+        return format_block(part)
+
+    format_block = _csvio._format_block
+    monkeypatch.setattr(_csvio, "_BLOCK", 5)
+    monkeypatch.setattr(_csvio, "_format_block", fail_second)
+    with pytest.raises(RuntimeError, match="second block"):
+        _write_csv(str(path), ["a", "b"], [values, -values])
+    assert path.read_text() == "a,b\n" + format_block([values[:5], -values[:5]])
+
+
+def test_failed_truncate_does_not_hide_the_error_that_ended_the_write(tmp_path, monkeypatch):
+    def refuse(fd, length):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(_csvio.os, "ftruncate", refuse)
+    monkeypatch.setattr(_csvio, "_format_block", mock.Mock(side_effect=RuntimeError("format")))
+    with pytest.raises(RuntimeError, match="format"):
+        _write_csv(str(tmp_path / "s.csv"), ["a"], [np.ones(3)])
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_file_gets_the_mode_that_open_gives_it(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        _write_csv(str(tmp_path / "s.csv"), ["a"], [np.ones(3)])
+        with open(tmp_path / "o.csv", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert (tmp_path / "s.csv").stat().st_mode == (tmp_path / "o.csv").stat().st_mode
