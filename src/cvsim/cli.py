@@ -40,9 +40,12 @@ class CLIError(Exception):
 
 @contextmanager
 def _writing(path: str):
-    """Turn an OSError raised while writing ``path`` into a one-line exit 1."""
+    """Turn an OSError raised while writing ``path`` into a one-line exit 1;
+    a BrokenPipeError passes through to ``main``."""
     try:
         yield
+    except BrokenPipeError:  # a reader that has gone: main ends it as for stdout
+        raise
     except OSError as exc:
         raise CLIError(f"cannot write {path}: {exc.strerror}", 1) from None
 
@@ -61,7 +64,22 @@ def _unknown_float_form() -> CVSimError:
     import orjson
 
     return CVSimError(f"orjson {orjson.__version__} writes floats in a form that "
-                      "the network JSON writer does not know")
+                      "cvsim's JSON writers do not know")
+
+
+def _float_texts(values: list[float]) -> list[str]:
+    """float.__repr__ of each of the finite floats `values`, from one
+    orjson.dumps: orjson writes repr's digits, and the one-digit negative
+    exponents are mended as in _json_bytes.  A value that orjson writes in
+    another form than repr, |x| in [1e-5, 1e-4) or |x| >= 1e16, takes its
+    float.__repr__."""
+    import orjson
+
+    texts = _EXPONENT_ZERO.sub(b"e-0", orjson.dumps(values))[1:-1].decode().split(",")
+    for i, x in enumerate(values):
+        if 1e-5 <= abs(x) < 1e-4 or abs(x) >= 1e16:
+            texts[i] = float.__repr__(x)
+    return texts
 
 
 def _e05_reprs(cells: np.ndarray) -> list[bytes]:
@@ -182,10 +200,12 @@ def _json_bytes(payload) -> bytes:
 @cache
 def _check_json_writer() -> None:
     """Raise CVSimError unless _json_bytes writes _PROBE, as Python floats and
-    as an array, as json.dumps does: the mends above rely on orjson's float
-    format, which orjson's version range does not pin."""
+    as an array, as json.dumps does, and _float_texts writes it as repr: the
+    mends above rely on orjson's float format, which orjson's version range
+    does not pin."""
     expected = (json.dumps(_PROBE, indent=2) + "\n").encode()
-    if not _json_bytes(list(_PROBE)) == _json_bytes(np.array(_PROBE)) == expected:
+    if not (_json_bytes(list(_PROBE)) == _json_bytes(np.array(_PROBE)) == expected
+            and _float_texts(list(_PROBE)) == list(map(float.__repr__, _PROBE))):
         raise _unknown_float_form()
 
 
@@ -194,20 +214,26 @@ _FOCK_BS_DOCUMENT = (
     '  "marginal_mode0": [\n    %s\n  ],\n  "marginal_mode1": [\n    %s\n  ]\n}\n'
 )
 _FOCK_BS_AMPLITUDE = ('    {\n      "basis": [\n        %d,\n        %d\n      ],\n'
-                      '      "re": %r,\n      "im": %r\n    }')
+                      '      "re": %s,\n      "im": %s\n    }')
 
 
 def _fock_bs_json(state) -> str:
     """``json.dumps(payload, indent=2) + "\\n"`` of the fock-bs payload of a
     (finite, ascending-k) ``bs_output`` state: its {basis, re, im} records,
-    then the marginals |c_k|^2 of mode 0 and, reversed, of mode 1."""
+    then the marginals |c_k|^2 of mode 0 and, reversed, of mode 1.  Every
+    number's text comes from one _float_texts call."""
     probs = [0.0] * (state.total_photons + 1)
-    records = []
-    for (k, m), amp in state.amplitudes.items():
+    parts = []
+    for (k, _), amp in state.amplitudes.items():
         probs[k] = abs(amp) ** 2
-        records.append(_FOCK_BS_AMPLITUDE % (k, m, amp.real, amp.imag))
-    marginals = [",\n    ".join(map(float.__repr__, p)) for p in (probs, probs[::-1])]
-    return _FOCK_BS_DOCUMENT % (state.total_photons, ",\n".join(records), *marginals)
+        parts += (amp.real, amp.imag)
+    texts = _float_texts(parts + probs)
+    end = len(parts)
+    pairs = zip(state.amplitudes, texts[:end:2], texts[1:end:2])
+    records = ",\n".join([_FOCK_BS_AMPLITUDE % (k, m, real, imag) for (k, m), real, imag in pairs])
+    marginal = texts[end:]
+    return _FOCK_BS_DOCUMENT % (state.total_photons, records, ",\n    ".join(marginal),
+                                ",\n    ".join(marginal[::-1]))
 
 
 #: --state -> (source model constructor, the options it takes in order)
@@ -311,8 +337,10 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
     if n1 + n2 > MAX_TOTAL_PHOTONS:
         raise CLIError(f"n1 + n2 must not exceed {MAX_TOTAL_PHOTONS}", 2)
     result = bs_output_from_angle(n1, n2, theta, phi)
+    _check_json_writer()
+    text = _fock_bs_json(result)
     with _writing(out), _overwrite(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fock_bs_json(result))
+        fh.write(text)
     print(f"wrote {len(result.amplitudes)} amplitudes to {out}")
 
 

@@ -304,14 +304,35 @@ def test_json_bytes_frees_its_arrays_without_the_garbage_collector():
 def test_fock_bs_json_matches_json_dumps(pair, theta, phi):
     n1, total = pair
     state = bs_output_from_angle(n1, total - n1, theta, phi)
-    payload = {
+    assert _fock_bs_json(state) == json.dumps(fock_bs_payload(state), indent=2) + "\n"
+
+
+def fock_bs_payload(state) -> dict:
+    """The fock-bs payload of `state`, built from the library's marginals."""
+    return {
         "total_photons": state.total_photons,
         "amplitudes": [{"basis": [k, m], "re": amp.real, "im": amp.imag}
                        for (k, m), amp in sorted(state.amplitudes.items())],
         "marginal_mode0": photon_number_distribution(state, 0).tolist(),
         "marginal_mode1": photon_number_distribution(state, 1).tolist(),
     }
-    assert _fock_bs_json(state) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("theta, phi", [(math.pi / 4, math.pi), (0.8853981633974483, 0.3)])
+def test_fock_bs_json_matches_json_dumps_for_every_input_under_the_cap(theta, phi):
+    for total in range(41):
+        for n1 in range(total + 1):
+            state = bs_output_from_angle(n1, total - n1, theta, phi)
+            assert _fock_bs_json(state) == json.dumps(fock_bs_payload(state), indent=2) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=100))
+@example([0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+@example([9.999999999999999e-10, 1e-9, 9.999999999999999e-06, 1e-5, 9.999999999999999e-05, 1e-4])
+@example([9999999999999998.0, 1e16, -1e-5, -9.999999999999999e-05, 2.5e-7, 0.1])
+def test_float_texts_are_float_repr(values):
+    assert cli._float_texts(values) == [float.__repr__(x) for x in values]
 
 
 @pytest.mark.parametrize("command", ["sample", "analyze", "network", "fock-bs", "wigner"])
@@ -403,18 +424,29 @@ def test_hard_linked_out_shows_the_new_bytes_through_each_link(tmp_path, command
     ["sample", "--state", "vacuum", "--count", "5"],
 ])
 def test_closed_stdout_ends_the_console_script_with_exit_1_and_no_traceback(tmp_path, args):
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader has gone before the child writes a byte
-    env = dict(os.environ, PYTHONPATH=str(Path(cvsim.__file__).resolve().parents[1]))
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "cvsim.cli", *args, "--out", str(tmp_path / "out")],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
-    finally:
-        os.close(write_end)
+    done = run_with_closed_stdout([*args, "--out", str(tmp_path / "out")])
     assert (done.returncode, done.stderr) == (1, b"")
     assert (tmp_path / "out").stat().st_size
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_to_a_closed_stdout_ends_the_console_script_with_exit_1_and_no_message():
+    done = run_with_closed_stdout(["sample", "--state", "vacuum", "--count", "50000",
+                                   "--out", "/dev/stdout"])
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+def run_with_closed_stdout(args) -> subprocess.CompletedProcess:
+    """Run the console script on `args` with a stdout pipe whose reader has
+    gone before the child writes a byte."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cvsim.__file__).resolve().parents[1]))
+    try:
+        return subprocess.run([sys.executable, "-m", "cvsim.cli", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
 
 
 def test_closed_stdout_raises_without_standalone_mode(tmp_path):
@@ -1013,8 +1045,36 @@ def test_network_refuses_an_orjson_float_format_it_does_not_know(tmp_path, monke
         cli._check_json_writer.cache_clear()
     assert result.exit_code == 1
     assert result.output.strip().splitlines() == [
-        f"Error: orjson {orjson.__version__} writes floats in a form that the network "
-        "JSON writer does not know"
+        f"Error: orjson {orjson.__version__} writes floats in a form that cvsim's JSON "
+        "writers do not know"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("only_plain", [False, True], ids=["every text", "plain lists"])
+def test_fock_bs_refuses_an_orjson_float_format_it_does_not_know(tmp_path, monkeypatch,
+                                                                 only_plain):
+    # the probe checks both JSON writers: _json_bytes passes options to
+    # orjson.dumps, and _float_texts none
+    import orjson
+
+    dumps = orjson.dumps
+
+    def unknown_form(obj, option=None):
+        text = dumps(obj, option=option)
+        return text if only_plain and option else text.replace(b"e", b"E")
+
+    monkeypatch.setattr(orjson, "dumps", unknown_form)
+    out = tmp_path / "f.json"
+    cli._check_json_writer.cache_clear()  # the probe is written once per process
+    try:
+        result = run_cli(["fock-bs", "--n1", "3", "--n2", "2", "--out", str(out)])
+    finally:
+        cli._check_json_writer.cache_clear()
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [
+        f"Error: orjson {orjson.__version__} writes floats in a form that cvsim's JSON "
+        "writers do not know"
     ]
     assert not out.exists()
 
@@ -1034,8 +1094,8 @@ def test_network_refuses_an_orjson_form_of_the_e05_cells_it_does_not_know(tmp_pa
     result = run_cli(["network", "--config", str(path), "--out", str(out)])
     assert result.exit_code == 1
     assert result.output.strip().splitlines() == [
-        f"Error: orjson {orjson.__version__} writes floats in a form that the network "
-        "JSON writer does not know"
+        f"Error: orjson {orjson.__version__} writes floats in a form that cvsim's JSON "
+        "writers do not know"
     ]
     assert not out.exists()
 
@@ -1341,19 +1401,19 @@ def test_commands_other_than_sample_leave_out_scipy_special(tmp_path):
     assert all((tmp_path / name).stat().st_size for name in outputs)
 
 
-def test_only_the_csv_reader_and_network_writer_load_orjson(tmp_path):
+def test_only_the_csv_reader_and_json_writers_load_orjson(tmp_path):
     """orjson is loaded by the commands that use it, the CSV reader of
-    analyze and the JSON writer of network, and by no other."""
+    analyze and the JSON writers of network and fock-bs, and by no other."""
     config = tmp_path / "net.json"
     config.write_text(json.dumps(README_NETWORK))
     commands = [
-        ["fock-bs", "--n1", "3", "--n2", "2", "--out", str(tmp_path / "f.json")],
         ["wigner", "--state", "squeezed", "--r", "0.5", "--out", str(tmp_path / "w.csv")],
         ["sample", "--state", "vacuum", "--count", "50", "--out", str(tmp_path / "s.csv")],
     ]
     analyze = ["analyze", "--in", str(tmp_path / "s.csv"), "--bins", "4",
                "--out", str(tmp_path / "v.csv")]
     network = ["network", "--config", str(config), "--out", str(tmp_path / "n.json")]
+    fock_bs = ["fock-bs", "--n1", "3", "--n2", "2", "--out", str(tmp_path / "f.json")]
 
     def loaded(*runs):
         code = "import sys\nimport cvsim\nprint('orjson' in sys.modules)\nfrom cvsim.cli import main\n"
@@ -1361,8 +1421,9 @@ def test_only_the_csv_reader_and_network_writer_load_orjson(tmp_path):
             code += f"main({args!r}, standalone_mode=False)\nprint('orjson' in sys.modules)\n"
         return [line for line in run_fresh(code).splitlines() if line in ("True", "False")]
 
-    assert loaded(*commands, analyze) == ["False", "False", "False", "False", "True"]
+    assert loaded(*commands, analyze) == ["False", "False", "False", "True"]
     assert loaded(network) == ["False", "True"]
+    assert loaded(fock_bs) == ["False", "True"]
 
 
 def test_commands_run_without_click(tmp_path):

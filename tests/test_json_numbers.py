@@ -204,6 +204,6 @@ def test_e05_kernel_refuses_an_unknown_orjson_form(monkeypatch, text):
     import orjson
 
     monkeypatch.setattr(orjson, "dumps", lambda obj, option=None: text)
-    with pytest.raises(CVSimError, match=r"writes floats in a form that the network JSON "
-                                         r"writer does not know"):
+    with pytest.raises(CVSimError, match=r"writes floats in a form that cvsim's JSON "
+                                         r"writers do not know"):
         _e05_reprs(np.array([1e-5, 5e-5, 1.2345678901234568e-05]))
