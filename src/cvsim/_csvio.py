@@ -1,6 +1,7 @@
 """The CSV codec shared by the homodyne and Wigner files: one header line,
-then one LF-terminated line of numbers per row, written and parsed in
-blocks of rows so that memory stays bounded whatever the file size.
+then one LF-terminated line of numbers per row, written in blocks of rows
+and read in chunks of bytes, so that memory stays bounded whatever the file
+size.
 
 Numbers are written as '%.17g' writes them, byte for byte, but without
 formatting each float in Python: '%.17g' % x is the integer D = |x| * 10**(16-k)
@@ -10,12 +11,15 @@ D and k are computed for a whole block in numpy (`_decimal_digits`), and the
 block is written by one %-format of a template of integer fields.  The few
 cells whose digits cannot be certain that way go through '%.17g' itself.
 
-A block of lines that holds only JSON numbers, commas and LF line ends, as
-the writer's do, is read by orjson, whose parser rounds correctly (Lemire,
-Softw. Pract. Exper. 51, 1700 (2021)) in under half of np.loadtxt's time;
-every other block, with NaN, blanks or a bad line, by np.loadtxt (text mode
-turns CRLF and CR line ends into LF first, so they leave a block canonical).
-orjson is imported by the reader, so that importing cvsim does not load it.
+A file is read in binary, _CHUNK bytes at a time; each read is cut after its
+last LF, or after its last CR that is not its final byte, and CRLF and lone
+CR line ends become LF, so that its lines are those of text mode's universal
+newlines.  A chunk that holds only JSON numbers, commas and LF line ends, as
+the writer's lines do, is read by orjson, whose parser rounds correctly
+(Lemire, Softw. Pract. Exper. 51, 1700 (2021)) in under half of np.loadtxt's
+time; every other chunk, with NaN, blanks or a bad line, is decoded, split at
+LF alone and read by np.loadtxt.  orjson is imported by the reader, so that
+importing cvsim does not load it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import stat
 import sys
 import warnings
 from contextlib import contextmanager, suppress
-from itertools import islice
 
 import numpy as np
 
@@ -34,10 +37,14 @@ from .errors import MalformedInputError
 
 #: CSV number format, 17 significant digits, which round-trips every double
 _NUMBER = "%.17g"
-#: rows written or parsed together; 8192 peaked 1.8 MB higher on
+#: rows written together; 8192 peaked 1.8 MB higher on
 #: homodyne-gaussian-1e6 (6 pairs, 2-vCPU VM), its time within the spread
 _BLOCK = 4096
-#: the bytes of a number in a canonical block (see _parse_canonical)
+#: bytes read at a time: a 1e6-row read took the same time from 32 KiB to
+#: 1 MiB (medians of 5, 2-vCPU VM); 64 KiB keeps each buffer under glibc's
+#: 128 KiB mmap threshold and a read's memory small
+_CHUNK = 1 << 16
+#: the bytes of a number in a canonical chunk (see _parse_canonical)
 _NUMBER_BYTES = b"0123456789.-+eE"
 
 #: 10**0 .. 10**17, exact in int64
@@ -256,37 +263,36 @@ def _write_csv(path: str, header, columns) -> None:
             fh.write(_format_block([column.flat[part] for column in columns]))
 
 
-def _parse_canonical(lines: list[str], width: int) -> np.ndarray | None:
-    """One block of CSV lines as a (rows, width) float array, by orjson, or
-    None where the block is not canonical: ASCII digits, '.-+eE' and width - 1
+def _parse_canonical(chunk: bytes, width: int) -> np.ndarray | None:
+    """One chunk of CSV lines as a (rows, width) float array, by orjson, or
+    None where the chunk is not canonical: ASCII digits, '.-+eE' and width - 1
     commas on each LF-terminated line, no bare -0 (which orjson reads as the
     integer 0) and no token that is not a JSON number ('1.', '.5', '+1',
     '01', an empty field and the overflowing '1e400' are not)."""
     import orjson
 
-    text = "".join(lines)
-    if not text.isascii():
-        return None
-    block = text.encode()
-    if block.translate(None, _NUMBER_BYTES) != (b"," * (width - 1) + b"\n") * len(lines):
+    separators = chunk.translate(None, _NUMBER_BYTES)
+    lines = len(separators) // width
+    if not chunk.endswith(b"\n") or separators != (b"," * (width - 1) + b"\n") * lines:
         return None
     try:
-        values = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
+        values = orjson.loads(b"[" + chunk[:-1].replace(b"\n", b",") + b"]")
     except orjson.JSONDecodeError:
         return None
-    if len(values) != len(lines) * width:  # one blank line of a 1-column file reads as []
+    if len(values) != lines * width:  # one blank line of a 1-column file reads as []
         return None
-    rows = np.array(values, dtype=float).reshape(len(lines), width)
+    rows = np.fromiter(values, dtype=float, count=len(values)).reshape(lines, width)
     # a bare -0 reads as 0, so look for one only where a zero was read; an
-    # exponent -0 matches too and sends its rare block to np.loadtxt
-    if not rows.all() and (b"-0," in block or b"-0\n" in block):
+    # exponent -0 matches too and sends its rare chunk to np.loadtxt
+    if not rows.all() and (b"-0," in chunk or b"-0\n" in chunk):
         return None
     return rows
 
 
 def _parse_block(lines: list[str], width: int, lineno: int) -> np.ndarray:
-    """One block of CSV lines as a (rows, width) float array; blank lines are
-    skipped.  ``lineno`` is the file line number of ``lines[0]``."""
+    """One block of CSV lines, without their line ends, as a (rows, width)
+    float array; blank lines are skipped.  ``lineno`` is the file line
+    number of ``lines[0]``."""
     try:
         with warnings.catch_warnings():
             # a block of blank lines holds no data; that is not an error here
@@ -297,8 +303,7 @@ def _parse_block(lines: list[str], width: int, lineno: int) -> np.ndarray:
     except ValueError:
         pass
     # scan this block only, line by line, for the first bad line
-    for offset, line in enumerate(lines):
-        text = line.rstrip("\n")
+    for offset, text in enumerate(lines):
         if not text:
             continue
         fields = text.count(",") + 1
@@ -315,51 +320,85 @@ def _parse_block(lines: list[str], width: int, lineno: int) -> np.ndarray:
 
 def _max_lines(path: str) -> int:
     """An upper bound on the lines of a file: one more than its LF and CR
-    bytes, counted in numpy 1 MiB at a time (CRLF counts twice)."""
+    bytes, counted in numpy a chunk at a time (CRLF counts twice)."""
     count = 1
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
+        while chunk := fh.read(_CHUNK):
             codes = np.frombuffer(chunk, dtype=np.uint8)
             count += np.count_nonzero(codes == ord("\n")) + np.count_nonzero(codes == ord("\r"))
     return count
 
 
+def _line_chunks(fh):
+    """The bytes of a binary file in chunks of whole lines with LF line ends,
+    cut as the module docstring says: a final CR may be the first half of a
+    CRLF.  The rest of a read opens the next chunk, so a line longer than a
+    read spans several; the last chunk ends where the file does."""
+    parts = []
+    while read := fh.read(_CHUNK):
+        cut = max(read.rfind(b"\n"), read.rfind(b"\r", 0, len(read) - 1)) + 1
+        if cut:
+            yield _to_lf(b"".join([*parts, memoryview(read)[:cut]]))
+            parts = []
+        parts.append(read[cut:])
+    if rest := b"".join(parts):
+        yield _to_lf(rest)
+
+
+def _to_lf(chunk: bytes) -> bytes:
+    """``chunk`` with its CRLF and lone CR line ends turned into LF."""
+    return chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in chunk else chunk
+
+
 def _read_csv(path: str, header, what: str) -> list[np.ndarray]:
     """Columns of a CSV file written by _write_csv, as float arrays.
 
-    Lines are read and parsed _BLOCK at a time into columns allocated once,
-    from a count of a regular file's line ends, so that no more than one
-    block of text is held besides the columns; the columns double where
-    they fill up, as for a pipe.  (Joining parsed blocks at the end held the
-    columns twice; with orjson's 8 MiB parse buffer in the heap as well, a
-    1e6-row read after a 1e6-row sample in one process peaked 10% higher.)
-    CRLF line ends and blank lines are accepted; a wrong header, a row
-    without exactly one field per header column, bytes that are not UTF-8,
-    or a file without data rows raises MalformedInputError naming the line.
+    The file is read in chunks of whole lines (_line_chunks), each parsed at
+    once into columns allocated once, from a count of a regular file's line
+    ends, so that no more than one chunk of text is held besides the columns;
+    the columns double where they fill up, as for a pipe.  (Joining parsed
+    blocks at the end held the columns twice; with orjson's 8 MiB parse
+    buffer in the heap as well, a 1e6-row read after a 1e6-row sample in one
+    process peaked 10% higher.)  A chunk that orjson does not take is
+    decoded with its bytes that are not UTF-8 as lone surrogates, which do
+    not parse, and split at LF alone for np.loadtxt.  CRLF and CR line ends
+    and blank lines are accepted; a wrong header, a row without exactly one
+    field per header column, bytes that are not UTF-8, or a file without
+    data rows raises MalformedInputError naming the line.
     """
     width = len(header)
-    capacity = _max_lines(path) if os.path.isfile(path) else _BLOCK
+    capacity = _max_lines(path) if os.path.isfile(path) else 0
     columns = [np.empty(capacity) for _ in range(width)]
     rows = 0
-    # bytes that are not UTF-8 become lone surrogates, which do not parse
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        first = fh.readline()
+    with open(path, "rb") as fh:
+        chunks = _line_chunks(fh)
+        chunk = next(chunks, b"")
+        end = chunk.find(b"\n") + 1 or len(chunk)
+        first = chunk[:end].decode("utf-8", "surrogateescape")
         if first.rstrip("\n").split(",") != header:
             raise MalformedInputError(
                 f"line 1: expected header {','.join(header)}, got {first.rstrip()!r}"
             )
         lineno = 2
-        while lines := list(islice(fh, _BLOCK)):
-            block = _parse_canonical(lines, width)
+        chunk = chunk[end:] or next(chunks, b"")
+        while chunk:
+            block = _parse_canonical(chunk, width)
             if block is None:
+                # str.splitlines would split at \x0c, \x85 and more as well
+                lines = chunk.decode("utf-8", "surrogateescape").split("\n")
+                if not lines[-1]:
+                    lines.pop()
                 block = _parse_block(lines, width, lineno)
+                lineno += len(lines)
+            else:
+                lineno += len(block)
             if rows + len(block) > capacity:
                 capacity = 2 * capacity + len(block)
                 columns = [np.concatenate((c[:rows], np.empty(capacity - rows))) for c in columns]
             for column, values in zip(columns, block.T):
                 column[rows : rows + len(block)] = values
             rows += len(block)
-            lineno += len(lines)
+            chunk = next(chunks, b"")
     if not rows:
         raise MalformedInputError(f"no data rows in {what} file")
     return [column[:rows] for column in columns]

@@ -749,8 +749,8 @@ def write_samples_csv(samples: SampleSet, path: str) -> None:
 
 
 def read_samples_csv(path: str, model: SourceModel | None = None) -> SampleSet:
-    """Parse a `phase,x` file block by block; raises on the first malformed
-    line, naming it."""
+    """Parse a `phase,x` file, read in chunks of whole lines; raises on the
+    first malformed line, naming it."""
     phases, values = _read_csv(path, SAMPLES_CSV_HEADER, "sample")
     return SampleSet(phases=phases, values=values, model=model)
 
@@ -773,8 +773,9 @@ def write_variance_csv(report: VarianceReport, path: str) -> None:
 
 
 def read_variance_csv(path: str) -> VarianceReport:
-    """Parse a file written by write_variance_csv, block by block; a count
-    that is not a non-negative integer raises MalformedInputError."""
+    """Parse a file written by write_variance_csv, read in chunks of whole
+    lines; a count that is not a non-negative integer raises
+    MalformedInputError."""
     cols = _read_csv(path, VARIANCE_CSV_HEADER, "variance")
     counts = cols[1]
     bad = np.flatnonzero(~((counts >= 0) & (counts < 2.0**63) & (np.floor(counts) == counts)))

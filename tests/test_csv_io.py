@@ -1,10 +1,12 @@
 """CSV readers and writers of the three file formats: number format, field
-counts, line numbers past the first block, CRLF and blank lines, and grids
-larger than one block; the writer's numbers against '%.17g' byte for byte,
-and what a write over an existing file leaves."""
+counts, line numbers past the first block or chunk, CRLF, CR and blank lines
+across chunk edges, and grids larger than one block; the memory a read holds;
+the writer's numbers against '%.17g' byte for byte, and what a write over an
+existing file leaves."""
 
 import os
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -30,7 +32,7 @@ from cvsim import (
     write_wigner_csv,
 )
 from cvsim import _csvio
-from cvsim._csvio import _BLOCK, _decimal_digits, _read_csv, _write_csv
+from cvsim._csvio import _BLOCK, _CHUNK, _decimal_digits, _read_csv, _write_csv
 from cvsim.states import vacuum_state
 
 SPECIAL = [
@@ -268,31 +270,28 @@ def test_crlf_and_blank_lines_read_back_bit_identical(tmp_path):
     assert np.array_equal(bits(back.values), bits(ss.values))
 
 
-@pytest.mark.parametrize("end, parsers", [
-    ("\r\n", ["orjson"] * 3),
-    ("\r", ["orjson"] * 3),
-    ("\n\n", ["loadtxt"] * 5),
-], ids=["crlf", "cr", "blank-lines"])
-def test_line_ends_choose_the_block_parser(tmp_path, monkeypatch, end, parsers):
-    # the reader opens files in text mode, whose universal newlines turn CRLF
-    # and a lone CR into LF before a block is parsed, so those blocks stay
-    # canonical; a blank line after every line sends each block to np.loadtxt
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\n\n"], ids=["crlf", "cr", "blank-lines"])
+def test_line_ends_choose_the_block_parser(tmp_path, monkeypatch, end):
+    # the reader turns CRLF and a lone CR into LF before a chunk is parsed, so
+    # those chunks stay canonical and np.loadtxt is never called; a blank line
+    # after every line leaves no chunk canonical, so orjson reads no row
     ss, path = samples_file(tmp_path, count=2 * _BLOCK + 5)
     path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
-    used = []
+    assert path.stat().st_size > 4 * _CHUNK
+    parse = _csvio._parse_canonical
+    canonical_rows = []
 
-    def counted(name, parse):
-        def wrapper(*args):
-            block = parse(*args)
-            if block is not None:
-                used.append(name)
-            return block
-        return wrapper
+    def counted(chunk, width):
+        rows = parse(chunk, width)
+        canonical_rows.append(0 if rows is None else len(rows))
+        return rows
 
-    monkeypatch.setattr(_csvio, "_parse_canonical", counted("orjson", _csvio._parse_canonical))
-    monkeypatch.setattr(_csvio, "_parse_block", counted("loadtxt", _csvio._parse_block))
+    monkeypatch.setattr(_csvio, "_parse_canonical", counted)
+    if end != "\n\n":
+        monkeypatch.setattr(np, "loadtxt", fail_loadtxt)
     back = read_samples_csv(str(path))
-    assert used == parsers
+    assert len(canonical_rows) > 4
+    assert sum(canonical_rows) == (0 if end == "\n\n" else ss.values.size)
     assert np.array_equal(bits(back.phases), bits(ss.phases))
     assert np.array_equal(bits(back.values), bits(ss.values))
 
@@ -402,15 +401,31 @@ def read_or_error(path, width):
 
 
 def loadtxt_only(path, width):
-    """read_or_error with every block parsed by np.loadtxt, as before orjson."""
-    with mock.patch.object(_csvio, "_parse_canonical", lambda lines, width: None):
-        return read_or_error(path, width)
+    """read_or_error as np.loadtxt alone reads the file, as before orjson:
+    text mode's universal newlines end its lines at LF, CRLF and CR only,
+    and _parse_block parses them all at once.  It shares no line split with
+    _read_csv, so a reader that splits at another character differs."""
+    header = [f"c{j}" for j in range(width)]
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        first = fh.readline()
+        lines = [line.removesuffix("\n") for line in fh]
+    if first.rstrip("\n").split(",") != header:
+        return f"line 1: expected header {','.join(header)}, got {first.rstrip()!r}"
+    try:
+        rows = _csvio._parse_block(lines, width, 2)
+    except MalformedInputError as exc:
+        return str(exc)
+    if not rows.size:
+        return "no data rows in test file"
+    return [bits(column).tolist() for column in rows.T]
 
 
-#: tokens that orjson must decline, or read as np.loadtxt does
+#: tokens that orjson must decline, or read as np.loadtxt does; str.splitlines
+#: ends a line at the last four, which are not line ends in a CSV file
 ODD_TOKENS = ["nan", "-nan", "inf", "-inf", "-0", "0", "-0.0", "-0e0", "1e-0", "1e400", "-1e400",
               "1e-400", "+1", "1.", ".5", "01", "-", "1e", "e5", "5e-324", "2.4703282292062328e-324",
-              "1E+05", "123456789012345678901234567890", " 1", "1 ", "\t2", ""]
+              "1E+05", "123456789012345678901234567890", " 1", "1 ", "\t2", "",
+              "\x0c", "\x1c", "\x85", "\u2028"]
 #: finite '%.17g' numbers, with the writer's zeros 0 and -0, and integers
 G17 = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v)
 NUMBERS = st.one_of(G17, G17, st.sampled_from(["0", "-0"]), st.integers(-(2**70), 2**70).map(str))
@@ -436,20 +451,22 @@ def csv_text(draw):
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(csv_text())
-def test_reader_matches_loadtxt_on_any_block(tmp_path_factory, case):
+@given(csv_text(), st.sampled_from([1, 2, 3, 5, 8, 64]))
+def test_reader_matches_loadtxt_on_any_block(tmp_path_factory, case, chunk):
     width, text = case
     path = tmp_path_factory.mktemp("csv") / "f.csv"
     path.write_bytes(text.encode())
-    # blocks of 4 lines, so that a file mixes canonical and other blocks
-    with mock.patch.object(_csvio, "_BLOCK", 4):
+    # reads of a few bytes, so that a file mixes canonical and other chunks,
+    # and CR|LF pairs, lines longer than a read and runs of blank lines
+    # cross the edges of reads
+    with mock.patch.object(_csvio, "_CHUNK", chunk):
         assert read_or_error(path, width) == loadtxt_only(path, width)
 
 
 @pytest.mark.parametrize("token", ODD_TOKENS)
 def test_reader_matches_loadtxt_on_odd_tokens(tmp_path, token):
     path = tmp_path / "f.csv"
-    path.write_text(f"c0,c1\n0.5,0.25\n{token},-1.5\n-0.125,{token}\n")
+    path.write_text(f"c0,c1\n0.5,0.25\n{token},-1.5\n-0.125,{token}\n", encoding="utf-8")
     assert read_or_error(path, 2) == loadtxt_only(path, 2)
 
 
@@ -462,19 +479,69 @@ def test_reader_grows_its_columns_past_the_counted_lines(tmp_path):
     assert np.array_equal(bits(back.values), bits(ss.values))
 
 
-def test_reader_reads_a_pipe(tmp_path):
-    ss, path = samples_file(tmp_path)
+def through_pipe(tmp_path, data, read):
+    """read(path) of a FIFO into which a thread writes ``data``."""
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
     writer.start()
     try:
-        back = read_samples_csv(str(fifo))
+        back = read(str(fifo))
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive()
+    return back
+
+
+@pytest.mark.parametrize("end", ["\n", "\r"], ids=["lf", "cr"])
+def test_reader_reads_a_pipe(tmp_path, end):
+    # a pipe's reads end anywhere, a lone CR at the end of one too
+    ss, path = samples_file(tmp_path)
+    data = path.read_bytes().replace(b"\n", end.encode())
+    back = through_pipe(tmp_path, data, read_samples_csv)
     assert np.array_equal(bits(back.phases), bits(ss.phases))
     assert np.array_equal(bits(back.values), bits(ss.values))
+
+
+def test_bytes_that_are_not_utf8_past_the_first_chunk_name_their_line(tmp_path):
+    _, path = samples_file(tmp_path)
+    data = path.read_bytes()
+    # the first _CHUNK bytes hold the LFs of lines 1 to k, line k + 1 may
+    # cross their edge, so line k + 2 starts past them
+    lineno = data.count(b"\n", 0, _CHUNK) + 2
+    lines = data.split(b"\n")
+    lines[lineno - 1] = lines[lineno - 1][:3] + b"\xff" + lines[lineno - 1][4:]
+    path.write_bytes(b"\n".join(lines))
+    assert sum(len(line) + 1 for line in lines[: lineno - 1]) >= _CHUNK
+    with pytest.raises(MalformedInputError, match=f"^line {lineno}: cannot parse '.*\\\\udcff"):
+        read_samples_csv(str(path))
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_a_read_holds_its_columns_and_a_few_chunks_of_text(tmp_path, source):
+    # the columns of a 42-chunk file, and at a time one chunk with the values
+    # orjson parses from it: ~8 chunks besides the columns of 17-digit numbers
+    # were measured, so 16 chunks bound it, well below the whole text
+    ss, path = samples_file(tmp_path, count=70_000)
+    data = path.read_bytes()
+    assert len(data) >= 40 * _CHUNK
+    _read_csv(str(path), ["phase", "x"], "sample")  # import orjson and set it up untraced
+    tracemalloc.start()
+    try:
+        if source == "file":
+            columns = _read_csv(str(path), ["phase", "x"], "sample")
+        else:
+            columns = through_pipe(tmp_path, data, lambda p: _read_csv(p, ["phase", "x"], "sample"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(bits(columns[1]), bits(ss.values))
+    held = sum(column.base.nbytes for column in columns)
+    if source == "pipe":
+        # the columns of a pipe double as they fill, and the last doubling
+        # holds the old ones too, at most half the size of the new
+        held *= 1.5
+    assert peak - held < 16 * _CHUNK < len(data) / 2
 
 
 def test_failed_write_leaves_only_the_bytes_written_before_it(tmp_path, monkeypatch):
