@@ -356,15 +356,16 @@ def _read_csv(path: str, header, what: str) -> list[np.ndarray]:
     The file is read in chunks of whole lines (_line_chunks), each parsed at
     once into columns allocated once, from a count of a regular file's line
     ends, so that no more than one chunk of text is held besides the columns;
-    the columns double where they fill up, as for a pipe.  (Joining parsed
-    blocks at the end held the columns twice; with orjson's 8 MiB parse
-    buffer in the heap as well, a 1e6-row read after a 1e6-row sample in one
-    process peaked 10% higher.)  A chunk that orjson does not take is
-    decoded with its bytes that are not UTF-8 as lone surrogates, which do
-    not parse, and split at LF alone for np.loadtxt.  CRLF and CR line ends
-    and blank lines are accepted; a wrong header, a row without exactly one
-    field per header column, bytes that are not UTF-8, or a file without
-    data rows raises MalformedInputError naming the line.
+    the columns double in place where they fill up, as for a pipe, so that
+    they are never held twice.  (Joining parsed blocks at the end held the
+    columns twice; with orjson's 8 MiB parse buffer in the heap as well, a
+    1e6-row read after a 1e6-row sample in one process peaked 10% higher.)
+    A chunk that orjson does not take is decoded with its bytes that are not
+    UTF-8 as lone surrogates, which do not parse, and split at LF alone for
+    np.loadtxt.  CRLF and CR line ends and blank lines are accepted; a wrong
+    header, a row without exactly one field per header column, bytes that
+    are not UTF-8, or a file without data rows raises MalformedInputError
+    naming the line.
     """
     width = len(header)
     capacity = _max_lines(path) if os.path.isfile(path) else 0
@@ -394,7 +395,8 @@ def _read_csv(path: str, header, what: str) -> list[np.ndarray]:
                 lineno += len(block)
             if rows + len(block) > capacity:
                 capacity = 2 * capacity + len(block)
-                columns = [np.concatenate((c[:rows], np.empty(capacity - rows))) for c in columns]
+                for column in columns:  # in place: no view of a column is held
+                    column.resize(capacity, refcheck=False)
             for column, values in zip(columns, block.T):
                 column[rows : rows + len(block)] = values
             rows += len(block)

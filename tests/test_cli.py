@@ -1281,6 +1281,119 @@ def test_top_level_help_lists_every_command():
     assert all(command in result.output for command in HELP)
 
 
+#: command -> the option pairs of a well-formed line
+WELL_FORMED = {
+    "sample": [("--state", "cat"), ("--alpha-re", "2"), ("--alpha-im", "0"), ("--theta", "0"),
+               ("--count", "10"), ("--out", "{out}")],
+    "analyze": [("--in", "{file}"), ("--state", "squeezed"), ("--r", "1"), ("--bins", "8"),
+                ("--out", "{out}")],
+    "network": [("--config", "{file}"), ("--out", "{out}")],
+    "fock-bs": [("--n1", "1"), ("--n2", "2"), ("--theta", "0.3"), ("--out", "{out}")],
+    "wigner": [("--state", "squeezed"), ("--r", "0.5"), ("--nx", "3"), ("--np", "3"),
+               ("--out", "{out}")],
+}
+#: command -> an option pair with a negative value
+NEGATIVE = {"sample": ("--alpha-re", "-2"), "analyze": ("--theta", "-1e-3"),
+            "network": ("--out", "-o.json"), "fock-bs": ("--phi", "-2.5e-05"),
+            "wigner": ("--xmin", "-1e-3")}
+#: command -> an option pair whose value cvsim's type refuses, with no usage
+#: where it can
+OUT_OF_RANGE = {"sample": ("--count", "0"), "analyze": ("--in", "{missing}"),
+                "network": ("--config", "{missing}"), "fock-bs": ("--n1", "-1"),
+                "wigner": ("--nx", "1")}
+#: command -> an option pair whose value argparse refuses
+INVALID = {"sample": ("--count", "x"), "analyze": ("--bins", "x"), "network": ("--out", "{dir}"),
+           "fock-bs": ("--n1", "x"), "wigner": ("--nx", "x")}
+
+
+def command_lines(command):
+    """(id, words, exit code) of the lines that the dispatch test reads for
+    `command`: well-formed lines in several spellings, and lines that fail."""
+    pairs = WELL_FORMED[command]
+    words = [command, *(word for pair in pairs for word in pair)]
+    first, value = pairs[0]
+    return [
+        ("as written", words, 0),
+        ("reversed", [command, *(word for pair in pairs[::-1] for word in pair)], 0),
+        ("--opt=value", [command, *(f"{flag}={value}" for flag, value in pairs)], 0),
+        ("negative", [*words, *NEGATIVE[command]], 0),
+        ("negative=", [*words, "=".join(NEGATIVE[command])], 0),
+        ("repeated", [*words, first, value], 0),
+        ("--help", [command, "--help"], 0),
+        ("--help after", [*words, "--help"], 0),
+        ("--help=", [*words, "--help=1"], 2),
+        ("missing value", [*words, first], 2),
+        ("missing option", words[:-2], 2),
+        ("unknown", [*words, "--bogus", "1"], 2),
+        ("unknown first", [command, "--bogus", "1", *words[1:]], 2),
+        ("abbreviated", [command, first[:3], value, *words[3:]], 2),
+        ("extra word", [*words, "extra"], 2),
+        ("extra words", [command, "extra", *words[1:], "more"], 2),
+        ("-- at the end", [*words, "--"], 2),
+        ("-- word", [*words, "--", "extra"], 2),
+        ("-- option", [command, "--", *words[1:]], 2),
+        ("-h", [*words, "-h"], 2),
+        ("out of range", [*words, *OUT_OF_RANGE[command]], 2),
+        ("invalid", [*words, *INVALID[command]], 2),
+    ]
+
+
+#: lines whose first word is not a command
+NOT_COMMANDS = [("no words", [], 2), ("--help", ["--help"], 0),
+                ("--help command", ["--help", "fock-bs"], 0), ("-h", ["-h"], 2),
+                ("typo", ["fock", "--n1", "1"], 2), ("bogus", ["bogus", "--out", "{out}"], 2),
+                ("command=", ["fock-bs=1"], 2), ("--", ["--", "fock-bs"], 2),
+                ("option first", ["--n1", "1", "fock-bs"], 2)]
+
+
+def parse_outcome(parse, words):
+    """What `parse` makes of `words`, as ``main`` joins them: (0, the
+    options without "command", output), (the exit code of --help, None,
+    its text) or (2, the usage and ``Error:`` line, output)."""
+    output = io.StringIO()
+    with redirect_stdout(output), redirect_stderr(output):
+        try:
+            options = parse(cli._joined(words))
+        except cli.CLIError as exc:
+            return exc.exit_code, f"{exc.usage}Error: {exc}", output.getvalue()
+        except SystemExit as exc:
+            return exc.code, None, output.getvalue()
+    options.pop("command", None)
+    return 0, options, output.getvalue()
+
+
+@pytest.mark.parametrize("args, code", [
+    *(pytest.param(args, code, id=f"{command} {name}") for command in WELL_FORMED
+      for name, args, code in command_lines(command)),
+    *(pytest.param(args, code, id=name) for name, args, code in NOT_COMMANDS),
+])
+def test_a_command_s_own_parser_reads_a_line_as_the_cvsim_parser_does(tmp_path, args, code):
+    paths = {"out": tmp_path / "o", "file": tmp_path / "in", "missing": tmp_path / "missing",
+             "dir": tmp_path}
+    paths["file"].write_text("")
+    words = [arg.format(**paths) for arg in args]
+    outcome = parse_outcome(cli._options, words)
+    assert outcome == parse_outcome(lambda words: vars(cli._parser().parse_args(words)), words)
+    assert outcome[0] == code
+    if code == 2:  # a usage, but not for a value out of range, then one Error: line
+        *usage, error = outcome[1].split("\n")
+        assert error.startswith("Error: ") and "Error: " not in "".join(usage)
+        assert not usage or usage[0].startswith("usage: cvsim")
+    assert not paths["out"].exists()
+
+
+def test_a_well_formed_command_line_is_read_by_its_command_s_parser_alone(tmp_path,
+                                                                         monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cvsim parser read a well-formed command line")
+
+    monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+    out = tmp_path / "f.json"
+    flags = next(iter(FOCK_BS_GOLDENS))
+    assert run_cli(["fock-bs", *flags, "--out", str(out)]).exit_code == 0
+    assert sha256(out) == FOCK_BS_GOLDENS[flags]
+
+
 def test_sample_of_one_record_prints_nan_variance_without_warnings(tmp_path):
     out = tmp_path / "one.csv"
     code = (

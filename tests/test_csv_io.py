@@ -536,11 +536,9 @@ def test_a_read_holds_its_columns_and_a_few_chunks_of_text(tmp_path, source):
     finally:
         tracemalloc.stop()
     assert np.array_equal(bits(columns[1]), bits(ss.values))
+    # the columns of a pipe double in place as they fill, so that they are
+    # never held twice
     held = sum(column.base.nbytes for column in columns)
-    if source == "pipe":
-        # the columns of a pipe double as they fill, and the last doubling
-        # holds the old ones too, at most half the size of the new
-        held *= 1.5
     assert peak - held < 16 * _CHUNK < len(data) / 2
 
 

@@ -348,6 +348,33 @@ def test_cdf_limits_and_monotone_over_the_domain(model):
         assert np.diff(cdf).min() >= -8 * np.finfo(float).eps, phi
 
 
+#: the pdf sweep's bound on |closed form - oracle|, for densities that peak
+#: at 0.1 to 3: every family stays within 2e-15 of the oracle, but the odd
+#: cats with |alpha| <= 0.03, which were measured 1e-14 to 2.3e-13 off
+PDF_ORACLE_BOUND = 1e-13
+
+
+def _pdf_sweep_case(model):
+    """`model`, unwrapped from CDF_SWEEP's xfail; the odd cat at alpha =
+    0.01, whose pdf the sweep measured 2.3e-13 off, is a strict xfail."""
+    model = model.values[0] if hasattr(model, "values") else model
+    if isinstance(model, CatState) and model.theta == np.pi and model.alpha == 0.01:
+        reason = "ROADMAP item 7: the odd-cat pdf loses accuracy like 1/normalization"
+        return pytest.param(model, marks=pytest.mark.xfail(strict=True, reason=reason))
+    return model
+
+
+@pytest.mark.parametrize("model", map(_pdf_sweep_case, CDF_SWEEP),
+                         ids=lambda model: " ".join(repr(model).split()))
+def test_pdf_matches_the_oracle_over_the_domain(model):
+    # 5 points over mean ± 4 sd at 3 phases, where each density is resolved
+    for phi in (0.0, 1.0, 2.5):
+        mean, variance = model.moments(phi)
+        for x in np.linspace(mean - 4 * np.sqrt(variance), mean + 4 * np.sqrt(variance), 5):
+            closed, numeric = quadrature_pdf(model, x, phi), pdf_numeric_oracle(model, x, phi)
+            assert abs(closed - numeric) <= PDF_ORACLE_BOUND, (x, phi, closed - numeric)
+
+
 def test_cdf_matches_integrated_pdf():
     for model, x in [(Fock(3), -2.0), (Fock(3), 0.0), (Fock(3), 1.5),
                      (Spats(3.0), 1.0), (CatState(2.0 + 0.0j, 0.0), 0.7),
