@@ -403,4 +403,6 @@ def _read_csv(path: str, header, what: str) -> list[np.ndarray]:
             chunk = next(chunks, b"")
     if not rows:
         raise MalformedInputError(f"no data rows in {what} file")
-    return [column[:rows] for column in columns]
+    for column in columns:  # cut to the rows read, in place, as they grew
+        column.resize(rows, refcheck=False)
+    return columns

@@ -396,6 +396,19 @@ class _Parser(argparse.ArgumentParser):
     #: of the cvsim parser: each command's name -> its parser
     commands: dict[str, _Parser]
 
+    def __init__(self, *args, **kwargs) -> None:
+        #: each option string of a one-value option -> its action
+        self.flags: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        """Add an argument as argparse does, and enter an option that stores
+        one value in `flags` under each of its option strings."""
+        action = super().add_argument(*args, **kwargs)
+        if "action" not in kwargs and "nargs" not in kwargs:
+            self.flags.update(dict.fromkeys(action.option_strings, action))
+        return action
+
     def error(self, message: str):
         """Raise CLIError with the usage, in place of printing and exiting 2."""
         exc = CLIError(message, 2)
@@ -431,7 +444,8 @@ _DEFAULT = "[default: %(default)s]"
 
 @cache
 def _parser() -> _Parser:
-    """The cvsim parser, built on the first command of a process (~4 ms)."""
+    """The cvsim parser, built on the first command of a process (~4 ms);
+    each command parser's flag table is filled as its options are declared."""
     parser = _Parser(prog="cvsim", description="Gaussian-optics simulation toolkit.",
                      add_help=False, allow_abbrev=False)
     parser.add_argument("--help", action="help", help="Show this message and exit.")
@@ -501,21 +515,53 @@ def _joined(argv: list[str]) -> list[str]:
     return joined
 
 
+def _read(sub: _Parser, words: list[str]) -> dict | None:
+    """The options of `sub`'s command, `run` among them, read from its flag
+    table left to right, as argparse reads them: each word ``--flag=value``,
+    or ``--flag`` and the next word, for an option not yet read; the value
+    through the option's type and choices.  The words are as _joined leaves
+    them, so that a next word does not start with "-".  None for any other
+    line: an unknown, abbreviated or repeated flag, --help, -h or --, a
+    missing value, one that the type refuses or out of the choices, or a
+    required option missing.  A CLIError of a type function propagates.  A
+    default is taken as it is: argparse reads a string default through the
+    type, and no option has one."""
+    read = {}
+    at = 0
+    while at < len(words):
+        flag, eq, value = words[at].partition("=")
+        at += 1
+        if not eq:
+            if at == len(words):
+                return None
+            value = words[at]
+            at += 1
+        action = sub.flags.get(flag)
+        if action is None or action.dest in read or value == "--":
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        read[action.dest] = value
+    actions = sub.flags.values()
+    if any(action.required and action.dest not in read for action in actions):
+        return None
+    return {"run": sub.get_default("run"), **{a.dest: a.default for a in actions}, **read}
+
+
 def _options(words: list[str]) -> dict:
-    """The options of a command line, `run` among them.  The parser of the
-    command that the first word names reads the other words in one pass;
-    the cvsim parser would read every word before it hands them to the
-    same parser (~45 us more for a fock-bs line).  A line with no words,
-    one whose first word is not a command and one that leaves words
-    unread go to the cvsim parser, for its help, usage and Error: line."""
+    """The options of a command line, `run` among them.  A well-formed line
+    is read from its command's flag table (_read); every other line goes to
+    the cvsim parser, which writes its help, usage and Error: line."""
     parser = _parser()
     sub = parser.commands.get(words[0]) if words else None
-    if sub is not None:
-        options, unread = sub.parse_known_args(words[1:])
-        if not unread:
-            return vars(options)
-    options = vars(parser.parse_args(words))
-    del options["command"]
+    options = None if sub is None else _read(sub, words[1:])
+    if options is None:
+        options = vars(parser.parse_args(words))
+        del options["command"]
     return options
 
 

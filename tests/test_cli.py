@@ -1382,16 +1382,99 @@ def test_a_command_s_own_parser_reads_a_line_as_the_cvsim_parser_does(tmp_path, 
     assert not paths["out"].exists()
 
 
-def test_a_well_formed_command_line_is_read_by_its_command_s_parser_alone(tmp_path,
-                                                                         monkeypatch):
+def test_a_well_formed_command_line_is_read_without_argparse(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the cvsim parser read a well-formed command line")
+        raise AssertionError("argparse read a well-formed command line")
 
-    monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+    parser = cli._parser()
+    for each in (parser, *parser.commands.values()):
+        monkeypatch.setattr(each, "parse_args", refuse)
+        monkeypatch.setattr(each, "parse_known_args", refuse)
     out = tmp_path / "f.json"
     flags = next(iter(FOCK_BS_GOLDENS))
     assert run_cli(["fock-bs", *flags, "--out", str(out)]).exit_code == 0
     assert sha256(out) == FOCK_BS_GOLDENS[flags]
+
+
+INT_OPTIONS = {"--n", "--count", "--seed", "--bins", "--n1", "--n2", "--nx", "--np"}
+#: kind of option -> (values its type takes, values that it or a range refuses)
+SWEEP_VALUES = {
+    "int": (["5", "12"], ["-3", "0", "x", "2.5", "1e3", ""]),
+    "float": (["0.3", "2", "-0.7", "-2.5e-05", "1e-3"], ["inf", "-nan", "x", "1e400", ""]),
+    "--in": (["{file}"], ["{missing}", "{dir}", "{out}"]),
+    "--config": (["{file}"], ["{missing}", "{dir}"]),
+    "--out": (["{out}", "{missing}", "-o.json"], ["{dir}"]),
+}
+
+
+def sweep_line(rng, command):
+    """A random command line over `command`'s declared options: a random
+    subset in random order, each as ``--opt value`` or ``--opt=value``, and
+    at times a repeated option, an unknown or abbreviated flag, --help, -h,
+    --, a trailing flag without a value or an extra word."""
+    declared = HELP[command][0]
+    sub = cli._parser().commands[command]
+    required = {"--out", "--n1", "--n2", "--count", "--in", "--config"}
+    required |= {"--state"} if command in ("sample", "wigner") else set()
+
+    def pair(flag, refused=False):
+        if flag in SWEEP_VALUES:
+            values = SWEEP_VALUES[flag]
+        elif flag == "--state":
+            values = list(sub.flags[flag].choices), ["bogus", "Fock"]
+        else:
+            values = SWEEP_VALUES["int" if flag in INT_OPTIONS else "float"]
+        text = str(rng.choice([*values[1], "--"] if refused else values[0]))
+        return [f"{flag}={text}"] if rng.random() < 0.5 else [flag, text]
+
+    chosen = [flag for flag in declared if rng.random() < (0.95 if flag in required else 0.3)]
+    pairs = [pair(chosen[i]) for i in rng.permutation(len(chosen))]
+    for _ in range(rng.choice(3, p=[0.5, 0.35, 0.15])):
+        flag = str(rng.choice(declared))
+        kind = rng.integers(9)
+        if kind == 0:  # repeated
+            pairs.append(pair(str(rng.choice(chosen or declared))))
+        elif kind == 1:  # a value refused by the option's type or range
+            if pairs:
+                at = rng.integers(len(pairs))
+                pairs[at] = pair(pairs[at][0].partition("=")[0], refused=True)
+        elif kind == 2:
+            pairs.insert(rng.integers(len(pairs) + 1), pair("--bogus"))
+        elif kind == 3:  # abbreviated
+            pairs.insert(rng.integers(len(pairs) + 1), pair(flag[:rng.integers(2, len(flag))]))
+        elif kind == 4:  # a trailing flag without a value
+            pairs.append([flag])
+        else:
+            word = {5: "--help", 6: "-h", 7: "--", 8: "extra"}[kind]
+            pairs.insert(rng.integers(len(pairs) + 1), [word])
+    return [command, *(word for words in pairs for word in words)]
+
+
+def shown(outcome):
+    """`outcome` with its options as the repr of their sorted items, in
+    which a NaN value equals a NaN."""
+    code, options, output = outcome
+    return code, repr(sorted(options.items())) if isinstance(options, dict) else options, output
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_flag_table_reads_random_lines_as_the_cvsim_parser_does(tmp_path, seed):
+    command = list(HELP)[seed % len(HELP)]
+    paths = {"out": tmp_path / "o", "file": tmp_path / "in", "missing": tmp_path / "missing",
+             "dir": tmp_path / "d"}
+    paths["file"].write_text("")
+    paths["dir"].mkdir()
+    rng = np.random.default_rng(seed)
+    read = 0
+    for _ in range(220):
+        words = [word.format(**paths) for word in sweep_line(rng, command)]
+        outcome = parse_outcome(cli._options, words)
+        expected = parse_outcome(lambda words: vars(cli._parser().parse_args(words)), words)
+        assert shown(outcome) == shown(expected), words
+        read += isinstance(outcome[1], dict)
+    # well-formed lines and lines that fail each make a good share of the sweep
+    assert 40 <= read <= 180
+    assert sorted(tmp_path.iterdir()) == sorted([paths["file"], paths["dir"]])
 
 
 def test_sample_of_one_record_prints_nan_variance_without_warnings(tmp_path):

@@ -536,9 +536,12 @@ def test_a_read_holds_its_columns_and_a_few_chunks_of_text(tmp_path, source):
     finally:
         tracemalloc.stop()
     assert np.array_equal(bits(columns[1]), bits(ss.values))
+    # the columns are cut in place to the rows read: no view of a larger
+    # buffer is returned
+    assert all(column.base is None and column.nbytes == 8 * len(ss) for column in columns)
     # the columns of a pipe double in place as they fill, so that they are
-    # never held twice
-    held = sum(column.base.nbytes for column in columns)
+    # never held twice; the peak also holds what they grew past the rows
+    held = sum(column.nbytes for column in columns)
     assert peak - held < 16 * _CHUNK < len(data) / 2
 
 
