@@ -318,13 +318,9 @@ def cmd_network(config, out):
             raise CLIError(f"config is not valid JSON: {exc}", 2) from None
     spec = parse_network_spec(doc)
     result = run_network(spec)
-    payload = {
-        "modes": spec.num_modes,
-        "hbar": spec.hbar,
-        "mean": clean_tiny(result.state.mean, np.sqrt(spec.hbar / 2.0)),
-        "cov": clean_tiny(result.state.cov, spec.hbar / 2.0),
-        "analyses": result.analyses,
-    }
+    mean, cov = clean_tiny(result.state)
+    payload = {"modes": spec.num_modes, "hbar": spec.hbar, "mean": mean, "cov": cov,
+               "analyses": result.analyses}
     _check_json_writer()
     text = _json_bytes(payload)
     with _writing(out), _overwrite(out, "wb") as fh:
@@ -408,6 +404,13 @@ class _Parser(argparse.ArgumentParser):
         if "action" not in kwargs and "nargs" not in kwargs:
             self.flags.update(dict.fromkeys(action.option_strings, action))
         return action
+
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]):
+        """The value of `action` as argparse reads it; a lone "--" as a one-value
+        option's value, which argparse strips to store [], fails as no value does."""
+        if arg_strings == ["--"] and action.nargs is None and action.option_strings:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
     def error(self, message: str):
         """Raise CLIError with the usage, in place of printing and exiting 2."""

@@ -24,6 +24,7 @@ from .states import (
     _checked_modes,
     _resolved_cholesky,
     _uncertainty_matrix,
+    _vacuum_units,
     check_physicality,
     symplectic_eigenvalues,
 )
@@ -31,8 +32,8 @@ from .states import (
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
 
-#: tolerance on the Simon margin in vacuum units, (hbar/2)^4: a margin of
-#: -VERDICT_TOL (hbar/2)^4 or more reads separable
+#: tolerance on the Simon margin in vacuum units: a margin of -VERDICT_TOL or
+#: more reads separable
 VERDICT_TOL = 1e-10
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -108,67 +109,66 @@ class SimonReport:
 def simon_criterion(state: GaussianState) -> SimonReport:
     """Simon separability test for a two-mode Gaussian state.
 
-    With the covariance in blocks [[A, C], [C.T, B]] the state is separable
-    only if
+    With the covariance in vacuum units in blocks [[A, C], [C.T, B]] the
+    state is separable only if
 
-        det A det B + (hbar^2/4 - |det C|)^2 - Tr(A J C J B J C^T J)
-            >= hbar^2/4 (det A + det B),
+        det A det B + (1 - |det C|)^2 - Tr(A J C J B J C^T J) >= det A + det B,
 
     with J = [[0, 1], [-1, 0]].  Violation certifies entanglement, and for
-    two-mode Gaussian states the test is also sufficient.
+    two-mode Gaussian states the test is also sufficient.  The report's sides
+    and margin are in hbar units, (hbar/2)^4 times those.
 
     Raises:
         DegenerateInputError: if cov is not positive definite or rounding in
             its entries does not resolve it (see ``states._resolved_cholesky``).
         CVSimError: if either side or their difference overflows float64, as
-            for blocks of about 1e154 or more.
+            for blocks of about 1e154 vacuum units or more, or at hbar = 1e200.
     """
     if state.num_modes != 2:
         raise ValueError(
             f"the Simon criterion applies to two-mode states, got {state.num_modes}"
         )
-    _resolved_cholesky(state.cov)
-    cov = state.cov
+    cov = _vacuum_units(state).cov
+    _resolved_cholesky(cov)
     A = cov[0:2, 0:2]
     C = cov[0:2, 2:4]
     B = cov[2:4, 2:4]
-    h2_4 = state.hbar**2 / 4.0
     # det's LU warns on a subnormal pivot (C = [[0, 5e-324], [5e-324, 0]]); its value is right.
     # An overflow is refused below instead of warning.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         det_a, det_b, det_c = (np.linalg.det(block) for block in (A, B, C))
         lhs = float(
-            det_a * det_b + (h2_4 - abs(det_c)) ** 2 - np.trace(A @ _J @ C @ _J @ B @ _J @ C.T @ _J)
+            det_a * det_b + (1.0 - abs(det_c)) ** 2 - np.trace(A @ _J @ C @ _J @ B @ _J @ C.T @ _J)
         )
-        rhs = float(h2_4 * (det_a + det_b))
+        rhs = float(det_a + det_b)
     margin = lhs - rhs
+    verdict = SEPARABLE if margin >= -VERDICT_TOL else ENTANGLED
+    # to hbar units one factor at a time, so that no power of hbar/2 under- or overflows
+    half = state.hbar / 2.0
+    lhs, rhs, margin = (x * half * half * half * half for x in (lhs, rhs, margin))
     if not np.isfinite([lhs, rhs, margin]).all():
         raise CVSimError(f"the Simon criterion overflows float64 (lhs = {lhs!r}, rhs = {rhs!r})")
-    # both sides scale as (hbar/2)^4: compare in vacuum units, one factor at a
-    # time so that no power of hbar/2 under- or overflows
-    half = state.hbar / 2.0
-    verdict = SEPARABLE if margin / half / half / half / half >= -VERDICT_TOL else ENTANGLED
     return SimonReport(lhs=lhs, rhs=rhs, verdict=verdict, margin=margin)
 
 
 def ptranspose_symplectic_spectrum(
     state: GaussianState, bipartition: Bipartition
 ) -> np.ndarray:
-    """Symplectic eigenvalues of the partially transposed covariance,
-    normalized by hbar/2 so the vacuum gives 1."""
+    """Symplectic eigenvalues of the partially transposed covariance in
+    vacuum units, so the vacuum gives 1."""
     if bipartition.modes() != tuple(range(state.num_modes)):
         raise ValueError(
             "bipartition must cover exactly the state's modes "
             f"(state has modes 0..{state.num_modes - 1}, got {bipartition.modes()})"
         )
-    cov_pt = partial_transpose_cov(state.cov, bipartition.part_b)
-    return symplectic_eigenvalues(cov_pt) / (state.hbar / 2.0)
+    cov_pt = partial_transpose_cov(_vacuum_units(state).cov, bipartition.part_b)
+    return symplectic_eigenvalues(cov_pt)
 
 
-def _robertson_schrodinger_holds(cov: np.ndarray, hbar: float, tol: float) -> bool:
-    """Whether the Hermitian cov + i(hbar/2)Omega + tol*I is positive definite,
-    by a Cholesky factorisation of it built as one complex array."""
-    herm = _uncertainty_matrix(cov, hbar)
+def _robertson_schrodinger_holds(cov: np.ndarray, tol: float) -> bool:
+    """Whether the Hermitian cov + i Omega + tol*I, cov in vacuum units, is
+    positive definite, by a Cholesky factorisation of it built as one array."""
+    herm = _uncertainty_matrix(cov)
     herm.flat[:: cov.shape[0] + 1] += tol
     try:
         np.linalg.cholesky(herm)
@@ -195,18 +195,18 @@ def _log_negativity_and_spectrum(
 ) -> tuple[float, np.ndarray]:
     """E_N together with the spectrum nu_j it was computed from.
 
-    The state is physical when cov + i(hbar/2)Omega >= -tol with tol =
-    PHYSICALITY_TOL hbar/2, which holds, up to rounding, exactly when
-    cov + i(hbar/2)Omega + tol*I has a Cholesky factorisation; only a failed
-    factorisation pays for the eigenvalues that ``check_physicality``
+    In vacuum units the state is physical when cov + i Omega >=
+    -PHYSICALITY_TOL, which holds, up to rounding, exactly when
+    cov + i Omega + PHYSICALITY_TOL I has a Cholesky factorisation; only a
+    failed factorisation pays for the eigenvalues that ``check_physicality``
     computes to give the margin.
     """
-    tol = PHYSICALITY_TOL * (state.hbar / 2.0)
-    if not _robertson_schrodinger_holds(state.cov, state.hbar, tol):
+    vac = _vacuum_units(state)
+    if not _robertson_schrodinger_holds(vac.cov, PHYSICALITY_TOL):
         report = check_physicality(state)
         if not report.physical:
             raise ValueError(
                 f"input state is unphysical (uncertainty margin {report.margin:.3e})"
             )
-    nu = ptranspose_symplectic_spectrum(state, bipartition)
+    nu = ptranspose_symplectic_spectrum(vac, bipartition)
     return float(np.sum(np.maximum(0.0, -np.log2(nu)))), nu

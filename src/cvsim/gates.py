@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MalformedInputError
-from .states import GaussianState, _checked_modes, _freeze, symplectic_form
+from .states import GaussianState, _checked_modes, _freeze, _vacuum_units, symplectic_form
 
 #: tolerance on ||B Omega B^T - Omega||_F at gate construction; a block with
 #: large entries is allowed the rounding of B Omega B^T, ``_ROUNDING * ||B||_F^2``
@@ -123,17 +123,17 @@ class SymplecticGate:
 
 # One formula per gate kind.  Each takes floats, or equal-length arrays for a
 # stack of G gates of that kind, and returns the blocks, (k, k) or (G, k, k),
-# and the shifts, (k,) or (G, k); the builders and the network runner both
-# call them.
+# and the shifts in vacuum units, (k,) or (G, k); the builders and the network
+# runner both call them.
 
 def _stack(entries: list, k: int) -> np.ndarray:
     """The k x k blocks whose row-major entries are ``entries``, C-contiguous."""
     return np.stack(entries, axis=-1).reshape(np.shape(entries[0]) + (k, k))
 
 
-def _displacement_blocks(alpha_mag, alpha_phase, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+def _displacement_blocks(alpha_mag, alpha_phase) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.sqrt(2.0 * hbar) * alpha_mag
+        scale = 2.0 * alpha_mag
         shifts = np.stack([scale * np.cos(alpha_phase), scale * np.sin(alpha_phase)], axis=-1)
     one, zero = np.ones_like(scale), np.zeros_like(scale)
     return _stack([one, zero, zero, one], 2), shifts
@@ -168,11 +168,14 @@ def displacement_gate(
     """Displacement D(alpha) with alpha = alpha_mag * e^{i alpha_phase}.
 
     Identity symplectic matrix; shifts the target mode mean by
-    sqrt(2*hbar) * (Re alpha, Im alpha).
+    sqrt(2*hbar) * (Re alpha, Im alpha), which is 2 alpha in vacuum units
+    times sqrt(hbar/2).
     """
     if alpha_mag < 0:
         raise ValueError("alpha_mag must be >= 0 (fold the sign into alpha_phase)")
-    return SymplecticGate(*_displacement_blocks(alpha_mag, alpha_phase, hbar), (mode,), num_modes)
+    block, shift = _displacement_blocks(alpha_mag, alpha_phase)
+    with np.errstate(over="ignore"):  # SymplecticGate refuses a shift that is not finite
+        return SymplecticGate(block, shift * np.sqrt(hbar / 2.0), (mode,), num_modes)
 
 
 def squeeze_gate(r: float, theta: float, mode: int, num_modes: int) -> SymplecticGate:
@@ -227,26 +230,18 @@ def apply_gate(gate: SymplecticGate, state: GaussianState) -> GaussianState:
     return GaussianState(mean=mean, cov=cov, hbar=state.hbar)
 
 
-def _prepare_thermal_in_place(
-    n_bar: float, mode: int, cov: np.ndarray, mean: np.ndarray, hbar: float
-) -> None:
-    """Overwrite a vacuum mode of (cov, mean) with a thermal state.  The mode
-    is in the vacuum when its covariance is (hbar/2) I and its cross entries
-    are 0 to within 1e-10 hbar/2, and its mean is 0 to within
-    1e-10 sqrt(hbar/2): to 1e-10 in vacuum units."""
+def _prepare_thermal_in_place(n_bar: float, mode: int, cov: np.ndarray, mean: np.ndarray) -> None:
+    """Overwrite a vacuum mode of (cov, mean), in vacuum units, with a
+    thermal state.  The mode is in the vacuum when its covariance is I and
+    its cross entries and its mean are 0, each to within 1e-10."""
     if n_bar < 0:
         raise ValueError("n_bar must be >= 0")
     (mode,) = _checked_modes((mode,), mean.size // 2)
     sl = slice(2 * mode, 2 * mode + 2)
-    half = hbar / 2.0
-    cross = np.delete(cov[sl, :], [2 * mode, 2 * mode + 1], axis=1)
-    if (
-        np.abs(cov[sl, sl] - half * np.eye(2)).max() > 1e-10 * half
-        or (cross.size and np.abs(cross).max() > 1e-10 * half)
-        or np.abs(mean[sl]).max() > 1e-10 * np.sqrt(half)
-    ):
+    rows = cov[sl] - np.eye(2, mean.size, 2 * mode)  # the mode's rows less the vacuum's
+    if np.abs(rows).max() > 1e-10 or np.abs(mean[sl]).max() > 1e-10:
         raise ValueError(f"mode {mode} is not in the vacuum state")
-    cov[sl, sl] = (2.0 * n_bar + 1.0) * half * np.eye(2)
+    cov[sl, sl] = (2.0 * n_bar + 1.0) * np.eye(2)
 
 
 def thermal_prepare(n_bar: float, mode: int, state: GaussianState) -> GaussianState:
@@ -255,6 +250,8 @@ def thermal_prepare(n_bar: float, mode: int, state: GaussianState) -> GaussianSt
     Not a symplectic gate (the map is not unitary); restricted to modes that
     are currently in the vacuum so the semantics stay unambiguous.
     """
-    cov = np.array(state.cov, copy=True)
-    _prepare_thermal_in_place(n_bar, mode, cov, state.mean, state.hbar)
+    vac = _vacuum_units(state)
+    cov = np.array(vac.cov, copy=True)
+    _prepare_thermal_in_place(n_bar, mode, cov, vac.mean)
+    cov *= state.hbar / 2.0
     return GaussianState(mean=state.mean, cov=cov, hbar=state.hbar)

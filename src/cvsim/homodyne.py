@@ -42,7 +42,7 @@ import numpy as np
 from ._csvio import _read_csv, _write_csv
 from .errors import InversionError, MalformedInputError
 from .phase_space import characteristic_gaussian
-from .states import GaussianState
+from .states import GaussianState, _vacuum_units
 
 #: default quantile tolerance
 DEFAULT_TOL = 1e-12
@@ -85,19 +85,17 @@ class SourceModel:
 
 @dataclass(frozen=True, eq=False)
 class GaussianSource(SourceModel):
-    """A single-mode Gaussian state, rescaled at construction to hbar = 2
-    (exact for a state at hbar = 2).  With c = (cos phi, -sin phi), X_phi is
+    """A single-mode Gaussian state, held in vacuum units (hbar = 2; a state
+    at hbar = 2 is held as it is).  With c = (cos phi, -sin phi), X_phi is
     normal with mean c.mu and variance c^T sigma c.  Sources compare and hash
     by identity: the state's arrays have no truth value to compare by."""
 
     state: GaussianState
 
     def __post_init__(self) -> None:
-        st = self.state
-        if st.num_modes != 1:
+        if self.state.num_modes != 1:
             raise ValueError("a Gaussian source takes a single-mode state; reduce first")
-        scale = st.hbar / 2.0
-        object.__setattr__(self, "state", GaussianState(st.mean / np.sqrt(scale), st.cov / scale))
+        object.__setattr__(self, "state", _vacuum_units(self.state))
         (xx, xp), (_, pp) = self.state.cov
         object.__setattr__(self, "phase_sensitive", bool(xx != pp or xp or self.state.mean.any()))
 

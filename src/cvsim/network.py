@@ -232,9 +232,9 @@ def parse_network_spec(doc) -> NetworkSpec:
 
 
 def _gate_steps(spec: NetworkSpec) -> list:
-    """What ``_apply_in_place`` takes for each gate, (block, shift, rows);
-    None for prepare_thermal; and, for the first gate of each kind whose
-    block or shift fails ``_first_invalid``, the reason as a string.
+    """What ``_apply_in_place`` takes for each gate in vacuum units, (block,
+    shift, rows); None for prepare_thermal; and, for the first gate of each
+    kind whose block or shift fails ``_first_invalid``, the reason as a string.
 
     The gates of one kind are built in one numpy pass from their parameter
     arrays and checked as one stack.
@@ -247,10 +247,8 @@ def _gate_steps(spec: NetworkSpec) -> list:
         names, _, formula = GATES[kind]
         if formula is None:
             continue
-        args = [np.array([spec.gates[i].params[name] for i in where]) for name in names]
-        if kind == "displace":
-            args.append(spec.hbar)
-        blocks, shifts = formula(*args)
+        blocks, shifts = formula(*(np.array([spec.gates[i].params[name] for i in where])
+                                   for name in names))
         for i, block, shift in zip(where, blocks, shifts):
             steps[i] = (block, shift, _quadratures(spec.gates[i].modes))
         bad = _first_invalid(blocks, shifts)
@@ -261,16 +259,10 @@ def _gate_steps(spec: NetworkSpec) -> list:
 
 def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
     if req.type == "reduced":
-        red = reduced_state(state, list(req.modes))
-        return {
-            "type": "reduced",
-            "modes": list(req.modes),
-            "mean": clean_tiny(red.mean, np.sqrt(red.hbar / 2.0)),
-            "cov": clean_tiny(red.cov, red.hbar / 2.0),
-        }
+        mean, cov = clean_tiny(reduced_state(state, list(req.modes)))
+        return {"type": "reduced", "modes": list(req.modes), "mean": mean, "cov": cov}
     if req.type == "simon":
-        red = reduced_state(state, list(req.modes))
-        report = simon_criterion(red)
+        report = simon_criterion(reduced_state(state, list(req.modes)))
         return {
             "type": "simon",
             "modes": list(req.modes),
@@ -316,18 +308,18 @@ def run_network(spec: NetworkSpec) -> NetworkResult:
     every requested analysis.  Fully deterministic.
 
     The gates of each kind are built and checked as one stack, then update
-    one covariance/mean buffer in place, in spec order; the validated state
-    is built once, after the last gate.
+    one covariance/mean buffer in vacuum units in place, in spec order; after
+    the last gate it is scaled to hbar units and the validated state is built.
 
     Raises:
         NetworkRuntimeError: a gate or an analysis failed; its ``pointer``
             names the first that did, e.g. "/gates/1".  A gate fails when its
             block is not symplectic, its block or shift is not finite,
             prepare_thermal finds its mode not in the vacuum, or its output
-            is not finite.
+            is not finite; "/hbar" when the state overflows in hbar units.
     """
     mean = np.zeros(2 * spec.num_modes)
-    cov = (spec.hbar / 2.0) * np.eye(2 * spec.num_modes)
+    cov = np.eye(2 * spec.num_modes)
     steps = _gate_steps(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (desc, step) in enumerate(zip(spec.gates, steps)):
@@ -335,7 +327,7 @@ def run_network(spec: NetworkSpec) -> NetworkResult:
                 if isinstance(step, str):
                     raise MalformedInputError(step)
                 if step is None:
-                    _prepare_thermal_in_place(desc.params["n_bar"], desc.modes[0], cov, mean, spec.hbar)
+                    _prepare_thermal_in_place(desc.params["n_bar"], desc.modes[0], cov, mean)
                     rows = _quadratures(desc.modes)
                 else:
                     _apply_in_place(*step, cov, mean)
@@ -347,7 +339,12 @@ def run_network(spec: NetworkSpec) -> NetworkResult:
                     raise MalformedInputError("the gate's output is not finite")
             except (ValueError, CVSimError) as exc:
                 raise NetworkRuntimeError(f"/gates/{i}", str(exc)) from exc
-    state = GaussianState(mean=mean, cov=cov, hbar=spec.hbar)
+        cov *= spec.hbar / 2.0
+        mean *= np.sqrt(spec.hbar / 2.0)
+    try:
+        state = GaussianState(mean=mean, cov=cov, hbar=spec.hbar)
+    except MalformedInputError as exc:  # finite in vacuum units, not in hbar units
+        raise NetworkRuntimeError("/hbar", str(exc)) from exc
     del mean, cov  # the state holds frozen copies
     analyses = []
     for i, req in enumerate(spec.analyses):

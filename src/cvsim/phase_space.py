@@ -9,9 +9,10 @@ For a Gaussian state with mean r_bar and covariance sigma,
 
 and the two are each other's symplectic Fourier transforms.  The s-ordered
 quasiprobabilities of a Gaussian state stay Gaussian: the covariance is
-shifted to sigma - s (hbar/2) I, which exists as a regular function only
-while that matrix stays positive definite (s = 0 is the Wigner function,
-s = -1 the Husimi Q; s = +1, the P function, is singular for squeezed light).
+shifted to sigma - s (hbar/2) I, sigma - s I in vacuum units, which exists as
+a regular function only while that matrix stays positive definite (s = 0 is
+the Wigner function, s = -1 the Husimi Q; s = +1, the P function, is singular
+for squeezed light).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from ._csvio import _NUMBER, _read_csv, _write_csv
 from .errors import CVSimError, DegenerateInputError, MalformedInputError, UnsupportedOrderingError
-from .states import GaussianState, _resolved_cholesky, symplectic_form
+from .states import GaussianState, _resolved_cholesky, _vacuum_units, symplectic_form
 from .entanglement import reduced_state
 
 
@@ -145,7 +146,8 @@ def s_quasiprob_gaussian(state: GaussianState, alpha: complex, s: float) -> floa
     """s-ordered quasiprobability of a single-mode Gaussian state at alpha.
 
     Normalized over d^2 alpha (so the vacuum Husimi Q at the origin is 1/pi).
-    The phase-space point is x = sqrt(2 hbar) Re alpha, p = sqrt(2 hbar) Im alpha.
+    The phase-space point is x = sqrt(2 hbar) Re alpha, p = sqrt(2 hbar) Im alpha,
+    2 alpha in vacuum units, where the value is computed.
 
     Raises:
         UnsupportedOrderingError: if sigma - s (hbar/2) I is not positive
@@ -154,7 +156,8 @@ def s_quasiprob_gaussian(state: GaussianState, alpha: complex, s: float) -> floa
     """
     if state.num_modes != 1:
         raise ValueError("s_quasiprob_gaussian expects a single-mode state; reduce first")
-    cov_s = state.cov - s * (state.hbar / 2.0) * np.eye(2)
+    vac = _vacuum_units(state)
+    cov_s = vac.cov - s * np.eye(2)
     try:
         np.linalg.cholesky(cov_s)
     except np.linalg.LinAlgError:
@@ -162,12 +165,11 @@ def s_quasiprob_gaussian(state: GaussianState, alpha: complex, s: float) -> floa
             f"sigma - s(hbar/2)I is not positive definite at s={s}; the "
             "s-ordered quasiprobability is singular for this state"
         ) from None
-    point = np.sqrt(2.0 * state.hbar) * np.array([alpha.real, alpha.imag])
-    d = point - state.mean
+    d = 2.0 * np.array([alpha.real, alpha.imag]) - vac.mean
     inv = np.linalg.inv(cov_s)
     gauss = np.exp(-0.5 * d @ inv @ d) / (2.0 * np.pi * np.sqrt(np.linalg.det(cov_s)))
-    # Jacobian d^2alpha -> dx dp for the alpha-measure normalization
-    return float(2.0 * state.hbar * gauss)
+    # Jacobian d^2alpha -> dx dp, 2 hbar, for the alpha-measure normalization
+    return float(4.0 * gauss)
 
 
 WIGNER_CSV_HEADER = ["x", "p", "w"]

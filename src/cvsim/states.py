@@ -8,7 +8,9 @@ Strawberry Fields prints, is one index permutation away
 (xp_to_interleaved_permutation).
 
 With hbar = 2 (the default, matching the Strawberry Fields convention) the
-vacuum covariance matrix is the identity.
+vacuum covariance matrix is the identity.  The public API takes and returns
+hbar units; the numerics run in these vacuum units, on the state that
+``_vacuum_units`` returns, so that every threshold is a plain number.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import DegenerateInputError, MalformedInputError
 #: tolerance for |cov - cov.T| at construction
 SYMMETRY_TOL = 1e-10
 #: tolerance for the Robertson-Schrodinger physicality margin, in vacuum
-#: units: a state may fall PHYSICALITY_TOL * hbar/2 below the bound
+#: units: a state may fall PHYSICALITY_TOL below the bound
 PHYSICALITY_TOL = 1e-9
 #: smallest Cholesky pivot, relative to its variance, that rounding in a
 #: covariance's entries resolves to about 1%
@@ -148,17 +150,29 @@ def vacuum_state(num_modes: int, hbar: float = 2.0) -> GaussianState:
     )
 
 
+def _vacuum_units(state: GaussianState) -> GaussianState:
+    """The state in vacuum units, at hbar = 2: mean / sqrt(hbar/2) and
+    cov / (hbar/2).  A state at hbar = 2 is returned as it is; one whose
+    entries overflow in vacuum units raises MalformedInputError."""
+    if state.hbar == 2.0:
+        return state
+    half = state.hbar / 2.0
+    with np.errstate(over="ignore"):
+        return GaussianState(state.mean / np.sqrt(half), state.cov / half)
+
+
 class PhysicalityReport(NamedTuple):
     physical: bool
     margin: float
 
 
-def _uncertainty_matrix(cov: np.ndarray, hbar: float) -> np.ndarray:
-    """A new complex array cov + i(hbar/2)Omega, built without a dense Omega."""
+def _uncertainty_matrix(cov: np.ndarray) -> np.ndarray:
+    """A new complex array cov + i Omega, built without a dense Omega: the
+    Robertson-Schrodinger matrix of a covariance in vacuum units."""
     n = cov.shape[0]
     herm = cov.astype(complex)
-    herm.imag.flat[1 :: 2 * n + 2] = hbar / 2.0  # Omega[2k, 2k + 1] = 1
-    herm.imag.flat[n :: 2 * n + 2] = -hbar / 2.0  # Omega[2k + 1, 2k] = -1
+    herm.imag.flat[1 :: 2 * n + 2] = 1.0  # Omega[2k, 2k + 1]
+    herm.imag.flat[n :: 2 * n + 2] = -1.0  # Omega[2k + 1, 2k]
     return herm
 
 
@@ -172,21 +186,21 @@ def physicality_margin(cov: np.ndarray, hbar: float) -> float:
         MalformedInputError: cov is not a finite, symmetric 2N x 2N matrix.
     """
     cov = _checked_cov(cov)
-    return float(np.linalg.eigvalsh(_uncertainty_matrix(cov, hbar)).min())
+    return check_physicality(GaussianState(np.zeros(cov.shape[0]), cov, hbar)).margin
 
 
 def check_physicality(state: GaussianState) -> PhysicalityReport:
-    """Robertson-Schrodinger check: cov + i(hbar/2)Omega >= -PHYSICALITY_TOL
-    hbar/2, a tolerance that grows with the rounding of cov's entries.
+    """Robertson-Schrodinger check in vacuum units: cov + i Omega >=
+    -PHYSICALITY_TOL, a tolerance that grows with the rounding of cov's entries.
 
     Returns:
         PhysicalityReport(physical, margin) where margin is the minimum
-        eigenvalue of the Hermitian test matrix (0 for states that saturate
-        the bound, e.g. the vacuum).
+        eigenvalue of the Hermitian test matrix, in hbar units (0 for states
+        that saturate the bound, e.g. the vacuum).
     """
-    margin = physicality_margin(state.cov, state.hbar)
-    return PhysicalityReport(physical=margin >= -PHYSICALITY_TOL * (state.hbar / 2.0),
-                             margin=margin)
+    margin = float(np.linalg.eigvalsh(_uncertainty_matrix(_vacuum_units(state).cov)).min())
+    return PhysicalityReport(physical=margin >= -PHYSICALITY_TOL,
+                             margin=margin * (state.hbar / 2.0))
 
 
 def _resolved_cholesky(cov: np.ndarray) -> np.ndarray:
@@ -247,8 +261,8 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 
 def purity(state: GaussianState) -> float:
-    """Tr(rho^2) of a Gaussian state: (hbar/2)^N / sqrt(det cov), where
-    sqrt(det cov) is the product of the diagonal of cov's Cholesky factor.
+    """Tr(rho^2) of a Gaussian state: 1 / sqrt(det cov) in vacuum units, the
+    product of the diagonal of cov's Cholesky factor.
 
     Equals 1 exactly for pure Gaussian states.
 
@@ -256,14 +270,14 @@ def purity(state: GaussianState) -> float:
         DegenerateInputError: if cov is not positive definite or not resolved
             (see ``_resolved_cholesky``).
     """
-    L = _resolved_cholesky(state.cov)
-    return float((state.hbar / 2.0) ** state.num_modes / np.prod(np.diagonal(L)))
+    L = _resolved_cholesky(_vacuum_units(state).cov)
+    return float(1.0 / np.prod(np.diagonal(L)))
 
 
-def clean_tiny(arr: np.ndarray, unit: float = 1.0) -> np.ndarray:
-    """Zero out entries with magnitude below 1e-11 * unit, the display
-    threshold: unit is hbar/2 for a covariance and sqrt(hbar/2) for a mean,
-    so that the threshold is 1e-11 in vacuum units."""
-    out = np.array(arr, dtype=float, copy=True)
-    out[np.abs(out) < 1e-11 * unit] = 0.0
-    return out
+def clean_tiny(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
+    """The state's mean and cov, new arrays in hbar units, with each entry
+    whose magnitude in vacuum units is below 1e-11, the display threshold,
+    set to 0."""
+    vac = _vacuum_units(state)
+    return (np.where(np.abs(vac.mean) < 1e-11, 0.0, state.mean),
+            np.where(np.abs(vac.cov) < 1e-11, 0.0, state.cov))

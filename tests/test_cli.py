@@ -1396,6 +1396,35 @@ def test_a_well_formed_command_line_is_read_without_argparse(tmp_path, monkeypat
     assert sha256(out) == FOCK_BS_GOLDENS[flags]
 
 
+#: (a line that gives a lone "--" as an option's value, the option)
+DASHES_AS_VALUE = [
+    (["fock-bs", "--n1", "1", "--n2", "1", "--out", "--"], "--out"),
+    (["fock-bs", "--n1", "1", "--n2", "1", "--out=--"], "--out"),
+    (["wigner", "--state=--", "--out", "w.csv"], "--state"),
+    (["sample", "--state=--", "--count", "5", "--out", "s.csv"], "--state"),
+    (["network", "--config", "--", "--out", "n.json"], "--config"),
+    (["analyze", "--in", "--", "--out", "a.csv"], "--in"),
+]
+
+
+@pytest.mark.parametrize("args, flag", DASHES_AS_VALUE,
+                         ids=[" ".join(args) for args, _ in DASHES_AS_VALUE])
+def test_dashes_as_an_option_value_fail_as_a_missing_value(tmp_path, monkeypatch, args, flag):
+    # argparse stored [] as the value, and the command ended in a TypeError traceback
+    monkeypatch.chdir(tmp_path)
+    result = run_cli(args)
+    assert result.exit_code == 2
+    *usage, error = result.output.strip().splitlines()
+    assert usage[0].startswith(f"usage: cvsim {args[0]} ")
+    assert error == f"Error: argument {flag}: expected one argument"
+    # the line with the option moved to the end and no value gives the same lines
+    missing = [word for word in args if word not in ("--", flag, f"{flag}=--")] + [flag]
+    assert run_cli(missing).output == result.output
+    assert parse_outcome(cli._options, args) == parse_outcome(
+        lambda words: vars(cli._parser().parse_args(words)), args)
+    assert not any(tmp_path.iterdir())
+
+
 INT_OPTIONS = {"--n", "--count", "--seed", "--bins", "--n1", "--n2", "--nx", "--np"}
 #: kind of option -> (values its type takes, values that it or a range refuses)
 SWEEP_VALUES = {

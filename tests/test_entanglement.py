@@ -26,6 +26,7 @@ from cvsim import (
     vacuum_state,
 )
 from cvsim.entanglement import _robertson_schrodinger_holds
+from cvsim.states import _vacuum_units
 
 LOG2_E = 1.0 / np.log(2.0)
 
@@ -284,7 +285,8 @@ def test_physicality_precheck_agrees_with_check_physicality(case):
     report = check_physicality(state)
     # within rounding of the boundary either answer is right
     assume(abs(report.margin + tol) > 1e-12)
-    assert _robertson_schrodinger_holds(state.cov, state.hbar, tol) == (report.margin >= -tol)
+    holds = _robertson_schrodinger_holds(_vacuum_units(state).cov, tol / (state.hbar / 2))
+    assert holds == (report.margin >= -tol)
 
 
 def test_reduced_state_over_every_mode_in_order_is_the_state():

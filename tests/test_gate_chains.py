@@ -7,15 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvsim import (
+    Bipartition,
+    CVSimError,
+    GaussianState,
     NetworkRuntimeError,
     apply_gate,
     beamsplitter_gate,
     check_physicality,
     displacement_gate,
+    log_negativity,
     parse_network_spec,
+    ptranspose_symplectic_spectrum,
     purity,
+    reduced_state,
     rotation_gate,
     run_network,
+    s_quasiprob_gaussian,
+    simon_criterion,
     squeeze_gate,
     thermal_prepare,
     vacuum_state,
@@ -137,3 +145,93 @@ def test_network_scales_with_hbar(chain, log_hbar, data):
     assert abs(scaled["value"] - reference["value"]) <= 1e-10
     assert np.abs(scaled["nu_tilde"] - reference["nu_tilde"]).max() <= 1e-10
     assert abs(purity(at[hbar].state) - purity(at[2.0].state)) <= 1e-10
+
+
+#: hbar values of the scaling sweep: (hbar/2)^4 and (hbar/2)^200 lie far
+#: outside the float range at both ends
+SCALING_HBARS = (1e-200, 1e-12, 0.5, 2.0, 1e8, 1e200)
+
+
+def _seeded_state(seed, n, hbar):
+    """A state of n modes at hbar from numpy seed `seed`: thermal inputs on
+    about half the modes, then 1-8 displacements, squeezers, rotations and
+    beam splitters.  The draws do not depend on hbar."""
+    rng = np.random.default_rng(seed)
+    state = vacuum_state(n, hbar)
+    for mode in range(n):
+        if rng.random() < 0.5:
+            state = thermal_prepare(rng.uniform(0, 1), mode, state)
+    for _ in range(rng.integers(1, 9)):
+        kind, mode = rng.integers(4 if n > 1 else 3), int(rng.integers(n))
+        if kind == 0:
+            gate = displacement_gate(rng.uniform(0, 2), rng.uniform(-np.pi, np.pi), mode, n, hbar)
+        elif kind == 1:
+            gate = squeeze_gate(rng.uniform(0, 1.5), rng.uniform(-np.pi, np.pi), mode, n)
+        elif kind == 2:
+            gate = rotation_gate(rng.uniform(-np.pi, np.pi), mode, n)
+        else:
+            other = int((mode + rng.integers(1, n)) % n)
+            gate = beamsplitter_gate(rng.uniform(0, np.pi / 2), rng.uniform(-np.pi, np.pi),
+                                     (mode, other), n)
+        state = apply_gate(gate, state)
+    return state
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_every_result_in_vacuum_units_is_the_same_at_any_hbar(seed):
+    """A state built at any hbar is the hbar = 2 state scaled, and purity,
+    physicality, E_N and its spectrum, the Simon verdict and the Wigner and
+    Husimi values in the alpha measure are the hbar = 2 numbers, to within
+    64 eps cond(sigma).  Simon's sides in hbar units overflow at hbar = 1e200
+    and raise CVSimError."""
+    n = 1 + seed % 4
+    at = {hbar: _seeded_state(seed, n, hbar) for hbar in SCALING_HBARS}
+    ref = at[2.0]
+    tol = 64 * np.finfo(float).eps * np.linalg.cond(ref.cov)
+    # a point within one standard deviation of each mode's mean, d sigma^-1 d <= 2
+    offsets = np.random.default_rng(1000 + seed).uniform(-1, 1, (n, 2))
+    rows = [slice(2 * m, 2 * m + 2) for m in range(n)]
+    alphas = [(ref.mean[r] + np.linalg.cholesky(ref.cov[r, r]) @ u) @ [0.5, 0.5j]
+              for r, u in zip(rows, offsets)]
+    for hbar, state in at.items():
+        half = hbar / 2.0
+        assert _close(state.cov / half, ref.cov) and _close(state.mean / np.sqrt(half), ref.mean)
+        assert abs(purity(state) - purity(ref)) <= tol
+        for scale in (1.0, 0.6):  # as built, and shrunk below the uncertainty bound at times
+            assert (check_physicality(GaussianState(state.mean, state.cov * scale, hbar)).physical
+                    == check_physicality(GaussianState(ref.mean, ref.cov * scale)).physical)
+        for mode, alpha in enumerate(alphas):
+            one, one_ref = reduced_state(state, [mode]), reduced_state(ref, [mode])
+            for s in (0.0, -1.0):
+                expected = s_quasiprob_gaussian(one_ref, alpha, s)
+                assert s_quasiprob_gaussian(one, alpha, s) == pytest.approx(expected, rel=tol)
+        if n == 1:
+            continue
+        split = Bipartition(range(n // 2), range(n // 2, n))
+        assert abs(log_negativity(state, split) - log_negativity(ref, split)) <= tol
+        nu, nu_ref = (ptranspose_symplectic_spectrum(st_, split) for st_ in (state, ref))
+        assert np.abs(nu - nu_ref).max() <= tol
+        pair, pair_ref = reduced_state(state, [0, 1]), reduced_state(ref, [0, 1])
+        if hbar == 1e200:
+            with pytest.raises(CVSimError, match="the Simon criterion overflows float64"):
+                simon_criterion(pair)
+            continue
+        expected = simon_criterion(pair_ref)
+        if abs(expected.margin) > 1e-8:  # within rounding of 0 either verdict is right
+            assert simon_criterion(pair).verdict == expected.verdict
+
+
+def test_purity_of_200_modes_is_the_same_at_any_hbar():
+    """(hbar/2)^200 underflows or overflows at every hbar of the sweep but 2
+    and 0.5; purity works in vacuum units."""
+    rng = np.random.default_rng(200)
+    gates = [{"kind": "prepare_thermal", "modes": [m], "params": {"n_bar": rng.uniform(0, 0.05)}}
+             for m in range(0, 200, 2)]
+    gates += [{"kind": "squeeze", "modes": [m], "params": {"r": rng.uniform(0, 1), "theta": 0.3}}
+              for m in range(200)]
+    gates += [{"kind": "beamsplitter", "modes": [m, m + 1], "params": {"theta": 0.6, "phi": 0.2}}
+              for m in range(0, 199, 3)]
+    expected = np.prod([1.0 / (2.0 * g["params"]["n_bar"] + 1.0) for g in gates[:100]])
+    for hbar in SCALING_HBARS:
+        state = run_network(parse_network_spec({"modes": 200, "hbar": hbar, "gates": gates})).state
+        assert purity(state) == pytest.approx(expected, rel=1e-12)

@@ -242,9 +242,12 @@ def test_purity_respects_hbar():
 
 def test_clean_tiny():
     arr = np.array([1.0, 1e-12, -1e-12, 2e-11])
-    out = clean_tiny(arr)
-    assert np.array_equal(out, [1.0, 0.0, 0.0, 2e-11])
-    assert np.array_equal(clean_tiny(arr * 1e-12, 1e-12), [1e-12, 0.0, 0.0, 2e-23])
+    kept = arr * [1.0, 0.0, 0.0, 1.0]
+    mean, cov = clean_tiny(GaussianState(arr, np.diag(arr)))
+    assert np.array_equal(mean, kept) and np.array_equal(cov, np.diag(kept))
+    # the threshold is in vacuum units: sqrt(hbar/2) for a mean, hbar/2 for a cov
+    mean, cov = clean_tiny(GaussianState(arr * 1e-6, np.diag(arr) * 1e-12, hbar=2e-12))
+    assert np.array_equal(mean, kept * 1e-6) and np.array_equal(cov, np.diag(kept) * 1e-12)
 
 
 @pytest.mark.parametrize("read", [
