@@ -53,6 +53,8 @@ def _writing(path: str):
 #: orjson writes a one-digit negative exponent without a leading zero
 #: (2.5e-7), where repr writes 2.5e-07
 _EXPONENT_ZERO = re.compile(rb"e-(?=[0-9]\b)")
+#: the largest finite double
+_FLOAT_MAX = sys.float_info.max
 #: doubles at each edge of the forms that _json_bytes mends, and in
 #: [1e-5, 1e-4) one of 17 digits and a negative one
 _PROBE = (0.0, -0.0, 0.1, 1e15, 9999999999999998.0, 1e16, 1.5e300, 1e-4,
@@ -65,21 +67,6 @@ def _unknown_float_form() -> CVSimError:
 
     return CVSimError(f"orjson {orjson.__version__} writes floats in a form that "
                       "cvsim's JSON writers do not know")
-
-
-def _float_texts(values: list[float]) -> list[str]:
-    """float.__repr__ of each of the finite floats `values`, from one
-    orjson.dumps: orjson writes repr's digits, and the one-digit negative
-    exponents are mended as in _json_bytes.  A value that orjson writes in
-    another form than repr, |x| in [1e-5, 1e-4) or |x| >= 1e16, takes its
-    float.__repr__."""
-    import orjson
-
-    texts = _EXPONENT_ZERO.sub(b"e-0", orjson.dumps(values))[1:-1].decode().split(",")
-    for i, x in enumerate(values):
-        if 1e-5 <= abs(x) < 1e-4 or abs(x) >= 1e16:
-            texts[i] = float.__repr__(x)
-    return texts
 
 
 def _e05_reprs(cells: np.ndarray) -> list[bytes]:
@@ -119,16 +106,18 @@ def _e05_reprs(cells: np.ndarray) -> list[bytes]:
 
 
 def _json_ready(value, reprs: list):
-    """`value` for _json_bytes to write: a float that orjson writes in
-    another form than repr becomes NaN, and its repr, like the "null" of each
-    None, is appended to `reprs` in the order of the text.  A float64 array
-    stays an array; any other array is read as its tolist()."""
-    if isinstance(value, float) and abs(value) <= sys.float_info.max:
-        if 1e-5 <= abs(value) < 1e-4 or abs(value) >= 1e16:
+    """`value` for _spliced to write: a float that orjson writes in another
+    form than repr becomes NaN, and its repr, like the "null" of each None,
+    is appended to `reprs` in the order of the text.  A float64 array stays
+    an array; any other array is read as its tolist()."""
+    if isinstance(value, float):
+        magnitude = abs(value)
+        if 1e-4 <= magnitude < 1e16 or magnitude < 1e-5:
+            return value
+        if magnitude <= _FLOAT_MAX:
             reprs.append(float.__repr__(value).encode())
             return np.nan
-        return value
-    if isinstance(value, str):
+    elif isinstance(value, str):
         import orjson
 
         text = orjson.dumps(value)
@@ -151,7 +140,7 @@ def _json_ready(value, reprs: list):
             return _json_ready(value.tolist(), reprs)
         a = np.ascontiguousarray(value)
         magnitude = np.abs(a)
-        finite = magnitude <= sys.float_info.max
+        finite = magnitude <= _FLOAT_MAX
         if finite.all():
             mended = (magnitude >= 1e16) | ((magnitude >= 1e-5) & (magnitude < 1e-4))
             if mended.any():
@@ -167,6 +156,24 @@ def _json_ready(value, reprs: list):
     raise CVSimError(f"cannot write {value!r} in a JSON result file as json.dumps does")
 
 
+def _spliced(ready, reprs: list[bytes]) -> bytes:
+    """The text of `ready`, as _json_ready leaves a payload, from one
+    orjson.dumps, with the one-digit negative exponents mended and each
+    null replaced by the next of `reprs`."""
+    import orjson
+
+    text = orjson.dumps(ready, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
+                        | orjson.OPT_APPEND_NEWLINE)
+    del ready  # its mended arrays are not needed while the text is spliced
+    pieces = _EXPONENT_ZERO.sub(b"e-0", text).split(b"null")
+    del text
+    if len(pieces) != len(reprs) + 1:
+        raise CVSimError(f"{len(pieces) - 1} nulls in the JSON text of {len(reprs)} mended values")
+    joined = [b""] * (2 * len(pieces) - 1)
+    joined[::2], joined[1::2] = pieces, reprs
+    return b"".join(joined)
+
+
 def _json_bytes(payload) -> bytes:
     """``json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\\n"``
     as UTF-8, written by one orjson.dumps.
@@ -177,63 +184,44 @@ def _json_bytes(payload) -> bytes:
     "+" of its exponent, and a one-digit negative exponent without a leading
     zero.  _json_ready turns the first two into NaN, whose null is replaced
     by their repr (for the cells of a float64 array in [1e-5, 1e-4), the
-    repr that _e05_reprs writes from orjson's digits); one substitution
-    mends the third.  A value that this
-    cannot write as json.dumps does raises CVSimError: a float that is not
-    finite, a string that orjson escapes otherwise or whose text holds
-    "null", an int beyond 64 bits, or a type that is not JSON's.
+    repr that _e05_reprs writes from orjson's digits); one substitution in
+    _spliced mends the third.  A value that this cannot write as json.dumps
+    does raises CVSimError: a float that is not finite, a string that orjson
+    escapes otherwise or whose text holds "null", an int beyond 64 bits, or
+    a type that is not JSON's.
     """
-    import orjson
-
     reprs: list[bytes] = []
-    text = orjson.dumps(_json_ready(payload, reprs), option=orjson.OPT_INDENT_2
-                        | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
-    pieces = _EXPONENT_ZERO.sub(b"e-0", text).split(b"null")
-    del text
-    if len(pieces) != len(reprs) + 1:
-        raise CVSimError(f"{len(pieces) - 1} nulls in the JSON text of {len(reprs)} mended values")
-    joined = [b""] * (2 * len(pieces) - 1)
-    joined[::2], joined[1::2] = pieces, reprs
-    return b"".join(joined)
+    return _spliced(_json_ready(payload, reprs), reprs)
 
 
 @cache
 def _check_json_writer() -> None:
     """Raise CVSimError unless _json_bytes writes _PROBE, as Python floats and
-    as an array, as json.dumps does, and _float_texts writes it as repr: the
-    mends above rely on orjson's float format, which orjson's version range
-    does not pin."""
+    as an array, as json.dumps does: the mends above rely on orjson's float
+    format, which orjson's version range does not pin."""
     expected = (json.dumps(_PROBE, indent=2) + "\n").encode()
-    if not (_json_bytes(list(_PROBE)) == _json_bytes(np.array(_PROBE)) == expected
-            and _float_texts(list(_PROBE)) == list(map(float.__repr__, _PROBE))):
+    if not _json_bytes(list(_PROBE)) == _json_bytes(np.array(_PROBE)) == expected:
         raise _unknown_float_form()
 
 
-_FOCK_BS_DOCUMENT = (
-    '{\n  "total_photons": %d,\n  "amplitudes": [\n%s\n  ],\n'
-    '  "marginal_mode0": [\n    %s\n  ],\n  "marginal_mode1": [\n    %s\n  ]\n}\n'
-)
-_FOCK_BS_AMPLITUDE = ('    {\n      "basis": [\n        %d,\n        %d\n      ],\n'
-                      '      "re": %s,\n      "im": %s\n    }')
-
-
-def _fock_bs_json(state) -> str:
+def _fock_bs_json(state) -> bytes:
     """``json.dumps(payload, indent=2) + "\\n"`` of the fock-bs payload of a
     (finite, ascending-k) ``bs_output`` state: its {basis, re, im} records,
-    then the marginals |c_k|^2 of mode 0 and, reversed, of mode 1.  Every
-    number's text comes from one _float_texts call."""
+    then the marginals |c_k|^2 of mode 0 and, reversed, of mode 1.  Its
+    floats, the only values that _json_ready may mend, go through it one by
+    one, in the order of the text."""
+    reprs: list[bytes] = []
     probs = [0.0] * (state.total_photons + 1)
-    parts = []
-    for (k, _), amp in state.amplitudes.items():
+    records = []
+    for (k, m), amp in state.amplitudes.items():
         probs[k] = abs(amp) ** 2
-        parts += (amp.real, amp.imag)
-    texts = _float_texts(parts + probs)
-    end = len(parts)
-    pairs = zip(state.amplitudes, texts[:end:2], texts[1:end:2])
-    records = ",\n".join([_FOCK_BS_AMPLITUDE % (k, m, real, imag) for (k, m), real, imag in pairs])
-    marginal = texts[end:]
-    return _FOCK_BS_DOCUMENT % (state.total_photons, records, ",\n    ".join(marginal),
-                                ",\n    ".join(marginal[::-1]))
+        records.append({"basis": [k, m], "re": _json_ready(amp.real, reprs),
+                        "im": _json_ready(amp.imag, reprs)})
+    start = len(reprs)
+    marginal = [_json_ready(p, reprs) for p in probs]
+    reprs += reprs[start:][::-1]
+    return _spliced({"total_photons": state.total_photons, "amplitudes": records,
+                     "marginal_mode0": marginal, "marginal_mode1": marginal[::-1]}, reprs)
 
 
 #: --state -> (source model constructor, the options it takes in order)
@@ -334,7 +322,7 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
         raise CLIError(f"n1 + n2 must not exceed {MAX_TOTAL_PHOTONS}", 2)
     result = bs_output_from_angle(n1, n2, theta, phi)
     _check_json_writer()
-    text = _fock_bs_json(result).encode("ascii")
+    text = _fock_bs_json(result)
     with _writing(out), _overwrite(out, "wb") as fh:
         fh.write(text)
     print(f"wrote {len(result.amplitudes)} amplitudes to {out}")

@@ -241,7 +241,8 @@ def _prepare_thermal_in_place(n_bar: float, mode: int, cov: np.ndarray, mean: np
     rows = cov[sl] - np.eye(2, mean.size, 2 * mode)  # the mode's rows less the vacuum's
     if np.abs(rows).max() > 1e-10 or np.abs(mean[sl]).max() > 1e-10:
         raise ValueError(f"mode {mode} is not in the vacuum state")
-    cov[sl, sl] = (2.0 * n_bar + 1.0) * np.eye(2)
+    cov[sl, sl] = 0.0
+    cov[2 * mode, 2 * mode] = cov[2 * mode + 1, 2 * mode + 1] = 2.0 * n_bar + 1.0
 
 
 def thermal_prepare(n_bar: float, mode: int, state: GaussianState) -> GaussianState:

@@ -99,14 +99,22 @@ class WignerField:
 def wigner_gaussian(state: GaussianState, grid: PhaseSpaceGrid, mode: int = 0) -> WignerField:
     """Evaluate the (reduced) single-mode Gaussian Wigner function on a grid.
 
+    W is evaluated in vacuum units, at the grid's points divided by
+    sqrt(hbar/2), and divided by hbar/2, the Jacobian of that change of
+    variables, so that no step depends on the scale of hbar.
+
     Raises:
         DegenerateInputError: if the reduced covariance is singular, or
             rounding in its entries does not resolve det sigma to 1%, as for
             a squeezer at theta = 0.7 from r ~ 8.3 (see
             ``states._resolved_cholesky``).
-        CVSimError: if det sigma overflows float64, as at hbar = 1e308.
+        CVSimError: if det sigma in vacuum units, or W's peak, overflows
+            float64, as for a thermal state of n_bar = 1e160 or at
+            hbar = 1e-320.
+        MalformedInputError: if the state overflows in vacuum units.
     """
-    red = reduced_state(state, [mode])
+    red = _vacuum_units(reduced_state(state, [mode]))
+    half = state.hbar / 2.0
     with np.errstate(over="ignore"):
         det = np.linalg.det(red.cov)
     if det == np.inf:
@@ -115,13 +123,17 @@ def wigner_gaussian(state: GaussianState, grid: PhaseSpaceGrid, mode: int = 0) -
         raise DegenerateInputError(f"covariance is singular (det = {det:.3e})")
     _resolved_cholesky(red.cov)
     inv = np.linalg.inv(red.cov)
-    norm = 1.0 / (2.0 * np.pi * np.sqrt(det))
-    dx = grid.x_axis()[:, None] - red.mean[0]
-    dp = grid.p_axis()[None, :] - red.mean[1]
+    with np.errstate(over="ignore"):
+        norm = 1.0 / (2.0 * np.pi * np.sqrt(det)) / half
+    if not np.isfinite(norm):
+        raise CVSimError("the Wigner function's peak overflows float64")
+    scale = np.sqrt(half)
     with np.errstate(over="ignore", invalid="ignore"):
+        dx = grid.x_axis()[:, None] / scale - red.mean[0]
+        dp = grid.p_axis()[None, :] / scale - red.mean[1]
         quad = inv[0, 0] * dx**2 + 2.0 * inv[0, 1] * dx * dp + inv[1, 1] * dp**2
-    # the form is positive, so where its terms overflow to inf - inf it is
-    # far past the point where exp(-quad / 2) underflows to 0
+    # the form is positive, so where a point or a term of the form overflows,
+    # giving inf - inf, it is far past where exp(-quad / 2) underflows to 0
     return WignerField(grid=grid, values=np.where(np.isnan(quad), 0.0, norm * np.exp(-quad / 2.0)))
 
 

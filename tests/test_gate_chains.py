@@ -11,6 +11,7 @@ from cvsim import (
     CVSimError,
     GaussianState,
     NetworkRuntimeError,
+    PhaseSpaceGrid,
     apply_gate,
     beamsplitter_gate,
     check_physicality,
@@ -27,6 +28,7 @@ from cvsim import (
     squeeze_gate,
     thermal_prepare,
     vacuum_state,
+    wigner_gaussian,
 )
 
 KINDS = ("displace", "squeeze", "rotate", "beamsplitter", "prepare_thermal")
@@ -180,10 +182,10 @@ def _seeded_state(seed, n, hbar):
 @pytest.mark.parametrize("seed", range(24))
 def test_every_result_in_vacuum_units_is_the_same_at_any_hbar(seed):
     """A state built at any hbar is the hbar = 2 state scaled, and purity,
-    physicality, E_N and its spectrum, the Simon verdict and the Wigner and
-    Husimi values in the alpha measure are the hbar = 2 numbers, to within
-    64 eps cond(sigma).  Simon's sides in hbar units overflow at hbar = 1e200
-    and raise CVSimError."""
+    physicality, E_N and its spectrum, the Simon verdict, the Wigner and
+    Husimi values in the alpha measure and W on a grid in vacuum units are
+    the hbar = 2 numbers, to within 64 eps cond(sigma).  Simon's sides in
+    hbar units overflow at hbar = 1e200 and raise CVSimError."""
     n = 1 + seed % 4
     at = {hbar: _seeded_state(seed, n, hbar) for hbar in SCALING_HBARS}
     ref = at[2.0]
@@ -205,6 +207,13 @@ def test_every_result_in_vacuum_units_is_the_same_at_any_hbar(seed):
             for s in (0.0, -1.0):
                 expected = s_quasiprob_gaussian(one_ref, alpha, s)
                 assert s_quasiprob_gaussian(one, alpha, s) == pytest.approx(expected, rel=tol)
+            # a 3 x 3 grid about the point 2 alpha in vacuum units, and in hbar
+            # units, where W is 1 / (hbar/2) times W in vacuum units
+            bounds = [2.0 * alpha.real - 1.0, 2.0 * alpha.real + 1.0,
+                      2.0 * alpha.imag - 1.0, 2.0 * alpha.imag + 1.0]
+            w_ref = wigner_gaussian(ref, PhaseSpaceGrid(*bounds, 3, 3), mode).values
+            grid = PhaseSpaceGrid(*(np.sqrt(half) * np.array(bounds)), 3, 3)
+            assert wigner_gaussian(state, grid, mode).values * half == pytest.approx(w_ref, rel=tol)
         if n == 1:
             continue
         split = Bipartition(range(n // 2), range(n // 2, n))

@@ -264,6 +264,16 @@ def test_thermal_prepare_tests_the_vacuum_in_vacuum_units():
     assert np.array_equal(thermal.cov[:2, :2], 1e8 * np.eye(2))
 
 
+@pytest.mark.parametrize("hbar", [2.0, 0.5])
+def test_thermal_prepare_whose_variance_overflows_is_refused_without_a_warning(hbar):
+    # 2 n_bar + 1 overflows to inf; a diagonal of inf times the identity put
+    # inf * 0 = NaN in the cross entries, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedInputError, match="mean and cov must be finite"):
+            thermal_prepare(1e308, 0, vacuum_state(1, hbar))
+
+
 def test_apply_gate_requires_matching_size():
     with pytest.raises(MalformedInputError):
         apply_gate(rotation_gate(0.3, 0, 2), vacuum_state(1))

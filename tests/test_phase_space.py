@@ -69,10 +69,14 @@ def test_wigner_is_zero_where_its_quadratic_form_overflows():
 
 
 def test_wigner_names_a_determinant_overflow():
-    # det sigma = (hbar / 2)^2 overflows; it was reported as "singular (det = inf)"
-    # after a numpy warning
+    # det sigma = (2 n_bar + 1)^2 overflows in vacuum units; it was reported as
+    # "singular (det = inf)" after a numpy warning
+    grid = PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)
     with pytest.raises(CVSimError, match="^the covariance determinant overflows float64$"):
-        wigner_gaussian(vacuum_state(1, hbar=1e308), PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3))
+        wigner_gaussian(thermal_prepare(1e160, 0, vacuum_state(1)), grid)
+    # the vacuum at hbar = 1e308, whose det in hbar units overflows, has its W
+    values = wigner_gaussian(vacuum_state(1, hbar=1e308), grid).values
+    assert values[1, 1] * 5e307 == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
 
 
 def test_vacuum_wigner_peak_and_normalization():
