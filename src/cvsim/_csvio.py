@@ -8,8 +8,10 @@ formatting each float in Python: '%.17g' % x is the integer D = |x| * 10**(16-k)
 rounded half-even to 17 digits, with k the decimal exponent, plus a sign, a
 decimal point, trailing zeros dropped and an exponent for k < -4 or k > 16.
 D and k are computed for a whole block in numpy (`_decimal_digits`), and the
-block is written by one %-format of a template of integer fields.  The few
-cells whose digits cannot be certain that way go through '%.17g' itself.
+block is written by one %-format of a template of integer fields, each
+exponent's text ('e-05', 'e+308') gathered from a table into the template.
+The few cells whose digits cannot be certain that way go through '%.17g'
+itself.
 
 A file is read in binary, _CHUNK bytes at a time; each read is cut after its
 last LF, or after its last CR that is not its final byte, and CRLF and lone
@@ -49,16 +51,18 @@ _NUMBER_BYTES = b"0123456789.-+eE"
 
 #: 10**0 .. 10**17, exact in int64
 _POW10 = np.array([10**i for i in range(18)], dtype=np.int64)
-#: decimal scalings q = 16 - k of the normal doubles, k from 308 down to -308
-_Q_MIN, _Q_MAX = -292, 324
+#: decimal scalings q = 16 - k of the normal doubles, k from _K_MAX down to -_K_MAX
+_K_MAX = 308
+_Q_MIN, _Q_MAX = 16 - _K_MAX, 16 + _K_MAX
 #: how close to a rounding tie a scaled value may come before it is left to
 #: Python; the double-double product errs by less than 2**-47 (see below)
 _MARGIN = 2.0**-30
 #: Veltkamp's splitting constant 2**27 + 1
 _SPLIT = 134217729.0
-#: a cell's template is _pieces()[((2 * sign + exponent form) * _HEADS + head)
-#: * _ZEROS + zeros]: head 0-9 is that integer part, _HEAD_INT a %d of it;
-#: zeros counts the fraction's leading zeros, _NO_FRACTION drops the point
+#: a cell's template is _pieces()[(sign * _HEADS + head) * _ZEROS + zeros]:
+#: head 0-9 is that integer part, _HEAD_INT a %d of it; zeros counts the
+#: fraction's leading zeros, _NO_FRACTION drops the point.  Its exponent
+#: text comes from _exponents, so the template holds only %d fields
 _HEAD_INT, _HEADS = 10, 11
 _NO_FRACTION, _ZEROS = 16, 17
 
@@ -143,13 +147,13 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
 @functools.cache
 def _pieces() -> np.ndarray:
     """The %-template of each cell code (see _HEADS): sign, integer part,
-    point, leading zeros of the fraction, its %d, and the exponent."""
+    point, leading zeros of the fraction and its %d.  An exponent is not
+    part of it: _exponents gives its text."""
     heads = [str(d) for d in range(10)] + ["%d"]
     return np.array(
         [
-            sign + head + ("" if zeros == _NO_FRACTION else "." + "0" * zeros + "%d") + tail
+            sign + head + ("" if zeros == _NO_FRACTION else "." + "0" * zeros + "%d")
             for sign in ("", "-")
-            for tail in ("", "e%+03d")
             for head in heads
             for zeros in range(_ZEROS)
         ],
@@ -157,16 +161,27 @@ def _pieces() -> np.ndarray:
     )
 
 
-def _float_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """Templates of a block of doubles as '%.17g' writes them; fills the
-    (cells, 3) `args` with their %-arguments (integer part, fraction,
-    exponent) and `used` with which of the three each template takes.
+@functools.cache
+def _exponents(end: str) -> np.ndarray:
+    """The text after a cell in exponent form, indexed by its decimal exponent
+    k + _K_MAX: the exponent as '%.17g' writes it ('e-05', 'e+17', 'e-308'),
+    then `end`, the separator or line end that follows the cell."""
+    return np.array(["e%+03d" % k + end for k in range(-_K_MAX, _K_MAX + 1)], dtype=object)
+
+
+def _float_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray,
+                 after: np.ndarray) -> np.ndarray:
+    """Templates of a block of doubles as '%.17g' writes them.  Fills the
+    (cells, 2) `args` with their %-arguments (integer part, fraction), `used`
+    with which of the two each template takes, and `after`, the text that
+    follows each cell, with the exponent of each cell in exponent form put
+    before the separator or line end that `after` holds.
 
     The positional form, for -4 <= k <= 16, has cut = 16 - k digits after
     the point, the exponent form 16.  The fraction is written as an integer
     after its leading zeros, without its trailing ones.  An integer part of
     one digit is part of the template.  Cells whose digits are not certain
-    are written by '%.17g' itself.
+    are written by '%.17g' itself, exponent included.
     """
     digits, k, certain = _decimal_digits(x)
     positional = (k >= -4) & (k <= 16)
@@ -183,67 +198,81 @@ def _float_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray) -> np.ndarra
         shorter = part // _POW10[step]
         fraction[tens] = np.where(shorter * _POW10[step] == part, shorter, part)
     head = np.minimum(whole, _HEAD_INT)
-    args[:, 0], args[:, 1], args[:, 2] = whole, fraction, k
+    args[:, 0], args[:, 1] = whole, fraction
     used[:, 0] = head == _HEAD_INT
     used[:, 1] = zeros != _NO_FRACTION
-    used[:, 2] = ~positional
     used[~certain] = False
-    code = ((2 * np.signbit(x) + ~positional) * _HEADS + head) * _ZEROS + zeros
+    code = (np.signbit(x) * _HEADS + head) * _ZEROS + zeros
     cells = _pieces()[np.where(certain, code, 0)]
     for i in np.flatnonzero(~certain).tolist():
         cells[i] = _NUMBER % x[i]
+    form = np.flatnonzero(certain & ~positional)
+    if form.size:
+        after[form] = _exponents(after[0])[k[form] + _K_MAX]
     return cells
 
 
 def _format_block(part: list[np.ndarray]) -> str:
-    """One block of rows as text: a template joined from each cell's piece,
-    filled by one %-format of all the cells' integer arguments."""
+    """One block of rows as text: a template joined from each cell's piece
+    and the text after it, filled by one %-format of all the cells' integer
+    arguments."""
     rows, width = part[0].size, len(part)
     template = np.empty((rows, 2 * width), dtype=object)
     template[:, 1::2] = ","
     template[:, -1] = "\n"
-    args = np.zeros((rows, width, 3), dtype=np.int64)
-    used = np.zeros((rows, width, 3), dtype=bool)
+    args = np.zeros((rows, width, 2), dtype=np.int64)
+    used = np.zeros((rows, width, 2), dtype=bool)
     for j, cells in enumerate(part):
         if cells.dtype == object:
             template[:, 2 * j] = cells
         else:
             cells = cells.astype(np.float64, copy=False)
-            template[:, 2 * j] = _float_cells(cells, args[:, j], used[:, j])
+            template[:, 2 * j] = _float_cells(cells, args[:, j], used[:, j], template[:, 2 * j + 1])
     values = tuple(args[used].tolist())
     del args, used  # keep only the template and the values while formatting
     return "".join(template.ravel().tolist()) % values
 
 
 @contextmanager
-def _overwrite(path: str, mode: str, **open_kwargs):
-    """``open(path, mode, **open_kwargs)`` for writing, without truncating on
+def _overwrite(path: str):
+    """The descriptor of ``path`` opened for writing, without truncating on
     open: an existing regular file is written over in place and, when the
     block ends (by an exception too), cut to the bytes written; a device or
     pipe such as /dev/null or /dev/stdout, which refuses a truncate, is only
-    written.  The inode, its mode and its links stay as with ``open``.
+    written.  The inode, its mode and its links stay as with ``open``, and a
+    symlink is followed.  A buffered file over the descriptor must be flushed
+    before the block ends.
 
     A truncate frees the file's blocks, which on ext4 mounted with
     ``discard`` made rewriting 3 KB take 103-132 us and 356 KB ~440 us,
     against 16 us and 33-39 us for writing over the old bytes.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, mode, **open_kwargs) as fh:
+    try:
         try:
-            yield fh
+            yield fd
         except BaseException:
             with suppress(OSError):  # the error that ended the block is the one to report
-                _cut(fh)
+                _cut(fd)
             raise
-        _cut(fh)
+        _cut(fd)
+    finally:
+        os.close(fd)
 
 
-def _cut(fh) -> None:
-    """Flush ``fh`` and cut a regular file to the bytes written."""
-    fh.flush()
-    fd = fh.fileno()
+def _cut(fd: int) -> None:
+    """Cut a regular file to the bytes written through ``fd``."""
     if stat.S_ISREG(os.fstat(fd).st_mode):
         os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    """Write ``data`` over ``path`` (see _overwrite) by os.write calls on its
+    descriptor, each of the bytes that the ones before it left."""
+    with _overwrite(path) as fd:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
 
 
 def _write_csv(path: str, header, columns) -> None:
@@ -256,7 +285,7 @@ def _write_csv(path: str, header, columns) -> None:
     formatted _BLOCK at a time, so memory stays bounded by one block
     whatever the file size.
     """
-    with _overwrite(path, "w", newline="", encoding="utf-8") as fh:
+    with _overwrite(path) as fd, open(fd, "w", newline="", encoding="utf-8", closefd=False) as fh:
         fh.write(",".join(header) + "\n")
         for first in range(0, columns[0].size, _BLOCK):
             part = slice(first, first + _BLOCK)

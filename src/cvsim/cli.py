@@ -19,7 +19,7 @@ from math import isfinite
 import numpy as np
 
 from . import homodyne
-from ._csvio import _overwrite
+from ._csvio import _write_bytes
 from .errors import CVSimError, SpecValidationError
 from .fock import MAX_TOTAL_PHOTONS, bs_output_from_angle
 from .network import GateDescriptor, NetworkSpec, parse_network_spec, run_network
@@ -208,17 +208,24 @@ def _fock_bs_json(state) -> bytes:
     """``json.dumps(payload, indent=2) + "\\n"`` of the fock-bs payload of a
     (finite, ascending-k) ``bs_output`` state: its {basis, re, im} records,
     then the marginals |c_k|^2 of mode 0 and, reversed, of mode 1.  Its
-    floats, the only values that _json_ready may mend, go through it one by
-    one, in the order of the text."""
+    floats, the only values that _json_ready may mend, are tested one by
+    one, in the order of the text, by _json_ready's first test inline; the
+    few that fail it go through _json_ready."""
     reprs: list[bytes] = []
     probs = [0.0] * (state.total_photons + 1)
     records = []
     for (k, m), amp in state.amplitudes.items():
         probs[k] = abs(amp) ** 2
-        records.append({"basis": [k, m], "re": _json_ready(amp.real, reprs),
-                        "im": _json_ready(amp.imag, reprs)})
+        re, im = amp.real, amp.imag
+        magnitude = abs(re)
+        if not (1e-4 <= magnitude < 1e16 or magnitude < 1e-5):
+            re = _json_ready(re, reprs)
+        magnitude = abs(im)
+        if not (1e-4 <= magnitude < 1e16 or magnitude < 1e-5):
+            im = _json_ready(im, reprs)
+        records.append({"basis": [k, m], "re": re, "im": im})
     start = len(reprs)
-    marginal = [_json_ready(p, reprs) for p in probs]
+    marginal = [p if 1e-4 <= p < 1e16 or p < 1e-5 else _json_ready(p, reprs) for p in probs]
     reprs += reprs[start:][::-1]
     return _spliced({"total_photons": state.total_photons, "amplitudes": records,
                      "marginal_mode0": marginal, "marginal_mode1": marginal[::-1]}, reprs)
@@ -311,8 +318,8 @@ def cmd_network(config, out):
                "analyses": result.analyses}
     _check_json_writer()
     text = _json_bytes(payload)
-    with _writing(out), _overwrite(out, "wb") as fh:
-        fh.write(text)
+    with _writing(out):
+        _write_bytes(out, text)
     print(f"wrote network result to {out}")
 
 
@@ -323,8 +330,8 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
     result = bs_output_from_angle(n1, n2, theta, phi)
     _check_json_writer()
     text = _fock_bs_json(result)
-    with _writing(out), _overwrite(out, "wb") as fh:
-        fh.write(text)
+    with _writing(out):
+        _write_bytes(out, text)
     print(f"wrote {len(result.amplitudes)} amplitudes to {out}")
 
 

@@ -11,6 +11,7 @@ always agree there.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,7 +123,9 @@ def simon_criterion(state: GaussianState) -> SimonReport:
         DegenerateInputError: if cov is not positive definite or rounding in
             its entries does not resolve it (see ``states._resolved_cholesky``).
         CVSimError: if either side or their difference overflows float64, as
-            for blocks of about 1e154 vacuum units or more, or at hbar = 1e200.
+            for blocks of about 1e154 vacuum units or more, or at hbar = 1e200;
+            or if one that is nonzero in vacuum units is not a normal double
+            in hbar units, as for a vacuum pair at hbar = 2e-77 or less.
     """
     if state.num_modes != 2:
         raise ValueError(
@@ -145,9 +148,13 @@ def simon_criterion(state: GaussianState) -> SimonReport:
     verdict = SEPARABLE if margin >= -VERDICT_TOL else ENTANGLED
     # to hbar units one factor at a time, so that no power of hbar/2 under- or overflows
     half = state.hbar / 2.0
-    lhs, rhs, margin = (x * half * half * half * half for x in (lhs, rhs, margin))
+    vacuum = (lhs, rhs, margin)
+    lhs, rhs, margin = (x * half * half * half * half for x in vacuum)
     if not np.isfinite([lhs, rhs, margin]).all():
         raise CVSimError(f"the Simon criterion overflows float64 (lhs = {lhs!r}, rhs = {rhs!r})")
+    # a nonzero value that is no longer a normal double has lost its digits, or all of them
+    if any(x and abs(y) < sys.float_info.min for x, y in zip(vacuum, (lhs, rhs, margin))):
+        raise CVSimError(f"the Simon criterion underflows float64 (lhs = {lhs!r}, rhs = {rhs!r})")
     return SimonReport(lhs=lhs, rhs=rhs, verdict=verdict, margin=margin)
 
 

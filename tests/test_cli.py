@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -388,6 +389,42 @@ def test_out_to_the_null_device_exits_0(tmp_path, command):
     result = run_cli([command, *args, "--out", "/dev/null"])
     assert result.exit_code == 0, result.output
     assert "/dev/null" in result.output
+
+
+@pytest.mark.parametrize("command", ["network", "fock-bs"])
+def test_short_writes_still_write_the_whole_file(tmp_path, monkeypatch, command):
+    long, short = long_and_short_args(tmp_path, command)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    run_cli([command, *long, "--out", str(fresh)])
+    run_cli([command, *short, "--out", str(out)])
+    write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(write(fd, data[:1000]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    assert run_cli([command, *long, "--out", str(out)]).exit_code == 0
+    monkeypatch.undo()
+    assert out.read_bytes() == fresh.read_bytes()
+    assert len(sizes) == -(-len(fresh.read_bytes()) // 1000) > 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("command", ["network", "fock-bs"])
+def test_out_to_a_named_pipe_writes_the_file_s_bytes(tmp_path, command):
+    long = long_and_short_args(tmp_path, command)[0]
+    fresh, fifo = tmp_path / "fresh", tmp_path / "fifo"
+    run_cli([command, *long, "--out", str(fresh)])
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert run_cli([command, *long, "--out", str(fifo)]).exit_code == 0
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive() and read == [fresh.read_bytes()]
 
 
 @pytest.mark.parametrize("command", ["sample", "network", "fock-bs"])
@@ -1587,6 +1624,24 @@ def test_csv_power_table_is_built_on_first_write_not_at_import(tmp_path):
     )
     counts = [line.split()[1] for line in run_fresh(code).splitlines() if line.startswith("tables")]
     assert counts == ["0", "1"]
+
+
+def test_csv_exponent_tables_are_built_on_first_exponent_form_write(tmp_path):
+    # a 3-record vacuum sample at seed 42 has no cell in exponent form; the
+    # corners of the vacuum's Wigner grid, W ~ 1e-12, are
+    samples, wigner = str(tmp_path / "s.csv"), str(tmp_path / "w.csv")
+    code = (
+        "from cvsim.cli import main\n"
+        "from cvsim._csvio import _exponents\n"
+        "print('tables', _exponents.cache_info().currsize)\n"
+        f"main(['sample', '--state', 'vacuum', '--count', '3', '--out', {samples!r}],"
+        " standalone_mode=False)\n"
+        "print('tables', _exponents.cache_info().currsize)\n"
+        f"main(['wigner', '--state', 'vacuum', '--out', {wigner!r}], standalone_mode=False)\n"
+        "print('tables', _exponents.cache_info().currsize)\n"
+    )
+    counts = [line.split()[1] for line in run_fresh(code).splitlines() if line.startswith("tables")]
+    assert counts == ["0", "0", "1"]
 
 
 def test_commands_other_than_sample_leave_out_scipy_special(tmp_path):

@@ -148,6 +148,33 @@ def test_writer_matches_g17_on_any_floats(tmp_path_factory, values):
     assert_written_as_g17(tmp_path_factory.mktemp("g17"), np.array(values, dtype=float))
 
 
+#: the edges of the exponent form: the last positional doubles below 1e-4
+#: and 1e17, the first exponent-form ones, and the largest double
+EXPONENT_EDGES = [9.999999999999999e-05, 1e-05, 1.5e-05, 9.999999999999998e16, 1e17,
+                  1.7976931348623157e308]
+
+
+def test_every_exponent_in_every_column_is_g17():
+    """Each decimal exponent k in [-308, 308], of either sign and with a 1-
+    and a 17-digit mantissa, and the edges, in the first, middle and last
+    column of a block: every cell as '%.17g' writes it."""
+    values = [float(f"{sign}{mantissa}e{k}") for k in range(-308, 309) for sign in ("", "-")
+              for mantissa in ("1", "1.2345678901234567")]
+    values += EXPONENT_EDGES + [-x for x in EXPONENT_EDGES]
+    column = np.array(values)
+    # every value in every column, beside cells of other exponents
+    part = [column, np.roll(column, 1), np.roll(column, 2)]
+    rows = _csvio._format_block(part).split("\n")
+    assert rows.pop() == "" and len(rows) == column.size <= _BLOCK
+    for row, cells in zip(rows, zip(*(p.tolist() for p in part))):
+        assert row.split(",") == ["%.17g" % x for x in cells]
+
+
+def test_a_float_cell_takes_at_most_two_format_arguments():
+    assert len(_csvio._pieces()) == 374
+    assert max(piece.count("%") for piece in _csvio._pieces()) == 2
+
+
 def test_decimal_digits_are_exact_where_certain():
     rng = np.random.default_rng(5)
     with np.errstate(over="ignore"):

@@ -185,7 +185,8 @@ def test_every_result_in_vacuum_units_is_the_same_at_any_hbar(seed):
     physicality, E_N and its spectrum, the Simon verdict, the Wigner and
     Husimi values in the alpha measure and W on a grid in vacuum units are
     the hbar = 2 numbers, to within 64 eps cond(sigma).  Simon's sides in
-    hbar units overflow at hbar = 1e200 and raise CVSimError."""
+    hbar units overflow at hbar = 1e200 and underflow at hbar = 1e-200, and
+    raise CVSimError."""
     n = 1 + seed % 4
     at = {hbar: _seeded_state(seed, n, hbar) for hbar in SCALING_HBARS}
     ref = at[2.0]
@@ -221,8 +222,9 @@ def test_every_result_in_vacuum_units_is_the_same_at_any_hbar(seed):
         nu, nu_ref = (ptranspose_symplectic_spectrum(st_, split) for st_ in (state, ref))
         assert np.abs(nu - nu_ref).max() <= tol
         pair, pair_ref = reduced_state(state, [0, 1]), reduced_state(ref, [0, 1])
-        if hbar == 1e200:
-            with pytest.raises(CVSimError, match="the Simon criterion overflows float64"):
+        if hbar in (1e200, 1e-200):
+            flow = "overflows" if hbar > 1 else "underflows"
+            with pytest.raises(CVSimError, match=f"the Simon criterion {flow} float64"):
                 simon_criterion(pair)
             continue
         expected = simon_criterion(pair_ref)
