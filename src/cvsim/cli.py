@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from contextlib import contextmanager
 from functools import cache
@@ -50,185 +49,67 @@ def _writing(path: str):
         raise CLIError(f"cannot write {path}: {exc.strerror}", 1) from None
 
 
-#: orjson writes a one-digit negative exponent without a leading zero
-#: (2.5e-7), where repr writes 2.5e-07
-_EXPONENT_ZERO = re.compile(rb"e-(?=[0-9]\b)")
-#: the largest finite double
-_FLOAT_MAX = sys.float_info.max
-#: doubles at each edge of the forms that _json_bytes mends, and in
-#: [1e-5, 1e-4) one of 17 digits and a negative one
-_PROBE = (0.0, -0.0, 0.1, 1e15, 9999999999999998.0, 1e16, 1.5e300, 1e-4,
-          9.999999999999999e-05, 1.2345678901234568e-05, -3.4567e-05, 1e-5,
-          9.999999999999999e-06, 2.5e-7, 1e-10, 5e-324)
-
-
-def _unknown_float_form() -> CVSimError:
-    import orjson
-
-    return CVSimError(f"orjson {orjson.__version__} writes floats in a form that "
-                      "cvsim's JSON writers do not know")
-
-
-def _e05_reprs(cells: np.ndarray) -> list[bytes]:
-    """float.__repr__ of each cell of a float64 array with |x| in [1e-5,
-    1e-4), from orjson's digits: orjson writes |x| as 0.0000D1...Dk, and
-    repr as [-]D1[.D2...Dk]e-05.  The digits move into NUL-padded fixed
-    slots, one row a cell, and one translate drops the padding.  A token
-    that is not 0.0000 followed by 1 to 17 digits, the first and last not 0,
-    raises CVSimError."""
-    import orjson
-
-    text = orjson.dumps(np.abs(cells), option=orjson.OPT_SERIALIZE_NUMPY)
-    # a token's window: "0.0000" and 17 digit slots, padded past the text
-    buf = np.frombuffer(text + bytes(23), np.uint8)
-    commas = np.flatnonzero(buf == ord(","))
-    if text[:1] != b"[" or text[-1:] != b"]" or commas.size != cells.size - 1:
-        raise _unknown_float_form()
-    starts = np.concatenate(([1], commas + 1))
-    count = np.diff(np.append(starts, len(text))) - 7  # digits of each token
-    window = np.lib.stride_tricks.sliding_window_view(buf, 23)[starts]
-    digits = window[:, 6:]
-    used = np.arange(17) < count[:, None]
-    if not (((count >= 1) & (count <= 17)).all()
-            and (window[:, :6] == np.frombuffer(b"0.0000", np.uint8)).all()
-            and ((digits - np.uint8(ord("0")) < 10) | ~used).all()  # uint8 wraps below "0"
-            and (digits[:, 0] != ord("0")).all()
-            and (digits[np.arange(cells.size), count - 1] != ord("0")).all()):
-        raise _unknown_float_form()
-    # a row: sign, D1, ".", D2...D17, "e-05", ","
-    slots = np.zeros((cells.size, 24), np.uint8)
-    slots[:, 0] = np.where(np.signbit(cells), ord("-"), 0)
-    slots[:, 1] = digits[:, 0]
-    slots[:, 2] = np.where(count > 1, ord("."), 0)
-    slots[:, 3:19] = digits[:, 1:] * used[:, 1:]
-    slots[:, 19:] = np.frombuffer(b"e-05,", np.uint8)
-    return slots.tobytes().translate(None, b"\0")[:-1].split(b",")
-
-
-def _json_ready(value, reprs: list):
-    """`value` for _spliced to write: a float that orjson writes in another
-    form than repr becomes NaN, and its repr, like the "null" of each None,
-    is appended to `reprs` in the order of the text.  A float64 array stays
-    an array; any other array is read as its tolist()."""
+def _json_ready(value):
+    """`value` as orjson is to write it: a float64 array as it is, made
+    C-contiguous, and any other array as its tolist(), so that a float32
+    cell is written as the double it reads as.  A value that a JSON result
+    file cannot hold as it reads back raises CVSimError: a float that is not
+    finite, an int beyond 64 bits, a key that is not a str, or a type that
+    is not JSON's."""
     if isinstance(value, float):
-        magnitude = abs(value)
-        if 1e-4 <= magnitude < 1e16 or magnitude < 1e-5:
+        if isfinite(value):
             return value
-        if magnitude <= _FLOAT_MAX:
-            reprs.append(float.__repr__(value).encode())
-            return np.nan
-    elif isinstance(value, str):
-        import orjson
-
-        text = orjson.dumps(value)
-        if (text == json.dumps(value).encode() and b"null" not in text
-                and not _EXPONENT_ZERO.search(text)):
-            return value
+    elif isinstance(value, (str, bool)) or value is None:
+        return value
     elif isinstance(value, int):
         if -2**63 <= value < 2**64:
             return value
-    elif value is None:
-        reprs.append(b"null")
-        return value
     elif isinstance(value, dict):
         if all(isinstance(key, str) for key in value):
-            return {_json_ready(k, reprs): _json_ready(v, reprs) for k, v in value.items()}
+            return {key: _json_ready(v) for key, v in value.items()}
     elif isinstance(value, (list, tuple)):
-        return [_json_ready(v, reprs) for v in value]
+        return [_json_ready(v) for v in value]
     elif isinstance(value, np.ndarray):
         if value.dtype != np.float64 or not value.ndim:
-            return _json_ready(value.tolist(), reprs)
-        a = np.ascontiguousarray(value)
-        magnitude = np.abs(a)
-        finite = magnitude <= _FLOAT_MAX
+            return _json_ready(value.tolist())
+        finite = np.isfinite(value)
         if finite.all():
-            mended = (magnitude >= 1e16) | ((magnitude >= 1e-5) & (magnitude < 1e-4))
-            if mended.any():
-                cells = a[mended]
-                small = magnitude[mended] < 1e-4
-                texts = np.empty(cells.size, object)
-                texts[small] = _e05_reprs(cells[small]) if small.any() else []
-                texts[~small] = [float.__repr__(x).encode() for x in cells[~small].tolist()]
-                reprs.extend(texts.tolist())
-                a = np.where(mended, np.nan, a)
-            return a
-        value = a[~finite][0]
-    raise CVSimError(f"cannot write {value!r} in a JSON result file as json.dumps does")
+            return np.ascontiguousarray(value)
+        value = value[~finite][0]
+    raise CVSimError(f"cannot write {value!r} in a JSON result file")
 
 
-def _spliced(ready, reprs: list[bytes]) -> bytes:
-    """The text of `ready`, as _json_ready leaves a payload, from one
-    orjson.dumps, with the one-digit negative exponents mended and each
-    null replaced by the next of `reprs`."""
+def _dumps(payload) -> bytes:
+    """``json.dumps(payload, indent=2)``'s layout plus one LF, from one
+    orjson.dumps: each float in the shortest digits that read back as it
+    (Ryu; Adams, PLDI 2018).  `payload` holds only what _json_ready passes."""
     import orjson
 
-    text = orjson.dumps(ready, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
-                        | orjson.OPT_APPEND_NEWLINE)
-    del ready  # its mended arrays are not needed while the text is spliced
-    pieces = _EXPONENT_ZERO.sub(b"e-0", text).split(b"null")
-    del text
-    if len(pieces) != len(reprs) + 1:
-        raise CVSimError(f"{len(pieces) - 1} nulls in the JSON text of {len(reprs)} mended values")
-    joined = [b""] * (2 * len(pieces) - 1)
-    joined[::2], joined[1::2] = pieces, reprs
-    return b"".join(joined)
+    try:
+        return orjson.dumps(payload, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
+                            | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError as exc:  # a str that is not UTF-8, or nesting too deep
+        raise CVSimError(f"cannot write the payload in a JSON result file: {exc}") from None
 
 
 def _json_bytes(payload) -> bytes:
-    """``json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\\n"``
-    as UTF-8, written by one orjson.dumps.
-
-    orjson writes each float with float.__repr__'s digits, the shortest that
-    read back (Ryu; Adams, PLDI 2018), but not always in repr's form: it
-    writes |x| in [1e-5, 1e-4) without an exponent, |x| >= 1e16 without the
-    "+" of its exponent, and a one-digit negative exponent without a leading
-    zero.  _json_ready turns the first two into NaN, whose null is replaced
-    by their repr (for the cells of a float64 array in [1e-5, 1e-4), the
-    repr that _e05_reprs writes from orjson's digits); one substitution in
-    _spliced mends the third.  A value that this cannot write as json.dumps
-    does raises CVSimError: a float that is not finite, a string that orjson
-    escapes otherwise or whose text holds "null", an int beyond 64 bits, or
-    a type that is not JSON's.
-    """
-    reprs: list[bytes] = []
-    return _spliced(_json_ready(payload, reprs), reprs)
-
-
-@cache
-def _check_json_writer() -> None:
-    """Raise CVSimError unless _json_bytes writes _PROBE, as Python floats and
-    as an array, as json.dumps does: the mends above rely on orjson's float
-    format, which orjson's version range does not pin."""
-    expected = (json.dumps(_PROBE, indent=2) + "\n").encode()
-    if not _json_bytes(list(_PROBE)) == _json_bytes(np.array(_PROBE)) == expected:
-        raise _unknown_float_form()
+    """The JSON result file of `payload`, checked by _json_ready and written
+    by _dumps."""
+    return _dumps(_json_ready(payload))
 
 
 def _fock_bs_json(state) -> bytes:
-    """``json.dumps(payload, indent=2) + "\\n"`` of the fock-bs payload of a
-    (finite, ascending-k) ``bs_output`` state: its {basis, re, im} records,
-    then the marginals |c_k|^2 of mode 0 and, reversed, of mode 1.  Its
-    floats, the only values that _json_ready may mend, are tested one by
-    one, in the order of the text, by _json_ready's first test inline; the
-    few that fail it go through _json_ready."""
-    reprs: list[bytes] = []
+    """The fock-bs file of a ``bs_output`` state (ascending k): its {basis,
+    re, im} records, then the marginals |c_k|^2 of mode 0 and, reversed, of
+    mode 1.  Every value is finite, as the state's norm check holds, so the
+    payload goes to _dumps unchecked."""
     probs = [0.0] * (state.total_photons + 1)
     records = []
-    for (k, m), amp in state.amplitudes.items():
-        probs[k] = abs(amp) ** 2
-        re, im = amp.real, amp.imag
-        magnitude = abs(re)
-        if not (1e-4 <= magnitude < 1e16 or magnitude < 1e-5):
-            re = _json_ready(re, reprs)
-        magnitude = abs(im)
-        if not (1e-4 <= magnitude < 1e16 or magnitude < 1e-5):
-            im = _json_ready(im, reprs)
-        records.append({"basis": [k, m], "re": re, "im": im})
-    start = len(reprs)
-    marginal = [p if 1e-4 <= p < 1e16 or p < 1e-5 else _json_ready(p, reprs) for p in probs]
-    reprs += reprs[start:][::-1]
-    return _spliced({"total_photons": state.total_photons, "amplitudes": records,
-                     "marginal_mode0": marginal, "marginal_mode1": marginal[::-1]}, reprs)
+    for ((k, m), amp), p in zip(state.amplitudes.items(), state.probabilities):
+        probs[k] = p
+        records.append({"basis": [k, m], "re": amp.real, "im": amp.imag})
+    return _dumps({"total_photons": state.total_photons, "amplitudes": records,
+                   "marginal_mode0": probs, "marginal_mode1": probs[::-1]})
 
 
 #: --state -> (source model constructor, the options it takes in order)
@@ -316,7 +197,6 @@ def cmd_network(config, out):
     mean, cov = clean_tiny(result.state)
     payload = {"modes": spec.num_modes, "hbar": spec.hbar, "mean": mean, "cov": cov,
                "analyses": result.analyses}
-    _check_json_writer()
     text = _json_bytes(payload)
     with _writing(out):
         _write_bytes(out, text)
@@ -328,7 +208,6 @@ def cmd_fock_bs(n1, n2, theta, phi, out):
     if n1 + n2 > MAX_TOTAL_PHOTONS:
         raise CLIError(f"n1 + n2 must not exceed {MAX_TOTAL_PHOTONS}", 2)
     result = bs_output_from_angle(n1, n2, theta, phi)
-    _check_json_writer()
     text = _fock_bs_json(result)
     with _writing(out):
         _write_bytes(out, text)

@@ -22,7 +22,7 @@ at phi = pi - phi_gate (mod 2 pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import atan2, cos, isfinite, sin
 
@@ -48,22 +48,28 @@ class TwoModeFockState:
         amplitudes: map (k, m) -> complex amplitude on |k, m>; a state from
             ``bs_output`` lists its kets in ascending k.
         total_photons: common k + m of every basis ket.
+        probabilities: |c|^2 of each amplitude, in the order of ``amplitudes``.
     """
 
     amplitudes: dict[tuple[int, int], complex]
     total_photons: int
+    probabilities: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         norm = 0
+        probabilities = []
         for (k, m), amp in self.amplitudes.items():
             if k < 0 or m < 0 or k + m != self.total_photons:
                 raise MalformedInputError(
                     f"ket |{k},{m}> is outside the {self.total_photons}-photon sector"
                 )
-            norm += abs(amp) ** 2
+            p = abs(amp) ** 2
+            probabilities.append(p)
+            norm += p
         if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
             raise MalformedInputError(f"state is not normalized: sum |c|^2 = {norm!r}")
         object.__setattr__(self, "amplitudes", dict(self.amplitudes))
+        object.__setattr__(self, "probabilities", tuple(probabilities))
 
     def amplitude(self, k: int, m: int) -> complex:
         return self.amplitudes.get((k, m), 0.0 + 0.0j)
@@ -131,6 +137,6 @@ def photon_number_distribution(state: TwoModeFockState, arm: int) -> np.ndarray:
     if arm not in (0, 1):
         raise ValueError("arm must be 0 or 1")
     probs = np.zeros(state.total_photons + 1)
-    for (k, m), amp in state.amplitudes.items():
-        probs[k if arm == 0 else m] += abs(amp) ** 2
+    for (k, m), p in zip(state.amplitudes, state.probabilities):
+        probs[k if arm == 0 else m] += p
     return probs

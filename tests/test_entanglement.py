@@ -426,8 +426,8 @@ def test_log_negativity_of_a_product_state_at_large_hbar(hbar):
     assert log_negativity(state, Bipartition([0], [1])) == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the Simon tolerance, 1e-10 (hbar/2)^4, "
-                   "is coarser than the margin of a weakly entangled pair")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the Simon tolerance, 1e-10 in vacuum "
+                   "units, is coarser than the margin of a weakly entangled pair")
 def test_simon_verdict_of_a_weakly_squeezed_pair():
     # nu_min = 1 - 2e-6 and E_N = 2.9e-6, but the margin (nu_-^2 - 1)(nu_+^2 - 1)
     # is -1.6e-11, which reads separable

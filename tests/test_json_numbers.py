@@ -1,44 +1,49 @@
-"""The network JSON writer's floats against json.dumps, value by value:
-random bit patterns, every decade, the neighbours of powers of ten, every
-shortest length from 1 to 17 digits, rounding-interval ends for even and odd
-mantissas, 16-digit ties, power-of-two mantissas, subnormals, zeros, normal
-deviates and a Wigner grid, in 1-D and 2-D arrays and in lists of Python
-floats, at the top level and nested in an object; and the kernel that
-writes the cells in [1e-5, 1e-4) from orjson's digits, on every digit count
-and on the forms of orjson's text that it must refuse."""
+"""The network JSON writer's floats read back, value by value, in
+json.dumps's layout: random bit patterns, every decade, the neighbours of
+powers of ten, every shortest length from 1 to 17 digits, rounding-interval
+ends for even and odd mantissas, 16-digit ties, power-of-two mantissas,
+subnormals, zeros, normal deviates and a Wigner grid, in 1-D and 2-D arrays
+and in lists of Python floats, at the top level and nested in an object;
+and the cells in [1e-5, 1e-4), which orjson writes without an exponent, on
+every digit count."""
 
 import json
 import random
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from cvsim.cli import _e05_reprs, _json_bytes
-from cvsim.errors import CVSimError
+from cvsim.cli import _json_bytes
+from json_readback import assert_reads_back, significant_digits
 
 
-def written(obj):
-    return _json_bytes(obj).decode()
+def assert_written_bit_for_bit(a):
+    """_json_bytes's text of `a`, and of its Python floats, reads back as
+    them in json.dumps's layout, at the top level and nested in an object."""
+    for obj in (a, a.tolist(), {"values": [a]}):
+        assert_reads_back(_json_bytes(obj), obj)
 
 
-def assert_written_as_json_dumps(a):
-    """_json_bytes's text of `a`, and of its Python floats, is json.dumps's,
-    at the top level and nested in an object."""
-    text = json.dumps(a.tolist(), indent=2)
-    nested = '{\n  "values": [\n    ' + text.replace("\n", "\n    ") + "\n  ]\n}\n"
-    for obj, want in ((a, text + "\n"), (a.tolist(), text + "\n"), ({"values": [a]}, nested)):
-        got = written(obj)
-        if got != want:
-            wrong = [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w]
-            raise AssertionError(wrong[:5] or (len(got), len(want)))
+def numbers(text: bytes) -> str:
+    """The number tokens of the text of nested arrays, comma-separated."""
+    return text.translate(None, b" \n[]").decode()
 
 
-def reprs(values):
+def tokens(values):
     """The text of each value in the writer's 1-D array."""
-    return [line.strip().rstrip(",") for line in written(np.asarray(values)).split("\n")[1:-2]]
+    text = _json_bytes(np.asarray(values)).decode()
+    return [line.strip().rstrip(",") for line in text.split("\n")[1:-2]]
+
+
+def assert_shortest(values):
+    """Each value of `values` is written in repr's shortest digits, and reads back as it."""
+    values = np.asarray(values, np.float64).tolist()
+    texts = tokens(values)
+    assert [float(t) for t in texts] == values
+    assert all(np.signbit(float(t)) == np.signbit(x) for t, x in zip(texts, values))
+    assert [significant_digits(t) for t in texts] == [significant_digits(repr(x)) for x in values]
 
 
 def powers_of_ten():
@@ -117,40 +122,53 @@ def fuzz_values(seed):
     return values[rng.permutation(values.size)]
 
 
-def test_json_writer_matches_float_repr_on_a_million_fuzzed_values():
+def test_json_writer_reads_back_a_million_fuzzed_values():
     values = fuzz_values(20261018)
     values = values[np.isfinite(values)]
     assert values.size >= 1_000_000
+    text = _json_bytes(values)
+    back = json.loads(text)
+    assert set(map(type, back)) == {float}
+    assert np.array_equal(np.array(back).view(np.int64), values.view(np.int64))
+    texts = numbers(text).split(",")
+    assert [significant_digits(t) for t in texts] == [
+        significant_digits(repr(x)) for x in values.tolist()]
+    # every other form writes the same number tokens, each in its layout
     rows = [values[:values.size // cols * cols].reshape(-1, cols) for cols in (7, 1500)]
     for a in (values, *rows):
-        assert_written_as_json_dumps(a)
+        want = ",".join(texts[:a.size])
+        assert numbers(_json_bytes(a)) == numbers(_json_bytes(a.tolist())) == want
+        assert numbers(_json_bytes({"values": [a]})) == '{"values":' + want + "}"
+        assert_written_bit_for_bit(a[:3])
 
 
-def test_json_writer_matches_python_at_interval_ends():
+def test_json_writer_reads_back_interval_ends():
     # 2**54 + 8 has an even mantissa, so 18014398509481990 reads back to it;
     # 2**54 + 4 is odd, and its interval end 18014398509481990 does not
     values = np.array([2.0**54 + 8, 2.0**54 + 4, 2.0**54 + 12])
-    assert reprs(values) == ["1.801439850948199e+16", "1.8014398509481988e+16",
-                             "1.8014398509481996e+16"]
-    assert_written_as_json_dumps(np.array(interval_ends(random.Random(7), 4000)))
+    assert [significant_digits(t) for t in tokens(values)] == [
+        "1801439850948199", "18014398509481988", "18014398509481996"]
+    ends = np.array(interval_ends(random.Random(7), 4000))
+    assert_shortest(np.concatenate([values, ends]))
+    assert_written_bit_for_bit(ends)
 
 
-def test_json_writer_writes_short_decimals_as_repr():
+def test_json_writer_writes_short_decimals_in_their_shortest_digits():
     values = np.array([0.3, -1e-5, 2.5e-7, 123.456, 7e15, 1.5e300, 0.002])
-    assert reprs(values) == ["0.3", "-1e-05", "2.5e-07", "123.456", "7000000000000000.0",
-                             "1.5e+300", "0.002"]
+    assert [significant_digits(t) for t in tokens(values)] == [
+        "3", "1", "25", "123456", "7", "15", "2"]
+    assert_shortest(values)
 
 
-def test_mended_cells_keep_their_repr_in_every_position():
-    # orjson writes [1e-5, 1e-4) positionally and 1e16 without its "+"; the
-    # writer puts repr in place of each, in long rows and in many short ones
+def test_edge_cells_read_back_in_every_position():
+    # orjson writes [1e-5, 1e-4) positionally and 1e16 in exponent form, in
+    # long rows and in many short ones
     edges = [1e-5, -9.999999999999999e-05, 1e-4, 9.999999999999999e-06, 5e-05, -1e16,
              9999999999999998.0]
-    assert reprs(edges) == ["1e-05", "-9.999999999999999e-05", "0.0001",
-                            "9.999999999999999e-06", "5e-05", "-1e+16", "9999999999999998.0"]
+    assert_shortest(edges)
     values = np.tile(edges, 1024)
     for a in (values, values.reshape(1, -1), values.reshape(-1, 7)):
-        assert_written_as_json_dumps(a)
+        assert_written_bit_for_bit(a)
 
 
 #: the ends of [1e-5, 1e-4) and their neighbours on both sides
@@ -168,42 +186,25 @@ E05_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=20
                     elements=SIGNED_E05_CELLS | st.floats(allow_nan=False, allow_infinity=False))
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(E05_ARRAYS)
-@example(np.array(E05_EDGES + [-x for x in E05_EDGES] + [0.5, -1e16, 3e-300]).reshape(3, 5))
-def test_json_writer_writes_every_e05_cell_as_json_dumps(a):
-    assert _json_bytes(a) == (json.dumps(a.tolist(), indent=2) + "\n").encode()
-
-
-def test_e05_kernel_writes_every_digit_count():
+def e05_digit_counts():
+    """200 cells in [1e-5, 1e-4) of each digit count from 1 to 17, both signs,
+    and the lower edges."""
     rng = random.Random(5)
     values = [float(f"{rng.randrange(10 ** (n - 1), 10**n)}e-{n + 4}")
               for n in range(1, 18) for _ in range(200)]
-    values = np.array(values + [-x for x in values] + E05_EDGES[0:5:2])
-    assert _e05_reprs(values) == [float.__repr__(x).encode() for x in values.tolist()]
-    digits = {len(float.__repr__(abs(x)).split("e")[0].replace(".", "")) for x in values.tolist()}
+    return np.array(values + [-x for x in values] + E05_EDGES[0:5:2])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(E05_ARRAYS)
+@example(np.array(E05_EDGES + [-x for x in E05_EDGES] + [0.5, -1e16, 3e-300]).reshape(3, 5))
+def test_json_writer_reads_back_every_e05_cell(a):
+    assert_reads_back(_json_bytes(a), a)
+    assert_shortest(a.ravel())
+
+
+def test_e05_cells_of_every_digit_count_are_written_shortest():
+    values = e05_digit_counts()
+    digits = {len(significant_digits(repr(x))) for x in values.tolist()}
     assert digits == set(range(1, 18))
-
-
-#: orjson texts of [1e-5, 5e-5, 1.2345678901234568e-05] that the kernel refuses
-UNKNOWN_E05_FORMS = {
-    "exponent": b"[1e-05,5e-05,1.2345678901234568e-05]",
-    "leading zero digit": b"[0.000001,0.00005,0.000012345678901234568]",
-    "trailing zero digit": b"[0.000010,0.000050,0.000012345678901234568]",
-    "18 digits": b"[0.00001,0.00005,0.000012345678901234568]".replace(b"68]", b"681]"),
-    "no digit": b"[0.0000,0.00005,0.000012345678901234568]",
-    "spaced": b"[0.00001, 0.00005, 0.000012345678901234568]",
-    "letter": b"[0.00001,0.0000x5,0.000012345678901234568]",
-    "one token short": b"[0.00001,0.00005]",
-    "unbracketed": b"0.00001,0.00005,0.000012345678901234568",
-}
-
-
-@pytest.mark.parametrize("text", list(UNKNOWN_E05_FORMS.values()), ids=list(UNKNOWN_E05_FORMS))
-def test_e05_kernel_refuses_an_unknown_orjson_form(monkeypatch, text):
-    import orjson
-
-    monkeypatch.setattr(orjson, "dumps", lambda obj, option=None: text)
-    with pytest.raises(CVSimError, match=r"writes floats in a form that cvsim's JSON "
-                                         r"writers do not know"):
-        _e05_reprs(np.array([1e-5, 5e-5, 1.2345678901234568e-05]))
+    assert_shortest(values)
