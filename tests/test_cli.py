@@ -280,10 +280,20 @@ def test_json_bytes_reads_back_in_json_dumps_layout(obj):
     assert_reads_back(_json_bytes(obj), obj)
 
 
+def deeply_nested(depth):
+    """`depth` lists, each the only item of the one before."""
+    outer = inner = []
+    for _ in range(depth - 1):
+        inner.append([])
+        inner = inner[0]
+    return outer
+
+
 @pytest.mark.parametrize("value", [
     math.nan, math.inf, -math.inf, np.float64(math.nan), np.array([1.0, math.nan]),
     np.array([[2.0], [-math.inf]]), np.array([math.inf], np.float32), [1.0, math.inf],
-    2**64, -2**63 - 1, np.int64(3), {1: 2.0}, {1.0}, 1j, "\ud800",
+    2**64, -2**63 - 1, np.int64(3), {1: 2.0}, {1.0}, 1j, "\ud800", np.float32(1.5),
+    np.bool_(True), deeply_nested(300),
 ])
 def test_json_bytes_refuses_what_json_cannot_read_back(value):
     with pytest.raises(CVSimError, match="cannot write .* in a JSON result file"):
@@ -295,6 +305,36 @@ def test_json_bytes_refuses_what_json_cannot_read_back(value):
 def test_json_bytes_writes_any_string_as_it_reads_back(value):
     payload = {"modes": 2, "analyses": [{"type": "reduced", "value": value}]}
     assert json.loads(_json_bytes(payload)) == payload
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+#: float64 arrays in every memory layout, which orjson is given C-contiguous,
+#: and arrays of other dtypes, which it is given as their tolist()
+ARRAY_LAYOUTS = {
+    "big-endian": np.array([[1.5, -0.0], [3e-5, 5e-324]], ">f8"),
+    "fortran": np.asfortranarray(dense_array(10, (3, 4), [(0, 2, -1.0)])),
+    "transposed": dense_array(11, (4, 3), []).T,
+    "strided": dense_array(12, (20,), [])[::3],
+    "reversed": dense_array(13, (5,), [(1, 1, -1.0)])[::-1],
+    "broadcast": np.broadcast_to(np.array([2.5e-7, -1e16]), (3, 2)),
+    "read-only": read_only(dense_array(14, (2, 2), [])),
+    "3-d": dense_array(15, (2, 3, 4), [(5, 3, 1.0)]),
+    "empty rows": np.zeros((0, 3)),
+    "empty columns": np.zeros((3, 0)),
+    "float16": np.array([1.5, 0.1, -0.0, 6e-8], np.float16),
+    "int32": np.array([[1, -2], [2**31 - 1, -2**31]], np.int32),
+    "uint64": np.array([0, 2**64 - 1], np.uint64),
+    "object": np.array([1.0, None, "x"], object),
+}
+
+
+@pytest.mark.parametrize("a", list(ARRAY_LAYOUTS.values()), ids=list(ARRAY_LAYOUTS))
+def test_json_bytes_writes_every_array_layout_as_it_reads_back(a):
+    assert_reads_back(_json_bytes({"cov": a, "rows": [a, a]}), {"cov": a, "rows": [a, a]})
 
 
 def test_json_bytes_frees_its_arrays_without_the_garbage_collector():
@@ -1073,6 +1113,27 @@ def test_wigner_writes_0_where_the_quadratic_form_overflows(tmp_path):
     values = read_wigner_csv(str(out)).values
     assert values[1, 1] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
     assert np.count_nonzero(values) == 1
+
+
+@pytest.mark.parametrize("before", [None, b"an earlier result\n"], ids=["new", "existing"])
+def test_network_result_json_cannot_read_back_exits_1_leaving_out_as_it_was(tmp_path,
+                                                                         monkeypatch, before):
+    run = cli.run_network
+
+    def run_with_a_nan(spec):
+        result = run(spec)
+        result.analyses.append({"type": "reduced", "value": math.nan})
+        return result
+
+    monkeypatch.setattr(cli, "run_network", run_with_a_nan)
+    path, out = tmp_path / "net.json", tmp_path / "o.json"
+    path.write_text(json.dumps(README_NETWORK))
+    if before is not None:
+        out.write_bytes(before)
+    result = run_cli(["network", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == ["Error: cannot write nan in a JSON result file"]
+    assert (out.read_bytes() if out.exists() else None) == before
 
 
 def test_network_simon_of_subnormal_correlations_prints_no_warning(tmp_path):
