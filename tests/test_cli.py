@@ -34,7 +34,7 @@ from cvsim import (
     write_samples_csv,
 )
 from cvsim.homodyne import DEFAULT_TOL, read_variance_csv
-from json_readback import assert_reads_back
+from json_readback import assert_reads_back, masked
 
 
 class Result(NamedTuple):
@@ -172,23 +172,34 @@ def chain16_network():
     return {"modes": 16, "hbar": 2.0, "gates": gates, "analyses": analyses}
 
 
-# SHA-256 of the JSON outputs; the fock-bs amplitudes are those that
-# tests/test_fock.py checks against a 50-digit reference.  The network
-# digests were re-pinned once when the files took orjson's spelling of each
-# number (2.5e-7, 0.00005, 1e16) in place of repr's (2.5e-07, 5e-05, 1e+16):
-# every value reads back as it did under json.dump(payload, indent=2), and
-# the layout is unchanged.  The fock-bs files hold no number that the two
-# spell apart, so their digests did not move.
+# SHA-256 of what a JSON output promises, which no admitted orjson version
+# changes: its values, as json.dumps writes what json.loads reads back, and
+# its layout, number tokens masked.  The bytes are not pinned, since each
+# number is spelled as orjson spells it.  The digests are those of the files
+# that repr's spelling wrote before, which read back as the same values in
+# the same layout.  The fock-bs amplitudes are those that tests/test_fock.py
+# checks against a 50-digit reference.
 NETWORK_GOLDENS = {
-    "readme": "b808db2e00b9da2bd0a263a30ea599a6055529ce60c505ee51a4d1dc50ee4dd3",
-    "chain16": "43d6bb22b8983f7b65fdf420700eaf1fcc0d05cf4686a09b5e6809656b26f0ec",
+    "readme": ("3454f6f38da9f7acb2954a161b0ea85d28fd6797dc934fc5a40e4cc811548083",
+               "a49a97839457f7d9d002701ac9813fd2eb954d493d7c68b7cb6c20bcb9c550e8"),
+    "chain16": ("a63648ca835b7443e6d95197e89ad0a4ec491c30539896b65a7a54e190bad0c2",
+                "05e945dbba5307cce2c0d622f34732c05d1780b99680532b985e2d67b5f8898b"),
 }
 FOCK_BS_GOLDENS = {
     ("--n1", "1", "--n2", "1"):
-        "5d5ca0011b02ace264d6afcae44931fe9d1159d10a006e6abd4f3d3ce3b803d6",
+        ("0181111c0a429daa66fcc166d26b147b19fb5efd839ed44494802dac82ebacae",
+         "ef601c4b08f15ee7c61ccfdb8ce317388ebfc7c17f24840c14b0c5eb919da84c"),
     ("--n1", "15", "--n2", "16", "--theta", "0.8853981633974483", "--phi", "0.3"):
-        "e1dcfe4862e52bd0d30e82f3dafcf269aae40678e0f7ebade2d6bf61e06b7d27",
+        ("5cd114447b96166924360b1adc9851be7f9497fda6b8bfd12df2efeba320e42a",
+         "35bc7893ba5fb0b7f0a963f06e0a1d5a8bbd6617a6c761a5a74889ba81f3f98c"),
 }
+
+
+def json_digests(path):
+    """SHA-256 of the values and of the masked layout of a JSON output."""
+    text = path.read_text()
+    return (hashlib.sha256(json.dumps(json.loads(text)).encode()).hexdigest(),
+            hashlib.sha256(masked(text).encode()).hexdigest())
 
 
 @pytest.mark.parametrize("name", list(NETWORK_GOLDENS))
@@ -196,14 +207,14 @@ def test_network_output_matches_golden_digest(tmp_path, name):
     config, out = tmp_path / "net.json", tmp_path / "o.json"
     config.write_text(json.dumps(README_NETWORK if name == "readme" else chain16_network()))
     run_cli(["network", "--config", str(config), "--out", str(out)])
-    assert sha256(out) == NETWORK_GOLDENS[name]
+    assert json_digests(out) == NETWORK_GOLDENS[name]
 
 
 @pytest.mark.parametrize("flags", list(FOCK_BS_GOLDENS))
 def test_fock_bs_output_matches_golden_digest(tmp_path, flags):
     out = tmp_path / "f.json"
     run_cli(["fock-bs", *flags, "--out", str(out)])
-    assert sha256(out) == FOCK_BS_GOLDENS[flags]
+    assert json_digests(out) == FOCK_BS_GOLDENS[flags]
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-5,
@@ -1429,7 +1440,7 @@ def test_a_well_formed_command_line_is_read_without_argparse(tmp_path, monkeypat
     out = tmp_path / "f.json"
     flags = next(iter(FOCK_BS_GOLDENS))
     assert run_cli(["fock-bs", *flags, "--out", str(out)]).exit_code == 0
-    assert sha256(out) == FOCK_BS_GOLDENS[flags]
+    assert json_digests(out) == FOCK_BS_GOLDENS[flags]
 
 
 #: (a line that gives a lone "--" as an option's value, the option)

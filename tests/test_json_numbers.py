@@ -4,10 +4,9 @@ powers of ten, every shortest length from 1 to 17 digits, rounding-interval
 ends for even and odd mantissas, 16-digit ties, power-of-two mantissas,
 subnormals, zeros, normal deviates and a Wigner grid, in 1-D and 2-D arrays
 and in lists of Python floats, at the top level and nested in an object;
-and the cells in [1e-5, 1e-4), which orjson writes without an exponent, on
-every digit count."""
+and the cells in [1e-5, 1e-4), which orjson 3.8.3 writes without an
+exponent, on every digit count."""
 
-import json
 import random
 
 import numpy as np
@@ -22,8 +21,12 @@ from json_readback import assert_reads_back, significant_digits
 def assert_written_bit_for_bit(a):
     """_json_bytes's text of `a`, and of its Python floats, reads back as
     them in json.dumps's layout, at the top level and nested in an object."""
-    for obj in (a, a.tolist(), {"values": [a]}):
-        assert_reads_back(_json_bytes(obj), obj)
+    text = _json_bytes(a)
+    assert_reads_back(text, a)
+    listed = _json_bytes(a.tolist())
+    if listed != text:  # the same bytes are read back as the same values
+        assert_reads_back(listed, a.tolist())
+    assert_reads_back(_json_bytes({"values": [a]}), {"values": [a]})
 
 
 def numbers(text: bytes) -> str:
@@ -126,20 +129,15 @@ def test_json_writer_reads_back_a_million_fuzzed_values():
     values = fuzz_values(20261018)
     values = values[np.isfinite(values)]
     assert values.size >= 1_000_000
-    text = _json_bytes(values)
-    back = json.loads(text)
-    assert set(map(type, back)) == {float}
-    assert np.array_equal(np.array(back).view(np.int64), values.view(np.int64))
-    texts = numbers(text).split(",")
+    texts = numbers(_json_bytes(values)).split(",")
     assert [significant_digits(t) for t in texts] == [
         significant_digits(repr(x)) for x in values.tolist()]
-    # every other form writes the same number tokens, each in its layout
+    # all of them read back, and keep json.dumps's layout, in every form:
+    # the 1-D array and rows of 7 and of 1500, each as an array, as a list
+    # and nested in an object
     rows = [values[:values.size // cols * cols].reshape(-1, cols) for cols in (7, 1500)]
     for a in (values, *rows):
-        want = ",".join(texts[:a.size])
-        assert numbers(_json_bytes(a)) == numbers(_json_bytes(a.tolist())) == want
-        assert numbers(_json_bytes({"values": [a]})) == '{"values":' + want + "}"
-        assert_written_bit_for_bit(a[:3])
+        assert_written_bit_for_bit(a)
 
 
 def test_json_writer_reads_back_interval_ends():
@@ -161,8 +159,8 @@ def test_json_writer_writes_short_decimals_in_their_shortest_digits():
 
 
 def test_edge_cells_read_back_in_every_position():
-    # orjson writes [1e-5, 1e-4) positionally and 1e16 in exponent form, in
-    # long rows and in many short ones
+    # orjson 3.8.3 writes [1e-5, 1e-4) positionally and 1e16 in exponent
+    # form; each reads back in long rows and in many short ones
     edges = [1e-5, -9.999999999999999e-05, 1e-4, 9.999999999999999e-06, 5e-05, -1e16,
              9999999999999998.0]
     assert_shortest(edges)
