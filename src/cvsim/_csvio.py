@@ -3,15 +3,13 @@ then one LF-terminated line of numbers per row, written in blocks of rows
 and read in chunks of bytes, so that memory stays bounded whatever the file
 size.
 
-Numbers are written as '%.17g' writes them, byte for byte, but without
-formatting each float in Python: '%.17g' % x is the integer D = |x| * 10**(16-k)
-rounded half-even to 17 digits, with k the decimal exponent, plus a sign, a
-decimal point, trailing zeros dropped and an exponent for k < -4 or k > 16.
-D and k are computed for a whole block in numpy (`_decimal_digits`), and the
-block is written by one %-format of a template of integer fields, each
-exponent's text ('e-05', 'e+308') gathered from a table into the template.
-The few cells whose digits cannot be certain that way go through '%.17g'
-itself.
+Each number is written in the shortest digits that read back as its double
+(Ryu: Adams, PLDI 2018).  A block whose columns are all native float64 and
+finite is written by one orjson.dumps of its cells, row by row, with every
+row's last comma and the closing bracket made LF in numpy; any other block,
+an integer column, a NaN or an infinity, or another dtype, goes row by row
+through repr, which writes an integer as its digits and a non-finite double
+as nan, inf or -inf.
 
 A file is read in binary, _CHUNK bytes at a time; each read is cut after its
 last LF, or after its last CR that is not its final byte, and CRLF and lone
@@ -20,16 +18,14 @@ newlines.  A chunk that holds only JSON numbers, commas and LF line ends, as
 the writer's lines do, is read by orjson, whose parser rounds correctly
 (Lemire, Softw. Pract. Exper. 51, 1700 (2021)) in under half of np.loadtxt's
 time; every other chunk, with NaN, blanks or a bad line, is decoded, split at
-LF alone and read by np.loadtxt.  orjson is imported by the reader, so that
-importing cvsim does not load it.
+LF alone and read by np.loadtxt.  orjson is imported where a block is
+written or read with it, so that importing cvsim does not load it.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import stat
-import sys
 import warnings
 from contextlib import contextmanager, suppress
 
@@ -37,8 +33,6 @@ import numpy as np
 
 from .errors import MalformedInputError
 
-#: CSV number format, 17 significant digits, which round-trips every double
-_NUMBER = "%.17g"
 #: rows written together; 8192 peaked 1.8 MB higher on
 #: homodyne-gaussian-1e6 (6 pairs, 2-vCPU VM), its time within the spread
 _BLOCK = 4096
@@ -49,188 +43,23 @@ _CHUNK = 1 << 16
 #: the bytes of a number in a canonical chunk (see _parse_canonical)
 _NUMBER_BYTES = b"0123456789.-+eE"
 
-#: 10**0 .. 10**17, exact in int64
-_POW10 = np.array([10**i for i in range(18)], dtype=np.int64)
-#: decimal scalings q = 16 - k of the normal doubles, k from _K_MAX down to -_K_MAX
-_K_MAX = 308
-_Q_MIN, _Q_MAX = 16 - _K_MAX, 16 + _K_MAX
-#: how close to a rounding tie a scaled value may come before it is left to
-#: Python; the double-double product errs by less than 2**-47 (see below)
-_MARGIN = 2.0**-30
-#: Veltkamp's splitting constant 2**27 + 1
-_SPLIT = 134217729.0
-#: a cell's template is _pieces()[(sign * _HEADS + head) * _ZEROS + zeros]:
-#: head 0-9 is that integer part, _HEAD_INT a %d of it; zeros counts the
-#: fraction's leading zeros, _NO_FRACTION drops the point.  Its exponent
-#: text comes from _exponents, so the template holds only %d fields
-_HEAD_INT, _HEADS = 10, 11
-_NO_FRACTION, _ZEROS = 16, 17
 
+def _block_bytes(part: list[np.ndarray]) -> memoryview | bytes:
+    """One block of rows, given as its columns, as CSV lines written as the
+    module docstring says."""
+    width = len(part)
+    if all(cells.dtype == np.float64 for cells in part):  # native byte order only
+        flat = np.column_stack(part).ravel()
+        if np.isfinite(flat).all():
+            import orjson
 
-@functools.cache
-def _pow10_table() -> tuple[np.ndarray, ...]:
-    """10**q = (th + tl) * 2**s for q in [_Q_MIN, _Q_MAX], th in [1, 2].
-
-    th is the double nearest 10**q * 2**-s and tl the double nearest the
-    rest, both rounded by Python's exact int division, so th + tl is within
-    2**-106 * th of 10**q * 2**-s; tl is 0 for q in [0, 22], where 10**q
-    is itself a double.  th comes also as Veltkamp's split thh + thl.
-    Returns (th, thh, thl, tl, s), indexed by q - _Q_MIN.
-    """
-    rows = []
-    for q in range(_Q_MIN, _Q_MAX + 1):
-        if q >= 0:
-            s = (10**q).bit_length() - 1
-            num, den = 10**q, 1 << s
-        else:
-            s = -(10**-q).bit_length()
-            num, den = 1 << -s, 10**-q
-        th = num / den
-        tl = ((num << 52) - int(th * 2**52) * den) / (den << 52)
-        c = _SPLIT * th
-        thh = c - (c - th)
-        rows.append((th, thh, th - thh, tl, s))
-    table = np.array(rows)
-    return (*(np.ascontiguousarray(table[:, j]) for j in range(4)), table[:, 4].astype(np.int64))
-
-
-def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(D, k, certain): |x| rounded half-even to 17 significant digits is
-    D * 10**(k-16) with 10**16 < D < 10**17, where `certain`; elsewhere all
-    three are junk.
-
-    With |x| = m * 2**e (frexp) and q = 16 - k, the scaled value is
-    y = |x| * 10**q = m * (th + tl) * 2**(e+s).  Dekker's TwoProduct gives
-    m * th = p + err exactly (Numer. Math. 18, 224 (1971)); err + m * tl is
-    rounded twice, each time by at most 2**-53 of a term below 2**-52 * y,
-    and th + tl errs by 2**-106 * y, so hi + lo, the two scaled by 2**(e+s),
-    is y to within 2**-104 * y < 2**-47 for y < 2**57.  Where tl == 0 (q in
-    [0, 22], k in [-6, 16]) hi + lo is exact.
-    D = hi + rint(lo) is then y rounded half-even, unless tl != 0 and lo lies
-    within _MARGIN of a tie: hi < 2**53 gives |lo| < 2 and D < 10**16, so
-    D > 10**16 holds only where hi >= 2**53 is an even integer.  k comes
-    from log10, which may be one off next to a power of ten; D then falls
-    out of (10**16, 10**17), a test that also leaves powers of ten and values
-    that round up to one to Python, with zeros, subnormals, infinities and
-    NaN.
-    """
-    ax = np.abs(x)
-    certain = (ax >= sys.float_info.min) & (ax <= sys.float_info.max)
-    ax[~certain] = 1.5  # any normal double; these cells are not used
-    # log10 of a normal double lies in [-307.66, 308.26], so row is in the table
-    k = np.floor(np.log10(ax)).astype(np.int64)
-    row = 16 - _Q_MIN - k
-    th, thh, thl, tl, s = (column[row] for column in _pow10_table())
-    m, e = np.frexp(ax)
-    # each temporary is dropped once used: the peak is ~15 doubles a cell
-    del ax, row
-    mh = _SPLIT * m
-    mh -= mh - m
-    ml = m - mh
-    p = m * th
-    err = ((mh * thh - p) + mh * thl + ml * thh) + ml * thl + m * tl
-    del m, mh, ml, thh, thl
-    e += s
-    hi = np.ldexp(p, e)
-    residual = np.ldexp(err, e)
-    del p, err
-    rounded = np.rint(residual)
-    residual -= rounded
-    certain &= (tl == 0) | (np.abs(np.abs(residual) - 0.5) > _MARGIN)
-    # hi < 2**60 as k is at most one off, so the cast is exact where it counts
-    digits = hi.astype(np.int64) + rounded.astype(np.int64)
-    del hi, rounded
-    certain &= (digits > _POW10[16]) & (digits < _POW10[17])
-    return digits, k, certain
-
-
-@functools.cache
-def _pieces() -> np.ndarray:
-    """The %-template of each cell code (see _HEADS): sign, integer part,
-    point, leading zeros of the fraction and its %d.  An exponent is not
-    part of it: _exponents gives its text."""
-    heads = [str(d) for d in range(10)] + ["%d"]
-    return np.array(
-        [
-            sign + head + ("" if zeros == _NO_FRACTION else "." + "0" * zeros + "%d")
-            for sign in ("", "-")
-            for head in heads
-            for zeros in range(_ZEROS)
-        ],
-        dtype=object,
-    )
-
-
-@functools.cache
-def _exponents(end: str) -> np.ndarray:
-    """The text after a cell in exponent form, indexed by its decimal exponent
-    k + _K_MAX: the exponent as '%.17g' writes it ('e-05', 'e+17', 'e-308'),
-    then `end`, the separator or line end that follows the cell."""
-    return np.array(["e%+03d" % k + end for k in range(-_K_MAX, _K_MAX + 1)], dtype=object)
-
-
-def _float_cells(x: np.ndarray, args: np.ndarray, used: np.ndarray,
-                 after: np.ndarray) -> np.ndarray:
-    """Templates of a block of doubles as '%.17g' writes them.  Fills the
-    (cells, 2) `args` with their %-arguments (integer part, fraction), `used`
-    with which of the two each template takes, and `after`, the text that
-    follows each cell, with the exponent of each cell in exponent form put
-    before the separator or line end that `after` holds.
-
-    The positional form, for -4 <= k <= 16, has cut = 16 - k digits after
-    the point, the exponent form 16.  The fraction is written as an integer
-    after its leading zeros, without its trailing ones.  An integer part of
-    one digit is part of the template.  Cells whose digits are not certain
-    are written by '%.17g' itself, exponent included.
-    """
-    digits, k, certain = _decimal_digits(x)
-    positional = (k >= -4) & (k <= 16)
-    cut = np.where(positional, 16 - k, 16)
-    scale = _POW10[np.minimum(cut, 17)]
-    whole = digits // scale
-    fraction = digits - whole * scale
-    zeros = cut - np.searchsorted(_POW10, fraction, side="right")
-    zeros[fraction == 0] = _NO_FRACTION
-    # drop the fraction's trailing zeros; about one cell in ten has any
-    tens = np.flatnonzero(fraction // 10 * 10 == fraction)
-    for step in (16, 8, 4, 2, 1):
-        part = fraction[tens]
-        shorter = part // _POW10[step]
-        fraction[tens] = np.where(shorter * _POW10[step] == part, shorter, part)
-    head = np.minimum(whole, _HEAD_INT)
-    args[:, 0], args[:, 1] = whole, fraction
-    used[:, 0] = head == _HEAD_INT
-    used[:, 1] = zeros != _NO_FRACTION
-    used[~certain] = False
-    code = (np.signbit(x) * _HEADS + head) * _ZEROS + zeros
-    cells = _pieces()[np.where(certain, code, 0)]
-    for i in np.flatnonzero(~certain).tolist():
-        cells[i] = _NUMBER % x[i]
-    form = np.flatnonzero(certain & ~positional)
-    if form.size:
-        after[form] = _exponents(after[0])[k[form] + _K_MAX]
-    return cells
-
-
-def _format_block(part: list[np.ndarray]) -> str:
-    """One block of rows as text: a template joined from each cell's piece
-    and the text after it, filled by one %-format of all the cells' integer
-    arguments."""
-    rows, width = part[0].size, len(part)
-    template = np.empty((rows, 2 * width), dtype=object)
-    template[:, 1::2] = ","
-    template[:, -1] = "\n"
-    args = np.zeros((rows, width, 2), dtype=np.int64)
-    used = np.zeros((rows, width, 2), dtype=bool)
-    for j, cells in enumerate(part):
-        if cells.dtype == object:
-            template[:, 2 * j] = cells
-        else:
-            cells = cells.astype(np.float64, copy=False)
-            template[:, 2 * j] = _float_cells(cells, args[:, j], used[:, j], template[:, 2 * j + 1])
-    values = tuple(args[used].tolist())
-    del args, used  # keep only the template and the values while formatting
-    return "".join(template.ravel().tolist()) % values
+            text = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY))
+            codes = np.frombuffer(text, dtype=np.uint8)
+            codes[np.flatnonzero(codes == ord(","))[width - 1 :: width]] = ord("\n")
+            codes[-1] = ord("\n")  # the closing bracket
+            return memoryview(text)[1:]  # after the opening one
+    rows = zip(*(cells.tolist() for cells in part))
+    return "".join([",".join(map(repr, row)) + "\n" for row in rows]).encode()
 
 
 @contextmanager
@@ -240,8 +69,7 @@ def _overwrite(path: str):
     block ends (by an exception too), cut to the bytes written; a device or
     pipe such as /dev/null or /dev/stdout, which refuses a truncate, is only
     written.  The inode, its mode and its links stay as with ``open``, and a
-    symlink is followed.  A buffered file over the descriptor must be flushed
-    before the block ends.
+    symlink is followed.
 
     A truncate frees the file's blocks, which on ext4 mounted with
     ``discard`` made rewriting 3 KB take 103-132 us and 356 KB ~440 us,
@@ -266,30 +94,35 @@ def _cut(fd: int) -> None:
         os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
+def _write_all(fd: int, data) -> None:
+    """Write ``data`` to ``fd`` by os.write calls, each of the bytes that the
+    ones before it left."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
 def _write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` over ``path`` (see _overwrite) by os.write calls on its
-    descriptor, each of the bytes that the ones before it left."""
+    """Write ``data`` over ``path`` (see _overwrite)."""
     with _overwrite(path) as fd:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
+        _write_all(fd, data)
 
 
 def _write_csv(path: str, header, columns) -> None:
-    """Write a CSV file: the header, then one LF-terminated line per row.
+    """Write a CSV file over ``path`` (see _overwrite): the header, then one
+    LF-terminated line per row.
 
-    ``columns`` are arrays of one shape, read in C order (broadcast views
-    too): object arrays of labels are written verbatim (they must not hold
-    '%'), every other array as '%.17g' writes each of its numbers as a
-    double, which for an integer below 2**53 is its '%d'.  Rows are
-    formatted _BLOCK at a time, so memory stays bounded by one block
-    whatever the file size.
+    ``columns`` are numeric arrays of one shape, read in C order (broadcast
+    views too); each number is written in the shortest digits that read back
+    as it (see the module docstring), an integer as its digits.  Rows are
+    written _BLOCK at a time, so memory stays bounded by one block whatever
+    the file size.
     """
-    with _overwrite(path) as fd, open(fd, "w", newline="", encoding="utf-8", closefd=False) as fh:
-        fh.write(",".join(header) + "\n")
+    with _overwrite(path) as fd:
+        _write_all(fd, (",".join(header) + "\n").encode())
         for first in range(0, columns[0].size, _BLOCK):
             part = slice(first, first + _BLOCK)
-            fh.write(_format_block([column.flat[part] for column in columns]))
+            _write_all(fd, _block_bytes([column.flat[part] for column in columns]))
 
 
 def _parse_canonical(chunk: bytes, width: int) -> np.ndarray | None:

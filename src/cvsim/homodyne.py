@@ -741,8 +741,9 @@ SAMPLES_CSV_HEADER = ["phase", "x"]
 
 
 def write_samples_csv(samples: SampleSet, path: str) -> None:
-    """Write records as `phase,x` lines with 17 significant digits, block by
-    block, so memory beyond the records stays bounded."""
+    """Write records as `phase,x` lines, each number in the shortest digits
+    that read back as it, block by block, so memory beyond the records stays
+    bounded."""
     _write_csv(path, SAMPLES_CSV_HEADER, [samples.phases, samples.values])
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import _NUMBER, _read_csv, _write_csv
+from ._csvio import _read_csv, _write_csv
 from .errors import CVSimError, DegenerateInputError, MalformedInputError, UnsupportedOrderingError
 from .states import GaussianState, _resolved_cholesky, _vacuum_units, symplectic_form
 from .entanglement import reduced_state
@@ -188,16 +188,16 @@ WIGNER_CSV_HEADER = ["x", "p", "w"]
 
 
 def write_wigner_csv(field: WignerField, path: str) -> None:
-    """Write a WignerField as `x,p,w` rows, row-major, 17 significant digits.
+    """Write a WignerField as `x,p,w` rows, row-major, each number in the
+    shortest digits that read back as it.
 
-    The axis labels are formatted once and broadcast over the grid, so
-    memory beyond the field stays bounded by one block of rows.
+    The axes are broadcast over the grid, so memory beyond the field stays
+    bounded by one block of rows.
     """
     shape = field.values.shape
-    x_labels = np.array([_NUMBER % x for x in field.grid.x_axis().tolist()], dtype=object)
-    p_labels = np.array([_NUMBER % p for p in field.grid.p_axis().tolist()], dtype=object)
-    columns = [np.broadcast_to(x_labels[:, None], shape), np.broadcast_to(p_labels, shape)]
-    _write_csv(path, WIGNER_CSV_HEADER, columns + [field.values])
+    x, p = field.grid.x_axis(), field.grid.p_axis()
+    columns = [np.broadcast_to(x[:, None], shape), np.broadcast_to(p, shape), field.values]
+    _write_csv(path, WIGNER_CSV_HEADER, columns)
 
 
 def read_wigner_csv(path: str) -> WignerField:

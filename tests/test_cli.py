@@ -34,6 +34,7 @@ from cvsim import (
     write_samples_csv,
 )
 from cvsim.homodyne import DEFAULT_TOL, read_variance_csv
+from csv_readback import csv_digests
 from json_readback import assert_reads_back, masked
 
 
@@ -77,37 +78,46 @@ def test_sample_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# SHA-256 of CLI outputs, pinned before the CSV writers and readers became
-# block-wise: 16389 = 2 * 8192 + 5 records cross block edges, and the
-# 1000-bin analyses of 16389 and of 1500 records (empty and singleton bins,
-# so NaN rows) cover the variance writer.  A Fock(3) or cat record is any x
-# within tol of its quantile, so those two digests follow the start of the
-# Newton iteration; test_inversion_properties checks their records against
-# the tolerance certificate at 50 digits.
+# SHA-256 of what a CSV output promises (tests/csv_readback.py): the doubles
+# float() reads back, and the layout, number tokens masked.  The bytes are
+# not pinned, since each number is spelled as the writer spells it; the
+# digests are those of the files that '%.17g' wrote before, which read back
+# as the same doubles in the same layout.  16389 = 2 * 8192 + 5 records
+# cross block edges, and the 1000-bin analyses of 16389 and of 1500 records
+# (empty and singleton bins, so NaN rows) cover the variance writer.  A
+# Fock(3) or cat record is any x within tol of its quantile, so those two
+# digests follow the start of the Newton iteration; test_inversion_properties
+# checks their records against the tolerance certificate at 50 digits.
+SAMPLES_LAYOUT = "a4d7ab6a1b99bde9baf09ac18c3d60b5b385ddaca54b0732ed174a4a8ca4bbbe"
 SAMPLE_GOLDENS = {
-    ("squeezed", "--r", "1"): "f4dbec924aa9dd4fbfba9a23c455c566a87285a1b24b8d9c01b7bfcc425bf58f",
-    ("fock", "--n", "3"): "d53dd8ba078e1dcb9b7f20a1314138a7be6f83e5f9807aa5cd88f35360b641af",
+    ("squeezed", "--r", "1"):
+        ("6461d0e380da2508e4402e6d13b3e8d9c9acc253dd86b79a27168cd01f2ae620", SAMPLES_LAYOUT),
+    ("fock", "--n", "3"):
+        ("46b421158e1d6931c8fa37e1932ab17e6cb6b3f91a769c456a59ad3c282e31f6", SAMPLES_LAYOUT),
     ("cat", "--alpha-re", "2", "--alpha-im", "0", "--theta", "0"):
-        "699724b935becf3ec37214aad32e7c3ced03df8f0ca18726a4880f1cbf8f0227",
+        ("87ad238f9d225dbd751ba76223e3f53f49163923797ebd63b32ad169259982be", SAMPLES_LAYOUT),
 }
+VARIANCE_LAYOUT = "96cedc620c618472a476050523ea2b119da8f2b057eae563867255886116d9e8"
 ANALYZE_GOLDENS = {
-    16389: ("f4dbec924aa9dd4fbfba9a23c455c566a87285a1b24b8d9c01b7bfcc425bf58f",
-            "e1f75cd736e6cd1b80b32826973b02eaa3d52afe22cd3f30f7c9453e17f7e1da"),
-    1500: ("dfbef927ba326397701f03f4def4d3f267604a4e7d4dfc37ab7d088e334674a2",
-           "704c3c16f9d1262ddc1524fbebbf932e04ca6d2e1290f1a95a9c899afeeba3ce"),
+    16389: (SAMPLE_GOLDENS["squeezed", "--r", "1"],
+            ("9a066dcb86f684033c97072e073dcb75dbeb30eb659eff25d0a213ecfd3e46d9", VARIANCE_LAYOUT)),
+    1500: (("1ba471f39ddaad8530045ef7c82110ee133abf48c8643530aca8f8ac41de87f0",
+            "d108628475df8cb142e287c8cb1dd37c223a44b66f6082268fb06c7e07c96b7a"),
+           ("9dff19059c679bfc3c022726696932967a7c8fcba389be8fc9a8f89e3fc980bb", VARIANCE_LAYOUT)),
 }
-WIGNER_GOLDEN = "c469dbf8811fb4eb58964a52e86e0294019ff145aa267bb5f89bc007c2ebe564"
+WIGNER_GOLDEN = ("64ec507c878c1a2f6468dd03ef2293a967d906444c9885e1f3d31419df1d15e5",
+                 "03d0724b770ebcc1a71ad59d320a2ea624f1760c53277d866b7932a9e9d6204c")
 
 
-def sha256(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def file_digests(path):
+    return csv_digests(path.read_text(encoding="ascii"))
 
 
 @pytest.mark.parametrize("flags", list(SAMPLE_GOLDENS))
 def test_sample_output_matches_golden_digest(tmp_path, flags):
     out = tmp_path / "s.csv"
     run_cli(["sample", "--state", *flags, "--count", "16389", "--out", str(out)])
-    assert sha256(out) == SAMPLE_GOLDENS[flags]
+    assert file_digests(out) == SAMPLE_GOLDENS[flags]
 
 
 @pytest.mark.parametrize("count", list(ANALYZE_GOLDENS))
@@ -116,7 +126,10 @@ def test_analyze_output_matches_golden_digest(tmp_path, count):
     model = ["--state", "squeezed", "--r", "1"]
     run_cli(["sample", *model, "--count", str(count), "--out", str(data)])
     run_cli(["analyze", "--in", str(data), "--bins", "1000", *model, "--out", str(rep)])
-    assert (sha256(data), sha256(rep)) == ANALYZE_GOLDENS[count]
+    assert (file_digests(data), file_digests(rep)) == ANALYZE_GOLDENS[count]
+    # the count column is written as integers
+    counts = [line.split(",")[1] for line in rep.read_text().splitlines()[1:]]
+    assert all(re.fullmatch("[0-9]+", count) for count in counts)
     if count == 1500:
         assert np.isnan(read_variance_csv(str(rep)).estimated_variance).any()
 
@@ -125,7 +138,7 @@ def test_wigner_output_matches_golden_digest(tmp_path):
     out = tmp_path / "w.csv"
     run_cli(["wigner", "--state", "squeezed", "--r", "0.5", "--theta", "0.3",
              "--nx", "37", "--np", "23", "--out", str(out)])
-    assert sha256(out) == WIGNER_GOLDEN
+    assert file_digests(out) == WIGNER_GOLDEN
 
 
 README_NETWORK = {
@@ -1624,46 +1637,14 @@ def run_fresh(code):
 
 
 # only the validation oracle integrates, and only homodyne evaluates the
-# special functions; each imports its scipy module itself.  The CSV writer's
-# power-of-ten table is built from ints, without fractions or decimal.  The
+# special functions; each imports its scipy module itself.  Numbers are
+# written and read by orjson and numpy, without fractions or decimal.  The
 # command line is parsed by argparse.
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special", "fractions", "decimal",
                                     "click"])
 def test_cli_import_leaves_out(module):
     code = f"import sys, cvsim.cli; print({module!r} in sys.modules)"
     assert run_fresh(code).strip() == "False"
-
-
-def test_csv_power_table_is_built_on_first_write_not_at_import(tmp_path):
-    out = str(tmp_path / "s.csv")
-    code = (
-        "from cvsim.cli import main\n"
-        "from cvsim._csvio import _pow10_table\n"
-        "print('tables', _pow10_table.cache_info().currsize)\n"
-        f"main(['sample', '--state', 'vacuum', '--count', '3', '--out', {out!r}],"
-        " standalone_mode=False)\n"
-        "print('tables', _pow10_table.cache_info().currsize)\n"
-    )
-    counts = [line.split()[1] for line in run_fresh(code).splitlines() if line.startswith("tables")]
-    assert counts == ["0", "1"]
-
-
-def test_csv_exponent_tables_are_built_on_first_exponent_form_write(tmp_path):
-    # a 3-record vacuum sample at seed 42 has no cell in exponent form; the
-    # corners of the vacuum's Wigner grid, W ~ 1e-12, are
-    samples, wigner = str(tmp_path / "s.csv"), str(tmp_path / "w.csv")
-    code = (
-        "from cvsim.cli import main\n"
-        "from cvsim._csvio import _exponents\n"
-        "print('tables', _exponents.cache_info().currsize)\n"
-        f"main(['sample', '--state', 'vacuum', '--count', '3', '--out', {samples!r}],"
-        " standalone_mode=False)\n"
-        "print('tables', _exponents.cache_info().currsize)\n"
-        f"main(['wigner', '--state', 'vacuum', '--out', {wigner!r}], standalone_mode=False)\n"
-        "print('tables', _exponents.cache_info().currsize)\n"
-    )
-    counts = [line.split()[1] for line in run_fresh(code).splitlines() if line.startswith("tables")]
-    assert counts == ["0", "0", "1"]
 
 
 def test_commands_other_than_sample_leave_out_scipy_special(tmp_path):
@@ -1691,29 +1672,29 @@ def test_commands_other_than_sample_leave_out_scipy_special(tmp_path):
     assert all((tmp_path / name).stat().st_size for name in outputs)
 
 
-def test_only_the_csv_reader_and_json_writers_load_orjson(tmp_path):
-    """orjson is loaded by the commands that use it, the CSV reader of
-    analyze and the JSON writers of network and fock-bs, and by no other."""
+def test_orjson_is_loaded_by_the_commands_that_write_or_read_with_it(tmp_path):
+    """orjson is loaded by each command, which writes or reads its file with
+    it, and not by import cvsim or import cvsim.cli."""
     config = tmp_path / "net.json"
     config.write_text(json.dumps(README_NETWORK))
-    commands = [
-        ["wigner", "--state", "squeezed", "--r", "0.5", "--out", str(tmp_path / "w.csv")],
-        ["sample", "--state", "vacuum", "--count", "50", "--out", str(tmp_path / "s.csv")],
-    ]
-    analyze = ["analyze", "--in", str(tmp_path / "s.csv"), "--bins", "4",
-               "--out", str(tmp_path / "v.csv")]
-    network = ["network", "--config", str(config), "--out", str(tmp_path / "n.json")]
-    fock_bs = ["fock-bs", "--n1", "3", "--n2", "2", "--out", str(tmp_path / "f.json")]
+    commands = {
+        "wigner": ["wigner", "--state", "squeezed", "--r", "0.5", "--out", str(tmp_path / "w.csv")],
+        "sample": ["sample", "--state", "vacuum", "--count", "50",
+                   "--out", str(tmp_path / "s.csv")],
+        "analyze": ["analyze", "--in", str(tmp_path / "s.csv"), "--bins", "4",
+                    "--out", str(tmp_path / "v.csv")],
+        "network": ["network", "--config", str(config), "--out", str(tmp_path / "n.json")],
+        "fock-bs": ["fock-bs", "--n1", "3", "--n2", "2", "--out", str(tmp_path / "f.json")],
+    }
 
-    def loaded(*runs):
-        code = "import sys\nimport cvsim\nprint('orjson' in sys.modules)\nfrom cvsim.cli import main\n"
-        for args in runs:
-            code += f"main({args!r}, standalone_mode=False)\nprint('orjson' in sys.modules)\n"
+    def loaded(args):
+        code = ("import sys\nimport cvsim\nprint('orjson' in sys.modules)\n"
+                "from cvsim.cli import main\nprint('orjson' in sys.modules)\n"
+                f"main({args!r}, standalone_mode=False)\nprint('orjson' in sys.modules)\n")
         return [line for line in run_fresh(code).splitlines() if line in ("True", "False")]
 
-    assert loaded(*commands, analyze) == ["False", "False", "False", "True"]
-    assert loaded(network) == ["False", "True"]
-    assert loaded(fock_bs) == ["False", "True"]
+    for name, args in commands.items():  # sample writes the file that analyze reads
+        assert loaded(args) == ["False", "False", "True"], name
 
 
 def test_commands_run_without_click(tmp_path):

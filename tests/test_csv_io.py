@@ -1,8 +1,8 @@
 """CSV readers and writers of the three file formats: number format, field
 counts, line numbers past the first block or chunk, CRLF, CR and blank lines
 across chunk edges, and grids larger than one block; the memory a read holds;
-the writer's numbers against '%.17g' byte for byte, and what a write over an
-existing file leaves."""
+every number the writer writes read back bit for bit, and what a write over
+an existing file leaves."""
 
 import os
 import threading
@@ -11,6 +11,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,8 +33,9 @@ from cvsim import (
     write_wigner_csv,
 )
 from cvsim import _csvio
-from cvsim._csvio import _BLOCK, _CHUNK, _decimal_digits, _read_csv, _write_csv
+from cvsim._csvio import _BLOCK, _CHUNK, _read_csv, _write_csv
 from cvsim.states import vacuum_state
+from csv_readback import read_back
 
 SPECIAL = [
     np.nan,
@@ -62,36 +64,44 @@ def samples_file(tmp_path, count=_BLOCK + 9, seed=3):
     return ss, path
 
 
-def test_number_format_round_trips_special_values(tmp_path):
-    values = np.array(SPECIAL)
-    ss = SampleSet(phases=values[::-1].copy(), values=values, model=None)
-    path = tmp_path / "s.csv"
-    write_samples_csv(ss, str(path))
-    lines = path.read_text(encoding="utf-8").split("\n")
-    assert lines[0] == "phase,x" and lines[-1] == ""
-    assert lines[1:-1] == [
-        f"{format(p, '.17g')},{format(v, '.17g')}" for p, v in zip(values[::-1], values)
-    ]
-    back = read_samples_csv(str(path))
-    assert np.array_equal(bits(back.values), bits(values))
-    assert np.array_equal(bits(back.phases), bits(values[::-1]))
+def same_doubles(got, want):
+    """Bit for bit, -0.0 apart from 0.0, with every NaN alike: a NaN is
+    written nan, whatever its sign and payload."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return got.shape == want.shape and np.array_equal(np.isnan(got), nan) and np.array_equal(
+        bits(got[~nan]), bits(want[~nan]))
 
 
-def as_g17(values):
-    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
-
-
-def assert_written_as_g17(tmp_path, values):
-    """write_samples_csv writes every value as '%.17g' does, byte for byte."""
+def assert_written_bit_for_bit(tmp_path, values):
+    """write_samples_csv writes `values` as `phase,x` lines, phases first,
+    whose every cell reads back as its double through float() and through
+    _read_csv, and every non-finite one as nan, inf or -inf."""
     half = len(values) // 2
     ss = SampleSet(phases=values[:half], values=values[half : 2 * half], model=None)
-    path = tmp_path / "g17.csv"
+    path = tmp_path / "values.csv"
     write_samples_csv(ss, str(path))
-    lines = path.read_bytes().decode("ascii").split("\n")
-    expected = [f"{p},{v}" for p, v in zip(as_g17(ss.phases), as_g17(ss.values))]
-    assert lines[0] == "phase,x" and lines[-1] == "" and len(lines) == half + 2
-    wrong = [(got, want) for got, want in zip(lines[1:-1], expected) if got != want]
-    assert not wrong, wrong[:5]
+    text = path.read_bytes().decode("ascii")
+    header, read = read_back(text)
+    want = np.column_stack([ss.phases, ss.values])
+    assert header == "phase,x" and same_doubles(read, want)
+    cells = text.partition("\n")[2].replace("\n", ",").split(",")
+    special = np.flatnonzero(~np.isfinite(want.ravel())).tolist()
+    assert [cells[i] for i in special] == [repr(want.flat[i].item()) for i in special]
+    phases, xs = _read_csv(str(path), ["phase", "x"], "sample")
+    assert same_doubles(phases, ss.phases) and same_doubles(xs, ss.values)
+
+
+def test_number_format_round_trips_special_values(tmp_path):
+    values = np.array(SPECIAL)
+    finite = values[np.isfinite(values)]
+    # NaN and the infinities send their block to repr, the finite ones alone go to orjson
+    for column in (values, finite):
+        assert_written_bit_for_bit(tmp_path, np.concatenate([column[::-1], column]))
+        # np.nan, canonical, reads back as itself
+        back = read_samples_csv(str(tmp_path / "values.csv"))
+        assert np.array_equal(bits(back.phases), bits(column[::-1]))
+        assert np.array_equal(bits(back.values), bits(column))
 
 
 #: short decimals, the fraction of 0.5 losing 16 trailing zeros
@@ -135,17 +145,26 @@ def fuzz_values(rng):
     return values[rng.permutation(values.size)]
 
 
-def test_writer_matches_g17_on_two_million_fuzzed_values(tmp_path):
+def test_writer_reads_back_two_million_fuzzed_values(tmp_path):
     with np.errstate(over="ignore", under="ignore"):
         values = fuzz_values(np.random.default_rng(20240917))
     assert values.size >= 2_000_000
-    assert_written_as_g17(tmp_path, values)
+    # the finite values first, in their fuzzed order, so that orjson writes
+    # all but the last block; that block holds every NaN and infinity, and
+    # repr writes it
+    last = np.argsort(~np.isfinite(values), kind="stable")
+    assert_written_bit_for_bit(tmp_path, values[last])
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(st.floats(), min_size=2, max_size=50))
-def test_writer_matches_g17_on_any_floats(tmp_path_factory, values):
-    assert_written_as_g17(tmp_path_factory.mktemp("g17"), np.array(values, dtype=float))
+def test_writer_reads_back_any_floats(tmp_path_factory, values):
+    values = np.array(values, dtype=float)
+    tmp_path = tmp_path_factory.mktemp("floats")
+    assert_written_bit_for_bit(tmp_path, values)
+    finite = values[np.isfinite(values)]
+    if finite.size >= 2:  # a file holds at least one row
+        assert_written_bit_for_bit(tmp_path, finite)
 
 
 #: the edges of the exponent form: the last positional doubles below 1e-4
@@ -154,49 +173,25 @@ EXPONENT_EDGES = [9.999999999999999e-05, 1e-05, 1.5e-05, 9.999999999999998e16, 1
                   1.7976931348623157e308]
 
 
-def test_every_exponent_in_every_column_is_g17():
+def test_every_exponent_in_every_column_reads_back(tmp_path):
     """Each decimal exponent k in [-308, 308], of either sign and with a 1-
     and a 17-digit mantissa, and the edges, in the first, middle and last
-    column of a block: every cell as '%.17g' writes it."""
+    column of a block, native (orjson) and big-endian (repr): every cell
+    reads back as its double through float() and through _read_csv."""
     values = [float(f"{sign}{mantissa}e{k}") for k in range(-308, 309) for sign in ("", "-")
               for mantissa in ("1", "1.2345678901234567")]
     values += EXPONENT_EDGES + [-x for x in EXPONENT_EDGES]
     column = np.array(values)
     # every value in every column, beside cells of other exponents
     part = [column, np.roll(column, 1), np.roll(column, 2)]
-    rows = _csvio._format_block(part).split("\n")
-    assert rows.pop() == "" and len(rows) == column.size <= _BLOCK
-    for row, cells in zip(rows, zip(*(p.tolist() for p in part))):
-        assert row.split(",") == ["%.17g" % x for x in cells]
-
-
-def test_a_float_cell_takes_at_most_two_format_arguments():
-    assert len(_csvio._pieces()) == 374
-    assert max(piece.count("%") for piece in _csvio._pieces()) == 2
-
-
-def test_decimal_digits_are_exact_where_certain():
-    rng = np.random.default_rng(5)
-    with np.errstate(over="ignore"):
-        values = np.concatenate(
-            [10.0 ** rng.uniform(-307, 308, 20_000), rng.normal(size=20_000), odd_ties(rng, 2000)]
-        )
-    digits, k, certain = _decimal_digits(values)
-    # all but a few values near powers of ten and ties are certain, and
-    # certain digits are those of '%.16e'
-    assert certain.mean() > 0.999
-    for v, d, e in zip(values[certain].tolist(), digits[certain].tolist(), k[certain].tolist()):
-        mantissa, exponent = ("%.16e" % abs(v)).split("e")
-        assert (int(mantissa.replace(".", "")), int(exponent)) == (d, e), v
-
-
-def test_decimal_digits_round_exact_ties_half_even_and_leave_inexact_ones():
-    # 10**16 is a double, so ties at |x| in [1, 10) are resolved exactly
-    digits, _, certain = _decimal_digits(np.array([131073 / 2**17, 131075 / 2**17]))
-    assert certain.all() and digits.tolist() == [10000076293945312, 10000228881835938]
-    # 10**23 is not: 3 / 2**24 * 10**23 ends in .5 and is left to '%.17g'
-    _, _, certain = _decimal_digits(np.array([3 / 2**24, 0.0, np.nan, 5e-324, 1.0]))
-    assert not certain.any()
+    assert column.size <= _BLOCK  # one block
+    path = tmp_path / "exponents.csv"
+    for cells in (part, [c.astype(">f8") for c in part]):
+        _write_csv(str(path), ["a", "b", "c"], cells)
+        _, read = read_back(path.read_text())
+        assert np.array_equal(bits(read), bits(np.column_stack(part)))
+        back = _read_csv(str(path), ["a", "b", "c"], "test")
+        assert all(np.array_equal(bits(b), bits(c)) for b, c in zip(back, part))
 
 
 def test_variance_file_round_trips_nan_rows(tmp_path):
@@ -228,12 +223,44 @@ def test_variance_reader_refuses_a_count_that_is_not_a_count(tmp_path, count):
 
 
 def test_integer_column_is_written_as_d(tmp_path):
-    # an integer column, like the variance file's count, goes through the
-    # '%.17g' path, which writes an integer-valued double below 2**53 as '%d'
+    # an integer column, like the variance file's count, goes through repr,
+    # which writes an integer as its digits, beyond 2**53 too
     counts = np.array([0, 1, 9, 10, 4096, 123456789, 10**15, 2**53 - 1, 2**53])
     path = tmp_path / "c.csv"
     _write_csv(str(path), ["count"], [counts])
     assert path.read_text() == "count\n" + "".join("%d\n" % c for c in counts.tolist())
+
+
+#: columns that are not native float64, or hold NaN or an infinity, and
+#: native float64 in other memory layouts, each beside a native column
+FALLBACK_COLUMNS = {
+    "int64": np.array([0, -1, 7, 2**53 + 1, -(2**63), 2**63 - 1] * 700),
+    "nan-inf": np.array([np.nan, np.inf, -np.inf, -0.0, 0.1, 1e-05] * 700),
+    "float32": np.array([0.1, -1e-30, 3.4028235e38, 1e-45, -0.0, 1 / 3] * 700, dtype=np.float32),
+    "big-endian": np.array([0.1, -2.5e-05, 1e16, 5e-324, -0.0, 1 / 3] * 700).astype(">f8"),
+    "strided": np.linspace(-3.0, 3.0, 2 * 4200)[::2],
+    "broadcast": np.broadcast_to(np.array([0.1, -2.5e-05, 1e300, -0.0, 5e-324, 1 / 3]), (700, 6)),
+}
+
+
+@pytest.mark.parametrize("kind", list(FALLBACK_COLUMNS))
+def test_every_column_kind_reads_back_bit_for_bit(tmp_path, kind):
+    # 4200 rows: a whole block and part of one
+    column = FALLBACK_COLUMNS[kind]
+    other = np.linspace(-1.0, 1.0, column.size).reshape(column.shape)
+    want = column.astype(float).ravel()
+    path = tmp_path / "c.csv"
+    _write_csv(str(path), ["a", "b"], [other, column])
+    a, b = _read_csv(str(path), ["a", "b"], "test")
+    # the reader gives doubles: an integer's nearest, a float32's own value
+    assert np.array_equal(bits(a), bits(other.ravel())) and np.array_equal(bits(b), bits(want))
+    text = path.read_text()
+    assert same_doubles(read_back(text)[1][:, 1], want)
+    cells = [line.split(",")[1] for line in text.splitlines()[1:]]
+    if kind == "int64":
+        assert cells == [str(c) for c in column.tolist()]
+    if kind == "nan-inf":
+        assert cells[:3] == ["nan", "inf", "-inf"]
 
 
 @pytest.mark.parametrize("row", ["0.1,0.2,junk", "0.1,0.2,0.3", "0.1", "0.1,0.2,"])
@@ -453,14 +480,19 @@ ODD_TOKENS = ["nan", "-nan", "inf", "-inf", "-0", "0", "-0.0", "-0e0", "1e-0", "
               "1e-400", "+1", "1.", ".5", "01", "-", "1e", "e5", "5e-324", "2.4703282292062328e-324",
               "1E+05", "123456789012345678901234567890", " 1", "1 ", "\t2", "",
               "\x0c", "\x1c", "\x85", "\u2028"]
-#: finite '%.17g' numbers, with the writer's zeros 0 and -0, and integers
-G17 = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v)
-NUMBERS = st.one_of(G17, G17, st.sampled_from(["0", "-0"]), st.integers(-(2**70), 2**70).map(str))
+#: finite numbers as '%.17g' wrote them, with its zeros 0 and -0, as the
+#: writer's orjson and repr write them (0.000025, 1e16, 2.5e-05, 1e+16), and
+#: integers
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+G17 = FINITE.map(lambda v: "%.17g" % v)
+SHORTEST = FINITE.map(lambda v: orjson.dumps(v).decode()) | FINITE.map(repr)
+NUMBERS = st.one_of(G17, G17, SHORTEST, st.sampled_from(["0", "-0"]),
+                    st.integers(-(2**70), 2**70).map(str))
 
 
 @st.composite
 def csv_text(draw):
-    """A header of `width` columns, then rows made mostly of '%.17g' numbers
+    """A header of `width` columns, then rows made mostly of finite numbers
     and integers, with odd tokens, ragged and blank rows and CR, CRLF or LF
     line ends."""
     width = draw(st.sampled_from([1, 2, 3]))
@@ -546,9 +578,9 @@ def test_bytes_that_are_not_utf8_past_the_first_chunk_name_their_line(tmp_path):
 
 @pytest.mark.parametrize("source", ["file", "pipe"])
 def test_a_read_holds_its_columns_and_a_few_chunks_of_text(tmp_path, source):
-    # the columns of a 42-chunk file, and at a time one chunk with the values
-    # orjson parses from it: ~8 chunks besides the columns of 17-digit numbers
-    # were measured, so 16 chunks bound it, well below the whole text
+    # the columns of a 41-chunk file, and at a time one chunk with the values
+    # orjson parses from it: 5-8 chunks besides the columns were measured,
+    # so 16 chunks bound it, well below the whole text
     ss, path = samples_file(tmp_path, count=70_000)
     data = path.read_bytes()
     assert len(data) >= 40 * _CHUNK
@@ -582,14 +614,14 @@ def test_failed_write_leaves_only_the_bytes_written_before_it(tmp_path, monkeypa
         calls.append(part)
         if len(calls) == 2:
             raise RuntimeError("second block")
-        return format_block(part)
+        return block_bytes(part)
 
-    format_block = _csvio._format_block
+    block_bytes = _csvio._block_bytes
     monkeypatch.setattr(_csvio, "_BLOCK", 5)
-    monkeypatch.setattr(_csvio, "_format_block", fail_second)
+    monkeypatch.setattr(_csvio, "_block_bytes", fail_second)
     with pytest.raises(RuntimeError, match="second block"):
         _write_csv(str(path), ["a", "b"], [values, -values])
-    assert path.read_text() == "a,b\n" + format_block([values[:5], -values[:5]])
+    assert path.read_bytes() == b"a,b\n" + bytes(block_bytes([values[:5], -values[:5]]))
 
 
 def test_failed_truncate_does_not_hide_the_error_that_ended_the_write(tmp_path, monkeypatch):
@@ -597,7 +629,7 @@ def test_failed_truncate_does_not_hide_the_error_that_ended_the_write(tmp_path, 
         raise OSError(5, "Input/output error")
 
     monkeypatch.setattr(_csvio.os, "ftruncate", refuse)
-    monkeypatch.setattr(_csvio, "_format_block", mock.Mock(side_effect=RuntimeError("format")))
+    monkeypatch.setattr(_csvio, "_block_bytes", mock.Mock(side_effect=RuntimeError("format")))
     with pytest.raises(RuntimeError, match="format"):
         _write_csv(str(tmp_path / "s.csv"), ["a"], [np.ones(3)])
 
