@@ -21,12 +21,12 @@ cubic Hermite interpolation.  A record starts from it linearly in u and, for
 a cat, cubically in phi.  Records start on [-50, 50] without evaluating F at its
 ends; one that ends within tol of an end is solved again inside a bracket
 checked at its ends: the smallest [-50 2^K, 50 2^K] that holds the quantile,
-with K found by probing K = 0, 1, 2, 4, ... and bisecting.  The widening
-stops with InversionError once it reaches |E[X_phi]| + 64 sd(X_phi) + 50, a
-reach that holds every quantile down to u = 1e-300, a Gaussian tail of about
-37 sd.  Records are solved in fixed-size blocks, and a record's value does
-not depend on the batch it is drawn in.  Source parameters must be finite,
-and tol finite and > 0; anything else raises ValueError.
+with K bisected below the first K that reaches |E[X_phi]| + 64 sd(X_phi) + 50.
+A record whose quantile lies past that reach, which holds every quantile
+down to u = 1e-300 (a Gaussian tail of about 37 sd), raises InversionError.
+Records are solved in fixed-size blocks, and a record's value does not
+depend on the batch it is drawn in.  Source parameters must be finite, and
+tol finite and > 0; anything else raises ValueError.
 
 scipy.special is imported inside the methods that evaluate erf, ndtri or
 eval_laguerre, so that importing cvsim does not load it: that import takes
@@ -425,42 +425,34 @@ def _table_start(table, phis, targets):
 def _bracket(model, phis, targets, records):
     """[lo, hi] = [-_BRACKET 2^K, _BRACKET 2^K] with F(lo) < u <= F(hi) for
     each record, at the smallest such K: the bracket that doubling [-_BRACKET,
-    _BRACKET] until it holds finds.  K is found by probing K = 0, 1, 2, 4, ...
-    and then bisecting, which needs F to be monotone, as the doubling does.
-    A record whose bracket reaches |E[X_phi]| + _REACH_SD sd(X_phi) +
-    _BRACKET without holding its quantile raises InversionError, naming the
-    record that the doubling would: the one of smallest such K, then of
-    lowest index.  Its model understates its spread."""
+    _BRACKET] until it holds finds.  Each record is tested once at its last K,
+    the first whose half-width reaches |E[X_phi]| + _REACH_SD sd(X_phi) +
+    _BRACKET (0 for a NaN reach), and K is then bisected below it, which
+    needs F to be monotone, as the doubling does.  A record whose bracket
+    fails at its last K raises InversionError, naming the record that the
+    doubling would: the one of smallest last K, then of lowest index.  Its
+    model understates its spread."""
     with np.errstate(over="ignore"):
         half_widths = np.ldexp(_BRACKET, np.arange(np.finfo(float).maxexp))  # inf from K = 1019
     mean, var = model.moments(phis)
     reach = np.broadcast_to(np.abs(mean) + _REACH_SD * np.sqrt(var) + _BRACKET, targets.shape)
-    # the last K that each record may probe: the first to reach `reach`, or 0 for a NaN reach
-    top = np.where(np.isnan(reach), 0, np.searchsorted(half_widths, reach))
+    held = np.where(np.isnan(reach), 0, np.searchsorted(half_widths, reach))
 
     def holds(i, k):
         u, phi, x = targets[i], phis[i], half_widths[k]
         return ~((quadrature_cdf(model, -x, phi) >= u) | (quadrature_cdf(model, x, phi) <= u))
 
+    out = np.flatnonzero(~holds(slice(None), held))
+    if out.size:
+        i = out[np.argmin(held[out])]
+        raise InversionError(
+            f"could not bracket the quantile for record {records[i]} "
+            f"(u={float(targets[i])!r}, phi={float(phis[i])!r}) within "
+            f"|x| <= {float(reach[i])!r}"
+        )
     # each record's K lies in (fails, held]
     fails = np.full(targets.size, -1)
-    held = np.zeros(targets.size, np.intp)
-    pending, step = np.arange(targets.size), 0
-    while pending.size:
-        k = np.minimum(step, top[pending])
-        ok = holds(pending, k)
-        held[pending[ok]] = k[ok]
-        out = pending[~ok & (k == top[pending])]
-        if out.size:
-            i = out[np.argmin(top[out])]
-            raise InversionError(
-                f"could not bracket the quantile for record {records[i]} "
-                f"(u={float(targets[i])!r}, phi={float(phis[i])!r}) within "
-                f"|x| <= {float(reach[i])!r}"
-            )
-        fails[pending[~ok]] = k[~ok]
-        pending, step = pending[~ok], 2 * step or 1
-    pending = np.flatnonzero(held - fails > 1)
+    pending = np.flatnonzero(held > 0)
     while pending.size:
         k = (fails[pending] + held[pending]) // 2
         ok = holds(pending, k)
@@ -640,6 +632,7 @@ def _phase_bins(phases: np.ndarray, edges: np.ndarray) -> np.ndarray:
     The index comes from arithmetic, off by at most one next to an edge, and
     one comparison with the edges on each side puts it right.
     """
+    # speed only: 15.0/10.7 ms at 50/1000 bins on 1e6 phases, np.digitize 50.3/91.7 ms (2-vCPU VM)
     num_bins = edges.size - 1
     # in place, so that no more than two record-sized arrays are alive
     which = phases - edges[0]
