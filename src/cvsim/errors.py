@@ -19,7 +19,8 @@ class UnsupportedOrderingError(CVSimError):
 
 
 class InversionError(CVSimError):
-    """CDF inversion failed to bracket the root after widening retries."""
+    """CDF inversion found no quantile within its reach, met a NaN CDF or
+    ran out of steps."""
 
 
 class SpecValidationError(CVSimError):

@@ -19,11 +19,10 @@ per call from the model alone: F and p on a fixed x grid (one row, or one
 row at every phase node of a cat), inverted to quantiles on a uniform u grid by
 cubic Hermite interpolation.  A record starts from it linearly in u and, for
 a cat, cubically in phi.  Records start on [-50, 50] without evaluating F at its
-ends; one that ends within tol of an end is solved again inside a bracket
-checked at its ends: the smallest [-50 2^K, 50 2^K] that holds the quantile,
-with K bisected below the first K that reaches |E[X_phi]| + 64 sd(X_phi) + 50.
-A record whose quantile lies past that reach, which holds every quantile
-down to u = 1e-300 (a Gaussian tail of about 37 sd), raises InversionError.
+ends; one that ends within tol of an end is solved once more, from the same
+start, on [-reach, reach] with reach = |E[X_phi]| + 64 sd(X_phi) + 50.  A
+record whose quantile lies past that reach, which holds every quantile down
+to u = 1e-300 (a Gaussian tail of about 37 sd), raises InversionError.
 Records are solved in fixed-size blocks, and a record's value does not
 depend on the batch it is drawn in.  Source parameters must be finite, and
 tol finite and > 0; anything else raises ValueError.
@@ -40,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._csvio import _read_csv, _write_csv
-from .errors import InversionError, MalformedInputError
+from .errors import CVSimError, InversionError, MalformedInputError
 from .phase_space import characteristic_gaussian
 from .states import GaussianState, _vacuum_units
 
@@ -48,13 +47,13 @@ from .states import GaussianState, _vacuum_units
 DEFAULT_TOL = 1e-12
 #: Fock photon-number cap for the Hermite-function closed forms
 MAX_FOCK_N = 10
-#: SPATS n_bar cap: the widened bracket stays below 2 (64 sd + 50) = 2.6e152
-#: there, so x**2 stays finite wherever F or p is evaluated
+#: SPATS n_bar cap: the reach stays below 64 sd + 50 = 1.3e152 there, so
+#: x**2 stays finite wherever F or p is evaluated
 MAX_SPATS_NBAR = 1e300
 #: half-width of the first, unchecked search bracket; it fixes each record's
 #: Newton path, and so its value
 _BRACKET = 50.0
-#: the widened bracket reaches this many standard deviations of X_phi
+#: the far-tail bracket reaches this many standard deviations of X_phi
 _REACH_SD = 64.0
 #: cap on the Newton or bisection steps of one record
 _MAX_STEPS = 1100
@@ -422,46 +421,6 @@ def _table_start(table, phis, targets):
     )
 
 
-def _bracket(model, phis, targets, records):
-    """[lo, hi] = [-_BRACKET 2^K, _BRACKET 2^K] with F(lo) < u <= F(hi) for
-    each record, at the smallest such K: the bracket that doubling [-_BRACKET,
-    _BRACKET] until it holds finds.  Each record is tested once at its last K,
-    the first whose half-width reaches |E[X_phi]| + _REACH_SD sd(X_phi) +
-    _BRACKET (0 for a NaN reach), and K is then bisected below it, which
-    needs F to be monotone, as the doubling does.  A record whose bracket
-    fails at its last K raises InversionError, naming the record that the
-    doubling would: the one of smallest last K, then of lowest index.  Its
-    model understates its spread."""
-    with np.errstate(over="ignore"):
-        half_widths = np.ldexp(_BRACKET, np.arange(np.finfo(float).maxexp))  # inf from K = 1019
-    mean, var = model.moments(phis)
-    reach = np.broadcast_to(np.abs(mean) + _REACH_SD * np.sqrt(var) + _BRACKET, targets.shape)
-    held = np.where(np.isnan(reach), 0, np.searchsorted(half_widths, reach))
-
-    def holds(i, k):
-        u, phi, x = targets[i], phis[i], half_widths[k]
-        return ~((quadrature_cdf(model, -x, phi) >= u) | (quadrature_cdf(model, x, phi) <= u))
-
-    out = np.flatnonzero(~holds(slice(None), held))
-    if out.size:
-        i = out[np.argmin(held[out])]
-        raise InversionError(
-            f"could not bracket the quantile for record {records[i]} "
-            f"(u={float(targets[i])!r}, phi={float(phis[i])!r}) within "
-            f"|x| <= {float(reach[i])!r}"
-        )
-    # each record's K lies in (fails, held]
-    fails = np.full(targets.size, -1)
-    pending = np.flatnonzero(held > 0)
-    while pending.size:
-        k = (fails[pending] + held[pending]) // 2
-        ok = holds(pending, k)
-        held[pending[ok]] = k[ok]
-        fails[pending[~ok]] = k[~ok]
-        pending = pending[held[pending] - fails[pending] > 1]
-    return -half_widths[held], half_widths[held]
-
-
 def _newton(model, phis, targets, records, tol, x, lo, hi):
     """Safeguarded Newton iteration for F(x, phi) = u, record by record,
     from x (or the bracket midpoint where x is outside [lo, hi]).
@@ -522,16 +481,28 @@ def _newton_quantiles(model, phis, targets, records, tol, table):
     Each record first runs on [-_BRACKET, _BRACKET] unchecked.  Where the root
     lies inside, the iteration ends there holding F(lo) < u <= F(hi) from its
     own evaluations; where it lies outside, the bracket collapses onto the end
-    nearest to it.  So a record that ends within tol of either end is solved
-    again inside a checked, and if need be widened, bracket.
+    nearest to it.  So a record that ends within tol of either end runs once
+    more, again from its table start, on [-reach, reach] with reach =
+    |E[X_phi]| + _REACH_SD sd(X_phi) + _BRACKET, and one that ends within tol
+    of +-reach raises InversionError naming the lowest such record: its model
+    understates its spread.  A NaN reach makes F NaN, which _newton refuses.
     """
     start = _table_start(table, phis, targets)
     out = _newton(model, phis, targets, records, tol, start, -_BRACKET, _BRACKET)
-    edge = ~((tol - _BRACKET < out) & (out < _BRACKET - tol))
+    edge = np.abs(out) >= _BRACKET - tol
     if edge.any():
-        part = (phis[edge], targets[edge], records[edge])
-        lo, hi = _bracket(model, *part)
-        out[edge] = _newton(model, *part, tol, start[edge], lo, hi)
+        phi, u, rec = phis[edge], targets[edge], records[edge]
+        mean, var = model.moments(phi)
+        reach = np.broadcast_to(np.abs(mean) + _REACH_SD * np.sqrt(var) + _BRACKET, u.shape)
+        wide = _newton(model, phi, u, rec, tol, start[edge], -reach, reach)
+        far = np.abs(wide) >= reach - tol
+        if far.any():
+            i = np.argmax(far)
+            raise InversionError(
+                f"could not bracket the quantile for record {rec[i]} "
+                f"(u={float(u[i])!r}, phi={float(phi[i])!r}) within |x| <= {float(reach[i])!r}"
+            )
+        out[edge] = wide
     return out
 
 
@@ -654,7 +625,9 @@ def binned_variance(samples: SampleSet, num_bins: int) -> VarianceReport:
     The shifted column pairs bin i with bin i + num_bins//4 (cyclically), so
     their product estimates Var[X_phi] Var[X_{phi+pi/2}]; the pairing is an
     exact quarter turn when num_bins is divisible by 4.  The normally ordered
-    column subtracts the vacuum variance 1.
+    column subtracts the vacuum variance 1.  A bin of two or more records
+    whose variance is not finite, or whose product overflows, raises
+    CVSimError naming the first such bin's centre.
     """
     if num_bins < 4:
         raise ValueError("num_bins must be >= 4")
@@ -671,28 +644,37 @@ def binned_variance(samples: SampleSet, num_bins: int) -> VarianceReport:
     by_bin = samples.values[order]
     stops = np.cumsum(counts)
     est = np.full(num_bins, np.nan)
-    for i in np.flatnonzero(counts >= 2):
-        est[i] = np.var(by_bin[stops[i] - counts[i] : stops[i]], ddof=1)
+    # an inf record, or one that overflows in the variance or the product,
+    # raises below rather than warning here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in np.flatnonzero(counts >= 2):
+            est[i] = np.var(by_bin[stops[i] - counts[i] : stops[i]], ddof=1)
+        shifted = np.roll(est, -(num_bins // 4))
+        product = est * shifted
+    bad = ((counts >= 2) & ~np.isfinite(est)) | np.isinf(product)
+    if bad.any():
+        i = np.argmax(bad)
+        what = "variance product" if np.isfinite(est[i]) else "variance"
+        raise CVSimError(f"the {what} of the phase bin at phi = {float(centers[i])!r} is not finite")
     if samples.model is not None:
         theory = np.array([theoretical_variance(samples.model, c) for c in centers])
     else:
         theory = np.full(num_bins, np.nan)
-    shifted = np.roll(est, -(num_bins // 4))
     return VarianceReport(
         bin_centers=centers,
         counts=counts,
         estimated_variance=est,
         theoretical_variance=theory,
         shifted_variance=shifted,
-        variance_product=est * shifted,
+        variance_product=product,
         normally_ordered_variance=est - 1.0,
     )
 
 
 def variance_standard_error(report: VarianceReport) -> np.ndarray:
     """Normal-theory standard error of each bin's variance estimate,
-    var * sqrt(2 / (count - 1))."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    var * sqrt(2 / (count - 1)); inf where that overflows."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return report.estimated_variance * np.sqrt(
             2.0 / np.maximum(report.counts - 1, 1)
         )
@@ -715,7 +697,7 @@ def heisenberg_violations(report: VarianceReport, sigma_level: float = 3.0) -> n
     combined standard errors (expected empty for physical data)."""
     se = variance_standard_error(report)
     se_shift = np.roll(se, -(len(se) // 4))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         rel = np.sqrt(
             (se / report.estimated_variance) ** 2
             + (se_shift / report.shifted_variance) ** 2

@@ -162,12 +162,15 @@ def s_quasiprob_gaussian(state: GaussianState, alpha: complex, s: float) -> floa
     2 alpha in vacuum units, where the value is computed.
 
     Raises:
+        ValueError: if s or alpha is not finite.
         UnsupportedOrderingError: if sigma - s (hbar/2) I is not positive
             definite, i.e. the requested ordering is in the singular regime
             (never extrapolated).
     """
     if state.num_modes != 1:
         raise ValueError("s_quasiprob_gaussian expects a single-mode state; reduce first")
+    if not (np.isfinite(s) and np.isfinite(alpha)):
+        raise ValueError(f"s and alpha must be finite, got {s!r} and {alpha!r}")
     vac = _vacuum_units(state)
     cov_s = vac.cov - s * np.eye(2)
     try:

@@ -721,6 +721,24 @@ def test_analyze_empty_file_fails(tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("records", [
+    "0.1,inf\n0.2,1.0\n",
+    "0.1,1e308\n0.2,-1e308\n",
+    "0.1,1e160\n0.2,-1.2e160\n",
+    "0.1,1e100\n0.2,-1e100\n1.7,1e90\n1.8,-1e90\n",
+], ids=["inf-record", "1e308", "1e160", "product"])
+def test_analyze_non_finite_variance_exits_1_with_one_line(tmp_path, records):
+    data, out = tmp_path / "s.csv", tmp_path / "o.csv"
+    data.write_text("phase,x\n" + records)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli(["analyze", "--in", str(data), "--bins", "4", "--out", str(out)])
+    assert result.exit_code == 1
+    assert re.fullmatch(r"Error: the variance( product)? of the phase bin at phi = "
+                        r"0\.7853981633974483 is not finite\n", result.output)
+    assert not out.exists()
+
+
 def test_analyze_without_model_flags(tmp_path):
     data = tmp_path / "s.csv"
     rep = tmp_path / "v.csv"

@@ -551,7 +551,7 @@ def test_sample_and_sample_set_reject_bad_sizes():
 
 
 def test_gaussian_quantile_is_closed_form_for_every_u():
-    # past +-800, the reach of four doublings of [-50, 50]
+    # far past [-50, 50], where a non-Gaussian record runs on its reach
     x = invert_cdf(Thermal(1e5), 0.0, 1 - 1e-12)
     assert x > 800.0
     assert x == np.sqrt(200001.0) * ndtri(1 - 1e-12)
@@ -585,114 +585,71 @@ def test_invert_bracket_failure_names_the_record():
         invert_cdf(_NarrowSpats(300.0), 0.3, 1 - 1e-9)
 
 
-def _doubling_bracket(model, phis, targets, records):
-    """The bracket search that _bracket replaces: double [-50, 50] until it
-    holds, refusing a record whose bracket reaches its reach."""
-    import cvsim.homodyne as homodyne
-
-    lo = np.full_like(targets, -homodyne._BRACKET)
-    hi = np.full_like(targets, homodyne._BRACKET)
-    mean, var = model.moments(phis)
-    reach = np.broadcast_to(np.abs(mean) + homodyne._REACH_SD * np.sqrt(var) + homodyne._BRACKET,
-                            targets.shape)
-    pending = np.arange(targets.size)
-    while True:
-        u, phi = targets[pending], phis[pending]
-        pending = pending[
-            (quadrature_cdf(model, lo[pending], phi) >= u)
-            | (quadrature_cdf(model, hi[pending], phi) <= u)
-        ]
-        if not pending.size:
-            return lo, hi
-        far = ~(hi[pending] < reach[pending])
-        if far.any():
-            i = pending[np.argmax(far)]
-            raise InversionError(
-                f"could not bracket the quantile for record {records[i]} "
-                f"(u={float(targets[i])!r}, phi={float(phis[i])!r}) within "
-                f"|x| <= {float(reach[i])!r}"
-            )
-        lo[pending] *= 2.0
-        hi[pending] *= 2.0
-
-
 class _PhasedNarrowSpats(Spats):
     """SPATS whose moments understate its spread by a factor that depends on
-    phi, and are NaN at phi = 3: records fail at different doublings."""
+    phi, and are NaN at phi = 3."""
 
     def moments(self, phi):
         phi = np.asarray(phi)
         return 0.0, np.where(phi == 3.0, np.nan, 10.0 ** (2.0 * phi - 4.0))
 
 
-#: (model, the phases of the records, the phase of record 0)
-BRACKET_CASES = {
-    "spats-1e300": (Spats(1e300), None, None),
-    "spats-1e30": (Spats(1e30), None, None),
-    "spats-300": (Spats(300.0), None, None),
-    "fock-10": (Fock(10), None, None),
-    "cat": (CatState(3.0 + 1.0j, 0.5), None, None),
-    "narrow": (_NarrowSpats(300.0), None, None),
-    # record 0 fails at the third doubling, later records at the first or second
-    "smallest-failing-doubling": (_PhasedNarrowSpats(1e6), [0.0, 0.5, 1.0, 1.5, 2.0], 2.5),
-    # record 0 fails at the fourth doubling, later records at the third:
-    # probing K = 4 finds both
-    "smallest-failing-doubling-in-one-probe": (_PhasedNarrowSpats(1e6), [2.5], 2.9),
-    # a NaN reach fails at once
-    "nan-reach": (_PhasedNarrowSpats(1e6), [2.5, 3.0], 2.5),
-    "phased-held": (_PhasedNarrowSpats(1e6), [5.0, 6.0], None),
-}
-
-
-@pytest.mark.parametrize("model, choices, first", list(BRACKET_CASES.values()),
-                         ids=list(BRACKET_CASES))
-def test_bracket_is_the_doubling_bracket(model, choices, first):
+def test_invert_names_the_lowest_record_past_its_reach():
     import cvsim.homodyne as homodyne
 
-    rng = np.random.default_rng(11)
-    targets = np.concatenate([rng.random(2000), [1e-300, 1e-16, 0.5, 1 - 1e-16, 1 - 1e-9]])
-    phis = (rng.uniform(-np.pi, np.pi, targets.size) if choices is None
-            else rng.choice(choices, targets.size))
-    if first is not None:
-        phis[0] = first
-    records = np.arange(targets.size) + 7
-    results = []
-    for search in (_doubling_bracket, homodyne._bracket):
-        try:
-            results.append(search(model, phis, targets, records))
-        except InversionError as exc:
-            results.append(str(exc))
-    want, got = results
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # Spats(1e6) has sd 2000; record 0 lies inside [-50, 50], records 1 to 4
+    # past their reaches of 50 + 64 sd(X_phi): 252.4, 558.4, 50.64 and 50.64.
+    # The lowest index is named, not the smallest reach
+    model = _PhasedNarrowSpats(1e6)
+    phis = np.array([0.0, 2.5, 2.9, 0.0, 0.0])
+    targets = np.array([0.5, 1 - 1e-9, 1e-9, 0.999, 0.3])
+    reach = 50.0 + 64.0 * np.sqrt(10.0)
+    with pytest.raises(InversionError) as info:
+        homodyne._invert(model, phis, targets, 1e-12)
+    assert str(info.value) == (f"could not bracket the quantile for record 1 "
+                               f"(u={1 - 1e-9!r}, phi=2.5) within |x| <= {float(reach)!r}")
 
 
-def test_bracket_of_a_wide_source_takes_few_cdf_passes(monkeypatch):
-    # Spats(1e300) needs K ~ 500 doublings, two CDF passes each; one test at
-    # the last K (at most 1019) and bisecting below it take at most 1 + 11
-    # rounds of two passes
+def test_invert_refuses_a_nan_reach():
     import cvsim.homodyne as homodyne
 
-    passes, calls = [], []
-    cdf, bracket = homodyne.quadrature_cdf, homodyne._bracket
+    # record 1's quantile lies past [-50, 50], where its NaN moments give a NaN reach
+    phis, targets = np.array([0.0, 3.0, 3.0]), np.array([0.5, 0.999, 0.5])
+    with pytest.raises(InversionError, match=r"^CDF is NaN for record 1 \(u=0\.999, phi=3\.0\)$"):
+        homodyne._invert(_PhasedNarrowSpats(1e6), phis, targets, 1e-12)
 
-    def counted_bracket(*args):
-        passes.append(0)
-        calls.append(args)
-        return bracket(*args)
 
-    def counted_cdf(*args):
-        passes[-1] += 1
-        return cdf(*args)
+WIDE_SPATS = [300.0, 1e6, 1e30, 1e300]
 
-    monkeypatch.setattr(homodyne, "quadrature_cdf", counted_cdf)
-    monkeypatch.setattr(homodyne, "_bracket", counted_bracket)
-    sample(Spats(1e300), 20_000, seed=3)
-    assert passes and max(passes) <= 24
-    lo, hi = bracket(*calls[0])
-    assert hi.max() > 1e151
+
+@pytest.mark.parametrize("n_bar", WIDE_SPATS, ids=[f"spats-{n:g}" for n in WIDE_SPATS])
+def test_wide_spats_records_hold_their_quantiles_within_tol(n_bar):
+    # each value x brackets its target u between x - tol and x + tol, or the
+    # doubles next to x where tol is below x's spacing
+    model, tol = Spats(n_bar), 1e-12
+    x = sample(model, 20_000, seed=3, tol=tol).values
+    rng = np.random.default_rng(3)
+    phis = 2.0 * np.pi * rng.random(x.size) - np.pi
+    u = np.maximum(rng.random(x.size), np.finfo(float).tiny)
+    below = np.minimum(x - tol, np.nextafter(x, -np.inf))
+    above = np.maximum(x + tol, np.nextafter(x, np.inf))
+    assert (quadrature_cdf(model, below, phis) < u + 1e-15).all()
+    assert (u <= quadrature_cdf(model, above, phis) + 1e-15).all()
+
+
+def test_wide_spats_record_costs_few_cdf_evaluations(monkeypatch):
+    # every x at which F is evaluated counts, the start table included
+    evaluated = [0]
+    cdf_pdf = Spats.cdf_pdf
+
+    def counted(self, x, phi):
+        evaluated[0] += np.broadcast(x, phi).size
+        return cdf_pdf(self, x, phi)
+
+    monkeypatch.setattr(Spats, "cdf_pdf", counted)
+    count = 20_000
+    sample(Spats(1e300), count, seed=3)
+    assert evaluated[0] <= 70 * count
 
 
 @pytest.mark.parametrize("model", [Spats(1e300), Thermal(1e300), SqueezedVacuum(300.0)],
@@ -704,7 +661,7 @@ def test_wide_sources_sample_finite_values(model):
 
 
 def test_spats_n_bar_bound():
-    # at the bound every F and p of the widened search is finite; past it, x**2
+    # at the bound every F and p of the reach run is finite; past it, x**2
     # overflows from n_bar ~ 3e306, so construction refuses n_bar there
     assert np.isfinite(sample(Spats(MAX_SPATS_NBAR), 200, seed=5).values).all()
     for n_bar in (np.nextafter(MAX_SPATS_NBAR, np.inf), 3e306, sys.float_info.max):

@@ -1,12 +1,15 @@
 """Statistical behavior of full sample sets: reproducibility, per-bin variance
 against theory, the Heisenberg product and squeezing certificates."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvsim import (
+    CVSimError,
     Fock,
     SampleSet,
     Spats,
@@ -186,6 +189,49 @@ def test_squeezed_phase_bin_variance_tracks_formula(squeezed_samples):
         - np.exp(-1j * report.bin_centers) * np.sinh(r)
     ) ** 2
     assert np.allclose(report.theoretical_variance, formula, atol=1e-12)
+
+
+#: centres of the four bins over [-pi, pi): -3 pi/4, -pi/4, pi/4, 3 pi/4
+QUARTER_CENTRES = 0.5 * (np.linspace(-np.pi, np.pi, 5)[:-1] + np.linspace(-np.pi, np.pi, 5)[1:])
+
+
+@pytest.mark.parametrize("values, what", [
+    # an inf record makes its bin's variance NaN
+    ([np.inf, 1.0, np.inf, 3.0, 4.0, 5.0], "variance"),
+    # the squares of the deviations overflow
+    ([1e308, -1e308, 1e308, -1e308, 4.0, 5.0], "variance"),
+    ([1e160, -1e160, 1e160, -1e160, 4.0, 5.0], "variance"),
+    # variances of 2e200 and 2e180 are finite; their product is not
+    ([1e100, -1e100, 1e90, -1e90, 4.0, 5.0], "variance product"),
+], ids=["inf-record", "1e308", "1e160", "product"])
+def test_binned_variance_refuses_a_non_finite_bin(values, what):
+    # records 0-1 fill the bin at pi/4, 2-3 that at 3 pi/4 and 4-5 that at
+    # -3 pi/4, which stays finite; the bin at pi/4 is the first that fails
+    phases = [0.1, 0.2, 2.5, 2.6, -2.5, -2.6]
+    message = f"the {what} of the phase bin at phi = {float(QUARTER_CENTRES[2])!r} is not finite"
+    with pytest.raises(CVSimError, match=f"^{re.escape(message)}$"):
+        binned_variance(SampleSet(phases=phases, values=values, model=None), 4)
+
+
+def test_binned_variance_keeps_nan_in_an_under_filled_bin():
+    # one inf record has no sample variance: its bin holds NaN, as does the
+    # product of the bins paired with it
+    report = binned_variance(
+        SampleSet(phases=[0.1, 2.5, 2.6, np.nan], values=[np.inf, 2.0, 3.0, 1e150], model=None), 4
+    )
+    assert report.counts.tolist() == [0, 0, 1, 3]
+    assert np.isnan(report.estimated_variance[:3]).all()
+    assert report.estimated_variance[3] == np.var([2.0, 3.0, 1e150], ddof=1)
+    assert np.isnan(report.variance_product).all()
+
+
+def test_verdicts_on_a_variance_near_the_largest_double_do_not_warn():
+    # var_est = 1.62e308 is finite, and its standard error is not; tier-1
+    # runs with RuntimeWarning as an error
+    report = binned_variance(SampleSet(phases=[0.1, 0.2], values=[9e153, -9e153], model=None), 4)
+    assert report.estimated_variance[2] == 1.62e308
+    assert not squeezing_certificate(report).any()
+    assert not heisenberg_violations(report).any()
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -219,6 +219,15 @@ def test_q_function_of_vacuum():
     )
 
 
+@pytest.mark.parametrize("alpha, s", [
+    (0j, np.nan), (0j, -np.inf), (0j, np.inf),
+    (complex(np.nan, 0.0), -1.0), (complex(0.0, np.inf), 0.0), (-np.inf, 0.0),
+])
+def test_s_quasiprob_refuses_non_finite_s_and_alpha(alpha, s):
+    with pytest.raises(ValueError, match="s and alpha must be finite, got"):
+        s_quasiprob_gaussian(vacuum_state(1), alpha, s)
+
+
 def test_q_function_of_coherent_state():
     alpha0 = 0.9 * np.exp(0.6j)
     st = apply_gate(displacement_gate(0.9, 0.6, 0, 1), vacuum_state(1))
