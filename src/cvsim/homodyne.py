@@ -649,6 +649,12 @@ def binned_variance(samples: SampleSet, num_bins: int) -> VarianceReport:
     with np.errstate(over="ignore", invalid="ignore"):
         for i in np.flatnonzero(counts >= 2):
             est[i] = np.var(by_bin[stops[i] - counts[i] : stops[i]], ddof=1)
+        # a finite variance whose sum of squares overflows: scale the bin by
+        # its largest |record| before squaring
+        for i in np.flatnonzero((counts >= 2) & ~np.isfinite(est)):
+            b = by_bin[stops[i] - counts[i] : stops[i]]
+            s = np.max(np.abs(b))
+            est[i] = (np.var(b / s, ddof=1) * s) * s
         shifted = np.roll(est, -(num_bins // 4))
         product = est * shifted
     bad = ((counts >= 2) & ~np.isfinite(est)) | np.isinf(product)

@@ -74,18 +74,47 @@ def assert_same(got, want, path="$") -> None:
         assert type(got) is type(want) and got == want, (path, got, want)
 
 
+#: json.dumps's text of a homogeneous float list that _skeleton stands in
+#: for: a string of the list's length, at the line where the list opens
+_FLOAT_LIST = re.compile(r'(?m)^( *)(.*)"\\uffff([0-9]+)"(,?)$')
+
+
+def _float_list(n: int) -> str:
+    """What _skeleton writes in place of a homogeneous list of n floats; the
+    payload's strings, which are ASCII, cannot hold it."""
+    return f"\uffff{n}"
+
+
 def _skeleton(value):
-    """`value` with every number made 0: json.dumps writes it as the masked
-    text of `value`, without the cost of repr."""
+    """`value` with every number made 0, and each homogeneous float list,
+    1-D or a row of a 2-D array, made a _float_list of its length: json.dumps
+    writes it as the masked text of `value` without writing those lists."""
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and value.ndim == 1:
+            return _float_list(value.size)
+        if value.dtype.kind == "f" and value.ndim == 2:
+            return [_float_list(value.shape[1])] * value.shape[0]
         value = value.tolist()
     if isinstance(value, dict):
         return {key: _skeleton(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [0] * len(value) if _is_floats(value) else [_skeleton(v) for v in value]
+        return _float_list(len(value)) if _is_floats(value) else [_skeleton(v) for v in value]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return 0
     return value
+
+
+def _expanded(match) -> str:
+    """The masked text of the float list whose _float_list `match` holds: its
+    items one indent deeper than the line on which it opens."""
+    indent, before, n, comma = match.groups()
+    items = ",\n".join([indent + "  0"] * int(n))
+    return f"{indent}{before}[\n{items}\n{indent}]{comma}" if items else f"{indent}{before}[]{comma}"
+
+
+def layout(payload) -> str:
+    """``json.dumps(payload, indent=2)`` with every number token masked."""
+    return _FLOAT_LIST.sub(_expanded, json.dumps(_skeleton(payload), indent=2))
 
 
 def assert_reads_back(text: bytes, payload) -> None:
@@ -95,5 +124,5 @@ def assert_reads_back(text: bytes, payload) -> None:
     text = text.decode()
     assert_same(json.loads(text), payload)
     got = masked(text)
-    want = json.dumps(_skeleton(payload), indent=2) + "\n"
+    want = layout(payload) + "\n"
     assert got == want, first_difference(got, want)

@@ -1,11 +1,13 @@
 import gc
 import hashlib
+import importlib.metadata
 import io
 import json
 import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -105,8 +107,17 @@ ANALYZE_GOLDENS = {
             "d108628475df8cb142e287c8cb1dd37c223a44b66f6082268fb06c7e07c96b7a"),
            ("9dff19059c679bfc3c022726696932967a7c8fcba389be8fc9a8f89e3fc980bb", VARIANCE_LAYOUT)),
 }
-WIGNER_GOLDEN = ("64ec507c878c1a2f6468dd03ef2293a967d906444c9885e1f3d31419df1d15e5",
-                 "03d0724b770ebcc1a71ad59d320a2ea624f1760c53277d866b7932a9e9d6204c")
+WIGNER_GOLDENS = {
+    ("--r", "0.5", "--theta", "0.3", "--nx", "37", "--np", "23"):
+        ("64ec507c878c1a2f6468dd03ef2293a967d906444c9885e1f3d31419df1d15e5",
+         "03d0724b770ebcc1a71ad59d320a2ea624f1760c53277d866b7932a9e9d6204c"),
+    # a wide grid, whose W tails hold cells in [1e-99, 1e-9) and below 1e-99,
+    # which are written with two- and three-digit negative exponents
+    ("--r", "0.4", "--xmin", "-30", "--xmax", "30", "--pmin", "-30", "--pmax", "30",
+     "--nx", "61", "--np", "61"):
+        ("34cb0f81e27d124264feeb148a66e4a089f44617362cd45544f5b4d2982575d5",
+         "0bbe5f2e30647d49e8cfe7dcb64c80f0be77fc1a3cb400f3156a98a258c15000"),
+}
 
 
 def file_digests(path):
@@ -134,11 +145,11 @@ def test_analyze_output_matches_golden_digest(tmp_path, count):
         assert np.isnan(read_variance_csv(str(rep)).estimated_variance).any()
 
 
-def test_wigner_output_matches_golden_digest(tmp_path):
+@pytest.mark.parametrize("flags", list(WIGNER_GOLDENS))
+def test_wigner_output_matches_golden_digest(tmp_path, flags):
     out = tmp_path / "w.csv"
-    run_cli(["wigner", "--state", "squeezed", "--r", "0.5", "--theta", "0.3",
-             "--nx", "37", "--np", "23", "--out", str(out)])
-    assert file_digests(out) == WIGNER_GOLDEN
+    run_cli(["wigner", "--state", "squeezed", *flags, "--out", str(out)])
+    assert file_digests(out) == WIGNER_GOLDENS[flags]
 
 
 README_NETWORK = {
@@ -205,6 +216,11 @@ FOCK_BS_GOLDENS = {
     ("--n1", "15", "--n2", "16", "--theta", "0.8853981633974483", "--phi", "0.3"):
         ("5cd114447b96166924360b1adc9851be7f9497fda6b8bfd12df2efeba320e42a",
          "35bc7893ba5fb0b7f0a963f06e0a1d5a8bbd6617a6c761a5a74889ba81f3f98c"),
+    # both marginals hold 2.49997916673611e-05, which orjson 3.8.3 writes
+    # without an exponent
+    ("--n1", "1", "--n2", "0", "--theta", "0.005"):
+        ("9588d625881d3e8ab2f82a11513548b87a4706208cc9cace24f174cbc912fba8",
+         "d760d3c02ccb1ccfe400829fd2ce6977aca6f22a31d93bd17d962696307618b0"),
 }
 
 
@@ -549,12 +565,39 @@ def run_with_closed_stdout(args) -> subprocess.CompletedProcess:
     gone before the child writes a byte."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=str(Path(cvsim.__file__).resolve().parents[1]))
     try:
         return subprocess.run([sys.executable, "-m", "cvsim.cli", *args], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, timeout=60)
+                              stderr=subprocess.PIPE, env=child_env(), timeout=60)
     finally:
         os.close(write_end)
+
+
+def child_env() -> dict:
+    """The environment of a child process whose Python imports this checkout's cvsim."""
+    return dict(os.environ, PYTHONPATH=str(Path(cvsim.__file__).resolve().parents[1]))
+
+
+def test_installed_console_script_runs_cli_main(tmp_path):
+    try:
+        dist = importlib.metadata.distribution("cvsim")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("no cvsim distribution is installed, so there is no console script to run")
+    [entry] = dist.entry_points.select(group="console_scripts", name="cvsim")
+    assert entry.load() is main
+    script = shutil.which("cvsim")
+    assert script is not None, "the cvsim console script is not on PATH"
+    words = ["fock-bs", "--n1", "3", "--n2", "2", "--out"]
+    want, got, bogus = tmp_path / "want.json", tmp_path / "got.json", tmp_path / "bogus.json"
+    assert run_cli([*words, str(want)]).exit_code == 0
+    done = subprocess.run([script, *words, str(got)], env=child_env(), capture_output=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert got.read_bytes() == want.read_bytes()
+    done = subprocess.run([script, *words, str(bogus), "--bogus", "1"], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[-1] == "Error: unrecognized arguments: --bogus 1"
+    assert not bogus.exists()
 
 
 def test_closed_stdout_raises_without_standalone_mode(tmp_path):
@@ -760,16 +803,21 @@ def test_analyze_malformed_line_names_line(tmp_path):
     assert "line 3" in result.output
 
 
-def test_analyze_input_not_utf8_names_line(tmp_path):
+# line 5000 starts past the reader's first 64 KiB chunk
+@pytest.mark.parametrize("lineno", [3, 5000])
+def test_analyze_input_not_utf8_names_line(tmp_path, lineno):
     bad = tmp_path / "latin1.csv"
-    bad.write_bytes(b"phase,x\n0.0,1.0\n0.5,\xe91.0\n")
+    lines = [b"phase,x", *[b"-0.7853981633974483,1.2345678901234567"] * (lineno - 2),
+             b"0.5,\xe91.0", b""]
+    bad.write_bytes(b"\n".join(lines))
+    assert (len(b"\n".join(lines[:lineno - 1])) + 1 > 65536) == (lineno == 5000)
     result = run_cli(
         ["analyze", "--in", str(bad), "--state", "vacuum", "--out", str(tmp_path / "o.csv")],
     )
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # a handled error, not a traceback
     assert result.output.strip().splitlines() == [
-        "Error: line 3: cannot parse '0.5,\\udce91.0'"
+        f"Error: line {lineno}: cannot parse '0.5,\\udce91.0'"
     ]
 
 
@@ -1081,14 +1129,22 @@ def test_network_unresolved_rotated_squeezer_exits_1_with_one_line(tmp_path, ana
     assert not out.exists()
 
 
+def thermal_pair(n_bar):
+    return [{"kind": "prepare_thermal", "modes": [m], "params": {"n_bar": n_bar}} for m in (0, 1)]
+
+
 # a product of two thermal states (E_N = 0) whose Simon sides overflow: it wrote
-# Infinity for them and "entangled", with exit 0 and a numpy warning
-@pytest.mark.parametrize("n_bar, rhs", [(1e154, "inf"), (1e150, r"7\.99\d*e\+300")],
-                         ids=["n_bar-1e154", "n_bar-1e150"])
-def test_network_simon_overflow_exits_1_with_one_line(tmp_path, n_bar, rhs):
+# Infinity for them and "entangled", with exit 0 and a numpy warning.  The
+# sides are reported in hbar units, (hbar/2)^4 times those in vacuum units,
+# so at hbar = 1e200 those of the vacuum overflow
+@pytest.mark.parametrize("spec, rhs", [
+    ({"gates": thermal_pair(1e154)}, "inf"),
+    ({"gates": thermal_pair(1e150)}, r"7\.99\d*e\+300"),
+    ({"hbar": 1e200}, "inf"),
+], ids=["n_bar-1e154", "n_bar-1e150", "vacuum-hbar-1e200"])
+def test_network_simon_overflow_exits_1_with_one_line(tmp_path, spec, rhs):
     path, out = tmp_path / "net.json", tmp_path / "o.json"
-    gates = [{"kind": "prepare_thermal", "modes": [m], "params": {"n_bar": n_bar}} for m in (0, 1)]
-    path.write_text(json.dumps({"modes": 2, "gates": gates,
+    path.write_text(json.dumps({"modes": 2, **spec,
                                 "analyses": [{"type": "simon", "modes": [0, 1]}]}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second stderr line
@@ -1187,9 +1243,8 @@ def test_network_simon_of_subnormal_correlations_prints_no_warning(tmp_path):
         {"kind": "squeeze", "modes": [1], "params": {"r": 0.2, "theta": 1.0}},
         {"kind": "beamsplitter", "modes": [0, 1], "params": {"theta": 5e-324, "phi": math.pi / 2}},
     ], "analyses": [{"type": "simon", "modes": [0, 1]}]}))
-    env = dict(os.environ, PYTHONPATH=str(Path(cvsim.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "cvsim.cli", "network", "--config", str(path),
-                           "--out", str(out)], env=env, capture_output=True, text=True)
+                           "--out", str(out)], env=child_env(), capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(out.read_text())["analyses"][0]["verdict"] == "separable"
 
@@ -1460,7 +1515,10 @@ def test_a_command_s_own_parser_reads_a_line_as_the_cvsim_parser_does(tmp_path, 
     assert not paths["out"].exists()
 
 
-def test_a_well_formed_command_line_is_read_without_argparse(tmp_path, monkeypatch):
+@pytest.mark.parametrize("words", [["--n1", "1", "--n2", "1", "--out", "{out}"],
+                                   ["--out={out}", "--n2=1", "--n1=1"]],
+                         ids=["as written", "--opt=value"])
+def test_a_well_formed_command_line_is_read_without_argparse(tmp_path, monkeypatch, words):
     def refuse(*args, **kwargs):
         raise AssertionError("argparse read a well-formed command line")
 
@@ -1469,9 +1527,8 @@ def test_a_well_formed_command_line_is_read_without_argparse(tmp_path, monkeypat
         monkeypatch.setattr(each, "parse_args", refuse)
         monkeypatch.setattr(each, "parse_known_args", refuse)
     out = tmp_path / "f.json"
-    flags = next(iter(FOCK_BS_GOLDENS))
-    assert run_cli(["fock-bs", *flags, "--out", str(out)]).exit_code == 0
-    assert json_digests(out) == FOCK_BS_GOLDENS[flags]
+    assert run_cli(["fock-bs", *(word.format(out=out) for word in words)]).exit_code == 0
+    assert json_digests(out) == FOCK_BS_GOLDENS["--n1", "1", "--n2", "1"]
 
 
 #: (a line that gives a lone "--" as an option's value, the option)
@@ -1647,9 +1704,8 @@ def test_wigner_byte_identical(tmp_path):
 def run_fresh(code):
     """Standard output of ``code`` run in a fresh interpreter that imports
     this checkout's cvsim."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cvsim.__file__).resolve().parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     )
     return done.stdout
 

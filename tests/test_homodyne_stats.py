@@ -2,6 +2,7 @@
 against theory, the Heisenberg product and squeezing certificates."""
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -203,14 +204,24 @@ QUARTER_CENTRES = 0.5 * (np.linspace(-np.pi, np.pi, 5)[:-1] + np.linspace(-np.pi
     ([1e160, -1e160, 1e160, -1e160, 4.0, 5.0], "variance"),
     # variances of 2e200 and 2e180 are finite; their product is not
     ([1e100, -1e100, 1e90, -1e90, 4.0, 5.0], "variance product"),
-], ids=["inf-record", "1e308", "1e160", "product"])
+    # the sum of the squares overflows, but the variance, 1000/999 * 1e306,
+    # is finite: the bin is kept
+    ([1e153, -1e153] * 500 + [4.0, 5.0, 4.0, 5.0], None),
+], ids=["inf-record", "1e308", "1e160", "product", "1e153-finite"])
 def test_binned_variance_refuses_a_non_finite_bin(values, what):
-    # records 0-1 fill the bin at pi/4, 2-3 that at 3 pi/4 and 4-5 that at
-    # -3 pi/4, which stays finite; the bin at pi/4 is the first that fails
-    phases = [0.1, 0.2, 2.5, 2.6, -2.5, -2.6]
+    # the records before the last four fill the bin at pi/4, the next two
+    # that at 3 pi/4 and the last two that at -3 pi/4, which stays finite;
+    # the bin at pi/4 is the first that fails
+    phases = [*np.linspace(0.1, 0.2, len(values) - 4), 2.5, 2.6, -2.5, -2.6]
+    samples = SampleSet(phases=phases, values=values, model=None)
+    if what is None:
+        exact = float(Fraction(values[0]) ** 2 * 1000 / 999)
+        got = binned_variance(samples, 4).estimated_variance[2]
+        assert abs(got - exact) <= 4 * np.spacing(exact)
+        return
     message = f"the {what} of the phase bin at phi = {float(QUARTER_CENTRES[2])!r} is not finite"
     with pytest.raises(CVSimError, match=f"^{re.escape(message)}$"):
-        binned_variance(SampleSet(phases=phases, values=values, model=None), 4)
+        binned_variance(samples, 4)
 
 
 def test_binned_variance_keeps_nan_in_an_under_filled_bin():

@@ -7,15 +7,17 @@ and in lists of Python floats, at the top level and nested in an object;
 and the cells in [1e-5, 1e-4), which orjson 3.8.3 writes without an
 exponent, on every digit count."""
 
+import json
 import random
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cvsim.cli import _json_bytes
-from json_readback import assert_reads_back, significant_digits
+from json_readback import assert_reads_back, layout, masked, significant_digits
 
 
 def assert_written_bit_for_bit(a):
@@ -123,6 +125,23 @@ def fuzz_values(seed):
             rng.normal(size=20_000),
         ])
     return values[rng.permutation(values.size)]
+
+
+def nested(value, depth):
+    """`value` at `depth`, each level a list or an object, with an item after it."""
+    for level in range(depth):
+        value = {"k": value, "n": 1.5} if level % 2 else [value, 1]
+    return value
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("n", range(4))
+def test_layout_of_a_float_list_is_json_dumps_s(n, depth):
+    # the layout that the read-back tests compare against writes a float
+    # list, and each row of a 2-D array, from its length and depth alone
+    for floats in (np.full(n, 0.5), np.full((2, n), -0.5), [0.5] * n, [[2.5] * n] * 3):
+        want = json.dumps(nested(np.asarray(floats).tolist(), depth), indent=2)
+        assert layout(nested(floats, depth)) == masked(want)
 
 
 def test_json_writer_reads_back_a_million_fuzzed_values():
