@@ -23,8 +23,10 @@ ends; one that ends within tol of an end is solved once more, from the same
 start, on [-reach, reach] with reach = |E[X_phi]| + 64 sd(X_phi) + 50.  A
 record whose quantile lies past that reach, which holds every quantile down
 to u = 1e-300 (a Gaussian tail of about 37 sd), raises InversionError.
-Records are solved in fixed-size blocks, and a record's value does not
-depend on the batch it is drawn in.  Source parameters must be finite, and
+Records are solved in fixed-size blocks, on as many threads as there are
+blocks, up to the number of CPUs the process may use.  A record's value
+depends on its own (phi, u) and the model alone, so not on the batch it is
+drawn in, its block, or the threads.  Source parameters must be finite, and
 tol finite and > 0; anything else raises ValueError.
 
 scipy.special is imported inside the methods that evaluate erf, ndtri or
@@ -34,6 +36,7 @@ about as long as the rest of the package's imports together.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -506,21 +509,69 @@ def _newton_quantiles(model, phis, targets, records, tol, table):
     return out
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _invert(model, phis, targets, tol):
-    """Quantiles x with F(x, phi) = u for every (phi, u) pair, block by block."""
+    """Quantiles x with F(x, phi) = u for every (phi, u) pair, block by block.
+
+    The blocks are solved on min(blocks, CPUs available) threads, the calling
+    thread one of them, each thread in a copy of the caller's context and so
+    under its numpy errstate.  A block's records depend on its own (phi, u)
+    pairs and the start table alone, not on the thread that solves it or
+    when.  Blocks are taken in order, and none once one has failed, so the
+    exception raised is the lowest failing block's, as in a serial loop.
+    """
+    import contextvars
+    import threading
+
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     gaussian = isinstance(model, GaussianSource)
     table = None if gaussian else _start_table(model)
     out = np.empty_like(targets)
     records = np.arange(targets.size)
-    for first in range(0, targets.size, _BLOCK):
-        part = slice(first, first + _BLOCK)
-        if gaussian:
-            out[part] = model.quantile(phis[part], targets[part])
-        else:
-            block = (phis[part], targets[part], records[part])
-            out[part] = _newton_quantiles(model, *block, tol, table)
+    parts = [slice(first, first + _BLOCK) for first in range(0, targets.size, _BLOCK)]
+    lock = threading.Lock()
+    untaken = iter(parts)
+    failed = {}
+
+    def work():
+        while True:
+            with lock:
+                part = None if failed else next(untaken, None)
+            if part is None:
+                return
+            try:
+                if gaussian:
+                    out[part] = model.quantile(phis[part], targets[part])
+                else:
+                    block = (phis[part], targets[part], records[part])
+                    out[part] = _newton_quantiles(model, *block, tol, table)
+            except BaseException as exc:
+                with lock:
+                    failed[part.start] = exc
+
+    # speed only: a block's erf, exp and array steps release the GIL; on a
+    # 2-vCPU VM, sample(..., 1e5) of cat alpha = 2 186 -> 115 ms and Fock 10
+    # 59 -> 53 ms, homodyne-nongaussian job_tail_s -35%
+    helpers = []
+    try:
+        for _ in range(min(len(parts), _cpus()) - 1):
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
     return out
 
 

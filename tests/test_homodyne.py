@@ -2,6 +2,7 @@
 functions, densities, CDFs and the inversion machinery.  Statistical tests
 on full sample sets live in test_homodyne_stats.py."""
 
+import re
 import sys
 import warnings
 
@@ -43,7 +44,7 @@ from cvsim import (
     write_samples_csv,
 )
 
-from cvsim.homodyne import MAX_FOCK_N, MAX_SPATS_NBAR
+from cvsim.homodyne import _BLOCK, MAX_FOCK_N, MAX_SPATS_NBAR
 from quadrature_oracle import pdf_numeric_oracle
 
 ALL_MODELS = [
@@ -563,12 +564,17 @@ def test_invert_widens_past_the_first_bracket_non_gaussian():
     assert quadrature_cdf(Spats(300.0), x, 0.0) == pytest.approx(0.999, abs=1e-12)
 
 
-def test_inversion_step_cap_raises_instead_of_returning_an_open_bracket(monkeypatch):
+@pytest.mark.parametrize("count", [20, 2 * _BLOCK + 20], ids=["one block", "three blocks"])
+def test_inversion_step_cap_raises_instead_of_returning_an_open_bracket(count, monkeypatch):
     import cvsim.homodyne as homodyne
 
+    # past one block, the blocks run on two threads and every block fails:
+    # the message of block 0 is the one raised
     monkeypatch.setattr(homodyne, "_MAX_STEPS", 2)
-    with pytest.raises(InversionError, match="after 2 steps"):
-        sample(Fock(3), 20, seed=1)
+    monkeypatch.setattr(homodyne, "_cpus", lambda: 2)
+    with pytest.raises(InversionError, match="after 2 steps") as info:
+        sample(Fock(3), count, seed=1)
+    assert int(re.match(r"quantile for record (\d+) ", str(info.value))[1]) < _BLOCK
 
 
 class _NarrowSpats(Spats):

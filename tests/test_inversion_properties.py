@@ -1,6 +1,11 @@
 """Property tests for quantile inversion over each source's documented domain:
-the tolerance certificate, independence of a record from its batch, the
-closed-form quantile of the Gaussian sources and the cost of a record."""
+the tolerance certificate, independence of a record from its batch and from
+the threads that solve its block, the closed-form quantile of the Gaussian
+sources and the cost of a record."""
+
+import sys
+import threading
+import time
 
 import mpmath
 import numpy as np
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from cvsim import (
     CatState,
     Fock,
+    InversionError,
     Spats,
     SqueezedVacuum,
     Thermal,
@@ -116,17 +122,111 @@ BENCHMARK_SOURCES = [
 def test_record_costs_at_most_five_cdf_evaluations(model, monkeypatch):
     """Every point at which F is evaluated while 1e5 records are sampled
     counts: the start table, the Newton passes and any reach run."""
-    evaluated = [0]
+    # blocks run on several threads: list.append loses no count, where a
+    # read-modify-write of one total could
+    evaluated = []
     cdf_and_pdf = homodyne._cdf_and_pdf
 
     def counted(model, x, phi):
-        evaluated[0] += np.size(x)
+        evaluated.append(np.size(x))
         return cdf_and_pdf(model, x, phi)
 
     monkeypatch.setattr(homodyne, "_cdf_and_pdf", counted)
     count = 100_000
     sample(model, count, seed=42)
-    assert evaluated[0] <= 5.0 * count
+    assert sum(evaluated) <= 5.0 * count
+
+
+@pytest.mark.parametrize("model", BENCHMARK_SOURCES + [SqueezedVacuum(1.0)])
+def test_records_do_not_depend_on_the_number_of_threads(model, monkeypatch):
+    count = 3 * _BLOCK + 5
+    threaded = sample(model, count, seed=9).values
+    monkeypatch.setattr(homodyne, "_cpus", lambda: 4)
+    four = sample(model, count, seed=9).values
+    monkeypatch.setattr(homodyne, "_cpus", lambda: 1)
+    serial = sample(model, count, seed=9).values
+    assert threaded.tobytes() == serial.tobytes()
+    assert four.tobytes() == serial.tobytes()
+
+
+@pytest.mark.parametrize("count, cpus", [(_BLOCK, 4), (3 * _BLOCK, 1)])
+def test_one_block_or_one_cpu_starts_no_thread(count, cpus, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", refused)
+    monkeypatch.setattr(homodyne, "_cpus", lambda: cpus)
+    assert sample(Fock(3), count, seed=2).values.size == count
+
+
+@pytest.mark.parametrize("planted", [{1: 0.2, 2: 0.0}, {2: 0.2, 3: 0.0}],
+                         ids=["blocks 1 and 2", "blocks 2 and 3"])
+def test_the_lowest_failing_block_is_raised_whichever_fails_first(planted, monkeypatch):
+    """One record of each block k in `planted` gets a NaN CDF, block k's after
+    planted[k] seconds, so the higher block fails first.  The error names the
+    lowest failing block's record, as a serial loop over the blocks would."""
+    count = 4 * _BLOCK
+    phis, _ = _draws(7, count)
+    bad = {k: k * _BLOCK + 5 for k in planted}
+    cdf_and_pdf = homodyne._cdf_and_pdf
+
+    def nan_at_planted(model, x, phi):
+        cdf, pdf = cdf_and_pdf(model, x, phi)
+        for k, delay in planted.items():
+            hit = phi == phis[bad[k]]
+            if hit.any():
+                time.sleep(delay)
+                cdf = np.where(hit, np.nan, cdf)
+        return cdf, pdf
+
+    monkeypatch.setattr(homodyne, "_cdf_and_pdf", nan_at_planted)
+    monkeypatch.setattr(homodyne, "_cpus", lambda: 4)
+    with pytest.raises(InversionError, match=rf"^CDF is NaN for record {bad[min(planted)]} "):
+        sample(Fock(3), count, seed=7)
+
+
+def test_every_block_runs_under_the_caller_s_errstate(monkeypatch):
+    # a thread started plainly runs under numpy's default errstate
+    # ("under": "ignore"), not the caller's
+    seen = []
+    cdf_and_pdf = homodyne._cdf_and_pdf
+
+    def recorded(model, x, phi):
+        seen.append((threading.get_ident(), np.geterr()["under"]))
+        with np.errstate(under="ignore"):
+            return cdf_and_pdf(model, x, phi)
+
+    monkeypatch.setattr(homodyne, "_cdf_and_pdf", recorded)
+    monkeypatch.setattr(homodyne, "_cpus", lambda: 4)
+    with np.errstate(under="raise"):
+        sample(CatState(2.0 + 0.0j, 0.0), 4 * _BLOCK, seed=3)
+    assert {under for _, under in seen} == {"raise"}
+    assert len({ident for ident, _ in seen}) > 1
+
+
+def test_every_block_is_solved_once_under_thread_switching_stress(monkeypatch):
+    """Eight threads on 50 blocks of 64 records, switching every microsecond:
+    a block taken twice or skipped shows in the count or the records."""
+    count = 50 * 64
+    serial = sample(Fock(3), count, seed=4).values
+    solved = []
+    newton_quantiles = homodyne._newton_quantiles
+
+    def counted(model, phis, targets, records, tol, table):
+        solved.append(int(records[0]))
+        return newton_quantiles(model, phis, targets, records, tol, table)
+
+    monkeypatch.setattr(homodyne, "_newton_quantiles", counted)
+    monkeypatch.setattr(homodyne, "_BLOCK", 64)
+    monkeypatch.setattr(homodyne, "_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sample(Fock(3), count, seed=4).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(solved) == list(range(0, count, 64))
+    assert threaded.tobytes() == serial.tobytes()
 
 
 def _mp_cdf(model, x, phi):
