@@ -2,6 +2,7 @@
 back bit for bit, and the text, with every number token masked, is
 ``json.dumps(payload, indent=2)`` plus one LF masked the same way."""
 
+import hashlib
 import json
 import re
 from itertools import chain
@@ -24,6 +25,14 @@ def masked(text: str) -> str:
 def significant_digits(token: str) -> str:
     """The significant digits of a number's text: 2.5e-07 and 0.00000025 -> "25"."""
     return token.lstrip("-").lower().split("e")[0].replace(".", "").strip("0") or "0"
+
+
+def json_digests(path):
+    """SHA-256 of the values and of the masked layout of a JSON output: what
+    the contract pins, which no admitted orjson version changes."""
+    text = path.read_text()
+    return (hashlib.sha256(json.dumps(json.loads(text)).encode()).hexdigest(),
+            hashlib.sha256(masked(text).encode()).hexdigest())
 
 
 def first_difference(got: str, want: str):

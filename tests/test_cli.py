@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import importlib.metadata
 import io
 import json
@@ -37,7 +36,7 @@ from cvsim import (
 )
 from cvsim.homodyne import DEFAULT_TOL, read_variance_csv
 from csv_readback import csv_digests
-from json_readback import assert_reads_back, masked
+from json_readback import assert_reads_back, json_digests
 
 
 class Result(NamedTuple):
@@ -222,13 +221,6 @@ FOCK_BS_GOLDENS = {
         ("9588d625881d3e8ab2f82a11513548b87a4706208cc9cace24f174cbc912fba8",
          "d760d3c02ccb1ccfe400829fd2ce6977aca6f22a31d93bd17d962696307618b0"),
 }
-
-
-def json_digests(path):
-    """SHA-256 of the values and of the masked layout of a JSON output."""
-    text = path.read_text()
-    return (hashlib.sha256(json.dumps(json.loads(text)).encode()).hexdigest(),
-            hashlib.sha256(masked(text).encode()).hexdigest())
 
 
 @pytest.mark.parametrize("name", list(NETWORK_GOLDENS))
