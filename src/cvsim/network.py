@@ -36,7 +36,7 @@ from .entanglement import (
 )
 from .errors import CVSimError, MalformedInputError, NetworkRuntimeError, SpecValidationError
 from .gates import (
-    _apply_in_place,
+    _apply_run,
     _beamsplitter_blocks,
     _displacement_blocks,
     _first_invalid,
@@ -44,6 +44,7 @@ from .gates import (
     _quadratures,
     _rotation_blocks,
     _squeeze_blocks,
+    _write_rows,
 )
 from .phase_space import PhaseSpaceGrid, wigner_gaussian
 from .states import GaussianState, clean_tiny
@@ -66,6 +67,9 @@ ANALYSES = {
     "log_negativity": {"part_a": None, "part_b": None},
     "wigner": {"mode": None, "grid": None},
 }
+
+#: why a gate whose block and shift pass fails
+_NOT_FINITE = "the gate's output is not finite"
 
 DEFAULT_GRID = {"x_min": -5.0, "x_max": 5.0, "p_min": -5.0, "p_max": 5.0, "nx": 100, "np": 100}
 
@@ -231,30 +235,49 @@ def parse_network_spec(doc) -> NetworkSpec:
     return NetworkSpec(num_modes=modes, hbar=hbar, gates=gates, analyses=analyses)
 
 
-def _gate_steps(spec: NetworkSpec) -> list:
-    """What ``_apply_in_place`` takes for each gate in vacuum units, (block,
-    shift, rows); None for prepare_thermal; and, for the first gate of each
-    kind whose block or shift fails ``_first_invalid``, the reason as a string.
-
-    The gates of one kind are built in one numpy pass from their parameter
-    arrays and checked as one stack.
-    """
+def _gate_stacks(spec: NetworkSpec) -> tuple[dict, list[int]]:
+    """Each gate kind's blocks and shifts in vacuum units, built in one numpy
+    pass from its parameter arrays in spec order and checked as one stack,
+    with the spec index and reason of its first gate that fails
+    ``_first_invalid`` (None if none does); and each gate's position in its
+    kind's stack."""
     by_kind: dict[str, list[int]] = {}
+    position = []
     for i, desc in enumerate(spec.gates):
-        by_kind.setdefault(desc.kind, []).append(i)
-    steps: list = [None] * len(spec.gates)
+        where = by_kind.setdefault(desc.kind, [])
+        position.append(len(where))
+        where.append(i)
+    stacks = {}
     for kind, where in by_kind.items():
         names, _, formula = GATES[kind]
-        if formula is None:
-            continue
-        blocks, shifts = formula(*(np.array([spec.gates[i].params[name] for i in where])
-                                   for name in names))
-        for i, block, shift in zip(where, blocks, shifts):
-            steps[i] = (block, shift, _quadratures(spec.gates[i].modes))
-        bad = _first_invalid(blocks, shifts)
-        if bad is not None:
-            steps[where[bad[0]]] = bad[1]
-    return steps
+        if formula is not None:
+            blocks, shifts = formula(*(np.array([spec.gates[i].params[name] for i in where])
+                                       for name in names))
+            bad = _first_invalid(blocks, shifts)
+            stacks[kind] = blocks, shifts, None if bad is None else (where[bad[0]], bad[1])
+    return stacks, position
+
+
+def _runs(gates: tuple[GateDescriptor, ...]) -> list[range]:
+    """The gates split into runs: consecutive gates of one kind whose modes
+    are pairwise disjoint.  A prepare_thermal is a run of its own."""
+    runs: list[range] = []
+    touched: set[int] = set()
+    for i, desc in enumerate(gates):
+        if (runs and desc.kind == gates[i - 1].kind != "prepare_thermal"
+                and touched.isdisjoint(desc.modes)):
+            runs[-1] = range(runs[-1].start, i + 1)
+        else:
+            runs.append(range(i, i + 1))
+            touched = set()
+        touched.update(desc.modes)
+    return runs
+
+
+def _finite(cov_rows: np.ndarray, mean_rows: np.ndarray) -> bool:
+    # count_nonzero is cheaper than .all() on arrays this small
+    return (np.count_nonzero(np.isfinite(cov_rows)) + np.count_nonzero(np.isfinite(mean_rows))
+            == cov_rows.size + mean_rows.size)
 
 
 def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
@@ -307,9 +330,16 @@ def run_network(spec: NetworkSpec) -> NetworkResult:
     """Start from the N-mode vacuum, apply the gates in order and evaluate
     every requested analysis.  Fully deterministic.
 
-    The gates of each kind are built and checked as one stack, then update
-    one covariance/mean buffer in vacuum units in place, in spec order; after
-    the last gate it is scaled to hbar units and the validated state is built.
+    The gates of each kind are built and checked as one stack.  They are
+    then applied to one covariance/mean buffer in vacuum units in runs:
+    consecutive gates of one kind whose modes are pairwise disjoint, each
+    prepare_thermal a run of its own.  A run is computed in one stacked pass
+    and written once its output is finite; the result is bit for bit that of
+    applying the gates one at a time in spec order.  A run whose output is
+    not finite, or that holds a gate that fails its check, is applied again
+    one gate at a time, so the gate named is the first that fails in spec
+    order.  After the last run the buffer is scaled to hbar units and the
+    validated state is built.
 
     Raises:
         NetworkRuntimeError: a gate or an analysis failed; its ``pointer``
@@ -320,25 +350,39 @@ def run_network(spec: NetworkSpec) -> NetworkResult:
     """
     mean = np.zeros(2 * spec.num_modes)
     cov = np.eye(2 * spec.num_modes)
-    steps = _gate_steps(spec)
+    stacks, position = _gate_stacks(spec)
+    i = 0  # the gate that runs, named if it fails
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (desc, step) in enumerate(zip(spec.gates, steps)):
-            try:
-                if isinstance(step, str):
-                    raise MalformedInputError(step)
-                if step is None:
-                    _prepare_thermal_in_place(desc.params["n_bar"], desc.modes[0], cov, mean)
-                    rows = _quadratures(desc.modes)
-                else:
-                    _apply_in_place(*step, cov, mean)
-                    rows = step[2]
-                # count_nonzero is cheaper than .all() on arrays this small
-                out_cov, out_mean = cov[rows], mean[rows]
-                if (np.count_nonzero(np.isfinite(out_cov)) + np.count_nonzero(np.isfinite(out_mean))
-                        != out_cov.size + out_mean.size):
-                    raise MalformedInputError("the gate's output is not finite")
-            except (ValueError, CVSimError) as exc:
-                raise NetworkRuntimeError(f"/gates/{i}", str(exc)) from exc
+        try:
+            for run in _runs(spec.gates):
+                i = run.start
+                kind, modes = spec.gates[i].kind, spec.gates[i].modes
+                if kind == "prepare_thermal":
+                    _prepare_thermal_in_place(spec.gates[i].params["n_bar"], modes[0], cov, mean)
+                    rows = _quadratures(modes)
+                    if not _finite(cov[rows], mean[rows]):
+                        raise MalformedInputError(_NOT_FINITE)
+                    continue
+                blocks, shifts, bad = stacks[kind]
+                if bad is None or bad[0] not in run:
+                    rows = _quadratures(tuple(m for j in run for m in spec.gates[j].modes))
+                    at = slice(position[i], position[i] + len(run))
+                    new_rows, new_mean = _apply_run(blocks[at], shifts[at], rows, cov, mean)
+                    if _finite(new_rows, new_mean):
+                        _write_rows(rows, new_rows, new_mean, cov, mean)
+                        continue
+                # a gate of the run fails: apply it one gate at a time to name the first
+                for i in run:
+                    if bad is not None and bad[0] == i:
+                        raise MalformedInputError(bad[1])
+                    rows = _quadratures(spec.gates[i].modes)
+                    at = slice(position[i], position[i] + 1)
+                    new_rows, new_mean = _apply_run(blocks[at], shifts[at], rows, cov, mean)
+                    if not _finite(new_rows, new_mean):
+                        raise MalformedInputError(_NOT_FINITE)
+                    _write_rows(rows, new_rows, new_mean, cov, mean)
+        except (ValueError, CVSimError) as exc:
+            raise NetworkRuntimeError(f"/gates/{i}", str(exc)) from exc
         cov *= spec.hbar / 2.0
         mean *= np.sqrt(spec.hbar / 2.0)
     try:

@@ -27,6 +27,21 @@ def significant_digits(token: str) -> str:
     return token.lstrip("-").lower().split("e")[0].replace(".", "").strip("0") or "0"
 
 
+#: an exponent, in a comma-separated list of numbers; a number's leading
+#: zeros, in such a list without signs or points
+_EXPONENT = re.compile(r"e[^,]*")
+_LEADING_ZEROS = re.compile(r",0+")
+
+
+def all_significant_digits(numbers: str) -> str:
+    """The significant_digits of each number of a comma-separated list,
+    comma-separated, each step one pass over the whole text."""
+    bare = _EXPONENT.sub("", numbers.lower()).replace("-", "").replace(".", "")
+    bare = _LEADING_ZEROS.sub(",", f",{bare},")
+    bare = _LEADING_ZEROS.sub(",", bare[::-1])[::-1]  # the trailing zeros
+    return bare.replace(",,", ",0,").replace(",,", ",0,")[1:-1]
+
+
 def json_digests(path):
     """SHA-256 of the values and of the masked layout of a JSON output: what
     the contract pins, which no admitted orjson version changes."""

@@ -3,7 +3,7 @@ blocks, against the dense 2N x 2N products they replace."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvsim import (
@@ -30,6 +30,9 @@ from cvsim import (
     vacuum_state,
     wigner_gaussian,
 )
+from cvsim.errors import MalformedInputError
+from cvsim.gates import _prepare_thermal_in_place, _quadratures
+from cvsim.network import _gate_stacks, _runs
 
 KINDS = ("displace", "squeeze", "rotate", "beamsplitter", "prepare_thermal")
 angle = st.floats(-np.pi, np.pi)
@@ -113,6 +116,179 @@ def test_block_gates_match_dense_products(chain):
     result = run_network(parse_network_spec({"modes": n, "gates": gates}))
     assert np.array_equal(result.state.cov, state.cov)
     assert np.array_equal(result.state.mean, state.mean)
+
+
+def apply_in_place(block, shift, idx, cov, mean):
+    """Overwrite cov with S cov S^T and mean with S mean + d, where S embeds
+    ``block`` at the rows ``idx`` (a slice or an index array): one gate at a
+    time, the reference that the runner's stacked runs must equal bit for bit.
+
+    Only the touched rows and columns change.  They are written from one
+    array into both triangles, with the touched diagonal block symmetrised,
+    so a symmetric cov stays exactly symmetric.
+    """
+    rows = block @ cov[idx]
+    inner = rows[:, idx] @ block.T
+    rows[:, idx] = (inner + inner.T) / 2.0
+    cov[idx] = rows
+    cov[:, idx] = rows.T
+    mean[idx] = block @ mean[idx] + shift
+
+
+def one_at_a_time(doc):
+    """(cov, mean) of ``run_network``'s state for ``doc``, from the blocks the
+    runner builds applied one gate at a time by ``apply_in_place``; or the
+    NetworkRuntimeError it raises, naming the first gate that fails."""
+    spec = parse_network_spec(doc)
+    stacks, position = _gate_stacks(spec)
+    cov, mean = np.eye(2 * spec.num_modes), np.zeros(2 * spec.num_modes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, desc in enumerate(spec.gates):
+            try:
+                if desc.kind == "prepare_thermal":
+                    _prepare_thermal_in_place(desc.params["n_bar"], desc.modes[0], cov, mean)
+                else:
+                    blocks, shifts, bad = stacks[desc.kind]
+                    if bad is not None and bad[0] == i:
+                        raise MalformedInputError(bad[1])
+                    j, rows = position[i], _quadratures(desc.modes)
+                    apply_in_place(blocks[j], shifts[j], rows, cov, mean)
+                rows = _quadratures(desc.modes)
+                if not (np.isfinite(cov[rows]).all() and np.isfinite(mean[rows]).all()):
+                    raise MalformedInputError("the gate's output is not finite")
+            except (ValueError, CVSimError) as exc:
+                return NetworkRuntimeError(f"/gates/{i}", str(exc))
+    return cov * (spec.hbar / 2.0), mean * np.sqrt(spec.hbar / 2.0)
+
+
+@st.composite
+def runs(draw):
+    """(N, gate descriptors) of 1-12 modes, in runs: gates of one kind on
+    distinct modes in any order, beam splitters on any pairs, each run
+    sometimes broken by a gate on one of its modes.  Later runs reuse the
+    modes of earlier ones; prepare_thermal targets only untouched modes."""
+    n = draw(st.integers(1, 12))
+    touched = set()
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(KINDS if n > 1 else KINDS[:3] + KINDS[4:]))
+        order = draw(st.permutations(range(n)))
+        if kind == "prepare_thermal":
+            order = [m for m in order if m not in touched]
+        width = 2 if kind == "beamsplitter" else 1
+        count = draw(st.integers(0, len(order) // width))
+        groups = [order[width * i:width * (i + 1)] for i in range(count)]
+        if groups and kind != "prepare_thermal" and draw(st.booleans()):
+            groups.insert(draw(st.integers(1, len(groups))), groups[0])  # an overlap
+        for modes in groups:
+            if kind == "displace":
+                params = {"alpha_mag": draw(st.floats(0, 2)), "alpha_phase": draw(angle)}
+            elif kind == "squeeze":
+                params = {"r": draw(st.floats(0, 1.5)), "theta": draw(angle)}
+            elif kind == "rotate":
+                params = {"phi": draw(angle)}
+            elif kind == "beamsplitter":
+                params = {"theta": draw(st.floats(0, np.pi / 2)), "phi": draw(angle)}
+            else:
+                params = {"n_bar": draw(st.floats(0, 3))}
+            touched.update(modes)
+            gates.append({"kind": kind, "modes": list(modes), "params": params})
+    return n, gates
+
+
+#: the README's network: its last run holds the beam splitters (0, 2) and (1, 3)
+README_GATES = [
+    {"kind": "squeeze", "modes": [0], "params": {"r": 0.5, "theta": 0.0}},
+    {"kind": "squeeze", "modes": [1], "params": {"r": 0.5, "theta": np.pi}},
+    {"kind": "beamsplitter", "modes": [0, 1], "params": {"theta": np.pi / 4, "phi": 0.0}},
+    {"kind": "beamsplitter", "modes": [0, 2], "params": {"theta": np.pi / 4, "phi": 0.0}},
+    {"kind": "beamsplitter", "modes": [1, 3], "params": {"theta": np.pi / 4, "phi": 0.0}},
+]
+
+
+def test_the_readme_network_has_three_runs():
+    spec = parse_network_spec({"modes": 4, "gates": README_GATES})
+    assert _runs(spec.gates) == [range(0, 2), range(2, 3), range(3, 5)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(runs())
+@example((4, README_GATES))
+@example((3, [{"kind": "beamsplitter", "modes": [2, 0], "params": {"theta": 0.4, "phi": -2.0}},
+              {"kind": "beamsplitter", "modes": [1, 0], "params": {"theta": 1.1, "phi": 0.3}}]))
+def test_runs_equal_one_gate_at_a_time_bit_for_bit(chain):
+    n, gates = chain
+    for hbar in (0.5, 2.0, 7.0):
+        doc = {"modes": n, "hbar": hbar, "gates": gates}
+        cov, mean = one_at_a_time(doc)
+        state = run_network(parse_network_spec(doc)).state
+        assert np.array_equal(state.cov, cov)
+        assert np.array_equal(state.mean, mean)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(runs())
+def test_apply_gate_is_the_reference_kernel_bit_for_bit(chain):
+    n, gates = chain
+    state = vacuum_state(n, 7.0)
+    for desc in gates:
+        if desc["kind"] == "prepare_thermal":
+            state = thermal_prepare(desc["params"]["n_bar"], desc["modes"][0], state)
+            continue
+        gate = _gate(desc, n)
+        cov, mean = (state.cov + state.cov.T) / 2.0, np.array(state.mean)
+        apply_in_place(gate.block, gate.shift, gate._idx, cov, mean)
+        state = apply_gate(gate, state)
+        assert np.array_equal(state.cov, cov)
+        assert np.array_equal(state.mean, mean)
+
+
+def _squeeze(mode, r):
+    return {"kind": "squeeze", "modes": [mode], "params": {"r": r, "theta": 0.0}}
+
+
+def _displace(mode, alpha):
+    return {"kind": "displace", "modes": [mode], "params": {"alpha_mag": alpha, "alpha_phase": 0.0}}
+
+
+def _rotate(mode):
+    return {"kind": "rotate", "modes": [mode], "params": {"phi": 0.3}}
+
+
+# each network fails inside a run of several gates; the gate named is the
+# first that fails in spec order, as when the gates run one at a time
+FAILING_RUNS = {
+    "r=800 third of four squeezers": (
+        [_squeeze(0, 0.5), _squeeze(1, 0.5), _squeeze(2, 800.0), _squeeze(3, 0.5)],
+        "/gates/2", "matrix is not symplectic (||S Omega S^T - Omega||_F = nan)"),
+    "alpha 1e308 after finite displacements": (
+        [_displace(0, 1.0), _displace(1, 1.0), _displace(2, 1e308), _displace(3, 1.0)],
+        "/gates/2", "shift [inf nan] is not finite"),
+    "a mean that overflows mid-run": (
+        [_displace(1, 4e307), _rotate(0), _displace(0, 1.0), _displace(1, 5e307), _displace(2, 1.0)],
+        "/gates/3", "the gate's output is not finite"),
+    "an output that overflows before an invalid block": (
+        [_squeeze(0, 300.0), _rotate(1), _squeeze(0, 300.0), _squeeze(1, 800.0)],
+        "/gates/2", "the gate's output is not finite"),
+    "prepare_thermal on a mode of the previous run": (
+        [_squeeze(0, 0.5), _squeeze(1, 0.5),
+         {"kind": "prepare_thermal", "modes": [1], "params": {"n_bar": 1.0}}],
+        "/gates/2", "mode 1 is not in the vacuum state"),
+}
+
+
+@pytest.mark.parametrize("name", list(FAILING_RUNS))
+def test_a_run_names_its_first_failing_gate(name):
+    gates, pointer, message = FAILING_RUNS[name]
+    doc = {"modes": 4, "gates": gates}
+    assert len(_runs(parse_network_spec(doc).gates)) < len(gates)
+    with pytest.raises(NetworkRuntimeError) as err:
+        run_network(parse_network_spec(doc))
+    assert err.value.pointer == pointer
+    assert str(err.value) == f"{pointer}: {message}"
+    assert str(err.value) == str(one_at_a_time(doc))
+    assert isinstance(err.value.__cause__, (MalformedInputError, ValueError))
+    assert str(err.value.__cause__) == message
 
 
 def test_runner_names_the_first_failing_gate_across_kinds():

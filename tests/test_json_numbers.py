@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cvsim.cli import _json_bytes
-from json_readback import assert_reads_back, layout, masked, significant_digits
+from json_readback import (
+    all_significant_digits,
+    assert_reads_back,
+    first_difference,
+    layout,
+    masked,
+    significant_digits,
+)
 
 
 def assert_written_bit_for_bit(a):
@@ -148,9 +155,9 @@ def test_json_writer_reads_back_a_million_fuzzed_values():
     values = fuzz_values(20261018)
     values = values[np.isfinite(values)]
     assert values.size >= 1_000_000
-    texts = numbers(_json_bytes(values)).split(",")
-    assert [significant_digits(t) for t in texts] == [
-        significant_digits(repr(x)) for x in values.tolist()]
+    got = all_significant_digits(numbers(_json_bytes(values)))
+    want = all_significant_digits(",".join(map(repr, values.tolist())))
+    assert got == want, first_difference(got.replace(",", "\n"), want.replace(",", "\n"))
     # all of them read back, and keep json.dumps's layout, in every form:
     # the 1-D array and rows of 7 and of 1500, each as an array, as a list
     # and nested in an object
