@@ -275,9 +275,21 @@ def _runs(gates: tuple[GateDescriptor, ...]) -> list[range]:
 
 
 def _finite(cov_rows: np.ndarray, mean_rows: np.ndarray) -> bool:
-    # count_nonzero is cheaper than .all() on arrays this small
-    return (np.count_nonzero(np.isfinite(cov_rows)) + np.count_nonzero(np.isfinite(mean_rows))
-            == cov_rows.size + mean_rows.size)
+    return bool(np.isfinite(cov_rows).all() and np.isfinite(mean_rows).all())
+
+
+def _apply_gates(spec: NetworkSpec, gates: range, stacks: dict, position: list[int],
+                 cov: np.ndarray, mean: np.ndarray) -> bool:
+    """Apply ``gates``, a run or a part of one, in one stacked pass, and write
+    the result into cov and mean if it is finite; return whether it is."""
+    blocks, shifts, _ = stacks[spec.gates[gates.start].kind]
+    rows = _quadratures(tuple(m for i in gates for m in spec.gates[i].modes))
+    at = slice(position[gates.start], position[gates.start] + len(gates))
+    new_rows, new_mean = _apply_run(blocks[at], shifts[at], rows, cov, mean)
+    if not _finite(new_rows, new_mean):
+        return False
+    _write_rows(rows, new_rows, new_mean, cov, mean)
+    return True
 
 
 def _run_analysis(state: GaussianState, req: AnalysisRequest) -> dict:
@@ -330,16 +342,14 @@ def run_network(spec: NetworkSpec) -> NetworkResult:
     """Start from the N-mode vacuum, apply the gates in order and evaluate
     every requested analysis.  Fully deterministic.
 
-    The gates of each kind are built and checked as one stack.  They are
-    then applied to one covariance/mean buffer in vacuum units in runs:
-    consecutive gates of one kind whose modes are pairwise disjoint, each
-    prepare_thermal a run of its own.  A run is computed in one stacked pass
-    and written once its output is finite; the result is bit for bit that of
-    applying the gates one at a time in spec order.  A run whose output is
-    not finite, or that holds a gate that fails its check, is applied again
-    one gate at a time, so the gate named is the first that fails in spec
-    order.  After the last run the buffer is scaled to hbar units and the
-    validated state is built.
+    The gates of each kind are built and checked as one stack.  They update
+    one covariance/mean buffer in vacuum units in runs: consecutive gates of
+    one kind whose modes are pairwise disjoint, a prepare_thermal a run of
+    its own.  Each run is computed in one stacked pass and written once its
+    output is finite, bit for bit what applying its gates one at a time in
+    spec order gives.  A run that fails is applied one gate at a time, so
+    the first failing gate in spec order is named.  After the last run the
+    buffer is scaled to hbar units and the validated state is built.
 
     Raises:
         NetworkRuntimeError: a gate or an analysis failed; its ``pointer``
@@ -356,31 +366,22 @@ def run_network(spec: NetworkSpec) -> NetworkResult:
         try:
             for run in _runs(spec.gates):
                 i = run.start
-                kind, modes = spec.gates[i].kind, spec.gates[i].modes
-                if kind == "prepare_thermal":
-                    _prepare_thermal_in_place(spec.gates[i].params["n_bar"], modes[0], cov, mean)
-                    rows = _quadratures(modes)
+                desc = spec.gates[i]
+                if desc.kind == "prepare_thermal":
+                    _prepare_thermal_in_place(desc.params["n_bar"], desc.modes[0], cov, mean)
+                    rows = _quadratures(desc.modes)
                     if not _finite(cov[rows], mean[rows]):
                         raise MalformedInputError(_NOT_FINITE)
                     continue
-                blocks, shifts, bad = stacks[kind]
-                if bad is None or bad[0] not in run:
-                    rows = _quadratures(tuple(m for j in run for m in spec.gates[j].modes))
-                    at = slice(position[i], position[i] + len(run))
-                    new_rows, new_mean = _apply_run(blocks[at], shifts[at], rows, cov, mean)
-                    if _finite(new_rows, new_mean):
-                        _write_rows(rows, new_rows, new_mean, cov, mean)
-                        continue
-                # a gate of the run fails: apply it one gate at a time to name the first
-                for i in run:
-                    if bad is not None and bad[0] == i:
-                        raise MalformedInputError(bad[1])
-                    rows = _quadratures(spec.gates[i].modes)
-                    at = slice(position[i], position[i] + 1)
-                    new_rows, new_mean = _apply_run(blocks[at], shifts[at], rows, cov, mean)
-                    if not _finite(new_rows, new_mean):
-                        raise MalformedInputError(_NOT_FINITE)
-                    _write_rows(rows, new_rows, new_mean, cov, mean)
+                bad = stacks[desc.kind][2]
+                if (bad is not None and bad[0] in run
+                        or not _apply_gates(spec, run, stacks, position, cov, mean)):
+                    # a gate of the run fails: apply it one gate at a time to name the first
+                    for i in run:
+                        if bad is not None and bad[0] == i:
+                            raise MalformedInputError(bad[1])
+                        if not _apply_gates(spec, range(i, i + 1), stacks, position, cov, mean):
+                            raise MalformedInputError(_NOT_FINITE)
         except (ValueError, CVSimError) as exc:
             raise NetworkRuntimeError(f"/gates/{i}", str(exc)) from exc
         cov *= spec.hbar / 2.0
