@@ -68,6 +68,12 @@ ANALYSES = {
     "wigner": {"mode": None, "grid": None},
 }
 
+#: the most gates in one run.  A run's cross block and its fresh temporaries
+#: grow as its square: past ~32 gates they cost more than the numpy calls that
+#: stacking saves.  Gates-only run_network of a network-chain spec at N = 192
+#: (minima, one CPU): 5.5-6.2 ms at 32, 9.5-14 ms with no bound, 9.0-14.6 ms
+#: one gate at a time; at N = 64, 1.0-1.3 ms either way against 2.1-2.7 ms.
+MAX_RUN = 32
 #: why a gate whose block and shift pass fails
 _NOT_FINITE = "the gate's output is not finite"
 
@@ -259,13 +265,14 @@ def _gate_stacks(spec: NetworkSpec) -> tuple[dict, list[int]]:
 
 
 def _runs(gates: tuple[GateDescriptor, ...]) -> list[range]:
-    """The gates split into runs: consecutive gates of one kind whose modes
-    are pairwise disjoint.  A prepare_thermal is a run of its own."""
+    """The gates split into runs: up to ``MAX_RUN`` consecutive gates of one
+    kind whose modes are pairwise disjoint.  A prepare_thermal is a run of
+    its own."""
     runs: list[range] = []
     touched: set[int] = set()
     for i, desc in enumerate(gates):
         if (runs and desc.kind == gates[i - 1].kind != "prepare_thermal"
-                and touched.isdisjoint(desc.modes)):
+                and touched.isdisjoint(desc.modes) and len(runs[-1]) < MAX_RUN):
             runs[-1] = range(runs[-1].start, i + 1)
         else:
             runs.append(range(i, i + 1))

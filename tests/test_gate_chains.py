@@ -32,7 +32,7 @@ from cvsim import (
 )
 from cvsim.errors import MalformedInputError
 from cvsim.gates import _prepare_thermal_in_place, _quadratures
-from cvsim.network import _gate_stacks, _runs
+from cvsim.network import MAX_RUN, _gate_stacks, _runs
 
 KINDS = ("displace", "squeeze", "rotate", "beamsplitter", "prepare_thermal")
 angle = st.floats(-np.pi, np.pi)
@@ -209,6 +209,18 @@ README_GATES = [
 def test_the_readme_network_has_three_runs():
     spec = parse_network_spec({"modes": 4, "gates": README_GATES})
     assert _runs(spec.gates) == [range(0, 2), range(2, 3), range(3, 5)]
+
+
+def test_a_run_holds_at_most_max_run_gates():
+    n = 2 * MAX_RUN + 5
+    squeezers = [{"kind": "squeeze", "modes": [m], "params": {"r": 0.1 + m / n, "theta": m}}
+                 for m in range(n)]
+    doc = {"modes": n, "gates": squeezers}
+    assert _runs(parse_network_spec(doc).gates) == [
+        range(0, MAX_RUN), range(MAX_RUN, 2 * MAX_RUN), range(2 * MAX_RUN, n)]
+    cov, mean = one_at_a_time(doc)
+    state = run_network(parse_network_spec(doc)).state
+    assert np.array_equal(state.cov, cov) and np.array_equal(state.mean, mean)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
