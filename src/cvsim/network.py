@@ -74,7 +74,7 @@ ANALYSES = {
 #: (minima, one CPU): 5.5-6.2 ms at 32, 9.5-14 ms with no bound, 9.0-14.6 ms
 #: one gate at a time; at N = 64, 1.0-1.3 ms either way against 2.1-2.7 ms.
 MAX_RUN = 32
-#: why a gate whose block and shift pass fails
+#: the failure of a gate whose block and shift pass but whose output overflows
 _NOT_FINITE = "the gate's output is not finite"
 
 DEFAULT_GRID = {"x_min": -5.0, "x_max": 5.0, "p_min": -5.0, "p_max": 5.0, "nx": 100, "np": 100}
@@ -350,9 +350,9 @@ def run_network(spec: NetworkSpec) -> NetworkResult:
     every requested analysis.  Fully deterministic.
 
     The gates of each kind are built and checked as one stack.  They update
-    one covariance/mean buffer in vacuum units in runs: consecutive gates of
-    one kind whose modes are pairwise disjoint, a prepare_thermal a run of
-    its own.  Each run is computed in one stacked pass and written once its
+    one covariance/mean buffer in vacuum units in runs: up to ``MAX_RUN``
+    consecutive gates of one kind whose modes are pairwise disjoint, a
+    prepare_thermal a run of its own.  Each run is computed in one stacked pass and written once its
     output is finite, bit for bit what applying its gates one at a time in
     spec order gives.  A run that fails is applied one gate at a time, so
     the first failing gate in spec order is named.  After the last run the

@@ -1,5 +1,6 @@
 """Property tests: random chains of all five gate kinds, applied as local
-blocks, against the dense 2N x 2N products they replace."""
+blocks, against the dense 2N x 2N products they replace; and the runner's
+stacked runs against the one-gate-at-a-time kernel, bit for bit."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cvsim import (
     Bipartition,
     CVSimError,
     GaussianState,
+    MalformedInputError,
     NetworkRuntimeError,
     PhaseSpaceGrid,
     apply_gate,
@@ -30,7 +32,6 @@ from cvsim import (
     vacuum_state,
     wigner_gaussian,
 )
-from cvsim.errors import MalformedInputError
 from cvsim.gates import _prepare_thermal_in_place, _quadratures
 from cvsim.network import MAX_RUN, _gate_stacks, _runs
 
