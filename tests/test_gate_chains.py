@@ -146,15 +146,14 @@ def one_at_a_time(doc):
     with np.errstate(over="ignore", invalid="ignore"):
         for i, desc in enumerate(spec.gates):
             try:
+                rows = _quadratures(desc.modes)
                 if desc.kind == "prepare_thermal":
                     _prepare_thermal_in_place(desc.params["n_bar"], desc.modes[0], cov, mean)
                 else:
                     blocks, shifts, bad = stacks[desc.kind]
                     if bad is not None and bad[0] == i:
                         raise MalformedInputError(bad[1])
-                    j, rows = position[i], _quadratures(desc.modes)
-                    apply_in_place(blocks[j], shifts[j], rows, cov, mean)
-                rows = _quadratures(desc.modes)
+                    apply_in_place(blocks[position[i]], shifts[position[i]], rows, cov, mean)
                 if not (np.isfinite(cov[rows]).all() and np.isfinite(mean[rows]).all()):
                     raise MalformedInputError("the gate's output is not finite")
             except (ValueError, CVSimError) as exc:
